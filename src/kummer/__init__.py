@@ -3,7 +3,7 @@
 The package computes, with exact integer arithmetic throughout:
 
 * fixed loci of finite groups of integer matrices acting on a power of
-  an abelian variety, as canonical rational translates of subtori;
+  an abelian variety, as canonical (N, integer shifts) subtorus translates;
 * the stratification of the quotient by isotropy classes;
 * Poincaré polynomials of the quotient (Molien averages) and, under the
   locally-product and McKay hypotheses, of a crepant resolution;

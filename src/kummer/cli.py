@@ -317,7 +317,9 @@ def _run_integral(job: JobSpec) -> Report:
         _check("degree", resolution.degree, 2 * action.r * action.d),
         _check("palindromic", _poly(resolution),
                _poly(resolution.reciprocal(2 * action.r * action.d))),
-        _check("t1_coefficient_zero", resolution[1], 0),
+        # a crepant resolution keeps b1; the check keeps its name so reports
+        # with b1 = 0 read as before
+        _check("t1_coefficient_zero", resolution[1], quotient[1]),
         _check("partition_of_quotient", _poly(report.y_total), _poly(quotient)),
         _check("euler_cross_check", resolution(-1), euler),
     ]

@@ -27,6 +27,10 @@ class NotProductOfCyclotomics(ValueError):
     """The polynomial has a root that is not a root of unity."""
 
 
+class ConsistencyError(RuntimeError):
+    """An internal cross-check failed; unlike ``assert``, kept under ``-O``."""
+
+
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -50,10 +54,6 @@ def mat_vec(a, v):
 
 def mat_sub(a, b) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_transpose(a) -> Matrix:
-    return tuple(zip(*a))
 
 
 def mat_det(m) -> int:
@@ -634,9 +634,11 @@ def smith_normal_form(m) -> SmithDecomposition:
     vm = tuple(tuple(r) for r in v)
     dm = tuple(tuple(r) for r in a)
     snf = SmithDecomposition(um, dm, vm, rows, cols)
-    assert mat_mul(mat_mul(um, m), vm) == dm
+    if mat_mul(mat_mul(um, m), vm) != dm:
+        raise ConsistencyError(f"Smith transforms do not reproduce {dm}")
     divs = snf.divisors
-    assert all(divs[i + 1] % divs[i] == 0 for i in range(len(divs) - 1)), divs
+    if any(divs[i + 1] % divs[i] for i in range(len(divs) - 1)):
+        raise ConsistencyError(f"Smith divisors {divs} do not divide in turn")
     return snf
 
 
@@ -644,60 +646,41 @@ def hermite_normal_form(rows_in, width: int | None = None) -> Matrix:
     """Row-style Hermite normal form; zero rows are dropped.
 
     Pivots are positive, entries above a pivot are reduced to [0, pivot).
-    The result is a canonical basis of the row span.
+    The result is a canonical basis of the row span: it depends on the
+    lattice only, not on the spanning rows given.
 
     >>> hermite_normal_form(((2, 4), (1, 1)))
     ((1, 1), (0, 2))
+    >>> hermite_normal_form(((1, 3), (2, 4)))
+    ((1, 1), (0, 2))
     """
-    rows = [list(r) for r in rows_in]
+    rest = [list(r) for r in rows_in if any(r)]
     if width is None:
-        width = len(rows[0]) if rows else 0
+        width = len(rows_in[0]) if rows_in else 0
     out: list[list[int]] = []
-    for vec in rows:
-        v = list(vec)
-        for row in out:
-            j = next(k for k, x in enumerate(row) if x)
-            if v[j]:
-                if v[j] % row[j] == 0:
-                    q = v[j] // row[j]
-                    for k in range(width):
-                        v[k] -= q * row[k]
-                else:
-                    # gcd step
-                    g, x, y = _xgcd(row[j], v[j])
-                    r2 = [x * row[k] + y * v[k] for k in range(width)]
-                    q1, q2 = row[j] // g, v[j] // g
-                    v = [q1 * v[k] - q2 * row[k] for k in range(width)]
-                    row[:] = r2
-        if any(v):
-            out.append(v)
-    # order by pivot column, make pivots positive, reduce upwards
-    out.sort(key=lambda r: next(k for k, x in enumerate(r) if x))
-    for row in out:
-        j = next(k for k, x in enumerate(row) if x)
-        if row[j] < 0:
-            for k in range(width):
-                row[k] = -row[k]
-    for i in range(len(out) - 1, -1, -1):
-        j = next(k for k, x in enumerate(out[i]) if x)
-        for i2 in range(i):
-            if out[i2][j]:
-                q = out[i2][j] // out[i][j]
-                for k in range(width):
-                    out[i2][k] -= q * out[i][k]
+    for j in range(width):
+        # Euclid down column j until one remaining row has a nonzero entry
+        live = [r for r in rest if r[j]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[j]))
+            pivot = live[0]
+            for r in live[1:]:
+                q = r[j] // pivot[j]
+                r[:] = [x - q * y for x, y in zip(r, pivot)]
+            live = [pivot] + [r for r in live[1:] if r[j]]
+        if not live:
+            continue
+        pivot = live[0]
+        if pivot[j] < 0:
+            pivot[:] = [-x for x in pivot]
+        # pivot is zero left of j, so this leaves earlier pivot columns reduced
+        for r in out:
+            q = r[j] // pivot[j]
+            if q:
+                r[:] = [x - q * y for x, y in zip(r, pivot)]
+        out.append(pivot)
+        rest = [r for r in rest if r is not pivot and any(r)]
     return tuple(tuple(r) for r in out)
-
-
-def _xgcd(a: int, b: int):
-    """g, x, y with x*a + y*b == g == gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 def kernel_basis(m, width: int | None = None) -> Matrix:

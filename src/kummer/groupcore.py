@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .exactalg import (
     Matrix,
-    char_poly,
     identity_matrix,
     mat_det,
     mat_inverse_unimodular,
@@ -177,9 +176,6 @@ class FiniteGroup:
             g for g in self.elements if self.conjugate_subgroup(sub, g) == sub
         )
 
-    def centralizer(self, g) -> frozenset:
-        return frozenset(h for h in self.elements if self._mul(h, g) == self._mul(g, h))
-
     def cosets(self, sub: frozenset, within=None) -> tuple[tuple, ...]:
         """Left cosets of ``sub`` inside ``within`` (default: whole group).
 
@@ -248,6 +244,9 @@ class IntegralAction(FiniteGroup):
         self.d = d
         self.label = label or f"group of order {len(seen)} in GL({r},Z)"
         self.elements = tuple(sorted(seen))
+        self._position = {g: i for i, g in enumerate(self.elements)}
+        self._products = [None] * len(self.elements)
+        self._identity = self.elements[self._position[ident]]
         self.special = all(mat_det(g) == 1 for g in self.elements)
         if special and not self.special:
             raise SpecialityViolation(
@@ -256,10 +255,25 @@ class IntegralAction(FiniteGroup):
 
     @property
     def identity(self) -> Matrix:
-        return identity_matrix(self.r)
+        return self._identity
 
     def _mul(self, a, b):
-        return mat_mul(a, b)
+        """Matrix product, memoised per pair of element indices.
+
+        Products of group elements are returned as the element tuples
+        themselves, so the table holds at most |G|^2 references.
+        """
+        pos = self._position
+        i, j = pos.get(a), pos.get(b)
+        if i is None or j is None:
+            return mat_mul(a, b)
+        row = self._products[i]
+        if row is None:
+            row = self._products[i] = [None] * len(pos)
+        p = row[j]
+        if p is None:
+            p = row[j] = self.elements[pos[mat_mul(a, b)]]
+        return p
 
     def _inv(self, a):
         try:

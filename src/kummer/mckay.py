@@ -13,7 +13,7 @@ partition lengths, used as an oracle against the age computation.
 from __future__ import annotations
 
 from .exactalg import IntPolynomial, age, exponent_multiset
-from .groupcore import FiniteGroup, IntegralAction
+from .groupcore import FiniteGroup, IntegralAction, _subgroup_element_classes
 
 
 class NonIntegerAge(ValueError):
@@ -40,11 +40,6 @@ class FiberPolynomial:
     @property
     def class_count(self) -> int:
         return len(self.class_ages)
-
-    def value_at_coset(self, index: int) -> IntPolynomial:
-        if self.values is None:
-            return self.plain
-        return self.values[index]
 
     def __repr__(self):
         return f"FiberPolynomial({self.plain})"
@@ -108,17 +103,7 @@ def fiber_poincare_equivariant(group: FiniteGroup, sub: frozenset,
     """
     if matrix_of is None:
         matrix_of = lambda g: g
-    sub_sorted = sorted(sub)
-    # conjugacy classes of the subgroup as a group of its own
-    seen = set()
-    classes = []
-    for g in sub_sorted:
-        if g in seen:
-            continue
-        orbit = {group._mul(group._mul(h, g), group._inv(h)) for h in sub_sorted}
-        seen |= orbit
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda c: (group.element_order(c[0]), c[0]))
+    classes = _subgroup_element_classes(group, sub)
     index_of = {h: i for i, cls in enumerate(classes) for h in cls}
     ages = []
     for cls in classes:

@@ -25,7 +25,7 @@ hypotheses predict; the hypotheses themselves are recorded, not checked.
 
 from __future__ import annotations
 
-from .exactalg import IntPolynomial, det_one_plus_t
+from .exactalg import ConsistencyError, IntPolynomial, det_one_plus_t
 from .groupcore import IntegralAction
 from .mckay import fiber_poincare_equivariant
 from .repring import quotient_poincare
@@ -169,7 +169,7 @@ def _fixed_arrangement(action: IntegralAction):
             if comp.rank > 0:
                 queue.extend((comp, other) for other in items if other.rank > 0)
             items.append(comp)
-    items.sort(key=lambda s: (-s.rank, s.key))
+    items.sort(key=lambda s: (-s.rank, s.normal, s.shifts))
     return items
 
 
@@ -181,8 +181,9 @@ def _conjugacy_class_of_subgroup(action, sub):
 def _moebius_trace(action, subtorus, deeper, supersets, fixed_set, images, n):
     """Trace of the coset of n on the open part of the subtorus.
 
-    ``deeper`` lists family indices strictly inside the subtorus;
-    inclusion-exclusion runs over those fixed by n.
+    ``deeper`` lists family indices strictly inside the subtorus and
+    ``images`` is n's permutation of the family; inclusion-exclusion runs
+    over the deeper members fixed by n.
     """
     power = 2 * action.d
     eta = subtorus.induced_lattice_matrix(n)
@@ -205,6 +206,34 @@ def _moebius_trace(action, subtorus, deeper, supersets, fixed_set, images, n):
     return total
 
 
+def _element_permutations(action, family):
+    """Each element's permutation of the family, composed from generators.
+
+    One ``apply_matrix`` per (generator, member); an element reached in
+    the closure as ``a * g`` sends member i to ``a(g(i))``.
+    """
+    index_of = {t.key: i for i, t in enumerate(family)}
+    gen_perms = []
+    for g in action.generators:
+        perm = tuple(index_of.get(t.apply_matrix(g).key) for t in family)
+        if None in perm:
+            raise ConsistencyError("the family is not stable under the group")
+        gen_perms.append((g, perm))
+    perms = {action.identity: tuple(range(len(family)))}
+    frontier = [action.identity]
+    while frontier:
+        new = []
+        for a in frontier:
+            pa = perms[a]
+            for g, pg in gen_perms:
+                p = action._mul(a, g)
+                if p not in perms:
+                    perms[p] = tuple(pa[j] for j in pg)
+                    new.append(p)
+        frontier = new
+    return perms
+
+
 def stratify(action: IntegralAction, check_frobenius: bool = True) -> StrataReport:
     """Full isotropy stratification with per-stratum polynomials.
 
@@ -214,17 +243,19 @@ def stratify(action: IntegralAction, check_frobenius: bool = True) -> StrataRepo
     1 + 22*t^2 + t^4
     """
     family = _fixed_arrangement(action)
-    index_of = {t.key: i for i, t in enumerate(family)}
     whole = AffineSubtorus.whole_torus(action.r, 2 * action.d)
+    perms = _element_permutations(action, family)
 
     # pointwise stabilizers
     isotropy = [generic_isotropy(action, t) for t in family]
 
-    # strict containments: supersets[i] = indices of members strictly above i
+    # strict containments: supersets[i] = indices of members strictly above i,
+    # subsets[j] = indices of members strictly inside j
     by_rank: dict[int, list[int]] = {}
     for i, t in enumerate(family):
         by_rank.setdefault(t.rank, []).append(i)
     supersets: list[list[int]] = [[] for _ in family]
+    subsets: list[list[int]] = [[] for _ in family]
     for i, t in enumerate(family):
         for rk, idxs in by_rank.items():
             if rk <= t.rank:
@@ -232,6 +263,7 @@ def stratify(action: IntegralAction, check_frobenius: bool = True) -> StrataRepo
             for j in idxs:
                 if family[j].contains(t):
                     supersets[i].append(j)
+                    subsets[j].append(i)
 
     # group components by their exact isotropy subgroup
     by_subgroup: dict[frozenset, list[int]] = {}
@@ -248,37 +280,34 @@ def stratify(action: IntegralAction, check_frobenius: bool = True) -> StrataRepo
         key=lambda rs: (len(rs[0]), sorted(rs[0])),
     )
 
-    image_cache: dict = {}
-
-    def image_index(n, i):
-        key = (n, i)
-        if key not in image_cache:
-            img = family[i].apply_matrix(n)
-            image_cache[key] = index_of.get(img.key, -1)
-        return image_cache[key]
-
     strata = []
+    rep_indices = []  # family index of each orbit representative, per stratum
     label_count: dict[int, int] = {}
 
     # the open stratum: trivial isotropy, the whole torus
-    all_entries = [((frozenset({action.identity}), 1), [None])]
+    all_entries = [((frozenset({action.identity}), 1), None)]
     for rep, size in occurring:
         # the family is stable under the group action, so the minimal
         # conjugate of every occurring stabilizer occurs itself
         all_entries.append(((rep, size), by_subgroup[rep]))
 
     for (subgroup, class_size), comp_indices in all_entries:
-        trivial = len(subgroup) == 1
+        trivial = comp_indices is None
         normalizer = action.elements if trivial else sorted(
             action.normalizer(subgroup)
         )
         weyl_cosets = action.cosets(subgroup, within=normalizer)
+        # coset_maps[c][k]: the component that coset c sends component k to
         if trivial:
             components = [whole]
-            member_index = {whole.key: 0}
+            coset_maps = [(0,)] * len(weyl_cosets)
         else:
             components = [family[i] for i in comp_indices]
-            member_index = {family[i].key: k for k, i in enumerate(comp_indices)}
+            member_index = {i: k for k, i in enumerate(comp_indices)}
+            coset_maps = [
+                tuple(member_index[perms[coset[0]][i]] for i in comp_indices)
+                for coset in weyl_cosets
+            ]
 
         # orbits of the normalizer on the components
         unassigned = set(range(len(components)))
@@ -289,10 +318,8 @@ def stratify(action: IntegralAction, check_frobenius: bool = True) -> StrataRepo
             frontier = [start]
             while frontier:
                 cur = frontier.pop()
-                for coset in weyl_cosets:
-                    n = coset[0]
-                    img = components[cur].apply_matrix(n)
-                    k = member_index[img.key]
+                for images in coset_maps:
+                    k = images[cur]
                     if k not in orbit:
                         orbit.add(k)
                         frontier.append(k)
@@ -306,29 +333,25 @@ def stratify(action: IntegralAction, check_frobenius: bool = True) -> StrataRepo
             rep_torus = components[k0]
             # stabilizer of the representative inside the Weyl group
             stab_cosets = tuple(
-                coset for coset in weyl_cosets
-                if member_index[rep_torus.apply_matrix(coset[0]).key] == k0
+                coset for coset, images in zip(weyl_cosets, coset_maps)
+                if images[k0] == k0
             )
-            assert len(stab_cosets) * len(orbit) == len(weyl_cosets)
+            if len(stab_cosets) * len(orbit) != len(weyl_cosets):
+                raise ConsistencyError(
+                    f"orbit of size {len(orbit)} and stabilizer of order "
+                    f"{len(stab_cosets)} in a Weyl group of order {len(weyl_cosets)}"
+                )
             fiber = fiber_poincare_equivariant(
                 action, subgroup, stab_cosets, action.d
             )
             fiber_plain = fiber.plain
-            if trivial:
-                deeper = list(range(len(family)))
-            else:
-                deeper = [
-                    j for j in range(len(family))
-                    if family[j].rank < rep_torus.rank
-                    and rep_torus.contains(family[j])
-                ]
+            deeper = list(range(len(family))) if trivial else subsets[comp_indices[k0]]
             y_sum = IntPolynomial.zero()
             x_sum = IntPolynomial.zero()
             for ci, coset in enumerate(stab_cosets):
                 n = coset[0]
-                images = {i: image_index(n, i) for i in deeper}
                 open_trace = _moebius_trace(
-                    action, rep_torus, deeper, supersets, family, images, n
+                    action, rep_torus, deeper, supersets, family, perms[n], n
                 )
                 y_sum = y_sum + open_trace
                 x_sum = x_sum + open_trace * fiber.values[ci]
@@ -340,9 +363,9 @@ def stratify(action: IntegralAction, check_frobenius: bool = True) -> StrataRepo
             ))
 
         if check_frobenius and not trivial:
-            _assert_frobenius(
-                action, components, weyl_cosets, member_index, family,
-                supersets, image_index, orbits,
+            _check_frobenius(
+                action, comp_indices, weyl_cosets, coset_maps, family,
+                supersets, subsets, perms, orbits,
             )
 
         order = len(subgroup)
@@ -354,55 +377,58 @@ def stratify(action: IntegralAction, check_frobenius: bool = True) -> StrataRepo
             components[0].rank if components else 0,
             tuple(orbits), fiber_plain,
         ))
+        rep_indices.append([
+            -1 if trivial else comp_indices[orbit[0]] for orbit in orbits_idx
+        ])
 
     quotient = quotient_poincare(action)
     resolution = sum((s.x_poly for s in strata), IntPolynomial.zero())
 
-    # closure poset: orbit node a lies in the closure of orbit node b
-    edges = []
+    # closure poset: orbit node a lies in the closure of orbit node b when
+    # some G-translate of b's representative strictly contains a's; index -1
+    # stands for the whole torus, the representative of the open stratum
     nodes = [
-        (si, oi, orbit)
-        for si, s in enumerate(strata)
-        for oi, orbit in enumerate(s.orbits)
+        (si, oi, rep)
+        for si, reps in enumerate(rep_indices)
+        for oi, rep in enumerate(reps)
     ]
-    for ai, (si, oi, oa) in enumerate(nodes):
-        for bi, (sj, oj, ob) in enumerate(nodes):
-            if ai == bi:
-                continue
-            if any(m.contains(oa.representative) for m in ob.members):
-                edges.append(((sj, oj), (si, oi)))
+    above = [set() if rep < 0 else {-1, *supersets[rep]} for *_, rep in nodes]
+    translates = [
+        {-1} if rep < 0 else {perm[rep] for perm in perms.values()}
+        for *_, rep in nodes
+    ]
+    edges = [
+        ((sj, oj), (si, oi))
+        for (si, oi, _), up in zip(nodes, above)
+        for (sj, oj, _), moved in zip(nodes, translates)
+        if not up.isdisjoint(moved)
+    ]
 
     report = StrataReport(action, tuple(strata), quotient, resolution, tuple(edges))
-    assert report.y_total == quotient, (
-        "strata do not partition the quotient polynomial"
-    )
+    if report.y_total != quotient:
+        raise ConsistencyError(
+            f"strata sum to {report.y_total}, not the quotient polynomial {quotient}"
+        )
     return report
 
 
-def _assert_frobenius(action, components, weyl_cosets, member_index, family,
-                      supersets, image_index, orbits):
+def _check_frobenius(action, comp_indices, weyl_cosets, coset_maps, family,
+                     supersets, subsets, perms, orbits):
     """Summing over all components with the full Weyl group must agree
     with summing orbit representatives over their stabilizers."""
-    per_component_deeper = []
-    for comp in components:
-        per_component_deeper.append([
-            j for j in range(len(family))
-            if family[j].rank < comp.rank and comp.contains(family[j])
-        ])
     y_alt = IntPolynomial.zero()
-    for coset in weyl_cosets:
+    for coset, images in zip(weyl_cosets, coset_maps):
         n = coset[0]
-        for k, comp in enumerate(components):
-            if member_index[comp.apply_matrix(n).key] != k:
+        for k, i in enumerate(comp_indices):
+            if images[k] != k:
                 continue
-            deeper = per_component_deeper[k]
-            images = {i: image_index(n, i) for i in deeper}
             y_alt = y_alt + _moebius_trace(
-                action, comp, deeper, supersets, family, images, n
+                action, family[i], subsets[i], supersets, family, perms[n], n
             )
     y_alt = y_alt.divide_exact(len(weyl_cosets))
     y_orbits = sum((o.y_poly for o in orbits), IntPolynomial.zero())
-    assert y_alt == y_orbits, "orbit/stabilizer bookkeeping is inconsistent"
+    if y_alt != y_orbits:
+        raise ConsistencyError("orbit/stabilizer bookkeeping is inconsistent")
 
 
 def stratum_closure_quotient_poincare(orbit: ComponentOrbit, d: int) -> IntPolynomial:

@@ -3,28 +3,31 @@
 A power of a d-dimensional abelian variety is modelled through its
 lattice shadow: the real torus R^r/Z^r taken ``2d`` independent times
 (one per generator of first homology of the variety factor).  A
-component of a fixed locus is then a rational translate of a subtorus,
+component of a fixed locus is then a torsion translate of a subtorus,
 
     S = { x : N x = shift (mod Z) in every copy },
 
-where N is the saturated annihilator of the tangent lattice.  The pair
-(N in Hermite form, shifts reduced to [0,1)) is a canonical form, so
+where N is the saturated annihilator of the tangent lattice.  The triple
+(N in Hermite form, the least common denominator n of the shifts, the
+integer vectors n * shift reduced mod n) is a canonical form, so
 components can be hashed, compared, intersected and mapped around by
-group elements with no ambiguity.
+group elements with no ambiguity, in integer arithmetic only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from itertools import product
+from math import gcd, lcm, prod
 
 from .exactalg import (
+    ConsistencyError,
     annihilator_basis,
     hermite_normal_form,
     identity_matrix,
     kernel_basis,
     mat_det,
-    mat_mul,
     mat_sub,
     mat_vec,
     smith_normal_form,
@@ -42,78 +45,94 @@ class EnumerationTooLarge(ValueError):
     """A brute-force enumeration exceeds the configured budget."""
 
 
-def _frac(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+def _scaled(vectors):
+    """(den, integer vectors) with vectors == integer vectors / den, den least."""
+    vecs = [[Fraction(x) for x in v] for v in vectors]
+    den = lcm(1, *(x.denominator for v in vecs for x in v))
+    return den, tuple(
+        tuple(x.numerator * (den // x.denominator) for x in v) for v in vecs
+    )
 
 
-_annihilator_cache: dict = {}
+_cached_annihilator = lru_cache(maxsize=None)(annihilator_basis)
 
 
-def _cached_annihilator(basis_rows, width: int):
-    key = (basis_rows, width)
-    try:
-        return _annihilator_cache[key]
-    except KeyError:
-        normal = _annihilator_cache[key] = annihilator_basis(basis_rows, width)
-        return normal
+@lru_cache(maxsize=None)
+def _section(normal, r: int):
+    """Integer r x k matrix S with normal @ S = I, from the Smith form.
+
+    ``S @ shift`` is then a translate realising the shift; the annihilator
+    must be saturated for S to exist.
+    """
+    snf = smith_normal_form(normal)
+    if any(dv != 1 for dv in snf.divisors):
+        raise ConsistencyError(f"annihilator {normal} is not saturated")
+    k = len(normal)
+    return tuple(
+        tuple(sum(snf.v[i][t] * snf.u[t][j] for t in range(k)) for j in range(k))
+        for i in range(r)
+    )
 
 
 class AffineSubtorus:
-    """A rational translate of a saturated subtorus, in canonical form.
+    """A torsion translate of a saturated subtorus, in canonical form.
 
     ``normal`` is the Hermite basis of the annihilator of the tangent
-    lattice; ``shifts`` holds, for each of the ``copies`` circle factors,
-    the value of ``normal @ translate`` reduced into [0, 1).
+    lattice.  For each of the ``copies`` circle factors the value of
+    ``normal @ translate`` mod 1 is stored as ``scaled_shifts / den``:
+    ``den`` is the least common denominator (1 when every shift is 0) and
+    the integer entries are reduced into [0, den).
     """
 
     __slots__ = (
-        "r", "copies", "normal", "shifts", "_basis", "_points", "_eta",
+        "r", "copies", "normal", "den", "scaled_shifts", "_basis", "_eta",
         "_scaled",
     )
 
-    def __init__(self, r: int, copies: int, normal, shifts):
+    def __init__(self, r: int, copies: int, normal, den: int, scaled_shifts):
         self.r = r
         self.copies = copies
-        self.normal = tuple(tuple(int(x) for x in row) for row in normal)
-        self.shifts = tuple(tuple(Fraction(s) for s in copy) for copy in shifts)
+        self.normal = normal
+        if len(scaled_shifts) != copies:
+            raise ValueError("one shift vector per copy required")
+        if any(len(copy) != len(self.normal) for copy in scaled_shifts):
+            raise ValueError("shift length must match the number of equations")
+        g = gcd(den, *(s for copy in scaled_shifts for s in copy))
+        self.den = den // g
+        self.scaled_shifts = tuple(
+            tuple(s // g % self.den for s in copy) for copy in scaled_shifts
+        )
         self._eta = {}
         self._scaled = None
-        if len(self.shifts) != copies:
-            raise ValueError("one shift vector per copy required")
-        for copy in self.shifts:
-            if len(copy) != len(self.normal):
-                raise ValueError("shift length must match the number of equations")
-            if any(not 0 <= s < 1 for s in copy):
-                raise ValueError("shifts must be reduced into [0, 1)")
         self._basis = None
-        self._points = None
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def whole_torus(cls, r: int, copies: int) -> "AffineSubtorus":
-        return cls(r, copies, (), ((),) * copies)
+        return cls(r, copies, (), 1, ((),) * copies)
 
     @classmethod
     def from_point(cls, point_per_copy, r: int, copies: int) -> "AffineSubtorus":
         """The single point with the given rational coordinates."""
-        ident = identity_matrix(r)
-        shifts = tuple(
-            tuple(_frac(Fraction(x)) for x in pt) for pt in point_per_copy
-        )
-        return cls(r, copies, ident, shifts)
+        den, pts = _scaled(point_per_copy)
+        return cls(r, copies, identity_matrix(r), den, pts)
 
     @classmethod
     def from_lattice_and_translate(cls, basis_rows, translates, r: int,
                                    copies: int) -> "AffineSubtorus":
+        """The translate of the lattice's subtorus by a rational point per copy."""
         basis_rows = tuple(tuple(int(x) for x in row) for row in basis_rows)
+        return cls._from_scaled(basis_rows, *_scaled(translates), r, copies)
+
+    @classmethod
+    def _from_scaled(cls, basis_rows, den, translates, r, copies):
         normal = _cached_annihilator(basis_rows, r)
         shifts = tuple(
-            tuple(_frac(sum(n * v for n, v in zip(row, tr)))
-                  for row in normal)
+            tuple(sum(n * v for n, v in zip(row, tr)) for row in normal)
             for tr in translates
         )
-        return cls(r, copies, normal, shifts)
+        return cls(r, copies, normal, den, shifts)
 
     # -- basic data -----------------------------------------------------------
 
@@ -135,47 +154,29 @@ class AffineSubtorus:
     def is_point(self) -> bool:
         return self.rank == 0
 
-    def representative_points(self):
-        """A canonical rational representative translate per copy."""
-        if self._points is None:
-            if not self.normal:
-                self._points = ((Fraction(0),) * self.r,) * self.copies
-            else:
-                snf = smith_normal_form(self.normal)
-                assert set(snf.divisors) <= {1}, "annihilator must be saturated"
-                k = len(self.normal)
-                pts = []
-                for shift in self.shifts:
-                    c = [sum(Fraction(snf.u[i][j]) * shift[j] for j in range(k))
-                         for i in range(k)]
-                    z = list(c) + [Fraction(0)] * (self.r - k)
-                    pts.append(tuple(
-                        sum(Fraction(snf.v[i][j]) * z[j] for j in range(self.r))
-                        for i in range(self.r)
-                    ))
-                self._points = tuple(pts)
-        return self._points
+    @property
+    def shifts(self):
+        """The shifts per copy as Fractions in [0, 1) (a read-only view)."""
+        return tuple(
+            tuple(Fraction(s, self.den) for s in copy) for copy in self.scaled_shifts
+        )
 
     def scaled_points(self):
-        """(denominator, integer point per copy), for fast modular tests."""
+        """(den, integer point per copy): a canonical translate times den."""
         if self._scaled is None:
-            den = 1
-            for pt in self.representative_points():
-                for x in pt:
-                    d = x.denominator
-                    den = den * d // gcd(den, d)
-            ipts = tuple(
-                tuple(int(x * den) for x in pt)
-                for pt in self.representative_points()
-            )
-            self._scaled = (den, ipts)
+            if not self.normal:
+                pts = ((0,) * self.r,) * self.copies
+            else:
+                section = _section(self.normal, self.r)
+                pts = tuple(mat_vec(section, shift) for shift in self.scaled_shifts)
+            self._scaled = (self.den, pts)
         return self._scaled
 
     # -- canonical identity ----------------------------------------------------
 
     @property
     def key(self):
-        return (self.normal, self.shifts)
+        return (self.normal, self.den, self.scaled_shifts)
 
     def __eq__(self, other):
         return isinstance(other, AffineSubtorus) and self.key == other.key
@@ -186,18 +187,10 @@ class AffineSubtorus:
     def __repr__(self):
         return (
             f"AffineSubtorus(rank={self.rank}, normal={self.normal}, "
-            f"shifts={self.shifts})"
+            f"den={self.den}, scaled_shifts={self.scaled_shifts})"
         )
 
     # -- geometry ---------------------------------------------------------------
-
-    def contains_point(self, point_per_copy) -> bool:
-        for shift, pt in zip(self.shifts, point_per_copy):
-            for row, s in zip(self.normal, shift):
-                val = sum(n * x for n, x in zip(row, pt))
-                if _frac(val - s) != 0:
-                    return False
-        return True
 
     def contains(self, other: "AffineSubtorus") -> bool:
         """Whether ``other`` is a subset of this subtorus."""
@@ -207,13 +200,12 @@ class AffineSubtorus:
             if any(sum(n * b for n, b in zip(nr, row)) != 0 for nr in self.normal):
                 return False
         oden, opts = other.scaled_points()
-        sden, _ = self.scaled_points()
-        den = oden * sden // gcd(oden, sden)
-        scale = den // oden
-        for shift, pt in zip(self.shifts, opts):
+        den = lcm(oden, self.den)
+        oscale, sscale = den // oden, den // self.den
+        for shift, pt in zip(self.scaled_shifts, opts):
             for row, s in zip(self.normal, shift):
-                val = sum(n * x for n, x in zip(row, pt)) * scale
-                if (val - int(s * den)) % den:
+                val = sum(n * x for n, x in zip(row, pt)) * oscale
+                if (val - s * sscale) % den:
                     return False
         return True
 
@@ -221,9 +213,9 @@ class AffineSubtorus:
         """Image under the lattice automorphism g (same matrix in each copy)."""
         basis = tuple(mat_vec(g, row) for row in self.lattice_basis) \
             if self.rank else ()
-        translates = tuple(mat_vec(g, pt) for pt in self.representative_points())
-        return AffineSubtorus.from_lattice_and_translate(
-            basis, translates, self.r, self.copies
+        den, pts = self.scaled_points()
+        return AffineSubtorus._from_scaled(
+            basis, den, tuple(mat_vec(g, pt) for pt in pts), self.r, self.copies
         )
 
     def induced_lattice_matrix(self, g):
@@ -257,11 +249,15 @@ class AffineSubtorus:
         """All components of the intersection, in canonical form."""
         if (other.r, other.copies) != (self.r, self.copies):
             raise ValueError("different ambient tori")
-        system = self.normal + other.normal
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
         rhs = tuple(
-            tuple(sa) + tuple(sb) for sa, sb in zip(self.shifts, other.shifts)
+            tuple(x * a for x in sa) + tuple(y * b for y in sb)
+            for sa, sb in zip(self.scaled_shifts, other.scaled_shifts)
         )
-        return solve_torus_system(system, rhs, self.r, self.copies)
+        return solve_torus_system(
+            self.normal + other.normal, den, rhs, self.r, self.copies
+        )
 
 
 def _solve_rational(rows, rhs):
@@ -295,13 +291,14 @@ def _solve_rational(rows, rhs):
     return sol
 
 
-def solve_torus_system(system_rows, rhs_per_copy, r: int, copies: int,
+def solve_torus_system(system_rows, den: int, rhs_per_copy, r: int, copies: int,
                        budget: int = DEFAULT_ENUMERATION_BUDGET):
-    """Components of { x : A x = b (mod Z) in each copy }.
+    """Components of { x : A x = b / den (mod Z) in each copy }.
 
     ``system_rows`` is an integer matrix A with r columns; ``rhs_per_copy``
-    gives the rational right-hand side for each circle copy.  Returns a
-    tuple of canonical components (empty when inconsistent).
+    gives the integer vector b for each circle copy.  Returns a tuple of
+    canonical components, ordered by their shifts (empty when
+    inconsistent).
     """
     rows = tuple(tuple(int(x) for x in row) for row in system_rows)
     if not rows:
@@ -315,42 +312,40 @@ def solve_torus_system(system_rows, rhs_per_copy, r: int, copies: int,
     normal = _cached_annihilator(
         hermite_normal_form(lattice, r) if lattice else (), r
     )
+    divisors = snf.divisors
+    top = divisors[-1] if divisors else 1  # every divisor divides the last
+    full = den * top
+    # with c = U b, x = V z solves the system for z_i = (c_i / den + j) / d_i;
+    # the shifts are normal @ x, i.e. (normal @ V) z, kept scaled by `full`
+    normal_v = tuple(
+        tuple(sum(nrow[i] * snf.v[i][j] for i in range(r)) for j in range(rank))
+        for nrow in normal
+    )
     per_copy = []
     count = 1
     for rhs in rhs_per_copy:
-        c = [sum(snf.u[i][j] * Fraction(rhs[j]) for j in range(m))
-             for i in range(m)]
+        c = [sum(snf.u[i][j] * rhs[j] for j in range(m)) for i in range(m)]
         # zero rows of D demand integral right-hand side
-        for i in range(rank, m):
-            if _frac(c[i]) != 0:
-                return ()
-        choices = [[]]
-        for i in range(rank):
-            di = snf.d[i][i]
-            new = []
-            for partial in choices:
-                for j in range(di):
-                    new.append(partial + [(c[i] + j) / di])
-            choices = new
-        count *= len(choices)
+        if any(c[i] % den for i in range(rank, m)):
+            return ()
+        count *= prod(divisors)
         if count > budget:
             raise EnumerationTooLarge(
                 f"component enumeration exceeds budget {budget}"
             )
-        shift_options = []
-        for z in choices:
-            v = [sum(snf.v[i][j] * z[j] for j in range(rank)) for i in range(r)]
-            shift_options.append(tuple(
-                _frac(sum(n * x for n, x in zip(nrow, v))) for nrow in normal
-            ))
-        per_copy.append(sorted(set(shift_options)))
-    components = []
-    stack = [()]
-    for shift_options in per_copy:
-        stack = [partial + (s,) for partial in stack for s in shift_options]
-    for combo in stack:
-        components.append(AffineSubtorus(r, copies, normal, combo))
-    return tuple(sorted(components, key=lambda s: s.key))
+        options = [
+            [(c[i] + j * den) * (top // di) for j in range(di)]
+            for i, di in enumerate(divisors)
+        ]
+        per_copy.append(sorted({
+            tuple(sum(a * zj for a, zj in zip(row, z)) % full for row in normal_v)
+            for z in product(*options)
+        }))
+    # the product of per-copy sorted shifts is in lexicographic order
+    return tuple(
+        AffineSubtorus(r, copies, normal, full, combo)
+        for combo in product(*per_copy)
+    )
 
 
 class FixLocus:
@@ -394,8 +389,8 @@ def fix_locus(action: IntegralAction, subgroup) -> FixLocus:
             continue
         rows.extend(mat_sub(ident, h))
     copies = 2 * action.d
-    rhs = tuple((Fraction(0),) * len(rows) for _ in range(copies))
-    comps = solve_torus_system(tuple(rows), rhs, action.r, copies)
+    rhs = tuple((0,) * len(rows) for _ in range(copies))
+    comps = solve_torus_system(tuple(rows), 1, rhs, action.r, copies)
     return FixLocus(comps, frozenset(elements))
 
 
@@ -442,22 +437,13 @@ def generic_isotropy(action: IntegralAction, s: AffineSubtorus) -> frozenset:
     >>> sorted(generic_isotropy(octa, whole)) == [octa.identity]
     True
     """
-    ident = identity_matrix(action.r)
-    out = []
     basis = s.lattice_basis
     den, ipts = s.scaled_points()
-    for g in action.elements:
-        m = mat_sub(ident, g)
-        if any(any(x != 0 for x in mat_vec(m, row)) for row in basis):
-            continue
-        ok = True
-        for pt in ipts:
-            if any(v % den for v in mat_vec(m, pt)):
-                ok = False
-                break
-        if ok:
-            out.append(g)
-    return frozenset(out)
+    return frozenset(
+        g for g in action.elements
+        if all(mat_vec(g, row) == row for row in basis)
+        and all((a - b) % den == 0 for pt in ipts for a, b in zip(mat_vec(g, pt), pt))
+    )
 
 
 def torsion_oracle(action: IntegralAction, n: int,
@@ -519,5 +505,8 @@ def orbifold_euler(action: IntegralAction) -> int:
             for dv in snf.divisors:
                 prod *= abs(dv)
             total += prod ** (2 * action.d)
-    assert total % action.order == 0
+    if total % action.order:
+        raise ConsistencyError(
+            f"fixed-point total {total} is not divisible by |G| = {action.order}"
+        )
     return total // action.order

@@ -1,8 +1,79 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from kummer.cli import InputError, JobSpec, Report, build_parser, list_catalog, main, run
+from kummer.strata import stratify
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# SHA-256 of the stdout of `kummer ARGS --format json`, run from the
+# repository root: every integral catalog entry that yields a report at its
+# default d, plain and --equivariant, the analytic entry and both demo
+# ledgers.  A refactor keeps these bytes; a digest changes only with a
+# deliberate change of the report.
+GOLDEN_REPORTS = {
+    "--catalog d4_sl3":
+        "0d0c7d2e4eda907a91fd89c26188a0bc395ac5f462021bdd83bc368fb038b789",
+    "--catalog d4_sl3 --equivariant":
+        "389276d862ceeab328e33bb72c7035eb7fcae11ada4d2f4d3bcaf37085e4a224",
+    "--catalog d8_b2":
+        "2affe04d5eea04ae3474dc8bc49bd0747c688f40015fbb5f37e11aa8c2774791",
+    "--catalog d8_b2 --equivariant":
+        "e6923300f1fccee02f3be1d4af37145f852e5003ffd082818fca7a90af6da433",
+    "--catalog octahedral_s4_sl3":
+        "a65deddd0f7366f7b9c02d62145440f4cf193e8c58a9cd6cce1485ee1dd95328",
+    "--catalog octahedral_s4_sl3 --equivariant":
+        "2090845a1a261a15245ea3c79170da3a06bca62778fba0884dc2ed76dd461b7d",
+    "--catalog s3_standard":
+        "edd144558501acba20441d81e315b75a5928ce538e8088aacc3afb1486b358de",
+    "--catalog s3_standard --equivariant":
+        "62324f71e412c12f5983439b10ec539d8e90b5849c6f28e5ac17650ed3d809da",
+    "--catalog s3_standard_d2":
+        "4c211abb646b171c0e1a9377c2bd632ab4ed7dc1438b6850131741aeaf59b854",
+    "--catalog s3_standard_d2 --equivariant":
+        "686555ea9eb5d00afa4996b8d08839fe324302a56763409ced23cccefe07a664",
+    "--catalog s4_standard":
+        "cee6a53db46abfd4bab076bade9f8a16e7a6920cee0f349e13834695d0c06ae5",
+    "--catalog s4_standard --equivariant":
+        "8c6fbe65e50f0a45f90c87394b34239c5591b2d8090af301c8578e38a3129535",
+    "--catalog s4_standard_d2":
+        "26af11f743ce379840704a1491475f925a4377720c986433a986f28be1037265",
+    "--catalog s4_standard_d2 --equivariant":
+        "6f1f5607852f114e53a8f0ad3bd3e54b989eb9839c4a58b356754d72c2448101",
+    "--catalog standard_s4_d2":
+        "e2ba2b912a15f01b5f3fa7317b7066751b468cbd2babd67a7f61c5c5fde00b3e",
+    "--catalog standard_s4_d2 --equivariant":
+        "3fd5c5d1f2e7d9f4de60b4d24297f7b170b2bfe4912e5b51aa0f2a90df1de3c8",
+    "--catalog wreath_2_2":
+        "0b960f4a8ed66dcb2da7f2884bb5f203aaadb0edfa773a3b24b40eb462102106",
+    "--catalog wreath_2_2 --equivariant":
+        "beb4f41afd09bc84937b306bce39c313d3a3e26a6a4838438e2daa6112268ecf",
+    "--catalog z2_sl2":
+        "749130779a06a469c1b0ad7b01e0c139465ae4c1935133f5855dd1dbc44c46eb",
+    "--catalog z2_sl2 --equivariant":
+        "f240c509603d42d567551487e009a30ee91b258f128831e2e4b4e163565b6078",
+    "--catalog z3_sl2":
+        "f1aa971cfa826119f16c0d21f4329995af80dca3f9d97531e02f8c9cd61adbf4",
+    "--catalog z3_sl2 --equivariant":
+        "ad30c7b87338136d3679434b53f323e09cab7663c976ffd95f6bb0f18e222c58",
+    "--catalog z4_sl2":
+        "58d34cf74ad21f78c50a7bd9c861f100ba9caf3391d66cf10aa483303d0e0a80",
+    "--catalog z4_sl2 --equivariant":
+        "a09d7c32ce944a3bd738af62500360b355c9f00c5358831fd039890fa03bfc32",
+    "--catalog z6_sl2":
+        "7c297ad1d0d76a59745ff0a72941115078056927e21b6dc8be2cf6e2c904c1fa",
+    "--catalog z6_sl2 --equivariant":
+        "29b3f1e8f25eaa1f12acb087994538a6e98d0f59555cb1a3854c8af29a627ab9",
+    "--mode analytic --catalog binary_tetrahedral":
+        "48bb24c8e236d27ed981adb464121c667ba0c890f119d32237e3c4ce6885b958",
+    "--mode ledger --input demos/ledgers/dihedral6_symbolic.json":
+        "5053508245f18df3d5421d121f39b82dcf1babdbadba50aa8b8e8b1554a667db",
+    "--mode ledger --input demos/ledgers/dihedral8_pieces.json":
+        "ce1d4bf66866b933f11ae28eb0109b0b7095a1f8f7c3a8a5c898cb0dd5245fb4",
+}
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +268,41 @@ class TestMainEntryPoint:
         monkeypatch.setattr(cli, "run", lambda job: failing)
         assert cli.main(["--catalog", "z6_sl2"]) == 1
 
+    def test_natural_s3_on_abelian_surface(self, capsys):
+        # Hilb^3 of an abelian surface, by Goettsche's formula: b1 = 4 on the
+        # quotient and on its crepant resolution alike
+        assert main(["--catalog", "natural_s3", "--d", "2", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["resolution"] == [1, 4, 13, 40, 103, 196, 246, 196, 103,
+                                         40, 13, 4, 1]
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["--catalog", "z6_sl2"])
         assert args.mode == "integral"
         assert args.format == "text"
+
+
+@pytest.fixture(scope="module")
+def shared_stratify():
+    """Let the reports of one action (plain, --equivariant, catalog aliases)
+    share one stratification, which keeps the golden tests quick."""
+    import kummer.cli as cli
+
+    memo = {}
+
+    def memoised(action):
+        key = (action.generators, action.d)
+        if key not in memo:
+            memo[key] = stratify(action)
+        return memo[key]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "stratify", memoised)
+        yield
+
+
+@pytest.mark.parametrize("args, digest", sorted(GOLDEN_REPORTS.items()))
+def test_report_bytes_are_pinned(args, digest, shared_stratify, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(args.split() + ["--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -157,6 +157,30 @@ class TestNormalForms:
             assert mat_det(snf.v) in (1, -1)
             assert mat_mul(mat_mul(snf.u, m), snf.v) == snf.d
 
+    def test_hermite_is_canonical(self):
+        rng = random.Random(3)
+        for _ in range(2000):
+            n, width = rng.randint(1, 3), rng.randint(1, 4)
+            rows = tuple(tuple(rng.randint(-4, 4) for _ in range(width))
+                         for _ in range(n))
+            h = hermite_normal_form(rows, width)
+            assert hermite_normal_form(h, width) == h
+            # a random unimodular row change spans the same lattice
+            u = identity_matrix(n)
+            for _ in range(3):
+                if n > 1:
+                    i, j = rng.sample(range(n), 2)
+                    t = [list(r) for r in identity_matrix(n)]
+                    t[i][j] = rng.randint(-3, 3)
+                    t[i][i] = rng.choice((1, -1))
+                    u = mat_mul(tuple(map(tuple, t)), u)
+            assert hermite_normal_form(mat_mul(u, rows), width) == h
+            pivots = [next(k for k, x in enumerate(row) if x) for row in h]
+            assert pivots == sorted(set(pivots))
+            for i, (row, j) in enumerate(zip(h, pivots)):
+                assert row[j] > 0
+                assert all(0 <= h[above][j] < row[j] for above in range(i))
+
     def test_hermite_and_kernel(self):
         assert hermite_normal_form(((2, 4), (1, 1))) == ((1, 1), (0, 2))
         kb = kernel_basis(((1, 1, 1),))

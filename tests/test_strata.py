@@ -204,6 +204,89 @@ class TestGlobalInvariants:
         assert report.resolution == report.quotient == poly(1, 2, 1) ** 2
 
 
+# octahedral_s4_sl3 generators conjugated into two other lattice bases
+OCTAHEDRAL_CONJUGATES = (
+    [((-1, 0, 0), (0, -1, 2), (0, 0, 1)), ((-1, -2, 2), (1, 1, 0), (0, 0, 1)),
+     ((-1, 0, 0), (1, 1, -2), (0, 0, -1)), ((-1, -1, 2), (1, 2, -2), (0, 1, -1))],
+    [((-1, 0, 0), (0, 1, -2), (0, 0, -1)), ((0, 0, -1), (1, 1, -1), (1, 0, 0)),
+     ((0, 0, 1), (1, -1, 1), (1, 0, 0)), ((0, -1, 1), (1, 0, -1), (1, 0, 0))],
+)
+
+
+class TestBasisIndependence:
+    def test_closure_edge_count(self, reports):
+        from kummer.groupcore import generate_group
+
+        counts = {len(reports["octahedral_s4_sl3"].closure_edges)}
+        for gens in OCTAHEDRAL_CONJUGATES:
+            counts.add(len(stratify(generate_group(gens, d=1)).closure_edges))
+        assert counts == {95}
+
+    def test_normalizer_orbit_edges_are_kept(self, reports):
+        report = reports["octahedral_s4_sl3"]
+        nodes = [((si, oi), orbit)
+                 for si, s in enumerate(report.strata)
+                 for oi, orbit in enumerate(s.orbits)]
+        within_normalizer_orbits = {
+            (b, a)
+            for a, oa in nodes for b, ob in nodes
+            if a != b and any(m.contains(oa.representative) for m in ob.members)
+        }
+        assert within_normalizer_orbits <= set(report.closure_edges)
+
+    def test_natural_s4_in_a_conjugated_basis(self):
+        # Hermite forms that depended on the spanning rows once gave one
+        # member two keys here, and stratify raised
+        from kummer.groupcore import generate_group
+
+        gens = [((0, 1, 0, 0), (1, 0, 0, 0), (-2, 2, 1, 0), (0, 0, 0, 1)),
+                ((0, 0, 0, 1), (1, 0, 0, 0), (-2, 1, 0, 0), (0, 2, 1, 0))]
+        report = stratify(generate_group(gens, d=2))
+        # Hilb^4 of an abelian surface, by Goettsche's formula
+        assert report.resolution == poly(1, 4, 13, 40, 111, 276, 592, 996, 1198,
+                                         996, 592, 276, 111, 40, 13, 4, 1)
+
+
+OPTIMIZED_SCRIPT = """
+import sys
+from kummer import strata
+from kummer.catalog import catalog
+from kummer.exactalg import ConsistencyError, IntPolynomial
+from kummer.toruslat import AffineSubtorus
+
+if not sys.flags.optimize:
+    sys.exit("run me under python -O")
+raised = []
+try:  # an annihilator that is not saturated
+    AffineSubtorus(2, 1, ((2, 0),), 1, ((0,),)).scaled_points()
+except ConsistencyError:
+    raised.append("saturation")
+strata.quotient_poincare = lambda action: IntPolynomial([1])
+try:  # strata that cannot sum to the quotient polynomial
+    strata.stratify(catalog("z6_sl2"))
+except ConsistencyError:
+    raised.append("partition")
+print(" ".join(raised))
+"""
+
+
+def test_checks_survive_optimized_mode():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import kummer
+
+    src = str(Path(kummer.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["saturation", "partition"]
+
+
 class TestLedger:
     def test_empty_ledger(self):
         assert assemble_from_ledger({"entries": []}).value == IntPolynomial.zero()
