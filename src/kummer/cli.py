@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -331,7 +332,7 @@ def _run_integral(job: JobSpec) -> Report:
             snf = smith_normal_form(mat_sub(ident, g))
             predicted = 1
             for dv in snf.divisors:
-                predicted *= _gcd(dv, job.oracle)
+                predicted *= math.gcd(abs(dv), abs(job.oracle))
             predicted = (predicted * job.oracle ** (action.r - snf.rank)) \
                 ** (2 * action.d)
             if oracle[g] != predicted:
@@ -339,12 +340,6 @@ def _run_integral(job: JobSpec) -> Report:
         checks.append(_check(f"torsion_oracle_n{job.oracle}", mism, []))
     payload["checks"] = checks
     return Report(payload)
-
-
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(abs(a), abs(b))
 
 
 def _run_analytic(job: JobSpec) -> Report:
@@ -371,7 +366,7 @@ def _run_analytic(job: JobSpec) -> Report:
             "dim": res.dimension,
             "exponents": [_fraction_pair(x) for x in data.exponents[i]],
         })
-        if res.isolated and _isqrt(res.count) ** 2 != res.count:
+        if res.isolated and math.isqrt(res.count) ** 2 != res.count:
             square_failures.append([i, res.count])
     purity = codim2_purity_report(data)
     reflections = symplectic_reflection_generated(data)
@@ -439,12 +434,6 @@ def _run_ledger(job: JobSpec) -> Report:
             _check("t1_coefficient_zero", result.value[1], 0),
         ]
     return Report(payload)
-
-
-def _isqrt(n: int) -> int:
-    from math import isqrt
-
-    return isqrt(n)
 
 
 def _input_echo(job: JobSpec) -> dict:

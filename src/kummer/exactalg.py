@@ -308,20 +308,24 @@ def char_poly(m: Matrix) -> IntPolynomial:
     -1 + 3*t - 3*t^2 + t^3
     """
     n = len(m)
-    if n == 0:
-        return IntPolynomial.one()
-    coeffs = [Fraction(1)]  # descending: x^n, x^{n-1}, ...
-    cur = [[Fraction(v) for v in row] for row in m]
-    c = -sum(cur[i][i] for i in range(n))
-    coeffs.append(c)
-    for k in range(2, n + 1):
-        tmp = [[cur[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-        cur = [
-            [sum(Fraction(m[i][t]) * tmp[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        c = -sum(cur[i][i] for i in range(n)) / k
+    coeffs = [1]  # descending: x^n, x^{n-1}, ...
+    # M_1 = I, M_k = A M_{k-1} + c_{k-1} I and c_k = -tr(A M_k) / k; every
+    # M_k is an integer matrix because every c_k is an integer
+    am = m
+    for k in range(1, n + 1):
+        trace = sum(am[i][i] for i in range(n))
+        if trace % k:
+            raise ConsistencyError(
+                f"Faddeev-LeVerrier trace {trace} is not divisible by {k}"
+            )
+        c = -trace // k
         coeffs.append(c)
+        if k < n:
+            mk = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+            am = [
+                [sum(m[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
     return IntPolynomial(list(reversed(coeffs)))
 
 
@@ -364,7 +368,8 @@ def cyclotomic_polynomial(n: int) -> IntPolynomial:
     for d in range(1, n):
         if n % d == 0:
             q, r = p.divmod_monic(cyclotomic_polynomial(d))
-            assert not r
+            if r:
+                raise ConsistencyError(f"t^{n} - 1 leaves a remainder mod Phi_{d}")
             p = q
     _cyclotomic_cache[n] = p
     return p

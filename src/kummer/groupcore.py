@@ -10,6 +10,7 @@ catalog have order at most 720.
 from __future__ import annotations
 
 from .exactalg import (
+    ConsistencyError,
     Matrix,
     identity_matrix,
     mat_det,
@@ -85,34 +86,17 @@ class FiniteGroup:
     def conjugacy_classes(self) -> tuple[tuple, ...]:
         """Element conjugacy classes, each sorted, ordered deterministically.
 
-        Classes are sorted by (order of elements, smallest member).
-        Orbits are grown by conjugating with generators only, which
-        reaches the full class since conjugation is multiplicative.
+        Classes are sorted by (order of elements, smallest member).  The
+        orbits come from :func:`_element_classes` with the generators as
+        the conjugating set: conjugation is multiplicative, so closing
+        under the generators reaches the full class.
         """
         try:
             return self.__dict__["_classes"]
         except KeyError:
             pass
-        gens = list(getattr(self, "generators", ())) or list(self.elements)
-        gen_pairs = [(h, self._inv(h)) for h in gens]
-        seen = set()
-        classes = []
-        for g in self.elements:
-            if g in seen:
-                continue
-            orbit = {g}
-            frontier = [g]
-            while frontier:
-                cur = frontier.pop()
-                for h, hinv in gen_pairs:
-                    c = self._mul(self._mul(h, cur), hinv)
-                    if c not in orbit:
-                        orbit.add(c)
-                        frontier.append(c)
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda c: (self.element_order(c[0]), c[0]))
-        self.__dict__["_classes"] = tuple(classes)
+        gens = getattr(self, "generators", ()) or self.elements
+        self.__dict__["_classes"] = _element_classes(self, self.elements, gens)
         return self.__dict__["_classes"]
 
     def class_index(self, g) -> int:
@@ -143,27 +127,37 @@ class FiniteGroup:
         return frozenset(seen)
 
     def all_subgroups(self) -> tuple[frozenset, ...]:
-        """Every subgroup, by closing cyclic subgroups under pairwise joins."""
+        """Every subgroup, sorted by (order, sorted elements).
+
+        Every subgroup is generated by its elements, so it is a join of
+        cyclic subgroups: starting from the trivial group, each subgroup
+        found is joined with every cyclic subgroup it does not contain.
+        A join is closed from the generators that reached it plus the
+        new cyclic generator, not from all of its elements.
+        """
         try:
             return self.__dict__["_subgroups"]
         except KeyError:
             pass
-        subs = {frozenset({self.identity})}
+        cyclic = {}
         for g in self.elements:
-            subs.add(self.subgroup_closure([g]))
-        while True:
-            new = set()
-            for a in subs:
-                for b in subs:
-                    if a < b or b < a or a == b:
+            cyclic.setdefault(self.subgroup_closure([g]), g)
+        trivial = frozenset({self.identity})
+        gens_of = {trivial: ()}
+        frontier = [trivial]
+        while frontier:
+            new = []
+            for sub in frontier:
+                for c, g in cyclic.items():
+                    if c <= sub:
                         continue
-                    j = self.subgroup_closure(a | b)
-                    if j not in subs:
-                        new.add(j)
-            if not new:
-                break
-            subs |= new
-        result = tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
+                    gens = gens_of[sub] + (g,)
+                    join = self.subgroup_closure(gens)
+                    if join not in gens_of:
+                        gens_of[join] = gens
+                        new.append(join)
+            frontier = new
+        result = tuple(sorted(gens_of, key=lambda s: (len(s), sorted(s))))
         self.__dict__["_subgroups"] = result
         return result
 
@@ -404,53 +398,54 @@ class SubgroupClass:
 class SubgroupClassPoset:
     """Conjugacy classes of subgroups, ordered by subconjugacy.
 
-    ``leq[i][j]`` says class i is subconjugate to class j (some member of
-    class i is contained in some member of class j).
+    ``classes`` are sorted by (order, sorted representative), so
+    ``classes[0]`` is the trivial group.  ``leq[i][j]`` says class i is
+    subconjugate to class j (some member of class i is contained in some
+    member of class j).
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        subs = group.all_subgroups()
+        orbits = {}  # representative -> its conjugacy class of subgroups
         seen: set[frozenset] = set()
-        classes = []
-        for s in subs:
+        for s in group.all_subgroups():
             if s in seen:
                 continue
-            orbit = {group.conjugate_subgroup(s, g) for g in group.elements}
+            orbit = frozenset(group.conjugate_subgroup(s, g) for g in group.elements)
             seen |= orbit
-            rep = min(orbit, key=lambda x: sorted(x))
+            orbits[min(orbit, key=sorted)] = orbit
+        classes = []
+        for rep, orbit in orbits.items():
             norm = group.normalizer(rep)
-            weyl = group.cosets(rep, within=norm)
-            classes.append(SubgroupClass(rep, len(orbit), norm, weyl))
+            if len(orbit) * len(norm) != group.order:
+                raise ConsistencyError(
+                    f"class of {len(orbit)} subgroups with a normalizer of order "
+                    f"{len(norm)} in a group of order {group.order}"
+                )
+            classes.append(SubgroupClass(rep, len(orbit), norm,
+                                         group.cosets(rep, within=norm)))
         classes.sort(key=lambda c: (c.order, sorted(c.representative)))
         self.classes = tuple(classes)
-        n = len(classes)
-        leq = [[False] * n for _ in range(n)]
-        for i, ci in enumerate(classes):
-            conjugates = {
-                group.conjugate_subgroup(ci.representative, g)
-                for g in group.elements
-            }
-            for j, cj in enumerate(classes):
-                leq[i][j] = any(c <= cj.representative for c in conjugates)
-        self.leq = tuple(tuple(row) for row in leq)
-        # orbit-stabilizer and poset sanity
-        for c in classes:
-            assert c.size * len(c.normalizer) == group.order
-        assert all(self.leq[i][i] for i in range(n))
+        self._index = {
+            sub: i for i, c in enumerate(classes) for sub in orbits[c.representative]
+        }
+        self.leq = tuple(
+            tuple(any(sub <= cj.representative for sub in orbits[ci.representative])
+                  for cj in classes)
+            for ci in classes
+        )
+        if not all(self.leq[i][i] for i in range(len(classes))):
+            raise ConsistencyError("subconjugacy is not reflexive")
 
     def __len__(self):
         return len(self.classes)
 
     def class_of(self, sub: frozenset) -> int:
-        sub = frozenset(sub)
-        for i, c in enumerate(self.classes):
-            if len(c.representative) == len(sub) and any(
-                self.group.conjugate_subgroup(sub, g) == c.representative
-                for g in self.group.elements
-            ):
-                return i
-        raise ValueError("not a subgroup of this group")
+        """Index of the class containing the subgroup."""
+        try:
+            return self._index[frozenset(sub)]
+        except KeyError:
+            raise ValueError("not a subgroup of this group") from None
 
     def minimum(self) -> int:
         return 0
@@ -485,7 +480,8 @@ def weyl_action_on_classes(group: FiniteGroup, sub: frozenset, normalizer=None):
         for n in normalizer:
             if group.conjugate_subgroup(sub, n) != sub:
                 raise NotNormalizer(f"{n} does not normalize the subgroup")
-    sub_classes = _subgroup_element_classes(group, sub)
+    sub_sorted = sorted(sub)
+    sub_classes = _element_classes(group, sub_sorted, sub_sorted)
     index_of = {h: i for i, cls in enumerate(sub_classes) for h in cls}
     cosets = group.cosets(sub, within=normalizer)
     perms = []
@@ -499,15 +495,28 @@ def weyl_action_on_classes(group: FiniteGroup, sub: frozenset, normalizer=None):
     return cosets, tuple(cls[0] for cls in sub_classes), tuple(perms)
 
 
-def _subgroup_element_classes(group: FiniteGroup, sub: frozenset):
-    """Conjugacy classes of the subgroup as a group of its own."""
-    sub_sorted = sorted(sub)
+def _element_classes(group: FiniteGroup, elements, conjugators) -> tuple[tuple, ...]:
+    """Orbits of ``elements`` under conjugation by ``conjugators``.
+
+    The whole group passes its generators (closing under them reaches the
+    full class), a subgroup passes its own elements.  Each class is
+    sorted; classes are sorted by (order of elements, smallest member).
+    """
+    pairs = [(h, group._inv(h)) for h in conjugators]
     seen = set()
     classes = []
-    for g in sub_sorted:
+    for g in elements:
         if g in seen:
             continue
-        orbit = {group._mul(group._mul(h, g), group._inv(h)) for h in sub_sorted}
+        orbit = {g}
+        frontier = [g]
+        while frontier:
+            cur = frontier.pop()
+            for h, hinv in pairs:
+                c = group._mul(group._mul(h, cur), hinv)
+                if c not in orbit:
+                    orbit.add(c)
+                    frontier.append(c)
         seen |= orbit
         classes.append(tuple(sorted(orbit)))
     classes.sort(key=lambda c: (group.element_order(c[0]), c[0]))

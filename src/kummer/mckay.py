@@ -12,8 +12,8 @@ partition lengths, used as an oracle against the age computation.
 
 from __future__ import annotations
 
-from .exactalg import IntPolynomial, age, exponent_multiset
-from .groupcore import FiniteGroup, IntegralAction, _subgroup_element_classes
+from .exactalg import ConsistencyError, IntPolynomial, age, exponent_multiset
+from .groupcore import FiniteGroup, IntegralAction, _element_classes
 
 
 class NonIntegerAge(ValueError):
@@ -79,7 +79,8 @@ def fiber_poincare(subaction: IntegralAction, d: int | None = None) -> FiberPoly
     for a in ages:
         coeffs[2 * a] += 1
     plain = IntPolynomial(coeffs)
-    assert plain(1) == len(subaction.conjugacy_classes())
+    if plain(1) != len(subaction.conjugacy_classes()):
+        raise ConsistencyError("fiber classes do not match the conjugacy classes")
     return FiberPolynomial(plain, ages)
 
 
@@ -103,7 +104,8 @@ def fiber_poincare_equivariant(group: FiniteGroup, sub: frozenset,
     """
     if matrix_of is None:
         matrix_of = lambda g: g
-    classes = _subgroup_element_classes(group, sub)
+    sub_sorted = sorted(sub)
+    classes = _element_classes(group, sub_sorted, sub_sorted)
     index_of = {h: i for i, cls in enumerate(classes) for h in cls}
     ages = []
     for cls in classes:

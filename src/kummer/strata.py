@@ -4,8 +4,8 @@ The quotient of the torus power decomposes into locally closed strata,
 one per conjugacy class of occurring isotropy groups.  Everything is
 computed upstairs, on the torus, with exact equivariant bookkeeping:
 
-* the canonical components of all element fixed loci are closed under
-  intersection into an arrangement ("the family");
+* the arrangement ("the family") is the set of components of Fix(H) for
+  every subgroup H ≠ 1, taken from the subgroup lattice;
 * each component's pointwise stabilizer singles out the strata, and the
   normalizer orbits of components give the downstairs components;
 * on each orbit representative, the points with strictly larger isotropy
@@ -26,8 +26,8 @@ hypotheses predict; the hypotheses themselves are recorded, not checked.
 from __future__ import annotations
 
 from .exactalg import ConsistencyError, IntPolynomial, det_one_plus_t
-from .groupcore import IntegralAction
-from .mckay import fiber_poincare_equivariant
+from .groupcore import IntegralAction, subgroup_class_poset
+from .mckay import FiberPolynomial, fiber_poincare_equivariant
 from .repring import quotient_poincare
 from .toruslat import AffineSubtorus, fix_locus, generic_isotropy
 
@@ -143,39 +143,17 @@ class StrataReport:
 
 
 def _fixed_arrangement(action: IntegralAction):
-    """All canonical components of intersections of element fixed loci."""
+    """All canonical components of Fix(H) for the subgroups H ≠ 1.
+
+    A component of an intersection of fixed loci is a component of the
+    fixed locus of the subgroup the elements generate, so this is the
+    closure of the element fixed loci under intersection.
+    """
     seen: dict = {}
-    for g in action.elements:
-        if g == action.identity:
-            continue
-        for comp in fix_locus(action, action.subgroup_closure([g])):
+    for sub in action.all_subgroups()[1:]:
+        for comp in fix_locus(action, sub):
             seen.setdefault(comp.key, comp)
-    items = list(seen.values())
-    # close under intersection; only positive-dimensional pairs can create
-    # anything new (points meet other members in themselves or not at all)
-    queue = [
-        (a, b)
-        for i, a in enumerate(items) if a.rank > 0
-        for b in items[i + 1:] if b.rank > 0
-    ]
-    while queue:
-        a, b = queue.pop()
-        if a.contains(b) or b.contains(a):
-            continue
-        for comp in a.intersect(b):
-            if comp.key in seen:
-                continue
-            seen[comp.key] = comp
-            if comp.rank > 0:
-                queue.extend((comp, other) for other in items if other.rank > 0)
-            items.append(comp)
-    items.sort(key=lambda s: (-s.rank, s.normal, s.shifts))
-    return items
-
-
-def _conjugacy_class_of_subgroup(action, sub):
-    reps = {action.conjugate_subgroup(sub, g) for g in action.elements}
-    return min(reps, key=lambda s: sorted(s)), len(reps)
+    return sorted(seen.values(), key=lambda s: (-s.rank, s.normal, s.shifts))
 
 
 def _moebius_trace(action, subtorus, deeper, supersets, fixed_set, images, n):
@@ -234,7 +212,7 @@ def _element_permutations(action, family):
     return perms
 
 
-def stratify(action: IntegralAction, check_frobenius: bool = True) -> StrataReport:
+def stratify(action: IntegralAction) -> StrataReport:
     """Full isotropy stratification with per-stratum polynomials.
 
     >>> from .catalog import catalog
@@ -242,6 +220,7 @@ def stratify(action: IntegralAction, check_frobenius: bool = True) -> StrataRepo
     >>> print(report.resolution)
     1 + 22*t^2 + t^4
     """
+    poset = subgroup_class_poset(action)
     family = _fixed_arrangement(action)
     whole = AffineSubtorus.whole_torus(action.r, 2 * action.d)
     perms = _element_permutations(action, family)
@@ -270,33 +249,22 @@ def stratify(action: IntegralAction, check_frobenius: bool = True) -> StrataRepo
     for i, h in enumerate(isotropy):
         by_subgroup.setdefault(h, []).append(i)
 
-    # conjugacy classes of occurring subgroups
-    class_reps: dict[frozenset, tuple[frozenset, int]] = {}
-    for h in by_subgroup:
-        rep, size = _conjugacy_class_of_subgroup(action, h)
-        class_reps[h] = (rep, size)
-    occurring = sorted(
-        {rep_size for rep_size in class_reps.values()},
-        key=lambda rs: (len(rs[0]), sorted(rs[0])),
-    )
+    # one stratum per occurring class of isotropy groups, after the open
+    # stratum of classes[0], the trivial group; the family is stable under
+    # the group, so every occurring class representative occurs itself
+    occurring = sorted({poset.class_of(h) for h in by_subgroup})
+    entries = [(poset.classes[0], None)] + [
+        (poset.classes[c], by_subgroup[poset.classes[c].representative])
+        for c in occurring
+    ]
 
     strata = []
     rep_indices = []  # family index of each orbit representative, per stratum
     label_count: dict[int, int] = {}
 
-    # the open stratum: trivial isotropy, the whole torus
-    all_entries = [((frozenset({action.identity}), 1), None)]
-    for rep, size in occurring:
-        # the family is stable under the group action, so the minimal
-        # conjugate of every occurring stabilizer occurs itself
-        all_entries.append(((rep, size), by_subgroup[rep]))
-
-    for (subgroup, class_size), comp_indices in all_entries:
+    for cls, comp_indices in entries:
         trivial = comp_indices is None
-        normalizer = action.elements if trivial else sorted(
-            action.normalizer(subgroup)
-        )
-        weyl_cosets = action.cosets(subgroup, within=normalizer)
+        subgroup, weyl_cosets = cls.representative, cls.weyl_cosets
         # coset_maps[c][k]: the component that coset c sends component k to
         if trivial:
             components = [whole]
@@ -326,43 +294,40 @@ def stratify(action: IntegralAction, check_frobenius: bool = True) -> StrataRepo
             unassigned -= orbit
             orbits_idx.append(sorted(orbit))
 
+        fiber = fiber_poincare_equivariant(action, subgroup, weyl_cosets, action.d)
         orbits = []
-        fiber_plain = None
         for orbit in orbits_idx:
             k0 = orbit[0]
             rep_torus = components[k0]
             # stabilizer of the representative inside the Weyl group
-            stab_cosets = tuple(
-                coset for coset, images in zip(weyl_cosets, coset_maps)
-                if images[k0] == k0
-            )
-            if len(stab_cosets) * len(orbit) != len(weyl_cosets):
+            stab = [c for c, images in enumerate(coset_maps) if images[k0] == k0]
+            if len(stab) * len(orbit) != len(weyl_cosets):
                 raise ConsistencyError(
                     f"orbit of size {len(orbit)} and stabilizer of order "
-                    f"{len(stab_cosets)} in a Weyl group of order {len(weyl_cosets)}"
+                    f"{len(stab)} in a Weyl group of order {len(weyl_cosets)}"
                 )
-            fiber = fiber_poincare_equivariant(
-                action, subgroup, stab_cosets, action.d
-            )
-            fiber_plain = fiber.plain
             deeper = list(range(len(family))) if trivial else subsets[comp_indices[k0]]
             y_sum = IntPolynomial.zero()
             x_sum = IntPolynomial.zero()
-            for ci, coset in enumerate(stab_cosets):
-                n = coset[0]
+            for c in stab:
+                n = weyl_cosets[c][0]
                 open_trace = _moebius_trace(
                     action, rep_torus, deeper, supersets, family, perms[n], n
                 )
                 y_sum = y_sum + open_trace
-                x_sum = x_sum + open_trace * fiber.values[ci]
-            y_poly = y_sum.divide_exact(len(stab_cosets))
-            x_poly = x_sum.divide_exact(len(stab_cosets))
+                x_sum = x_sum + open_trace * fiber.values[c]
             orbits.append(ComponentOrbit(
                 rep_torus, tuple(components[i] for i in orbit),
-                stab_cosets, fiber, y_poly, x_poly,
+                tuple(weyl_cosets[c] for c in stab),
+                FiberPolynomial(
+                    fiber.plain, fiber.class_ages,
+                    [fiber.values[c] for c in stab],
+                    [fiber.characters[c] for c in stab],
+                ),
+                y_sum.divide_exact(len(stab)), x_sum.divide_exact(len(stab)),
             ))
 
-        if check_frobenius and not trivial:
+        if not trivial:
             _check_frobenius(
                 action, comp_indices, weyl_cosets, coset_maps, family,
                 supersets, subsets, perms, orbits,
@@ -373,9 +338,9 @@ def stratify(action: IntegralAction, check_frobenius: bool = True) -> StrataRepo
         suffix = chr(ord("a") + label_count[order] - 1)
         label = "1" if trivial else f"o{order}{suffix}"
         strata.append(Stratum(
-            subgroup, label, class_size, len(weyl_cosets),
+            subgroup, label, cls.size, len(weyl_cosets),
             components[0].rank if components else 0,
-            tuple(orbits), fiber_plain,
+            tuple(orbits), fiber.plain,
         ))
         rep_indices.append([
             -1 if trivial else comp_indices[orbit[0]] for orbit in orbits_idx

@@ -58,16 +58,17 @@ _cached_annihilator = lru_cache(maxsize=None)(annihilator_basis)
 
 
 @lru_cache(maxsize=None)
-def _section(normal, r: int):
-    """Integer r x k matrix S with normal @ S = I, from the Smith form.
+def _section(rows, r: int):
+    """Integer r x k matrix S with rows @ S = I, from the Smith form.
 
-    ``S @ shift`` is then a translate realising the shift; the annihilator
-    must be saturated for S to exist.
+    For an annihilator, ``S @ shift`` is a translate realising the shift;
+    for a lattice basis, ``image @ S`` gives an image's coordinates.  The
+    k rows must span a saturated lattice for S to exist.
     """
-    snf = smith_normal_form(normal)
+    snf = smith_normal_form(rows)
     if any(dv != 1 for dv in snf.divisors):
-        raise ConsistencyError(f"annihilator {normal} is not saturated")
-    k = len(normal)
+        raise ConsistencyError(f"rows {rows} do not span a saturated lattice")
+    k = len(rows)
     return tuple(
         tuple(sum(snf.v[i][t] * snf.u[t][j] for t in range(k)) for j in range(k))
         for i in range(r)
@@ -231,16 +232,17 @@ class AffineSubtorus:
             self._eta[g] = ()
             return ()
         basis = self.lattice_basis
-        images = [mat_vec(g, row) for row in basis]
-        # solve basis^T M^T = images^T row by row via Gaussian elimination
-        cols = [[Fraction(basis[i][j]) for i in range(k)] for j in range(self.r)]
+        # a lattice vector v has coordinates v @ S, where basis @ S = I
+        to_coords = tuple(zip(*_section(basis, self.r)))
+        from_coords = tuple(zip(*basis))
         out = []
-        for img in images:
-            sol = _solve_rational(cols, [Fraction(x) for x in img])
-            if sol is None or any(s.denominator != 1 for s in sol):
+        for row in basis:
+            image = mat_vec(g, row)
+            coords = mat_vec(to_coords, image)
+            if mat_vec(from_coords, coords) != image:
                 raise ValueError("matrix does not preserve the lattice")
-            out.append(tuple(int(s) for s in sol))
-        # out[i] expresses image of basis_i; we want column convention
+            out.append(coords)
+        # out[i] expresses the image of basis_i; we want column convention
         eta = tuple(tuple(out[j][i] for j in range(k)) for i in range(k))
         self._eta[g] = eta
         return eta
@@ -258,37 +260,6 @@ class AffineSubtorus:
         return solve_torus_system(
             self.normal + other.normal, den, rhs, self.r, self.copies
         )
-
-
-def _solve_rational(rows, rhs):
-    """Solve rows . x = rhs exactly; rows is a list of lists of Fractions."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    ri = 0
-    for c in range(ncols):
-        piv = next((i for i in range(ri, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[ri], m[piv] = m[piv], m[ri]
-        inv = 1 / m[ri][c]
-        m[ri] = [v * inv for v in m[ri]]
-        for i in range(nrows):
-            if i != ri and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[ri])]
-        pivots.append(c)
-        ri += 1
-        if ri == nrows:
-            break
-    for i in range(ri, nrows):
-        if m[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][-1]
-    return sol
 
 
 def solve_torus_system(system_rows, den: int, rhs_per_copy, r: int, copies: int,

@@ -61,6 +61,22 @@ class TestCharPoly:
         assert det_one_plus_t(Z6_GEN) == IntPolynomial([1, 1, 1])
         assert det_one_plus_t(identity_matrix(2), 2) == IntPolynomial([1, 2, 1]) ** 2
 
+    @pytest.mark.parametrize("coeffs", [
+        (1, 0, 0, 0, 1),             # Phi_8
+        (-3, 5, 0, -7, 1),           # roots that are not roots of unity
+        (2, -1, 4, 0, -9, 1),
+        (0, 0, 6, -11, 6, -6, 1),    # zero roots and large coefficients
+    ])
+    def test_companion_matrices(self, coeffs):
+        p = IntPolynomial(coeffs)
+        n = p.degree
+        companion = tuple(
+            tuple((1 if i == j + 1 else 0) if j < n - 1 else -coeffs[i]
+                  for j in range(n))
+            for i in range(n)
+        )
+        assert char_poly(companion) == p
+
 
 class TestCyclotomic:
     def test_small_table(self):

@@ -117,6 +117,33 @@ class TestSubgroupPoset:
                 assert poset.leq[i][poset.maximum()]
 
 
+    @pytest.mark.parametrize("make, count", [
+        (lambda: catalog("s4_standard_d2"), 30),
+        (lambda: natural_sn(4, 2), 30),
+        (lambda: catalog("d8_b2"), 10),
+    ])
+    def test_subgroup_counts(self, make, count):
+        group = make()
+        subs = group.all_subgroups()
+        assert len(subs) == len(set(subs)) == count
+        assert all(group.is_subgroup(s) for s in subs)
+        assert subs[0] == frozenset({group.identity})
+        assert subs[-1] == frozenset(group.elements)
+
+    def test_class_of_is_the_conjugacy_class(self):
+        octa = catalog("octahedral_s4_sl3")
+        poset = subgroup_class_poset(octa)
+        sizes = [0] * len(poset)
+        for sub in octa.all_subgroups():
+            i = poset.class_of(sub)
+            sizes[i] += 1
+            rep = poset.classes[i].representative
+            assert any(octa.conjugate_subgroup(sub, g) == rep for g in octa.elements)
+        assert sizes == [c.size for c in poset.classes]
+        with pytest.raises(ValueError):
+            poset.class_of(frozenset({octa.identity, octa.generators[1]}))
+
+
 class TestWeylAction:
     def test_z4_in_octahedral(self):
         octa = catalog("octahedral_s4_sl3")

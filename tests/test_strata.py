@@ -5,13 +5,14 @@ from kummer.exactalg import IntPolynomial
 from kummer.repring import quotient_poincare
 from kummer.strata import (
     MalformedLedger,
+    _fixed_arrangement,
     assemble_from_ledger,
     assemble_resolution_poincare,
     open_stratum_virtual,
     stratify,
     stratum_closure_quotient_poincare,
 )
-from kummer.toruslat import orbifold_euler
+from kummer.toruslat import fix_locus, orbifold_euler
 
 A = IntPolynomial([1, 4, 6, 4, 1])          # abelian surface
 B = IntPolynomial([1, 0, 6, 0, 1])          # surface modulo -1
@@ -213,6 +214,24 @@ OCTAHEDRAL_CONJUGATES = (
 )
 
 
+class TestArrangement:
+    def test_closed_and_complete(self, actions):
+        # independent of the construction from the subgroup lattice: the
+        # family holds every element's fixed components and the components
+        # of every pairwise intersection of its positive-rank members
+        for name, action in actions.items():
+            family = _fixed_arrangement(action)
+            keys = {t.key for t in family}
+            assert len(keys) == len(family), name
+            for g in action.elements:
+                if g != action.identity:
+                    assert {c.key for c in fix_locus(action, [g])} <= keys, name
+            positive = [t for t in family if t.rank > 0]
+            for i, a in enumerate(positive):
+                for b in positive[i + 1:]:
+                    assert {c.key for c in a.intersect(b)} <= keys, name
+
+
 class TestBasisIndependence:
     def test_closure_edge_count(self, reports):
         from kummer.groupcore import generate_group
@@ -252,6 +271,7 @@ import sys
 from kummer import strata
 from kummer.catalog import catalog
 from kummer.exactalg import ConsistencyError, IntPolynomial
+from kummer.groupcore import SubgroupClassPoset
 from kummer.toruslat import AffineSubtorus
 
 if not sys.flags.optimize:
@@ -266,6 +286,12 @@ try:  # strata that cannot sum to the quotient polynomial
     strata.stratify(catalog("z6_sl2"))
 except ConsistencyError:
     raised.append("partition")
+z6 = catalog("z6_sl2")
+z6.normalizer = lambda sub: frozenset({z6.identity})
+try:  # normalizers too small for orbit-stabilizer
+    SubgroupClassPoset(z6)
+except ConsistencyError:
+    raised.append("orbit-stabilizer")
 print(" ".join(raised))
 """
 
@@ -284,7 +310,7 @@ def test_checks_survive_optimized_mode():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["saturation", "partition"]
+    assert out.stdout.split() == ["saturation", "partition", "orbit-stabilizer"]
 
 
 class TestLedger:

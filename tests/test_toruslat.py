@@ -157,6 +157,16 @@ class TestIncidence:
         assert direct == moved
 
 
+class TestInducedLatticeMatrix:
+    def test_matrix_not_preserving_the_subtorus_raises(self):
+        line = AffineSubtorus.from_lattice_and_translate(
+            [(1, 0, 0)], [(0, 0, 0), (0, 0, 0)], 3, 2)
+        with pytest.raises(ValueError, match="does not preserve the lattice"):
+            line.induced_lattice_matrix(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+        with pytest.raises(ValueError, match="does not preserve the lattice"):
+            line.induced_lattice_matrix(((1, 0, 0), (1, 1, 0), (0, 0, 1)))
+
+
 class TestGenericIsotropy:
     def test_whole_torus_trivial(self, octa):
         whole = AffineSubtorus.whole_torus(3, 2)
