@@ -203,12 +203,16 @@ def _analytic_from_file(doc):
             rep = tuple(int(x) for x in row["representative"])
             exps = tuple(Fraction(n, d) for n, d in row["exponents"])
             per_class[group.class_index(rep)] = exps
+        classes = group.conjugacy_classes()
+        if sorted(per_class) != list(range(len(classes))):
+            raise ValueError(
+                "class_data must cover every conjugacy class exactly once"
+            )
+        data = AnalyticEigenData(
+            group, tuple(per_class[i] for i in range(len(classes)))
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad analytic spec: {exc}") from None
-    classes = group.conjugacy_classes()
-    if sorted(per_class) != list(range(len(classes))):
-        raise InputError("class_data must cover every conjugacy class exactly once")
-    data = AnalyticEigenData(group, tuple(per_class[i] for i in range(len(classes))))
     constraints = []
     for cdoc in doc.get("constraints", ()):
         constraints.append((str(cdoc.get("label", "constraint")),
@@ -264,7 +268,7 @@ def _resolve_integral_action(job) -> IntegralAction:
 
 def _run_integral(job: JobSpec) -> Report:
     action = _resolve_integral_action(job)
-    report = stratify(action)
+    report = stratify(action, budget=job.max_enumeration)
     resolution = report.resolution
     quotient = report.quotient
     euler = orbifold_euler(action)

@@ -6,8 +6,13 @@ computed upstairs, on the torus, with exact equivariant bookkeeping:
 
 * the arrangement ("the family") is the set of components of Fix(H) for
   every subgroup H ≠ 1, taken from the subgroup lattice;
-* each component's pointwise stabilizer singles out the strata, and the
+* each component's pointwise stabilizer is read off the same walk: it is
+  the largest subgroup whose fixed locus has the component among its
+  components.  These stabilizers single out the strata, and the
   normalizer orbits of components give the downstairs components;
+* containment is read off the lattice too: a member strictly containing
+  a member t has a stabilizer H strictly inside t's, and is the component
+  of Fix(H) through t, so it is found by key, with no pairwise test;
 * on each orbit representative, the points with strictly larger isotropy
   form a union of family members, and an inclusion-exclusion over the
   poset of members fixed by a Weyl element yields that element's trace
@@ -29,7 +34,7 @@ from .exactalg import ConsistencyError, IntPolynomial, det_one_plus_t
 from .groupcore import IntegralAction, subgroup_class_poset
 from .mckay import FiberPolynomial, fiber_poincare_equivariant
 from .repring import quotient_poincare
-from .toruslat import AffineSubtorus, fix_locus, generic_isotropy
+from .toruslat import DEFAULT_ENUMERATION_BUDGET, AffineSubtorus, fix_locus
 
 
 class MalformedLedger(ValueError):
@@ -142,18 +147,60 @@ class StrataReport:
 # the arrangement of fixed loci
 
 
-def _fixed_arrangement(action: IntegralAction):
-    """All canonical components of Fix(H) for the subgroups H ≠ 1.
+def _fixed_arrangement(action: IntegralAction,
+                       budget: int = DEFAULT_ENUMERATION_BUDGET):
+    """The canonical components of Fix(H) for the subgroups H ≠ 1, and
+    the pointwise stabilizer of each, as ``(family, isotropy)``.
 
     A component of an intersection of fixed loci is a component of the
     fixed locus of the subgroup the elements generate, so this is the
-    closure of the element fixed loci under intersection.
+    closure of the element fixed loci under intersection.  A component C
+    of Fix(H) is a component of Fix(K) exactly for the K with
+    H ≤ K ≤ Iso(C); subgroups come in increasing order, so the last one
+    whose fixed locus yields C is C's pointwise stabilizer Iso(C).
+    ``budget`` bounds each fixed locus's component enumeration.
     """
     seen: dict = {}
     for sub in action.all_subgroups()[1:]:
-        for comp in fix_locus(action, sub):
-            seen.setdefault(comp.key, comp)
-    return sorted(seen.values(), key=lambda s: (-s.rank, s.normal, s.shifts))
+        for comp in fix_locus(action, sub, budget=budget):
+            seen[comp.key] = (comp, sub)
+    pairs = sorted(seen.values(),
+                   key=lambda p: (-p[0].rank, p[0].normal, p[0].shifts))
+    return [t for t, _ in pairs], [h for _, h in pairs]
+
+
+def _strict_supersets(family, isotropy):
+    """For each member, the ascending indices of the members strictly
+    containing it.
+
+    A member C strictly containing t has Iso(C) = H ⊊ Iso(t), and C is
+    then the component of Fix(H) through t.  All components of Fix(H)
+    share one normal, so C is looked up by the key of the subtorus with
+    H's normal through t's points; it is a strict superset exactly when
+    its own stabilizer is H.
+    """
+    index_of = {t.key: i for i, t in enumerate(family)}
+    normal_of: dict = {}
+    for t, h in zip(family, isotropy):
+        normal_of.setdefault(h, t.normal)
+    supersets = []
+    for t, iso in zip(family, isotropy):
+        den, pts = t.scaled_points()
+        above = []
+        for h, normal in normal_of.items():
+            if not h < iso:
+                continue
+            j = index_of.get(
+                AffineSubtorus._from_normal(normal, den, pts, t.r, t.copies).key
+            )
+            if j is None:
+                raise ConsistencyError(
+                    "the family misses a component of a fixed locus"
+                )
+            if isotropy[j] == h:
+                above.append(j)
+        supersets.append(sorted(above))
+    return supersets
 
 
 def _moebius_trace(action, subtorus, deeper, supersets, fixed_set, images, n):
@@ -212,8 +259,12 @@ def _element_permutations(action, family):
     return perms
 
 
-def stratify(action: IntegralAction) -> StrataReport:
+def stratify(action: IntegralAction,
+             budget: int = DEFAULT_ENUMERATION_BUDGET) -> StrataReport:
     """Full isotropy stratification with per-stratum polynomials.
+
+    ``budget`` bounds the component enumeration of each fixed locus;
+    :class:`~kummer.toruslat.EnumerationTooLarge` is raised beyond it.
 
     >>> from .catalog import catalog
     >>> report = stratify(catalog("z6_sl2"))
@@ -221,28 +272,17 @@ def stratify(action: IntegralAction) -> StrataReport:
     1 + 22*t^2 + t^4
     """
     poset = subgroup_class_poset(action)
-    family = _fixed_arrangement(action)
+    family, isotropy = _fixed_arrangement(action, budget)
     whole = AffineSubtorus.whole_torus(action.r, 2 * action.d)
     perms = _element_permutations(action, family)
 
-    # pointwise stabilizers
-    isotropy = [generic_isotropy(action, t) for t in family]
-
     # strict containments: supersets[i] = indices of members strictly above i,
     # subsets[j] = indices of members strictly inside j
-    by_rank: dict[int, list[int]] = {}
-    for i, t in enumerate(family):
-        by_rank.setdefault(t.rank, []).append(i)
-    supersets: list[list[int]] = [[] for _ in family]
+    supersets = _strict_supersets(family, isotropy)
     subsets: list[list[int]] = [[] for _ in family]
-    for i, t in enumerate(family):
-        for rk, idxs in by_rank.items():
-            if rk <= t.rank:
-                continue
-            for j in idxs:
-                if family[j].contains(t):
-                    supersets[i].append(j)
-                    subsets[j].append(i)
+    for i, above in enumerate(supersets):
+        for j in above:
+            subsets[j].append(i)
 
     # group components by their exact isotropy subgroup
     by_subgroup: dict[frozenset, list[int]] = {}
@@ -350,23 +390,22 @@ def stratify(action: IntegralAction) -> StrataReport:
     resolution = sum((s.x_poly for s in strata), IntPolynomial.zero())
 
     # closure poset: orbit node a lies in the closure of orbit node b when
-    # some G-translate of b's representative strictly contains a's; index -1
-    # stands for the whole torus, the representative of the open stratum
-    nodes = [
-        (si, oi, rep)
-        for si, reps in enumerate(rep_indices)
-        for oi, rep in enumerate(reps)
-    ]
-    above = [set() if rep < 0 else {-1, *supersets[rep]} for *_, rep in nodes]
-    translates = [
-        {-1} if rep < 0 else {perm[rep] for perm in perms.values()}
-        for *_, rep in nodes
-    ]
+    # some G-translate of b's representative strictly contains a's.  The
+    # orbit nodes are the G-orbits of members, so the nodes above a are
+    # node 0 (the open stratum, whose representative -1 is the whole torus)
+    # and the nodes of the members strictly containing a's representative
+    nodes = [(si, oi) for si, reps in enumerate(rep_indices)
+             for oi in range(len(reps))]
+    reps = [rep for reps in rep_indices for rep in reps]
+    node_of = {}
+    for b, rep in enumerate(reps):
+        if rep >= 0:
+            for perm in perms.values():
+                node_of[perm[rep]] = b
     edges = [
-        ((sj, oj), (si, oi))
-        for (si, oi, _), up in zip(nodes, above)
-        for (sj, oj, _), moved in zip(nodes, translates)
-        if not up.isdisjoint(moved)
+        (nodes[b], nodes[a])
+        for a, rep in enumerate(reps) if rep >= 0
+        for b in sorted({0, *(node_of[j] for j in supersets[rep])})
     ]
 
     report = StrataReport(action, tuple(strata), quotient, resolution, tuple(edges))

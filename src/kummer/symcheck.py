@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exactalg import euler_phi
+from .exactalg import ConsistencyError, euler_phi
 from .groupcore import FiniteGroup, IntegralAction
 from .mckay import partitions
 
@@ -55,6 +55,10 @@ class AnalyticEigenData:
                 raise ValueError(
                     f"exponents {e} incompatible with element order {order}"
                 )
+            # the action on H^1 is rational: each primitive k-th root of
+            # unity occurs equally often in the doubled multiset
+            if any(m % euler_phi(k) for k, m in _doubled_by_order(e).items()):
+                raise ValueError(f"exponents {e} are not Galois closed")
         self.group = group
         self.exponents = exps
 
@@ -88,6 +92,14 @@ class AnalyticEigenData:
             if mirrored != e:
                 return False
         return True
+
+
+def _doubled_by_order(exps) -> dict[int, int]:
+    """Multiplicity of each denominator in the exponents and their 1 - x."""
+    by_order: dict[int, int] = {}
+    for x in tuple(exps) + tuple((1 - x) % 1 for x in exps):
+        by_order[x.denominator] = by_order.get(x.denominator, 0) + 1
+    return by_order
 
 
 class LefschetzCount:
@@ -129,14 +141,11 @@ def lefschetz_count(data: AnalyticEigenData, g_or_index) -> LefschetzCount:
     zero = sum(1 for x in exps if x == 0)
     if zero:
         return LefschetzCount(False, None, zero)
-    doubled = list(exps) + [(1 - x) % 1 for x in exps]
-    by_order: dict[int, int] = {}
-    for x in doubled:
-        by_order[x.denominator] = by_order.get(x.denominator, 0) + 1
     count = 1
-    for k, mult in by_order.items():
+    for k, mult in _doubled_by_order(exps).items():
         phi = euler_phi(k)
-        assert mult % phi == 0, "multiset not Galois closed"
+        if mult % phi:
+            raise ConsistencyError(f"exponents {exps} are not Galois closed")
         count *= _cyclotomic_at_one(k) ** (mult // phi)
     return LefschetzCount(True, count, 0)
 

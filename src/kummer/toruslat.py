@@ -128,10 +128,16 @@ class AffineSubtorus:
 
     @classmethod
     def _from_scaled(cls, basis_rows, den, translates, r, copies):
-        normal = _cached_annihilator(basis_rows, r)
+        return cls._from_normal(
+            _cached_annihilator(basis_rows, r), den, translates, r, copies
+        )
+
+    @classmethod
+    def _from_normal(cls, normal, den, points, r, copies):
+        """The subtorus with annihilator ``normal`` through points / den."""
         shifts = tuple(
-            tuple(sum(n * v for n, v in zip(row, tr)) for row in normal)
-            for tr in translates
+            tuple(sum(n * v for n, v in zip(row, pt)) for row in normal)
+            for pt in points
         )
         return cls(r, copies, normal, den, shifts)
 
@@ -343,8 +349,12 @@ class FixLocus:
         return f"FixLocus({len(self.components)} components, rank {self.dimension})"
 
 
-def fix_locus(action: IntegralAction, subgroup) -> FixLocus:
+def fix_locus(action: IntegralAction, subgroup,
+              budget: int = DEFAULT_ENUMERATION_BUDGET) -> FixLocus:
     """Components of the common fixed locus of a set of group elements.
+
+    Raises :class:`EnumerationTooLarge` when there are more than
+    ``budget`` components to enumerate.
 
     >>> from .catalog import catalog
     >>> octa = catalog("octahedral_s4_sl3")
@@ -361,7 +371,7 @@ def fix_locus(action: IntegralAction, subgroup) -> FixLocus:
         rows.extend(mat_sub(ident, h))
     copies = 2 * action.d
     rhs = tuple((0,) * len(rows) for _ in range(copies))
-    comps = solve_torus_system(tuple(rows), 1, rhs, action.r, copies)
+    comps = solve_torus_system(tuple(rows), 1, rhs, action.r, copies, budget)
     return FixLocus(comps, frozenset(elements))
 
 

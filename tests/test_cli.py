@@ -6,6 +6,7 @@ import pytest
 
 from kummer.cli import InputError, JobSpec, Report, build_parser, list_catalog, main, run
 from kummer.strata import stratify
+from kummer.toruslat import DEFAULT_ENUMERATION_BUDGET
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -276,6 +277,44 @@ class TestMainEntryPoint:
         assert payload["resolution"] == [1, 4, 13, 40, 103, 196, 246, 196, 103,
                                          40, 13, 4, 1]
 
+    def test_enumeration_budget_reaches_stratify(self, capsys):
+        assert main(["--catalog", "s4_standard_d2", "--max-enumeration", "10"]) == 2
+        assert "error: component enumeration exceeds budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exponents", [
+        # each class k of Z5 gets (k/5, k/5, k/5): not Galois closed
+        lambda k: [[k, 5]] * 3,
+        # exponents of order 2 on an element of order 5
+        lambda k: [[1, 5], [1, 2], [1, 2]],
+    ], ids=["not_galois_closed", "wrong_order"])
+    def test_bad_analytic_exponents_exit_two(self, exponents, tmp_path, capsys):
+        import os
+        import subprocess
+        import sys
+
+        doc = {
+            "name": "z5",
+            "generators": [[1, 2, 3, 4, 0]],
+            "class_data": [
+                {"representative": [(i + k) % 5 for i in range(5)],
+                 "exponents": exponents(k) if k else [[0, 1]] * 3}
+                for k in range(5)
+            ],
+        }
+        path = tmp_path / "z5.json"
+        path.write_text(json.dumps(doc))
+        args = ["--mode", "analytic", "--input", str(path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        src = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-O", "-m", "kummer.cli", *args],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: ")
+        assert "Traceback" not in out.stderr
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["--catalog", "z6_sl2"])
         assert args.mode == "integral"
@@ -290,10 +329,10 @@ def shared_stratify():
 
     memo = {}
 
-    def memoised(action):
-        key = (action.generators, action.d)
+    def memoised(action, budget=DEFAULT_ENUMERATION_BUDGET):
+        key = (action.generators, action.d, budget)
         if key not in memo:
-            memo[key] = stratify(action)
+            memo[key] = stratify(action, budget=budget)
         return memo[key]
 
     with pytest.MonkeyPatch.context() as patch:

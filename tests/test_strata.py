@@ -6,13 +6,15 @@ from kummer.repring import quotient_poincare
 from kummer.strata import (
     MalformedLedger,
     _fixed_arrangement,
+    _strict_supersets,
     assemble_from_ledger,
     assemble_resolution_poincare,
     open_stratum_virtual,
     stratify,
     stratum_closure_quotient_poincare,
 )
-from kummer.toruslat import fix_locus, orbifold_euler
+from kummer.exactalg import ConsistencyError
+from kummer.toruslat import fix_locus, generic_isotropy, orbifold_euler
 
 A = IntPolynomial([1, 4, 6, 4, 1])          # abelian surface
 B = IntPolynomial([1, 0, 6, 0, 1])          # surface modulo -1
@@ -220,7 +222,7 @@ class TestArrangement:
         # family holds every element's fixed components and the components
         # of every pairwise intersection of its positive-rank members
         for name, action in actions.items():
-            family = _fixed_arrangement(action)
+            family, _ = _fixed_arrangement(action)
             keys = {t.key for t in family}
             assert len(keys) == len(family), name
             for g in action.elements:
@@ -230,6 +232,49 @@ class TestArrangement:
             for i, a in enumerate(positive):
                 for b in positive[i + 1:]:
                     assert {c.key for c in a.intersect(b)} <= keys, name
+
+
+class TestLatticeConstruction:
+    """Isotropy, containment and closure edges read off the subgroup
+    lattice agree with their pointwise definitions."""
+
+    def test_isotropy_is_the_pointwise_stabilizer(self, actions):
+        for name, action in actions.items():
+            family, isotropy = _fixed_arrangement(action)
+            for t, h in zip(family, isotropy):
+                assert h == generic_isotropy(action, t), name
+
+    def test_supersets_match_the_containment_scan(self, actions):
+        for name, action in actions.items():
+            family, isotropy = _fixed_arrangement(action)
+            scan = [
+                [j for j, c in enumerate(family) if c.rank > t.rank and c.contains(t)]
+                for t in family
+            ]
+            assert _strict_supersets(family, isotropy) == scan, name
+
+    def test_a_missing_component_is_inconsistent(self, actions):
+        family, isotropy = _fixed_arrangement(actions["d8_b2"])
+        with pytest.raises(ConsistencyError):
+            _strict_supersets(family[1:], isotropy[1:])
+
+    @pytest.mark.parametrize("name", ["octahedral_s4_sl3", "d8_b2", "s3_standard_d2"])
+    def test_closure_edges_match_the_pairwise_definition(self, name, actions, reports):
+        # b -> a when some g . rep_b strictly contains rep_a
+        action, report = actions[name], reports[name]
+        nodes = [((si, oi), orbit.representative)
+                 for si, s in enumerate(report.strata)
+                 for oi, orbit in enumerate(s.orbits)]
+        translates = [
+            {rep.apply_matrix(g) for g in action.elements} for _, rep in nodes
+        ]
+        expected = [
+            (b, a)
+            for a, rep_a in nodes
+            for (b, _), moved in zip(nodes, translates)
+            if any(m.rank > rep_a.rank and m.contains(rep_a) for m in moved)
+        ]
+        assert list(report.closure_edges) == expected
 
 
 class TestBasisIndependence:
