@@ -21,7 +21,9 @@ from .catalog import (
     catalog_kind,
     list_catalog as catalog_listing,
 )
-from .exactalg import IntPolynomial, mat_sub, identity_matrix, smith_normal_form
+from .exactalg import (
+    ConsistencyError, IntPolynomial, mat_sub, identity_matrix, smith_normal_form,
+)
 from .groupcore import (
     AbstractGroup,
     IntegralAction,
@@ -505,6 +507,9 @@ def main(argv=None) -> int:
             NonIntegerAge, EnumerationTooLarge, UnknownCatalogEntry) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except ConsistencyError as exc:
+        sys.stderr.write(f"error: internal inconsistency: {exc}\n")
+        return 1
     sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())
     return 0 if report.passed else 1
 

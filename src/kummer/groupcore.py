@@ -1,20 +1,28 @@
-"""Finite matrix and permutation groups.
+"""Finite matrix and permutation groups on one integer kernel.
 
-A group is stored as its full (small) element set plus multiplication
-callbacks, so conjugacy classes, normalizers, Weyl groups and the poset
-of subgroup classes are all computed by direct enumeration.  Orders stay
-below a configurable cap (default 10000); the interesting actions in the
-catalog have order at most 720.
+A group is stored as its full (small) element set, sorted, so that
+element i is the i-th smallest and sorted index lists sort like sorted
+element lists.  Closing the generators takes each (element, generator)
+product once; those products give each generator's right action on the
+indices, from which the Cayley table ``_table[i][j]`` is composed column
+by column on first use.  A subgroup is an int bitmask over the indices
+(containment is ``a & ~b == 0``), and closures, conjugates, normalizers,
+cosets, element and subgroup classes and the subgroup lattice are table
+lookups on indices.  The public methods still take and return elements
+(matrices or permutation tuples) and frozensets of them; matrices are
+multiplied only to close the generators.  Orders stay below a
+configurable cap (default 10000); the interesting actions in the catalog
+have order at most 720.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .exactalg import (
     ConsistencyError,
-    Matrix,
     identity_matrix,
     mat_det,
-    mat_inverse_unimodular,
     mat_mul,
 )
 
@@ -38,25 +46,173 @@ class NotNormalizer(ValueError):
 
 
 class FiniteGroup:
-    """Common machinery for groups given by an explicit element list.
+    """Common machinery for groups given by generators and closed here.
 
-    Subclasses provide ``_mul``, ``_inv`` and ``identity``; elements must
-    be hashable and totally ordered (for deterministic output).
+    Subclasses provide ``_product`` on raw elements and call
+    :meth:`_close`; elements must be hashable and totally ordered (for
+    deterministic output).
     """
 
     elements: tuple
 
-    def _mul(self, a, b):
+    @staticmethod
+    def _product(a, b):
         raise NotImplementedError
 
-    def _inv(self, a):
-        raise NotImplementedError
+    def _close(self, gens, ident, cap: int):
+        """Close ``gens`` from ``ident`` under right multiplication.
+
+        Every (element, generator) product is taken once and kept: as
+        ``_right[k]``, generator k's right action on the element indices,
+        and as ``_tree``, one ``(j, k, g)`` per element in order of
+        discovery with ``elements[j] = elements[k] * generators[g]``.
+        """
+        images = {ident: None}
+        tree = []
+        frontier = [ident]
+        while frontier:
+            new = []
+            for a in frontier:
+                row = []
+                for k, g in enumerate(gens):
+                    p = self._product(a, g)
+                    if p not in images:
+                        if len(images) >= cap:
+                            raise NotFiniteWithinCap(f"group closure exceeds cap {cap}")
+                        images[p] = None
+                        tree.append((p, a, k))
+                        new.append(p)
+                    row.append(p)
+                images[a] = row
+            frontier = new
+        self.generators = gens
+        self.elements = tuple(sorted(images))
+        index = self._index_of = {g: i for i, g in enumerate(self.elements)}
+        self._e = index[ident]
+        self._right = [[index[images[x][k]] for x in self.elements]
+                       for k in range(len(gens))]
+        self._tree = [(index[p], index[a], k) for p, a, k in tree]
+
+    # -- the index kernel -----------------------------------------------------
+
+    @cached_property
+    def _table(self) -> list[tuple[int, ...]]:
+        """``_table[i][j]`` is the index of ``elements[i] * elements[j]``.
+
+        Column j is column k mapped through generator g's right action
+        when ``elements[j] = elements[k] * g``, so no product is taken.
+        """
+        cols = [None] * len(self.elements)
+        cols[self._e] = range(len(self.elements))
+        for j, k, g in self._tree:
+            cols[j] = list(map(self._right[g].__getitem__, cols[k]))
+        return list(zip(*cols))
+
+    @cached_property
+    def _inv_of(self) -> list[int]:
+        return [row.index(self._e) for row in self._table]
+
+    @cached_property
+    def _orders(self) -> list[int]:
+        table, orders = self._table, []
+        for i in range(len(self.elements)):
+            n, p = 1, i
+            while p != self._e:
+                p = table[p][i]
+                n += 1
+            orders.append(n)
+        return orders
+
+    def _mask(self, elements) -> int:
+        """Bitmask of a set of group elements (``KeyError`` for others)."""
+        return sum(1 << i for i in {self._index_of[g] for g in elements})
+
+    def _set(self, mask: int) -> frozenset:
+        return frozenset(self.elements[i] for i in _bits(mask))
+
+    def _closure(self, gens, seeds=None) -> int:
+        """Mask of ``seeds`` times the subgroup generated by ``gens``.
+
+        Both are element indices; with the default seed, the identity,
+        this is the subgroup itself.
+        """
+        table = self._table
+        frontier = [self._e] if seeds is None else seeds
+        seen = sum(1 << a for a in frontier)
+        while frontier:
+            new = []
+            for a in frontier:
+                row = table[a]
+                for g in gens:
+                    p = row[g]
+                    if not seen >> p & 1:
+                        seen |= 1 << p
+                        new.append(p)
+            frontier = new
+        return seen
+
+    def _conjugation(self, g: int) -> list[int]:
+        """Conjugation by element g as a permutation of the indices."""
+        table, gi = self._table, self._inv_of[g]
+        return [table[x][gi] for x in self._table[g]]
+
+    def _centralizer(self, g: int) -> int:
+        table = self._table
+        return sum(1 << h for h, gh in enumerate(table[g]) if gh == table[h][g])
+
+    def _normalizer(self, sub: int) -> int:
+        table, inv, members = self._table, self._inv_of, _bits(sub)
+        return sum(1 << g for g, row in enumerate(table)
+                   if all(sub >> table[row[h]][inv[g]] & 1 for h in members))
+
+    def _cosets(self, sub: int, within: int) -> tuple[tuple, ...]:
+        """Left cosets of ``sub`` inside ``within``, as in :meth:`cosets`."""
+        members, out = _bits(sub), []
+        while within:
+            row = self._table[(within & -within).bit_length() - 1]
+            coset = sum(1 << row[h] for h in members)
+            within &= ~coset
+            out.append(coset)
+        out.sort(key=lambda c: not c >> self._e & 1)
+        return tuple(tuple(self.elements[i] for i in _bits(c)) for c in out)
+
+    @cached_property
+    def _subgroups(self) -> tuple[int, ...]:
+        """Every subgroup as a mask, sorted by (order, sorted elements).
+
+        Every subgroup is generated by its elements, so it is a join of
+        cyclic subgroups: starting from the trivial group, each subgroup
+        found is joined with every cyclic subgroup it does not contain.
+        ``<H, x>`` is the same for every x in one double coset ``H g H``,
+        so each double coset is joined once.  A join is closed from the
+        generators that reached it plus the new cyclic generator.
+        """
+        table, cyclic = self._table, {}
+        for g in range(len(self.elements)):
+            cyclic.setdefault(self._closure((g,)), g)
+        gens_of = {1 << self._e: ()}
+        frontier = [1 << self._e]
+        while frontier:
+            new = []
+            for sub in frontier:
+                done, members = sub, _bits(sub)
+                for g in cyclic.values():
+                    if done >> g & 1:
+                        continue
+                    done |= self._closure(gens_of[sub], [table[h][g] for h in members])
+                    gens = gens_of[sub] + (g,)
+                    join = self._closure(gens)
+                    if join not in gens_of:
+                        gens_of[join] = gens
+                        new.append(join)
+            frontier = new
+        return tuple(sorted(gens_of, key=lambda m: (m.bit_count(), _bits(m))))
+
+    # -- generic group theory ------------------------------------------------
 
     @property
     def identity(self):
-        raise NotImplementedError
-
-    # -- generic group theory ------------------------------------------------
+        return self.elements[self._e]
 
     @property
     def order(self) -> int:
@@ -66,22 +222,10 @@ class FiniteGroup:
         return len(self.elements)
 
     def __contains__(self, g):
-        return g in self._element_set
-
-    @property
-    def _element_set(self):
-        try:
-            return self.__dict__["_eset"]
-        except KeyError:
-            s = self.__dict__["_eset"] = frozenset(self.elements)
-            return s
+        return g in self._index_of
 
     def element_order(self, g) -> int:
-        n, p = 1, g
-        while p != self.identity:
-            p = self._mul(p, g)
-            n += 1
-        return n
+        return self._orders[self._index_of[g]]
 
     def conjugacy_classes(self) -> tuple[tuple, ...]:
         """Element conjugacy classes, each sorted, ordered deterministically.
@@ -91,84 +235,41 @@ class FiniteGroup:
         the conjugating set: conjugation is multiplicative, so closing
         under the generators reaches the full class.
         """
-        try:
-            return self.__dict__["_classes"]
-        except KeyError:
-            pass
-        gens = getattr(self, "generators", ()) or self.elements
-        self.__dict__["_classes"] = _element_classes(self, self.elements, gens)
-        return self.__dict__["_classes"]
+        return self._class_elements
+
+    @cached_property
+    def _class_elements(self) -> tuple[tuple, ...]:
+        return tuple(tuple(self.elements[i] for i in cls) for cls in self._classes)
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, ...], ...]:
+        return _element_classes(self, range(len(self.elements)),
+                                [self._index_of[g] for g in self.generators])
 
     def class_index(self, g) -> int:
-        try:
-            lookup = self.__dict__["_class_of"]
-        except KeyError:
-            lookup = self.__dict__["_class_of"] = {
-                h: i for i, cls in enumerate(self.conjugacy_classes()) for h in cls
-            }
-        return lookup[g]
+        return self._class_of[g]
+
+    @cached_property
+    def _class_of(self) -> dict:
+        return {h: i for i, cls in enumerate(self.conjugacy_classes()) for h in cls}
 
     def class_representatives(self) -> tuple:
         return tuple(cls[0] for cls in self.conjugacy_classes())
 
     def subgroup_closure(self, gens) -> frozenset:
         """Closure of a subset under multiplication; always contains 1."""
-        seen = {self.identity} | set(gens)
-        frontier = list(seen)
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    p = self._mul(a, g)
-                    if p not in seen:
-                        seen.add(p)
-                        new.append(p)
-            frontier = new
-        return frozenset(seen)
+        return self._set(self._closure([self._index_of[g] for g in gens]))
 
     def all_subgroups(self) -> tuple[frozenset, ...]:
-        """Every subgroup, sorted by (order, sorted elements).
-
-        Every subgroup is generated by its elements, so it is a join of
-        cyclic subgroups: starting from the trivial group, each subgroup
-        found is joined with every cyclic subgroup it does not contain.
-        A join is closed from the generators that reached it plus the
-        new cyclic generator, not from all of its elements.
-        """
-        try:
-            return self.__dict__["_subgroups"]
-        except KeyError:
-            pass
-        cyclic = {}
-        for g in self.elements:
-            cyclic.setdefault(self.subgroup_closure([g]), g)
-        trivial = frozenset({self.identity})
-        gens_of = {trivial: ()}
-        frontier = [trivial]
-        while frontier:
-            new = []
-            for sub in frontier:
-                for c, g in cyclic.items():
-                    if c <= sub:
-                        continue
-                    gens = gens_of[sub] + (g,)
-                    join = self.subgroup_closure(gens)
-                    if join not in gens_of:
-                        gens_of[join] = gens
-                        new.append(join)
-            frontier = new
-        result = tuple(sorted(gens_of, key=lambda s: (len(s), sorted(s))))
-        self.__dict__["_subgroups"] = result
-        return result
+        """Every subgroup, sorted by (order, sorted elements)."""
+        return tuple(map(self._set, self._subgroups))
 
     def conjugate_subgroup(self, sub: frozenset, g) -> frozenset:
-        gi = self._inv(g)
-        return frozenset(self._mul(self._mul(g, h), gi) for h in sub)
+        return self._set(_permuted(self._mask(sub),
+                                   self._conjugation(self._index_of[g])))
 
     def normalizer(self, sub: frozenset) -> frozenset:
-        return frozenset(
-            g for g in self.elements if self.conjugate_subgroup(sub, g) == sub
-        )
+        return self._set(self._normalizer(self._mask(sub)))
 
     def cosets(self, sub: frozenset, within=None) -> tuple[tuple, ...]:
         """Left cosets of ``sub`` inside ``within`` (default: whole group).
@@ -176,23 +277,30 @@ class FiniteGroup:
         Each coset is a sorted tuple; the coset of the identity comes
         first, the rest are ordered by smallest member.
         """
-        ambient = self.elements if within is None else sorted(within)
-        seen = set()
-        out = []
-        for g in ambient:
-            if g in seen:
-                continue
-            coset = frozenset(self._mul(g, h) for h in sub)
-            seen |= coset
-            out.append(tuple(sorted(coset)))
-        out.sort(key=lambda c: (self.identity not in c, c[0]))
-        return tuple(out)
+        ambient = (1 << len(self.elements)) - 1 if within is None else self._mask(within)
+        return self._cosets(self._mask(sub), ambient)
 
     def is_subgroup(self, sub) -> bool:
-        sub = frozenset(sub)
-        if self.identity not in sub:
+        try:
+            mask = self._mask(sub)
+        except KeyError:
             return False
-        return all(self._mul(a, b) in sub for a in sub for b in sub)
+        return self._closure(_bits(mask)) == mask
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _permuted(mask: int, perm) -> int:
+    """Image of an index mask under an index permutation."""
+    return sum(1 << perm[i] for i in _bits(mask))
 
 
 class IntegralAction(FiniteGroup):
@@ -217,68 +325,17 @@ class IntegralAction(FiniteGroup):
                 raise NonInvertible(f"generator has determinant {mat_det(g)}")
         if d < 1:
             raise ValueError("d must be a positive integer")
-        ident = identity_matrix(r)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    p = mat_mul(a, g)
-                    if p not in seen:
-                        if len(seen) >= cap:
-                            raise NotFiniteWithinCap(
-                                f"group closure exceeds cap {cap}"
-                            )
-                        seen.add(p)
-                        new.append(p)
-            frontier = new
-        self.generators = gens
+        self._close(gens, identity_matrix(r), cap)
         self.r = r
         self.d = d
-        self.label = label or f"group of order {len(seen)} in GL({r},Z)"
-        self.elements = tuple(sorted(seen))
-        self._position = {g: i for i, g in enumerate(self.elements)}
-        self._products = [None] * len(self.elements)
-        self._identity = self.elements[self._position[ident]]
-        self.special = all(mat_det(g) == 1 for g in self.elements)
+        self.label = label or f"group of order {self.order} in GL({r},Z)"
+        self.special = all(mat_det(g) == 1 for g in gens)
         if special and not self.special:
             raise SpecialityViolation(
                 "determinant -1 element in an action declared special"
             )
 
-    @property
-    def identity(self) -> Matrix:
-        return self._identity
-
-    def _mul(self, a, b):
-        """Matrix product, memoised per pair of element indices.
-
-        Products of group elements are returned as the element tuples
-        themselves, so the table holds at most |G|^2 references.
-        """
-        pos = self._position
-        i, j = pos.get(a), pos.get(b)
-        if i is None or j is None:
-            return mat_mul(a, b)
-        row = self._products[i]
-        if row is None:
-            row = self._products[i] = [None] * len(pos)
-        p = row[j]
-        if p is None:
-            p = row[j] = self.elements[pos[mat_mul(a, b)]]
-        return p
-
-    def _inv(self, a):
-        try:
-            cache = self.__dict__["_inverses"]
-        except KeyError:
-            cache = self.__dict__["_inverses"] = {}
-        try:
-            return cache[a]
-        except KeyError:
-            inv = cache[a] = mat_inverse_unimodular(a)
-            return inv
+    _product = staticmethod(mat_mul)
 
     def restrict(self, sub, label: str = "") -> "IntegralAction":
         """The subgroup as an IntegralAction of its own (same r, d)."""
@@ -325,38 +382,14 @@ class AbstractGroup(FiniteGroup):
         for g in gens:
             if sorted(g) != list(range(n)):
                 raise ValueError(f"not a permutation of 0..{n - 1}: {g}")
-        ident = tuple(range(n))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    p = tuple(a[g[i]] for i in range(n))
-                    if p not in seen:
-                        if len(seen) >= cap:
-                            raise NotFiniteWithinCap(f"closure exceeds cap {cap}")
-                        seen.add(p)
-                        new.append(p)
-            frontier = new
-        self.generators = gens
         self.degree = n
-        self.label = label or f"permutation group of order {len(seen)}"
-        self.elements = tuple(sorted(seen))
+        self._close(gens, tuple(range(n)), cap)
+        self.label = label or f"permutation group of order {self.order}"
 
-    @property
-    def identity(self):
-        return tuple(range(self.degree))
-
-    def _mul(self, a, b):
+    @staticmethod
+    def _product(a, b):
         # (a * b)(i) = a(b(i))
-        return tuple(a[b[i]] for i in range(self.degree))
-
-    def _inv(self, a):
-        out = [0] * self.degree
-        for i, x in enumerate(a):
-            out[x] = i
-        return tuple(out)
+        return tuple(a[i] for i in b)
 
     def __repr__(self):
         return f"AbstractGroup({self.label!r}, order={self.order})"
@@ -406,33 +439,38 @@ class SubgroupClassPoset:
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        orbits = {}  # representative -> its conjugacy class of subgroups
-        seen: set[frozenset] = set()
-        for s in group.all_subgroups():
-            if s in seen:
+        conjugations = [group._conjugation(group._index_of[g])
+                        for g in group.generators]
+        # subgroups come sorted, so each conjugation orbit (closed under
+        # the generators) is met first at its least member, and the
+        # classes are met in their sort order
+        self._index = {}  # subgroup mask -> class index
+        orbits, classes = [], []
+        for rep in group._subgroups:
+            if rep in self._index:
                 continue
-            orbit = frozenset(group.conjugate_subgroup(s, g) for g in group.elements)
-            seen |= orbit
-            orbits[min(orbit, key=sorted)] = orbit
-        classes = []
-        for rep, orbit in orbits.items():
-            norm = group.normalizer(rep)
+            self._index[rep] = len(orbits)
+            orbit = [rep]
+            for sub in orbit:
+                for perm in conjugations:
+                    image = _permuted(sub, perm)
+                    if image not in self._index:
+                        self._index[image] = len(orbits)
+                        orbit.append(image)
+            orbits.append(orbit)
+            rep_set = group._set(rep)
+            norm = group.normalizer(rep_set)
             if len(orbit) * len(norm) != group.order:
                 raise ConsistencyError(
                     f"class of {len(orbit)} subgroups with a normalizer of order "
                     f"{len(norm)} in a group of order {group.order}"
                 )
-            classes.append(SubgroupClass(rep, len(orbit), norm,
-                                         group.cosets(rep, within=norm)))
-        classes.sort(key=lambda c: (c.order, sorted(c.representative)))
+            classes.append(SubgroupClass(rep_set, len(orbit), norm,
+                                         group._cosets(rep, group._mask(norm))))
         self.classes = tuple(classes)
-        self._index = {
-            sub: i for i, c in enumerate(classes) for sub in orbits[c.representative]
-        }
         self.leq = tuple(
-            tuple(any(sub <= cj.representative for sub in orbits[ci.representative])
-                  for cj in classes)
-            for ci in classes
+            tuple(any(not sub & ~other[0] for sub in orbit) for other in orbits)
+            for orbit in orbits
         )
         if not all(self.leq[i][i] for i in range(len(classes))):
             raise ConsistencyError("subconjugacy is not reflexive")
@@ -443,7 +481,7 @@ class SubgroupClassPoset:
     def class_of(self, sub: frozenset) -> int:
         """Index of the class containing the subgroup."""
         try:
-            return self._index[frozenset(sub)]
+            return self._index[self.group._mask(sub)]
         except KeyError:
             raise ValueError("not a subgroup of this group") from None
 
@@ -470,39 +508,39 @@ def weyl_action_on_classes(group: FiniteGroup, sub: frozenset, normalizer=None):
     Returns ``(cosets, class_reps, perms)`` where ``perms[i]`` is the
     permutation of H's conjugacy classes induced by ``cosets[i]``.
     """
-    sub = frozenset(sub)
     if not group.is_subgroup(sub):
         raise ValueError("not a subgroup")
+    mask = group._mask(sub)
     if normalizer is None:
-        normalizer = group.normalizer(sub)
+        norm = group._normalizer(mask)
     else:
-        normalizer = frozenset(normalizer)
+        norm = 0
         for n in normalizer:
-            if group.conjugate_subgroup(sub, n) != sub:
+            i = group._index_of.get(n)
+            if i is None or _permuted(mask, group._conjugation(i)) != mask:
                 raise NotNormalizer(f"{n} does not normalize the subgroup")
-    sub_sorted = sorted(sub)
-    sub_classes = _element_classes(group, sub_sorted, sub_sorted)
+            norm |= 1 << i
+    sub_classes = _element_classes(group, _bits(mask), _bits(mask))
     index_of = {h: i for i, cls in enumerate(sub_classes) for h in cls}
-    cosets = group.cosets(sub, within=normalizer)
-    perms = []
-    for coset in cosets:
-        n = coset[0]
-        ninv = group._inv(n)
-        perm = tuple(
-            index_of[group._mul(group._mul(n, cls[0]), ninv)] for cls in sub_classes
-        )
-        perms.append(perm)
-    return cosets, tuple(cls[0] for cls in sub_classes), tuple(perms)
+    cosets = group._cosets(mask, norm)
+    perms = tuple(
+        tuple(index_of[conj[cls[0]]] for cls in sub_classes)
+        for conj in (group._conjugation(group._index_of[c[0]]) for c in cosets)
+    )
+    return cosets, tuple(group.elements[cls[0]] for cls in sub_classes), perms
 
 
 def _element_classes(group: FiniteGroup, elements, conjugators) -> tuple[tuple, ...]:
-    """Orbits of ``elements`` under conjugation by ``conjugators``.
+    """Orbits of the indices ``elements`` under conjugation by the indices
+    ``conjugators``.
 
     The whole group passes its generators (closing under them reaches the
-    full class), a subgroup passes its own elements.  Each class is
-    sorted; classes are sorted by (order of elements, smallest member).
+    full class), a subgroup passes its own elements.  Each class is a
+    sorted tuple of indices; classes are sorted by (order of elements,
+    smallest member).
     """
-    pairs = [(h, group._inv(h)) for h in conjugators]
+    table = group._table
+    pairs = [(table[h], group._inv_of[h]) for h in conjugators]
     seen = set()
     classes = []
     for g in elements:
@@ -512,12 +550,12 @@ def _element_classes(group: FiniteGroup, elements, conjugators) -> tuple[tuple, 
         frontier = [g]
         while frontier:
             cur = frontier.pop()
-            for h, hinv in pairs:
-                c = group._mul(group._mul(h, cur), hinv)
+            for row, hinv in pairs:
+                c = table[row[cur]][hinv]
                 if c not in orbit:
                     orbit.add(c)
                     frontier.append(c)
         seen |= orbit
         classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda c: (group.element_order(c[0]), c[0]))
+    classes.sort(key=lambda c: (group._orders[c[0]], c[0]))
     return tuple(classes)

@@ -104,12 +104,12 @@ def fiber_poincare_equivariant(group: FiniteGroup, sub: frozenset,
     """
     if matrix_of is None:
         matrix_of = lambda g: g
-    sub_sorted = sorted(sub)
-    classes = _element_classes(group, sub_sorted, sub_sorted)
+    members = sorted(group._index_of[h] for h in sub)
+    classes = _element_classes(group, members, members)
     index_of = {h: i for i, cls in enumerate(classes) for h in cls}
     ages = []
     for cls in classes:
-        a = age(exponent_multiset(matrix_of(cls[0])), d)
+        a = age(exponent_multiset(matrix_of(group.elements[cls[0]])), d)
         if a.denominator != 1:
             raise NonIntegerAge(f"class has fractional age {a}")
         ages.append(int(a))
@@ -117,12 +117,12 @@ def fiber_poincare_equivariant(group: FiniteGroup, sub: frozenset,
     plain = IntPolynomial([sum(1 for a in ages if 2 * a == i) for i in range(top + 1)])
     values = []
     characters = []
+    table = group._table
     for coset in weyl_cosets:
-        n = coset[0]
-        ninv = group._inv(n)
+        n = group._index_of[coset[0]]
+        row, ninv = table[n], group._inv_of[n]
         fixed = [
-            index_of[group._mul(group._mul(n, cls[0]), ninv)] == i
-            for i, cls in enumerate(classes)
+            index_of[table[row[cls[0]]][ninv]] == i for i, cls in enumerate(classes)
         ]
         coeffs = [0] * (top + 1)
         for i, a in enumerate(ages):

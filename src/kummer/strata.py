@@ -243,20 +243,12 @@ def _element_permutations(action, family):
         perm = tuple(index_of.get(t.apply_matrix(g).key) for t in family)
         if None in perm:
             raise ConsistencyError("the family is not stable under the group")
-        gen_perms.append((g, perm))
-    perms = {action.identity: tuple(range(len(family)))}
-    frontier = [action.identity]
-    while frontier:
-        new = []
-        for a in frontier:
-            pa = perms[a]
-            for g, pg in gen_perms:
-                p = action._mul(a, g)
-                if p not in perms:
-                    perms[p] = tuple(pa[j] for j in pg)
-                    new.append(p)
-        frontier = new
-    return perms
+        gen_perms.append(perm)
+    perms = [None] * action.order
+    perms[action._e] = tuple(range(len(family)))
+    for j, k, g in action._tree:
+        perms[j] = tuple(map(perms[k].__getitem__, gen_perms[g]))
+    return dict(zip(action.elements, perms))
 
 
 def stratify(action: IntegralAction,

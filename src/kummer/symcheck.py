@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .exactalg import ConsistencyError, euler_phi
-from .groupcore import FiniteGroup, IntegralAction
+from .groupcore import FiniteGroup, IntegralAction, _bits, _permuted
 from .mckay import partitions
 
 
@@ -311,14 +311,15 @@ def bls_classify(data: AnalyticEigenData) -> BLSResult:
 
 
 def _has_normal_abelian(group: FiniteGroup, order: int) -> bool:
-    for sub in group.all_subgroups():
-        if len(sub) != order:
+    """Whether a normal abelian subgroup has the given order: on masks, H
+    lies in its elements' centralizers and is fixed by the generators."""
+    conjugations = [group._conjugation(group._index_of[g]) for g in group.generators]
+    for sub in group._subgroups:
+        if sub.bit_count() != order:
             continue
-        if any(
-            group._mul(a, b) != group._mul(b, a) for a in sub for b in sub
+        if all(not sub & ~group._centralizer(a) for a in _bits(sub)) and all(
+            _permuted(sub, perm) == sub for perm in conjugations
         ):
-            continue
-        if group.normalizer(sub) == group._element_set:
             return True
     return False
 

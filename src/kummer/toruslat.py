@@ -32,7 +32,7 @@ from .exactalg import (
     mat_vec,
     smith_normal_form,
 )
-from .groupcore import IntegralAction
+from .groupcore import IntegralAction, _bits
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -465,7 +465,10 @@ def orbifold_euler(action: IntegralAction) -> int:
     """Orbifold Euler number: average over commuting pairs of chi(common fix).
 
     A positive-dimensional union of subtori has Euler characteristic 0;
-    a finite fixed set contributes its cardinality.
+    a finite fixed set contributes its cardinality.  Conjugate pairs fix
+    isomorphic sets, so the sum runs over class representatives g and
+    their centralizers, weighted by class size: the total is
+    sum over classes of |G| * e(X^g / C(g)) (Hirzebruch-Hoefer).
 
     >>> from .catalog import catalog
     >>> orbifold_euler(catalog("z6_sl2"))
@@ -473,19 +476,17 @@ def orbifold_euler(action: IntegralAction) -> int:
     """
     ident = identity_matrix(action.r)
     total = 0
-    diffs = {g: mat_sub(ident, g) for g in action.elements}
-    for g in action.elements:
-        for h in action.elements:
-            if action._mul(g, h) != action._mul(h, g):
-                continue
-            rows = tuple(diffs[g]) + tuple(diffs[h])
-            snf = smith_normal_form(rows)
+    diffs = [mat_sub(ident, g) for g in action.elements]
+    for cls in action._classes:
+        g = cls[0]
+        for h in _bits(action._centralizer(g)):
+            snf = smith_normal_form(tuple(diffs[g]) + tuple(diffs[h]))
             if snf.rank < action.r:
                 continue  # positive-dimensional: chi = 0
             prod = 1
             for dv in snf.divisors:
                 prod *= abs(dv)
-            total += prod ** (2 * action.d)
+            total += len(cls) * prod ** (2 * action.d)
     if total % action.order:
         raise ConsistencyError(
             f"fixed-point total {total} is not divisible by |G| = {action.order}"

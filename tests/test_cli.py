@@ -269,6 +269,19 @@ class TestMainEntryPoint:
         monkeypatch.setattr(cli, "run", lambda job: failing)
         assert cli.main(["--catalog", "z6_sl2"]) == 1
 
+    def test_internal_inconsistency_exit_one(self, monkeypatch, capsys):
+        import kummer.strata
+        from kummer.exactalg import IntPolynomial
+
+        # strata that cannot sum to the quotient polynomial
+        monkeypatch.setattr(kummer.strata, "quotient_poincare",
+                            lambda action: IntPolynomial([1]))
+        assert main(["--catalog", "z6_sl2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal inconsistency: strata sum to ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_natural_s3_on_abelian_surface(self, capsys):
         # Hilb^3 of an abelian surface, by Goettsche's formula: b1 = 4 on the
         # quotient and on its crepant resolution alike

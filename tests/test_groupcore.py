@@ -1,6 +1,7 @@
 import pytest
 
 from kummer.catalog import (
+    ACCEPTANCE_ACTIONS,
     binary_tetrahedral_group,
     catalog,
     natural_rep_matrix,
@@ -11,7 +12,14 @@ from kummer.catalog import (
     standard_sn,
     wreath,
 )
-from kummer.exactalg import char_poly, cyclotomic_factor, identity_matrix
+from kummer.exactalg import (
+    char_poly,
+    cyclotomic_factor,
+    identity_matrix,
+    mat_mul,
+    mat_sub,
+    smith_normal_form,
+)
 from kummer.groupcore import (
     NonInvertible,
     NotFiniteWithinCap,
@@ -22,8 +30,10 @@ from kummer.groupcore import (
     subgroup_class_poset,
     weyl_action_on_classes,
 )
+from kummer.toruslat import orbifold_euler
 
 import itertools
+import math
 
 
 class TestGenerateGroup:
@@ -142,6 +152,104 @@ class TestSubgroupPoset:
         assert sizes == [c.size for c in poset.classes]
         with pytest.raises(ValueError):
             poset.class_of(frozenset({octa.identity, octa.generators[1]}))
+
+
+def _as_matrix(g):
+    """A group element as a matrix; a permutation p becomes the matrix
+    sending e_j to e_p(j), so products of permutations are matrix products."""
+    if isinstance(g[0], int):
+        return tuple(tuple(int(i == x) for x in g) for i in range(len(g)))
+    return g
+
+
+def _plain_closure(gens):
+    """The subgroup generated by matrices, closed with plain matrix products."""
+    ident = identity_matrix(len(gens[0]))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                p = mat_mul(a, g)
+                if p not in seen:
+                    seen.add(p)
+                    new.append(p)
+        frontier = new
+    return frozenset(seen)
+
+
+KERNEL_GROUPS = [
+    pytest.param(lambda name=name, d=d: catalog(name, d=d), id=name)
+    for name, d in ACCEPTANCE_ACTIONS
+] + [pytest.param(binary_tetrahedral_group, id="binary_tetrahedral")]
+
+
+class TestIndexKernel:
+    """The Cayley table and its users against plain matrix arithmetic."""
+
+    @pytest.mark.parametrize("make", KERNEL_GROUPS)
+    def test_table_and_inverses_match_matrix_products(self, make):
+        group = make()
+        assert list(group.elements) == sorted(group.elements)
+        mats = [_as_matrix(g) for g in group.elements]
+        position = {m: i for i, m in enumerate(mats)}
+        ident = identity_matrix(len(mats[0]))
+        assert position[ident] == group._e
+        for i, a in enumerate(mats):
+            assert list(group._table[i]) == [position[mat_mul(a, b)] for b in mats]
+            inv = mats[group._inv_of[i]]
+            assert mat_mul(a, inv) == ident == mat_mul(inv, a)
+
+    @pytest.mark.parametrize("make", [
+        lambda: catalog("s4_standard_d2"),
+        lambda: catalog("octahedral_s4_sl3"),
+        lambda: catalog("d8_b2"),
+        lambda: natural_sn(4, 2),
+    ], ids=["s4_standard_d2", "octahedral_s4_sl3", "d8_b2", "natural_sn4"])
+    def test_subgroups_are_the_closures_of_pairs(self, make):
+        # every subgroup of these groups is generated by two elements
+        group = make()
+        els = group.elements
+        pairs = {_plain_closure([a, b]) for i, a in enumerate(els) for b in els[i:]}
+        assert set(group.all_subgroups()) == pairs
+
+    @pytest.mark.parametrize("name, d", ACCEPTANCE_ACTIONS)
+    def test_orbifold_euler_is_the_commuting_pair_sum(self, name, d):
+        action = catalog(name, d=d)
+        ident = identity_matrix(action.r)
+        total = 0
+        for g in action.elements:
+            for h in action.elements:
+                if mat_mul(g, h) != mat_mul(h, g):
+                    continue
+                snf = smith_normal_form(tuple(mat_sub(ident, g)) + tuple(mat_sub(ident, h)))
+                if snf.rank == action.r:
+                    total += math.prod(abs(x) for x in snf.divisors) ** (2 * d)
+        assert total % action.order == 0
+        assert orbifold_euler(action) == total // action.order
+
+
+class TestHeavyLattices:
+    """The subgroup lattices of the dimension-8 generalized Kummer and of
+    Hilb^3 of a K3 (the lattice only; stratifying them is not tier-1)."""
+
+    def test_standard_s5(self):
+        group = standard_sn(5, d=2)
+        poset = subgroup_class_poset(group)
+        assert len(group.all_subgroups()) == 156
+        assert [(c.order, c.size) for c in poset.classes] == [
+            (1, 1), (2, 10), (2, 15), (3, 10), (4, 15), (4, 15), (4, 5), (5, 6),
+            (6, 10), (6, 10), (6, 10), (8, 15), (10, 6), (12, 10), (12, 5),
+            (20, 6), (24, 5), (60, 1), (120, 1),
+        ]
+
+    def test_wreath_3(self):
+        group = wreath(3, 2, d=2)
+        poset = subgroup_class_poset(group)
+        assert len(group.all_subgroups()) == 98
+        assert len(poset) == 33
+        assert sum(c.size for c in poset.classes) == 98
 
 
 class TestWeylAction:
