@@ -504,8 +504,11 @@ def main(argv=None) -> int:
         )
         report = run(job)
     except (InputError, NonInvertible, NotFiniteWithinCap, SpecialityViolation,
-            NonIntegerAge, EnumerationTooLarge, UnknownCatalogEntry) as exc:
+            NonIntegerAge, UnknownCatalogEntry) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except EnumerationTooLarge as exc:
+        sys.stderr.write(f"error: {exc} (set by --max-enumeration)\n")
         return 2
     except ConsistencyError as exc:
         sys.stderr.write(f"error: internal inconsistency: {exc}\n")

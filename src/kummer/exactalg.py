@@ -447,13 +447,6 @@ class ExponentMultiset:
             entries.extend(prim * mult)
         return cls(entries)
 
-    @classmethod
-    def from_cyclotomic_factors(cls, factors: dict[int, int]) -> "ExponentMultiset":
-        entries = []
-        for k, mult in factors.items():
-            entries.extend([Fraction(j, k) for j in range(k) if gcd(j, k) == 1] * mult)
-        return cls(entries)
-
     @property
     def order(self) -> int:
         """Least common denominator: the multiplicative order."""
@@ -461,9 +454,6 @@ class ExponentMultiset:
         for e in self.entries:
             n = n * e.denominator // gcd(n, e.denominator)
         return n
-
-    def zero_multiplicity(self) -> int:
-        return sum(1 for e in self.entries if e == 0)
 
     def conjugate(self) -> "ExponentMultiset":
         """Exponents of the complex-conjugate matrix (a -> 1-a)."""
@@ -712,8 +702,3 @@ def annihilator_basis(rows, width: int) -> Matrix:
     if not rows:
         return identity_matrix(width)
     return kernel_basis(rows, width)
-
-
-def saturate(rows, width: int) -> Matrix:
-    """Saturation of the lattice spanned by the rows, as HNF rows."""
-    return annihilator_basis(annihilator_basis(rows, width), width)

@@ -13,10 +13,17 @@ computed upstairs, on the torus, with exact equivariant bookkeeping:
 * containment is read off the lattice too: a member strictly containing
   a member t has a stabilizer H strictly inside t's, and is the component
   of Fix(H) through t, so it is found by key, with no pairwise test;
+* the group permutes the members: a generator carries a member's normal
+  and shifts along one unimodular change of rows that depends on the
+  normal only, so the images are keys computed per normal, not subtori
+  rebuilt per member;
 * on each orbit representative, the points with strictly larger isotropy
   form a union of family members, and an inclusion-exclusion over the
   poset of members fixed by a Weyl element yields that element's trace
-  on the cohomology (with compact supports) of the open part;
+  on the cohomology (with compact supports) of the open part.  A
+  member's torus trace depends only on its normal, so the
+  inclusion-exclusion coefficients are summed per normal and each
+  (normal, element) trace is computed once per stratification;
 * averaging traces over the stabilizer computes the quotient polynomial
   of the stratum, and weighting by the fiber polynomial first computes
   the stratum of the resolution.
@@ -30,11 +37,22 @@ hypotheses predict; the hypotheses themselves are recorded, not checked.
 
 from __future__ import annotations
 
-from .exactalg import ConsistencyError, IntPolynomial, det_one_plus_t
+from functools import lru_cache
+from itertools import repeat
+from math import lcm
+
+from .exactalg import ConsistencyError, IntPolynomial, det_one_plus_t, mat_vec
 from .groupcore import IntegralAction, subgroup_class_poset
 from .mckay import FiberPolynomial, fiber_poincare_equivariant
 from .repring import quotient_poincare
-from .toruslat import DEFAULT_ENUMERATION_BUDGET, AffineSubtorus, fix_locus
+from .toruslat import (
+    DEFAULT_ENUMERATION_BUDGET,
+    AffineSubtorus,
+    EnumerationTooLarge,
+    _induced_matrix,
+    _reduced,
+    fix_locus,
+)
 
 
 class MalformedLedger(ValueError):
@@ -135,10 +153,6 @@ class StrataReport:
     def y_total(self) -> IntPolynomial:
         return sum((s.y_poly for s in self.strata), IntPolynomial.zero())
 
-    @property
-    def x_total(self) -> IntPolynomial:
-        return self.resolution
-
     def __repr__(self):
         return f"StrataReport({self.action.label!r}, {len(self.strata)} strata)"
 
@@ -158,14 +172,32 @@ def _fixed_arrangement(action: IntegralAction,
     of Fix(H) is a component of Fix(K) exactly for the K with
     H ≤ K ≤ Iso(C); subgroups come in increasing order, so the last one
     whose fixed locus yields C is C's pointwise stabilizer Iso(C).
-    ``budget`` bounds each fixed locus's component enumeration.
+
+    ``budget`` bounds each fixed locus's component enumeration, and also
+    the family times |G|, the size of the element permutations that
+    :func:`stratify` builds on it; :class:`EnumerationTooLarge` is raised
+    as soon as the growing family passes it.  The family is sorted by
+    (-rank, normal, shifts), the shifts compared over one common
+    denominator.
     """
     seen: dict = {}
     for sub in action.all_subgroups()[1:]:
         for comp in fix_locus(action, sub, budget=budget):
             seen[comp.key] = (comp, sub)
-    pairs = sorted(seen.values(),
-                   key=lambda p: (-p[0].rank, p[0].normal, p[0].shifts))
+        if len(seen) * action.order > budget:
+            raise EnumerationTooLarge(
+                f"component enumeration exceeds budget {budget}: {len(seen)} "
+                f"fixed components times group order {action.order}"
+            )
+    den = lcm(1, *(t.den for t, _ in seen.values()))
+
+    def order(pair):
+        t = pair[0]
+        scale = den // t.den
+        return (-t.rank, t.normal,
+                tuple(tuple(s * scale for s in copy) for copy in t.scaled_shifts))
+
+    pairs = sorted(seen.values(), key=order)
     return [t for t, _ in pairs], [h for _, h in pairs]
 
 
@@ -176,23 +208,34 @@ def _strict_supersets(family, isotropy):
     A member C strictly containing t has Iso(C) = H ⊊ Iso(t), and C is
     then the component of Fix(H) through t.  All components of Fix(H)
     share one normal, so C is looked up by the key of the subtorus with
-    H's normal through t's points; it is a strict superset exactly when
-    its own stabilizer is H.
+    H's normal through t's points, built as a plain tuple; it is a strict
+    superset exactly when its own stabilizer is H.
     """
+    # many members share a point in one copy, and the points of one
+    # superset share their shifts
+    @lru_cache(maxsize=None)
+    def moved_shift(normal, den, pt):
+        return tuple(x % den for x in mat_vec(normal, pt))
+
+    @lru_cache(maxsize=None)
+    def key_of(normal, den, shifts):
+        return (normal, *_reduced(den, shifts))
+
     index_of = {t.key: i for i, t in enumerate(family)}
     normal_of: dict = {}
     for t, h in zip(family, isotropy):
         normal_of.setdefault(h, t.normal)
+    smaller = {
+        iso: [(h, normal) for h, normal in normal_of.items() if h < iso]
+        for iso in normal_of
+    }
     supersets = []
     for t, iso in zip(family, isotropy):
         den, pts = t.scaled_points()
         above = []
-        for h, normal in normal_of.items():
-            if not h < iso:
-                continue
-            j = index_of.get(
-                AffineSubtorus._from_normal(normal, den, pts, t.r, t.copies).key
-            )
+        for h, normal in smaller[iso]:
+            shifts = tuple(moved_shift(normal, den, pt) for pt in pts)
+            j = index_of.get(key_of(normal, den, shifts))
             if j is None:
                 raise ConsistencyError(
                     "the family misses a component of a fixed locus"
@@ -203,44 +246,47 @@ def _strict_supersets(family, isotropy):
     return supersets
 
 
-def _moebius_trace(action, subtorus, deeper, supersets, fixed_set, images, n):
+def _moebius_trace(subtorus, deeper, supersets, family, images, n, trace):
     """Trace of the coset of n on the open part of the subtorus.
 
-    ``deeper`` lists family indices strictly inside the subtorus and
-    ``images`` is n's permutation of the family; inclusion-exclusion runs
-    over the deeper members fixed by n.
+    ``deeper`` lists, in ascending order, the family indices strictly
+    inside the subtorus, and ``images`` is n's permutation of the family;
+    inclusion-exclusion runs over the deeper members fixed by n.  The
+    family is sorted by decreasing rank, so each member comes after its
+    supersets.  ``trace(normal, n)`` is det(1 + t η)^{2d} for n's matrix η
+    on the tangent lattice of ``normal``; it depends on a member only
+    through its normal, so the coefficients are summed per normal and each
+    normal is subtracted once.
     """
-    power = 2 * action.d
-    eta = subtorus.induced_lattice_matrix(n)
-    total = det_one_plus_t(eta, power)
-    fixed = [i for i in deeper if images[i] == i]
-    fixed_ranked = sorted(fixed, key=lambda i: -fixed_set[i].rank)
-    in_fixed = set(fixed)
     coeff: dict[int, int] = {}
-    for i in fixed_ranked:
-        c = 1
-        for j in supersets[i]:
-            if j in in_fixed and j in coeff:
-                c -= coeff[j]
-        coeff[i] = c
-    for i in fixed_ranked:
-        if coeff[i] == 0:
+    per_normal: dict = {}
+    for i in deeper:
+        if images[i] != i:
             continue
-        eta_i = fixed_set[i].induced_lattice_matrix(n)
-        total = total - coeff[i] * det_one_plus_t(eta_i, power)
+        c = coeff[i] = 1 - sum(map(coeff.get, supersets[i], repeat(0)))
+        if c:
+            normal = family[i].normal
+            per_normal[normal] = per_normal.get(normal, 0) + c
+    total = trace(subtorus.normal, n)
+    for normal, c in per_normal.items():
+        if c:
+            total = total - c * trace(normal, n)
     return total
 
 
 def _element_permutations(action, family):
     """Each element's permutation of the family, composed from generators.
 
-    One ``apply_matrix`` per (generator, member); an element reached in
-    the closure as ``a * g`` sends member i to ``a(g(i))``.
+    A generator's image of a member is read off the member's key
+    (``AffineSubtorus.image_key``): the transport of its normal is
+    memoised per (normal, generator), so no member needs its lattice
+    basis or points.  An element reached in the closure as ``a * g``
+    sends member i to ``a(g(i))``.
     """
     index_of = {t.key: i for i, t in enumerate(family)}
     gen_perms = []
     for g in action.generators:
-        perm = tuple(index_of.get(t.apply_matrix(g).key) for t in family)
+        perm = tuple(index_of.get(t.image_key(g)) for t in family)
         if None in perm:
             raise ConsistencyError("the family is not stable under the group")
         gen_perms.append(perm)
@@ -249,6 +295,23 @@ def _element_permutations(action, family):
     for j, k, g in action._tree:
         perms[j] = tuple(map(perms[k].__getitem__, gen_perms[g]))
     return dict(zip(action.elements, perms))
+
+
+def _trace_memo(action):
+    """``trace(normal, n)``: det(1 + t η)^{2d} with η the matrix of n on
+    the tangent lattice of ``normal``, computed once per (normal, n)."""
+    power = 2 * action.d
+    traces: dict = {}
+
+    def trace(normal, n):
+        value = traces.get((normal, n))
+        if value is None:
+            value = traces[normal, n] = det_one_plus_t(
+                _induced_matrix(normal, action.r, n), power
+            )
+        return value
+
+    return trace
 
 
 def stratify(action: IntegralAction,
@@ -267,6 +330,7 @@ def stratify(action: IntegralAction,
     family, isotropy = _fixed_arrangement(action, budget)
     whole = AffineSubtorus.whole_torus(action.r, 2 * action.d)
     perms = _element_permutations(action, family)
+    trace = _trace_memo(action)
 
     # strict containments: supersets[i] = indices of members strictly above i,
     # subsets[j] = indices of members strictly inside j
@@ -344,7 +408,7 @@ def stratify(action: IntegralAction,
             for c in stab:
                 n = weyl_cosets[c][0]
                 open_trace = _moebius_trace(
-                    action, rep_torus, deeper, supersets, family, perms[n], n
+                    rep_torus, deeper, supersets, family, perms[n], n, trace
                 )
                 y_sum = y_sum + open_trace
                 x_sum = x_sum + open_trace * fiber.values[c]
@@ -361,8 +425,8 @@ def stratify(action: IntegralAction,
 
         if not trivial:
             _check_frobenius(
-                action, comp_indices, weyl_cosets, coset_maps, family,
-                supersets, subsets, perms, orbits,
+                comp_indices, weyl_cosets, coset_maps, family,
+                supersets, subsets, perms, orbits, trace,
             )
 
         order = len(subgroup)
@@ -408,8 +472,8 @@ def stratify(action: IntegralAction,
     return report
 
 
-def _check_frobenius(action, comp_indices, weyl_cosets, coset_maps, family,
-                     supersets, subsets, perms, orbits):
+def _check_frobenius(comp_indices, weyl_cosets, coset_maps, family,
+                     supersets, subsets, perms, orbits, trace):
     """Summing over all components with the full Weyl group must agree
     with summing orbit representatives over their stabilizers."""
     y_alt = IntPolynomial.zero()
@@ -419,7 +483,7 @@ def _check_frobenius(action, comp_indices, weyl_cosets, coset_maps, family,
             if images[k] != k:
                 continue
             y_alt = y_alt + _moebius_trace(
-                action, family[i], subsets[i], supersets, family, perms[n], n
+                family[i], subsets[i], supersets, family, perms[n], n, trace
             )
     y_alt = y_alt.divide_exact(len(weyl_cosets))
     y_orbits = sum((o.y_poly for o in orbits), IntPolynomial.zero())

@@ -77,9 +77,6 @@ class AnalyticEigenData:
     def dimension(self) -> int:
         return len(self.exponents[0])
 
-    def class_exponents(self, g) -> tuple:
-        return self.exponents[self.group.class_index(g)]
-
     def codimension(self, index: int) -> int:
         """Complex codimension of the fixed locus of the class."""
         e = self.exponents[index]

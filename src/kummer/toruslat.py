@@ -12,14 +12,21 @@ where N is the saturated annihilator of the tangent lattice.  The triple
 integer vectors n * shift reduced mod n) is a canonical form, so
 components can be hashed, compared, intersected and mapped around by
 group elements with no ambiguity, in integer arithmetic only.
+
+Much of the work depends on N alone, and a family of components has far
+fewer normals than members, so it is memoised per normal: the image of
+N under a group element together with the unimodular change of rows that
+carries the shifts along (``_transport``), and the matrix a group element
+induces on the tangent lattice (``_induced_matrix``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm, prod
+from operator import mul
 
 from .exactalg import (
     ConsistencyError,
@@ -28,6 +35,8 @@ from .exactalg import (
     identity_matrix,
     kernel_basis,
     mat_det,
+    mat_inverse_unimodular,
+    mat_mul,
     mat_sub,
     mat_vec,
     smith_normal_form,
@@ -54,7 +63,24 @@ def _scaled(vectors):
     )
 
 
+def _reduced(den: int, scaled_shifts):
+    """(den, shifts) over their least common denominator, shifts in [0, den)."""
+    g = gcd(den, *chain.from_iterable(scaled_shifts))
+    if g != 1:
+        den //= g
+        scaled_shifts = [[s // g for s in copy] for copy in scaled_shifts]
+    mod = den.__rmod__
+    return den, tuple(tuple(map(mod, copy)) for copy in scaled_shifts)
+
+
 _cached_annihilator = lru_cache(maxsize=None)(annihilator_basis)
+_cached_inverse = lru_cache(maxsize=None)(mat_inverse_unimodular)
+
+
+@lru_cache(maxsize=None)
+def _lattice_basis(normal, r: int):
+    """Hermite basis rows of the lattice annihilated by ``normal``."""
+    return kernel_basis(normal, r) if normal else identity_matrix(r)
 
 
 @lru_cache(maxsize=None)
@@ -75,6 +101,54 @@ def _section(rows, r: int):
     )
 
 
+@lru_cache(maxsize=None)
+def _transport(normal, g):
+    """``(normal', U)`` with normal' = HNF(normal g^-1) = U normal g^-1.
+
+    g maps { x : normal x = shift } onto { y : normal g^-1 y = shift },
+    and U carries those equations to their Hermite form, so the image has
+    the normal normal' and the shifts U shift.  U is unimodular, so the
+    shifts keep their least common denominator.  U is read off
+    ``_section`` and checked exactly.
+    """
+    r = len(g)
+    moved = mat_mul(normal, _cached_inverse(g))
+    image = hermite_normal_form(moved, r)
+    u = mat_mul(image, _section(moved, r))
+    if mat_mul(u, moved) != image or abs(mat_det(u)) != 1:
+        raise ConsistencyError(
+            f"rows {u} do not carry {moved} unimodularly to {image}"
+        )
+    return image, u
+
+
+@lru_cache(maxsize=None)
+def _carried(u, den: int, shift):
+    """One copy's shift vector carried by the change of rows u, mod den."""
+    return tuple(sum(map(mul, row, shift)) % den for row in u)
+
+
+@lru_cache(maxsize=None)
+def _induced_matrix(normal, r: int, g):
+    """Matrix of g on the lattice annihilated by ``normal``, in its Hermite
+    basis: the integer M with g . basis_j = sum_i M[i][j] basis_i."""
+    if len(normal) == r:
+        return ()
+    basis = _lattice_basis(normal, r)
+    # a lattice vector v has coordinates v @ S, where basis @ S = I
+    to_coords = tuple(zip(*_section(basis, r)))
+    from_coords = tuple(zip(*basis))
+    out = []
+    for row in basis:
+        image = mat_vec(g, row)
+        coords = mat_vec(to_coords, image)
+        if mat_vec(from_coords, coords) != image:
+            raise ValueError("matrix does not preserve the lattice")
+        out.append(coords)
+    # out[i] expresses the image of basis_i; we want column convention
+    return tuple(zip(*out))
+
+
 class AffineSubtorus:
     """A torsion translate of a saturated subtorus, in canonical form.
 
@@ -85,10 +159,7 @@ class AffineSubtorus:
     the integer entries are reduced into [0, den).
     """
 
-    __slots__ = (
-        "r", "copies", "normal", "den", "scaled_shifts", "_basis", "_eta",
-        "_scaled",
-    )
+    __slots__ = ("r", "copies", "normal", "den", "scaled_shifts", "_scaled")
 
     def __init__(self, r: int, copies: int, normal, den: int, scaled_shifts):
         self.r = r
@@ -98,14 +169,8 @@ class AffineSubtorus:
             raise ValueError("one shift vector per copy required")
         if any(len(copy) != len(self.normal) for copy in scaled_shifts):
             raise ValueError("shift length must match the number of equations")
-        g = gcd(den, *(s for copy in scaled_shifts for s in copy))
-        self.den = den // g
-        self.scaled_shifts = tuple(
-            tuple(s // g % self.den for s in copy) for copy in scaled_shifts
-        )
-        self._eta = {}
+        self.den, self.scaled_shifts = _reduced(den, scaled_shifts)
         self._scaled = None
-        self._basis = None
 
     # -- construction --------------------------------------------------------
 
@@ -127,18 +192,10 @@ class AffineSubtorus:
         return cls._from_scaled(basis_rows, *_scaled(translates), r, copies)
 
     @classmethod
-    def _from_scaled(cls, basis_rows, den, translates, r, copies):
-        return cls._from_normal(
-            _cached_annihilator(basis_rows, r), den, translates, r, copies
-        )
-
-    @classmethod
-    def _from_normal(cls, normal, den, points, r, copies):
-        """The subtorus with annihilator ``normal`` through points / den."""
-        shifts = tuple(
-            tuple(sum(n * v for n, v in zip(row, pt)) for row in normal)
-            for pt in points
-        )
+    def _from_scaled(cls, basis_rows, den, points, r, copies):
+        """The subtorus with tangent lattice ``basis_rows`` through points / den."""
+        normal = _cached_annihilator(basis_rows, r)
+        shifts = tuple(mat_vec(normal, pt) for pt in points)
         return cls(r, copies, normal, den, shifts)
 
     # -- basic data -----------------------------------------------------------
@@ -146,9 +203,7 @@ class AffineSubtorus:
     @property
     def lattice_basis(self):
         """Hermite basis rows of the tangent lattice (empty for a point)."""
-        if self._basis is None:
-            self._basis = kernel_basis(self.normal, self.r) if self.normal else identity_matrix(self.r)
-        return self._basis
+        return _lattice_basis(self.normal, self.r)
 
     @property
     def rank(self) -> int:
@@ -156,10 +211,6 @@ class AffineSubtorus:
 
     def complex_dim(self, d: int) -> int:
         return d * self.rank
-
-    @property
-    def is_point(self) -> bool:
-        return self.rank == 0
 
     @property
     def shifts(self):
@@ -216,8 +267,23 @@ class AffineSubtorus:
                     return False
         return True
 
+    def image_key(self, g):
+        """Key of the image under the lattice automorphism g, from the
+        normal alone: ``_transport`` gives the image's normal and carries
+        the shifts, whose denominator stays."""
+        if not self.normal:
+            return self.key
+        normal, u = _transport(self.normal, g)
+        return (normal, self.den, tuple(
+            _carried(u, self.den, shift) for shift in self.scaled_shifts
+        ))
+
     def apply_matrix(self, g) -> "AffineSubtorus":
-        """Image under the lattice automorphism g (same matrix in each copy)."""
+        """Image under the lattice automorphism g (same matrix in each copy).
+
+        Built from the lattice basis and a translate, independently of
+        ``image_key``.
+        """
         basis = tuple(mat_vec(g, row) for row in self.lattice_basis) \
             if self.rank else ()
         den, pts = self.scaled_points()
@@ -231,27 +297,7 @@ class AffineSubtorus:
         Requires g to map the subtorus to itself; the result is the
         integer matrix M with g . basis_j = sum_i M[i][j] basis_i.
         """
-        if g in self._eta:
-            return self._eta[g]
-        k = self.rank
-        if k == 0:
-            self._eta[g] = ()
-            return ()
-        basis = self.lattice_basis
-        # a lattice vector v has coordinates v @ S, where basis @ S = I
-        to_coords = tuple(zip(*_section(basis, self.r)))
-        from_coords = tuple(zip(*basis))
-        out = []
-        for row in basis:
-            image = mat_vec(g, row)
-            coords = mat_vec(to_coords, image)
-            if mat_vec(from_coords, coords) != image:
-                raise ValueError("matrix does not preserve the lattice")
-            out.append(coords)
-        # out[i] expresses the image of basis_i; we want column convention
-        eta = tuple(tuple(out[j][i] for j in range(k)) for i in range(k))
-        self._eta[g] = eta
-        return eta
+        return _induced_matrix(self.normal, self.r, g)
 
     def intersect(self, other: "AffineSubtorus") -> tuple["AffineSubtorus", ...]:
         """All components of the intersection, in canonical form."""
@@ -298,26 +344,35 @@ def solve_torus_system(system_rows, den: int, rhs_per_copy, r: int, copies: int,
         tuple(sum(nrow[i] * snf.v[i][j] for i in range(r)) for j in range(rank))
         for nrow in normal
     )
+    # copies with the same right-hand side share their shift set; the
+    # budget still counts every copy
+    size = prod(divisors)
     per_copy = []
+    shift_sets: dict = {}
     count = 1
     for rhs in rhs_per_copy:
-        c = [sum(snf.u[i][j] * rhs[j] for j in range(m)) for i in range(m)]
-        # zero rows of D demand integral right-hand side
-        if any(c[i] % den for i in range(rank, m)):
-            return ()
-        count *= prod(divisors)
+        rhs = tuple(rhs)
+        shifts = shift_sets.get(rhs)
+        if shifts is None:
+            c = [sum(snf.u[i][j] * rhs[j] for j in range(m)) for i in range(m)]
+            # zero rows of D demand integral right-hand side
+            if any(c[i] % den for i in range(rank, m)):
+                return ()
+        count *= size
         if count > budget:
             raise EnumerationTooLarge(
                 f"component enumeration exceeds budget {budget}"
             )
-        options = [
-            [(c[i] + j * den) * (top // di) for j in range(di)]
-            for i, di in enumerate(divisors)
-        ]
-        per_copy.append(sorted({
-            tuple(sum(a * zj for a, zj in zip(row, z)) % full for row in normal_v)
-            for z in product(*options)
-        }))
+        if shifts is None:
+            options = [
+                [(c[i] + j * den) * (top // di) for j in range(di)]
+                for i, di in enumerate(divisors)
+            ]
+            shifts = shift_sets[rhs] = sorted({
+                tuple(sum(a * zj for a, zj in zip(row, z)) % full for row in normal_v)
+                for z in product(*options)
+            })
+        per_copy.append(shifts)
     # the product of per-copy sorted shifts is in lexicographic order
     return tuple(
         AffineSubtorus(r, copies, normal, full, combo)
@@ -369,9 +424,12 @@ def fix_locus(action: IntegralAction, subgroup,
         if h == action.identity:
             continue
         rows.extend(mat_sub(ident, h))
+    # the fixed set depends only on the lattice the rows span, so its
+    # Hermite basis (at most r rows) stands in for the |H| - 1 blocks
+    rows = hermite_normal_form(rows, action.r)
     copies = 2 * action.d
     rhs = tuple((0,) * len(rows) for _ in range(copies))
-    comps = solve_torus_system(tuple(rows), 1, rhs, action.r, copies, budget)
+    comps = solve_torus_system(rows, 1, rhs, action.r, copies, budget)
     return FixLocus(comps, frozenset(elements))
 
 

@@ -294,6 +294,15 @@ class TestMainEntryPoint:
         assert main(["--catalog", "s4_standard_d2", "--max-enumeration", "10"]) == 2
         assert "error: component enumeration exceeds budget" in capsys.readouterr().err
 
+    def test_enumeration_budget_bounds_the_family(self, capsys):
+        # every fixed locus has at most 256 components, but the family of
+        # 314 members times |G| = 24 is 7,536 permutation entries
+        assert main(["--catalog", "s4_standard_d2", "--max-enumeration", "5000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: component enumeration exceeds budget 5000")
+        assert "--max-enumeration" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("exponents", [
         # each class k of Z5 gets (k/5, k/5, k/5): not Galois closed
         lambda k: [[k, 5]] * 3,

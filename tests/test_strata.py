@@ -3,10 +3,16 @@ import pytest
 from kummer.catalog import catalog
 from kummer.exactalg import IntPolynomial
 from kummer.repring import quotient_poincare
+from kummer import strata, toruslat
+from kummer.exactalg import det_one_plus_t
+from kummer.groupcore import generate_group, subgroup_class_poset
 from kummer.strata import (
     MalformedLedger,
+    _element_permutations,
     _fixed_arrangement,
+    _moebius_trace,
     _strict_supersets,
+    _trace_memo,
     assemble_from_ledger,
     assemble_resolution_poincare,
     open_stratum_virtual,
@@ -311,12 +317,133 @@ class TestBasisIndependence:
                                          996, 592, 276, 111, 40, 13, 4, 1)
 
 
+# perfbench/workloads.py bases: s4_standard_d2 under seed 7 (points) and
+# natural_s4_d2 under seed 63 (members of rank up to 3)
+SEEDED_BASES = {
+    "s4_standard_d2/7": (
+        [((0, 1, -1), (0, 1, 0), (-1, 1, 0)),
+         ((1, 0, -1), (4, 1, -3), (3, 1, -3))], 2),
+    "natural_s4_d2/63": (
+        [((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (1, -1, 0, 1)),
+         ((1, 0, 0, 1), (1, 0, 0, 0), (-1, 1, 1, -1), (-2, 0, 1, -2))], 2),
+}
+
+
+@pytest.fixture(scope="module")
+def seeded_actions():
+    return {name: generate_group(gens, d=d)
+            for name, (gens, d) in SEEDED_BASES.items()}
+
+
+def per_member_trace(action, subtorus, deeper, supersets, family, images, n):
+    """The Moebius trace with one determinant per fixed deeper member."""
+    power = 2 * action.d
+    total = det_one_plus_t(subtorus.induced_lattice_matrix(n), power)
+    fixed = sorted((i for i in deeper if images[i] == i),
+                   key=lambda i: -family[i].rank)
+    coeff = {}
+    for i in fixed:
+        coeff[i] = 1 - sum(coeff[j] for j in supersets[i] if j in coeff)
+        eta = family[i].induced_lattice_matrix(n)
+        total = total - coeff[i] * det_one_plus_t(eta, power)
+    return total
+
+
+class TestPerNormalWork:
+    """The work keyed by Hermite normal agrees with the per-member work it
+    replaces."""
+
+    def test_transport_matches_apply_matrix(self, actions, seeded_actions):
+        ranks = set()
+        for name, action in {**actions, **seeded_actions}.items():
+            family, _ = _fixed_arrangement(action)
+            ranks.update(t.rank for t in family)
+            for t in family:
+                for g in action.elements:
+                    assert t.image_key(g) == t.apply_matrix(g).key, name
+        assert ranks == {0, 1, 2, 3}
+
+    def test_family_order_is_the_fraction_order(self, actions, seeded_actions):
+        for name, action in {**actions, **seeded_actions}.items():
+            family, _ = _fixed_arrangement(action)
+            by_fraction = sorted(family, key=lambda t: (-t.rank, t.normal, t.shifts))
+            assert family == by_fraction, name
+
+    @pytest.mark.parametrize("name", ["octahedral_s4_sl3", "s4_standard_d2"])
+    def test_moebius_per_normal_matches_per_member(self, name, actions):
+        action = actions[name]
+        family, isotropy = _fixed_arrangement(action)
+        perms = _element_permutations(action, family)
+        supersets = _strict_supersets(family, isotropy)
+        subsets = [[i for i, above in enumerate(supersets) if j in above]
+                   for j in range(len(family))]
+        trace = _trace_memo(action)
+        whole = toruslat.AffineSubtorus.whole_torus(action.r, 2 * action.d)
+        everything = list(range(len(family)))
+        checked = 0
+        for n in action.elements:  # the open stratum's Weyl group is G
+            assert _moebius_trace(whole, everything, supersets, family, perms[n],
+                                  n, trace) == per_member_trace(
+                action, whole, everything, supersets, family, perms[n], n)
+            checked += 1
+        for cls in subgroup_class_poset(action).classes[1:]:
+            members = [i for i, h in enumerate(isotropy) if h == cls.representative]
+            for coset in cls.weyl_cosets:
+                n = coset[0]
+                for i in members:
+                    if perms[n][i] != i:
+                        continue
+                    args = (subsets[i], supersets, family, perms[n], n)
+                    assert _moebius_trace(family[i], *args, trace) == \
+                        per_member_trace(action, family[i], *args)
+                    checked += 1
+        assert checked > len(action.elements)
+
+    def test_corrupted_transport_is_inconsistent(self, monkeypatch):
+        action = catalog("s4_standard_d2")
+        family, _ = _fixed_arrangement(action)
+        section = toruslat._section
+
+        def corrupted(rows, r):
+            return tuple(tuple(2 * x for x in row) for row in section(rows, r))
+
+        monkeypatch.setattr(toruslat, "_section", corrupted)
+        toruslat._transport.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError):
+                family[0].image_key(action.generators[0])
+        finally:
+            toruslat._transport.cache_clear()
+
+    def test_work_is_counted_per_normal(self, monkeypatch):
+        # one stratify(s4_standard_d2): 314 members, 14 normals, 2
+        # generators; the Moebius step meets 9,204 fixed deeper members
+        action = catalog("s4_standard_d2")
+        family, _ = _fixed_arrangement(action)
+        normals = {t.normal for t in family}
+        assert (len(family), len(normals), len(action.generators)) == (314, 14, 2)
+        traces = []
+
+        def counted(m, power=1):
+            traces.append(m)
+            return det_one_plus_t(m, power)
+
+        monkeypatch.setattr(strata, "det_one_plus_t", counted)
+        toruslat._transport.cache_clear()
+        toruslat._induced_matrix.cache_clear()
+        stratify(action)
+        assert len(traces) <= 120
+        assert toruslat._induced_matrix.cache_info().misses <= 120
+        assert toruslat._transport.cache_info().misses <= 2 * 14
+
+
 OPTIMIZED_SCRIPT = """
 import sys
 from kummer import strata
 from kummer.catalog import catalog
 from kummer.exactalg import ConsistencyError, IntPolynomial
 from kummer.groupcore import SubgroupClassPoset
+from kummer import toruslat
 from kummer.toruslat import AffineSubtorus
 
 if not sys.flags.optimize:
@@ -326,6 +453,14 @@ try:  # an annihilator that is not saturated
     AffineSubtorus(2, 1, ((2, 0),), 1, ((0,),)).scaled_points()
 except ConsistencyError:
     raised.append("saturation")
+section = toruslat._section
+toruslat._section = lambda rows, r: tuple(
+    tuple(2 * x for x in row) for row in section(rows, r))
+try:  # a change of rows that is not unimodular
+    toruslat._transport(((1, 0), (0, 1)), ((0, -1), (1, 1)))
+except ConsistencyError:
+    raised.append("transport")
+toruslat._section = section
 strata.quotient_poincare = lambda action: IntPolynomial([1])
 try:  # strata that cannot sum to the quotient polynomial
     strata.stratify(catalog("z6_sl2"))
@@ -355,7 +490,8 @@ def test_checks_survive_optimized_mode():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["saturation", "partition", "orbit-stabilizer"]
+    assert out.stdout.split() == ["saturation", "transport", "partition",
+                                  "orbit-stabilizer"]
 
 
 class TestLedger:
