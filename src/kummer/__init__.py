@@ -26,7 +26,6 @@ from .exactalg import (
 from .groupcore import (
     AbstractGroup,
     IntegralAction,
-    element_conjugacy_classes,
     generate_group,
     subgroup_class_poset,
     weyl_action_on_classes,
@@ -53,10 +52,8 @@ from .toruslat import (
     component_count,
     fix_locus,
     generic_isotropy,
-    intersect,
     isolated_count,
     orbifold_euler,
-    subtorus_contains,
     torsion_oracle,
 )
 from .mckay import (
@@ -71,8 +68,6 @@ from .strata import (
     StrataReport,
     Stratum,
     assemble_from_ledger,
-    assemble_resolution_poincare,
-    open_stratum_virtual,
     stratify,
     stratum_closure_quotient_poincare,
 )

@@ -58,12 +58,12 @@ class JobSpec:
 
     __slots__ = (
         "mode", "catalog_name", "input_path", "d", "oracle", "equivariant",
-        "fmt", "max_group_order", "max_enumeration",
+        "max_group_order", "max_enumeration",
     )
 
     def __init__(self, mode, catalog_name=None, input_path=None, d=None,
-                 oracle=None, equivariant=False, fmt="text",
-                 max_group_order=10_000, max_enumeration=10_000_000):
+                 oracle=None, equivariant=False, max_group_order=10_000,
+                 max_enumeration=10_000_000):
         if mode not in ("integral", "analytic", "ledger"):
             raise InputError(f"unknown mode {mode!r}")
         if (catalog_name is None) == (input_path is None):
@@ -76,7 +76,6 @@ class JobSpec:
         self.d = d
         self.oracle = oracle
         self.equivariant = equivariant
-        self.fmt = fmt
         self.max_group_order = max_group_order
         self.max_enumeration = max_enumeration
 
@@ -196,10 +195,18 @@ def _integral_from_file(doc, d_override, cap) -> IntegralAction:
     )
 
 
-def _analytic_from_file(doc):
+def _within_cap(group, cap):
+    """The group, or the error its closure under ``cap`` would raise: the
+    catalog closes its groups without the cap."""
+    if group.order > cap:
+        raise NotFiniteWithinCap(f"group closure exceeds cap {cap}")
+    return group
+
+
+def _analytic_from_file(doc, cap):
     try:
         gens = [tuple(int(x) for x in g) for g in doc["generators"]]
-        group = AbstractGroup(gens, label=str(doc.get("name", "input")))
+        group = AbstractGroup(gens, label=str(doc.get("name", "input")), cap=cap)
         per_class = {}
         for row in doc["class_data"]:
             rep = tuple(int(x) for x in row["representative"])
@@ -213,6 +220,8 @@ def _analytic_from_file(doc):
         data = AnalyticEigenData(
             group, tuple(per_class[i] for i in range(len(classes)))
         )
+    except NotFiniteWithinCap:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad analytic spec: {exc}") from None
     constraints = []
@@ -264,7 +273,8 @@ def _resolve_integral_action(job) -> IntegralAction:
     if job.catalog_name is not None:
         if catalog_kind(job.catalog_name) != "integral":
             raise InputError(f"{job.catalog_name} is not an integral entry")
-        return catalog_build(job.catalog_name, d=job.d)
+        return _within_cap(catalog_build(job.catalog_name, d=job.d),
+                           job.max_group_order)
     return _integral_from_file(_load_json(job.input_path), job.d, job.max_group_order)
 
 
@@ -353,11 +363,12 @@ def _run_analytic(job: JobSpec) -> Report:
         if catalog_kind(job.catalog_name) != "analytic":
             raise InputError(f"{job.catalog_name} is not an analytic entry")
         group, exps = catalog_build(job.catalog_name)
-        data = AnalyticEigenData(group, exps)
+        data = AnalyticEigenData(_within_cap(group, job.max_group_order), exps)
         constraints = [("symplectic_resolution_count",
                         tetrahedral_obstruction_constraint())]
     else:
-        data, constraints = _analytic_from_file(_load_json(job.input_path))
+        data, constraints = _analytic_from_file(_load_json(job.input_path),
+                                                job.max_group_order)
     group = data.group
 
     rows = []
@@ -499,7 +510,7 @@ def main(argv=None) -> int:
         job = JobSpec(
             args.mode, catalog_name=args.catalog, input_path=args.input,
             d=args.d, oracle=args.oracle, equivariant=args.equivariant,
-            fmt=args.format, max_group_order=args.max_group_order,
+            max_group_order=args.max_group_order,
             max_enumeration=args.max_enumeration,
         )
         report = run(job)

@@ -395,16 +395,6 @@ class AbstractGroup(FiniteGroup):
         return f"AbstractGroup({self.label!r}, order={self.order})"
 
 
-def element_conjugacy_classes(group: FiniteGroup) -> tuple[tuple, ...]:
-    """Partition of the elements into conjugacy classes.
-
-    >>> z6 = generate_group([((0, -1), (1, 1))])
-    >>> len(element_conjugacy_classes(z6))
-    6
-    """
-    return group.conjugacy_classes()
-
-
 class SubgroupClass:
     """One conjugacy class of subgroups with its normalizer data."""
 

@@ -5,28 +5,29 @@ one per conjugacy class of occurring isotropy groups.  Everything is
 computed upstairs, on the torus, with exact equivariant bookkeeping:
 
 * the arrangement ("the family") is the set of components of Fix(H) for
-  every subgroup H ≠ 1, taken from the subgroup lattice;
+  every subgroup H, taken from the subgroup lattice.  Fix(1) is the whole
+  torus, so the open stratum is the stratum of the trivial group;
 * each component's pointwise stabilizer is read off the same walk: it is
   the largest subgroup whose fixed locus has the component among its
-  components.  These stabilizers single out the strata, and the
-  normalizer orbits of components give the downstairs components;
+  components.  These stabilizers single out the strata;
 * containment is read off the lattice too: a member strictly containing
   a member t has a stabilizer H strictly inside t's, and is the component
   of Fix(H) through t, so it is found by key, with no pairwise test;
 * the group permutes the members: a generator carries a member's normal
   and shifts along one unimodular change of rows that depends on the
-  normal only, so the images are keys computed per normal, not subtori
-  rebuilt per member;
-* on each orbit representative, the points with strictly larger isotropy
-  form a union of family members, and an inclusion-exclusion over the
-  poset of members fixed by a Weyl element yields that element's trace
-  on the cohomology (with compact supports) of the open part.  A
-  member's torus trace depends only on its normal, so the
-  inclusion-exclusion coefficients are summed per normal and each
-  (normal, element) trace is computed once per stratification;
-* averaging traces over the stabilizer computes the quotient polynomial
-  of the stratum, and weighting by the fiber polynomial first computes
-  the stratum of the resolution.
+  normal only, so the images are keys computed per normal;
+* the members of one G-orbit whose isotropy is exactly H form one orbit
+  of the normalizer of H, so one labelling of the G-orbits gives each
+  stratum's orbits (the downstairs components) and the closure nodes;
+* on each member, the points with strictly larger isotropy form a union
+  of family members, and an inclusion-exclusion over the members fixed
+  by a Weyl element yields that element's trace on the cohomology (with
+  compact supports) of the open part.  It is taken once per (Weyl coset,
+  member it fixes), with each (normal, element) torus trace computed
+  once per stratification;
+* averaging a representative's traces over its stabilizer computes the
+  quotient polynomial of its orbit, and weighting by the fiber polynomial
+  first computes its share of the resolution.
 
 Summing the unweighted strata must reproduce the quotient polynomial,
 and the weighted total evaluated at -1 must match the orbifold Euler
@@ -47,7 +48,6 @@ from .mckay import FiberPolynomial, fiber_poincare_equivariant
 from .repring import quotient_poincare
 from .toruslat import (
     DEFAULT_ENUMERATION_BUDGET,
-    AffineSubtorus,
     EnumerationTooLarge,
     _induced_matrix,
     _reduced,
@@ -163,15 +163,16 @@ class StrataReport:
 
 def _fixed_arrangement(action: IntegralAction,
                        budget: int = DEFAULT_ENUMERATION_BUDGET):
-    """The canonical components of Fix(H) for the subgroups H ≠ 1, and
-    the pointwise stabilizer of each, as ``(family, isotropy)``.
+    """The canonical components of Fix(H) for every subgroup H, and the
+    pointwise stabilizer of each, as ``(family, isotropy)``.
 
-    A component of an intersection of fixed loci is a component of the
-    fixed locus of the subgroup the elements generate, so this is the
-    closure of the element fixed loci under intersection.  A component C
-    of Fix(H) is a component of Fix(K) exactly for the K with
-    H ≤ K ≤ Iso(C); subgroups come in increasing order, so the last one
-    whose fixed locus yields C is C's pointwise stabilizer Iso(C).
+    Fix(1) is the whole torus, which sorts first: member 0, with isotropy
+    the trivial group.  A component of an intersection of fixed loci is a
+    component of the fixed locus of the subgroup the elements generate,
+    so this is the closure of the element fixed loci under intersection.
+    A component C of Fix(H) is a component of Fix(K) exactly for the K
+    with H ≤ K ≤ Iso(C); subgroups come in increasing order, so the last
+    one whose fixed locus yields C is C's pointwise stabilizer Iso(C).
 
     ``budget`` bounds each fixed locus's component enumeration, and also
     the family times |G|, the size of the element permutations that
@@ -181,7 +182,7 @@ def _fixed_arrangement(action: IntegralAction,
     denominator.
     """
     seen: dict = {}
-    for sub in action.all_subgroups()[1:]:
+    for sub in action.all_subgroups():
         for comp in fix_locus(action, sub, budget=budget):
             seen[comp.key] = (comp, sub)
         if len(seen) * action.order > budget:
@@ -314,12 +315,39 @@ def _trace_memo(action):
     return trace
 
 
+def _orbit_labels(action, perms):
+    """For each member, the least index in its G-orbit, walked along the
+    generators' permutations only."""
+    steps = [perms[g] for g in action.generators]
+    label = [None] * len(steps[0])
+    for start in range(len(label)):
+        if label[start] is None:
+            label[start] = start
+            frontier = [start]
+            while frontier:
+                i = frontier.pop()
+                for images in steps:
+                    j = images[i]
+                    if label[j] is None:
+                        label[j] = start
+                        frontier.append(j)
+    return label
+
+
+def _average(total: IntPolynomial, count: int) -> IntPolynomial:
+    """total / count, which must be exact."""
+    if any(c % count for c in total.coeffs):
+        raise ConsistencyError(f"{total} does not average over {count} cosets")
+    return total.divide_exact(count)
+
+
 def stratify(action: IntegralAction,
              budget: int = DEFAULT_ENUMERATION_BUDGET) -> StrataReport:
     """Full isotropy stratification with per-stratum polynomials.
 
-    ``budget`` bounds the component enumeration of each fixed locus;
-    :class:`~kummer.toruslat.EnumerationTooLarge` is raised beyond it.
+    ``budget`` bounds the component enumeration of each fixed locus, and
+    the family times |G|; :class:`~kummer.toruslat.EnumerationTooLarge`
+    is raised beyond it.
 
     >>> from .catalog import catalog
     >>> report = stratify(catalog("z6_sl2"))
@@ -328,9 +356,9 @@ def stratify(action: IntegralAction,
     """
     poset = subgroup_class_poset(action)
     family, isotropy = _fixed_arrangement(action, budget)
-    whole = AffineSubtorus.whole_torus(action.r, 2 * action.d)
     perms = _element_permutations(action, family)
     trace = _trace_memo(action)
+    label = _orbit_labels(action, perms)
 
     # strict containments: supersets[i] = indices of members strictly above i,
     # subsets[j] = indices of members strictly inside j
@@ -345,123 +373,84 @@ def stratify(action: IntegralAction,
     for i, h in enumerate(isotropy):
         by_subgroup.setdefault(h, []).append(i)
 
-    # one stratum per occurring class of isotropy groups, after the open
-    # stratum of classes[0], the trivial group; the family is stable under
-    # the group, so every occurring class representative occurs itself
-    occurring = sorted({poset.class_of(h) for h in by_subgroup})
-    entries = [(poset.classes[0], None)] + [
-        (poset.classes[c], by_subgroup[poset.classes[c].representative])
-        for c in occurring
-    ]
-
+    # one stratum per occurring class of isotropy groups, the open stratum
+    # of the trivial group first; the family is stable under the group, so
+    # every occurring class representative occurs itself
     strata = []
-    rep_indices = []  # family index of each orbit representative, per stratum
+    reps = []  # family index of each orbit representative, over all strata
     label_count: dict[int, int] = {}
+    zero = IntPolynomial.zero()
 
-    for cls, comp_indices in entries:
-        trivial = comp_indices is None
+    occurring = sorted({poset.class_of(h) for h in by_subgroup})
+    for cls in (poset.classes[k] for k in occurring):
         subgroup, weyl_cosets = cls.representative, cls.weyl_cosets
-        # coset_maps[c][k]: the component that coset c sends component k to
-        if trivial:
-            components = [whole]
-            coset_maps = [(0,)] * len(weyl_cosets)
-        else:
-            components = [family[i] for i in comp_indices]
-            member_index = {i: k for k, i in enumerate(comp_indices)}
-            coset_maps = [
-                tuple(member_index[perms[coset[0]][i]] for i in comp_indices)
-                for coset in weyl_cosets
-            ]
+        members = by_subgroup[subgroup]
+        # table[c][i]: the trace of Weyl coset c on the open part of member
+        # i, for each member i that c fixes
+        table = [
+            {i: _moebius_trace(family[i], subsets[i], supersets, family,
+                               perms[n], n, trace)
+             for i in members if perms[n][i] == i}
+            for n in (coset[0] for coset in weyl_cosets)
+        ]
 
-        # orbits of the normalizer on the components
-        unassigned = set(range(len(components)))
-        orbits_idx = []
-        while unassigned:
-            start = min(unassigned)
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                cur = frontier.pop()
-                for images in coset_maps:
-                    k = images[cur]
-                    if k not in orbit:
-                        orbit.add(k)
-                        frontier.append(k)
-            unassigned -= orbit
-            orbits_idx.append(sorted(orbit))
+        # the members of one G-orbit whose isotropy is exactly H form one
+        # orbit of its normalizer
+        orbit_members: dict[int, list[int]] = {}
+        for i in members:
+            orbit_members.setdefault(label[i], []).append(i)
 
         fiber = fiber_poincare_equivariant(action, subgroup, weyl_cosets, action.d)
         orbits = []
-        for orbit in orbits_idx:
-            k0 = orbit[0]
-            rep_torus = components[k0]
+        for orbit in orbit_members.values():
+            rep = orbit[0]
             # stabilizer of the representative inside the Weyl group
-            stab = [c for c, images in enumerate(coset_maps) if images[k0] == k0]
+            stab = [c for c, row in enumerate(table) if rep in row]
             if len(stab) * len(orbit) != len(weyl_cosets):
                 raise ConsistencyError(
                     f"orbit of size {len(orbit)} and stabilizer of order "
                     f"{len(stab)} in a Weyl group of order {len(weyl_cosets)}"
                 )
-            deeper = list(range(len(family))) if trivial else subsets[comp_indices[k0]]
-            y_sum = IntPolynomial.zero()
-            x_sum = IntPolynomial.zero()
-            for c in stab:
-                n = weyl_cosets[c][0]
-                open_trace = _moebius_trace(
-                    rep_torus, deeper, supersets, family, perms[n], n, trace
-                )
-                y_sum = y_sum + open_trace
-                x_sum = x_sum + open_trace * fiber.values[c]
+            y_sum = sum((table[c][rep] for c in stab), zero)
+            x_sum = sum((table[c][rep] * fiber.values[c] for c in stab), zero)
             orbits.append(ComponentOrbit(
-                rep_torus, tuple(components[i] for i in orbit),
+                family[rep], tuple(family[i] for i in orbit),
                 tuple(weyl_cosets[c] for c in stab),
                 FiberPolynomial(
                     fiber.plain, fiber.class_ages,
                     [fiber.values[c] for c in stab],
                     [fiber.characters[c] for c in stab],
                 ),
-                y_sum.divide_exact(len(stab)), x_sum.divide_exact(len(stab)),
+                _average(y_sum, len(stab)), _average(x_sum, len(stab)),
             ))
+            reps.append(rep)
 
-        if not trivial:
-            _check_frobenius(
-                comp_indices, weyl_cosets, coset_maps, family,
-                supersets, subsets, perms, orbits, trace,
-            )
+        # over all members and the whole Weyl group, each orbit's traces
+        # add up to |W| times its average
+        table_sum = sum((t for row in table for t in row.values()), zero)
+        if table_sum != len(weyl_cosets) * sum((o.y_poly for o in orbits), zero):
+            raise ConsistencyError("orbit/stabilizer bookkeeping is inconsistent")
 
         order = len(subgroup)
         label_count[order] = label_count.get(order, 0) + 1
         suffix = chr(ord("a") + label_count[order] - 1)
-        label = "1" if trivial else f"o{order}{suffix}"
         strata.append(Stratum(
-            subgroup, label, cls.size, len(weyl_cosets),
-            components[0].rank if components else 0,
-            tuple(orbits), fiber.plain,
+            subgroup, "1" if order == 1 else f"o{order}{suffix}", cls.size,
+            len(weyl_cosets), family[members[0]].rank, tuple(orbits), fiber.plain,
         ))
-        rep_indices.append([
-            -1 if trivial else comp_indices[orbit[0]] for orbit in orbits_idx
-        ])
 
     quotient = quotient_poincare(action)
-    resolution = sum((s.x_poly for s in strata), IntPolynomial.zero())
+    resolution = sum((s.x_poly for s in strata), zero)
 
     # closure poset: orbit node a lies in the closure of orbit node b when
     # some G-translate of b's representative strictly contains a's.  The
-    # orbit nodes are the G-orbits of members, so the nodes above a are
-    # node 0 (the open stratum, whose representative -1 is the whole torus)
-    # and the nodes of the members strictly containing a's representative
-    nodes = [(si, oi) for si, reps in enumerate(rep_indices)
-             for oi in range(len(reps))]
-    reps = [rep for reps in rep_indices for rep in reps]
-    node_of = {}
-    for b, rep in enumerate(reps):
-        if rep >= 0:
-            for perm in perms.values():
-                node_of[perm[rep]] = b
+    # orbit nodes are the G-orbits of members, named by their labels
+    nodes = [(si, oi) for si, s in enumerate(strata) for oi in range(len(s.orbits))]
+    node_of = {label[rep]: b for b, rep in enumerate(reps)}
     edges = [
         (nodes[b], nodes[a])
-        for a, rep in enumerate(reps) if rep >= 0
-        for b in sorted({0, *(node_of[j] for j in supersets[rep])})
+        for a, rep in enumerate(reps)
+        for b in sorted({node_of[label[j]] for j in supersets[rep]})
     ]
 
     report = StrataReport(action, tuple(strata), quotient, resolution, tuple(edges))
@@ -470,25 +459,6 @@ def stratify(action: IntegralAction,
             f"strata sum to {report.y_total}, not the quotient polynomial {quotient}"
         )
     return report
-
-
-def _check_frobenius(comp_indices, weyl_cosets, coset_maps, family,
-                     supersets, subsets, perms, orbits, trace):
-    """Summing over all components with the full Weyl group must agree
-    with summing orbit representatives over their stabilizers."""
-    y_alt = IntPolynomial.zero()
-    for coset, images in zip(weyl_cosets, coset_maps):
-        n = coset[0]
-        for k, i in enumerate(comp_indices):
-            if images[k] != k:
-                continue
-            y_alt = y_alt + _moebius_trace(
-                family[i], subsets[i], supersets, family, perms[n], n, trace
-            )
-    y_alt = y_alt.divide_exact(len(weyl_cosets))
-    y_orbits = sum((o.y_poly for o in orbits), IntPolynomial.zero())
-    if y_alt != y_orbits:
-        raise ConsistencyError("orbit/stabilizer bookkeeping is inconsistent")
 
 
 def stratum_closure_quotient_poincare(orbit: ComponentOrbit, d: int) -> IntPolynomial:
@@ -504,28 +474,6 @@ def stratum_closure_quotient_poincare(orbit: ComponentOrbit, d: int) -> IntPolyn
         eta = orbit.representative.induced_lattice_matrix(coset[0])
         total = total + det_one_plus_t(eta, power)
     return total.divide_exact(len(orbit.stabilizer_cosets))
-
-
-def open_stratum_virtual(stratum: Stratum, fiber_weighted: bool = False) -> IntPolynomial:
-    """Virtual polynomial of the open part of a stratum, downstairs.
-
-    With ``fiber_weighted`` the resolution fiber multiplies each Weyl
-    trace first, giving the stratum's share of the resolution polynomial.
-    """
-    return stratum.x_poly if fiber_weighted else stratum.y_poly
-
-
-def assemble_resolution_poincare(action: IntegralAction) -> IntPolynomial:
-    """Poincaré polynomial predicted for a crepant resolution of the quotient.
-
-    Valid under the locally-product and McKay hypotheses on the
-    resolution, which are assumptions of the computation, not conclusions.
-
-    >>> from .catalog import catalog
-    >>> print(assemble_resolution_poincare(catalog("octahedral_s4_sl3")))
-    1 + 20*t^2 + 14*t^3 + 20*t^4 + t^6
-    """
-    return stratify(action).resolution
 
 
 # ---------------------------------------------------------------------------

@@ -458,15 +458,6 @@ def isolated_count(action: IntegralAction, g) -> int:
     return abs(det) ** (2 * action.d)
 
 
-def subtorus_contains(s1: AffineSubtorus, s2: AffineSubtorus) -> bool:
-    """Whether s1 is contained in s2 (both in a common ambient torus)."""
-    return s2.contains(s1)
-
-
-def intersect(s1: AffineSubtorus, s2: AffineSubtorus):
-    return s1.intersect(s2)
-
-
 def generic_isotropy(action: IntegralAction, s: AffineSubtorus) -> frozenset:
     """The subgroup fixing the component pointwise.
 

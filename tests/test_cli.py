@@ -132,6 +132,25 @@ class TestIntegralRun:
         assert all("orbit_detail" in s for s in report.payload["strata"])
 
 
+D6_ANALYTIC = {
+    "name": "d6",
+    "generators": [[1, 0, 2], [1, 2, 0]],
+    "class_data": [
+        {"representative": [0, 1, 2],
+         "exponents": [[0, 1], [0, 1], [0, 1], [0, 1]]},
+        {"representative": [1, 0, 2],
+         "exponents": [[0, 1], [0, 1], [1, 2], [1, 2]]},
+        {"representative": [1, 2, 0],
+         "exponents": [[1, 3], [1, 3], [2, 3], [2, 3]]},
+    ],
+    "constraints": [
+        {"label": "components",
+         "unknowns": {"m": [1, 81]},
+         "conditions": {"m": ["power_of_2", "power_of_3"]}},
+    ],
+}
+
+
 class TestAnalyticRun:
     def test_binary_tetrahedral(self):
         report = run(JobSpec("analytic", catalog_name="binary_tetrahedral"))
@@ -145,25 +164,8 @@ class TestAnalyticRun:
         assert report.passed
 
     def test_analytic_input_file(self, tmp_path):
-        doc = {
-            "name": "d6",
-            "generators": [[1, 0, 2], [1, 2, 0]],
-            "class_data": [
-                {"representative": [0, 1, 2],
-                 "exponents": [[0, 1], [0, 1], [0, 1], [0, 1]]},
-                {"representative": [1, 0, 2],
-                 "exponents": [[0, 1], [0, 1], [1, 2], [1, 2]]},
-                {"representative": [1, 2, 0],
-                 "exponents": [[1, 3], [1, 3], [2, 3], [2, 3]]},
-            ],
-            "constraints": [
-                {"label": "components",
-                 "unknowns": {"m": [1, 81]},
-                 "conditions": {"m": ["power_of_2", "power_of_3"]}},
-            ],
-        }
         path = tmp_path / "d6.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(D6_ANALYTIC))
         report = run(JobSpec("analytic", input_path=str(path)))
         payload = report.payload
         assert payload["classification"] == "TypeA(2)"
@@ -296,7 +298,8 @@ class TestMainEntryPoint:
 
     def test_enumeration_budget_bounds_the_family(self, capsys):
         # every fixed locus has at most 256 components, but the family of
-        # 314 members times |G| = 24 is 7,536 permutation entries
+        # 315 members (the whole torus among them) times |G| = 24 is 7,560
+        # permutation entries
         assert main(["--catalog", "s4_standard_d2", "--max-enumeration", "5000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: component enumeration exceeds budget 5000")
@@ -336,6 +339,23 @@ class TestMainEntryPoint:
         assert out.returncode == 2, out.stderr
         assert out.stderr.startswith("error: ")
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("source, order", [
+        (["--catalog", "z6_sl2"], 6),
+        (["--mode", "analytic", "--catalog", "binary_tetrahedral"], 24),
+        (["--input", "z6.json"], 6),
+        (["--mode", "analytic", "--input", "d6.json"], 6),
+    ], ids=["integral_catalog", "analytic_catalog", "integral_input",
+            "analytic_input"])
+    def test_group_cap_in_every_mode(self, source, order, tmp_path, capsys,
+                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "z6.json").write_text(json.dumps({"matrices": [[[0, -1], [1, 1]]]}))
+        (tmp_path / "d6.json").write_text(json.dumps(D6_ANALYTIC))
+        assert main(source + ["--max-group-order", str(order - 1)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: group closure exceeds cap {order - 1}\n"
+        assert main(source + ["--max-group-order", str(order)]) == 0
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["--catalog", "z6_sl2"])

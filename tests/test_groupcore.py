@@ -25,7 +25,6 @@ from kummer.groupcore import (
     NotFiniteWithinCap,
     NotNormalizer,
     SpecialityViolation,
-    element_conjugacy_classes,
     generate_group,
     subgroup_class_poset,
     weyl_action_on_classes,
@@ -67,16 +66,16 @@ class TestGenerateGroup:
 
 class TestConjugacyClasses:
     def test_octahedral_five_classes(self):
-        assert len(element_conjugacy_classes(catalog("octahedral_s4_sl3"))) == 5
+        assert len(catalog("octahedral_s4_sl3").conjugacy_classes()) == 5
 
     def test_abelian_singletons(self):
         z6 = catalog("z6_sl2")
-        classes = element_conjugacy_classes(z6)
+        classes = z6.conjugacy_classes()
         assert len(classes) == 6
         assert all(len(c) == 1 for c in classes)
 
     def test_d8_five_classes(self):
-        assert len(element_conjugacy_classes(catalog("d8_b2"))) == 5
+        assert len(catalog("d8_b2").conjugacy_classes()) == 5
 
     def test_class_equation(self):
         for name in ["octahedral_s4_sl3", "d8_b2", "s4_standard_d2"]:

@@ -14,8 +14,6 @@ from kummer.strata import (
     _strict_supersets,
     _trace_memo,
     assemble_from_ledger,
-    assemble_resolution_poincare,
-    open_stratum_virtual,
     stratify,
     stratum_closure_quotient_poincare,
 )
@@ -164,14 +162,9 @@ class TestDihedralFourfolds:
 class TestGlobalInvariants:
     def test_partition_of_quotient(self, actions, reports):
         for name, report in reports.items():
-            total = sum((open_stratum_virtual(s) for s in report.strata),
-                        IntPolynomial.zero())
+            total = sum((s.y_poly for s in report.strata), IntPolynomial.zero())
             assert total == report.y_total == quotient_poincare(actions[name])
-            weighted = sum(
-                (open_stratum_virtual(s, fiber_weighted=True)
-                 for s in report.strata),
-                IntPolynomial.zero(),
-            )
+            weighted = sum((s.x_poly for s in report.strata), IntPolynomial.zero())
             assert weighted == report.resolution
 
     def test_euler_cross_check(self, actions, reports):
@@ -260,9 +253,10 @@ class TestLatticeConstruction:
             assert _strict_supersets(family, isotropy) == scan, name
 
     def test_a_missing_component_is_inconsistent(self, actions):
+        # member 0 is the whole torus; member 1 is a curve through points
         family, isotropy = _fixed_arrangement(actions["d8_b2"])
         with pytest.raises(ConsistencyError):
-            _strict_supersets(family[1:], isotropy[1:])
+            _strict_supersets(family[:1] + family[2:], isotropy[:1] + isotropy[2:])
 
     @pytest.mark.parametrize("name", ["octahedral_s4_sl3", "d8_b2", "s3_standard_d2"])
     def test_closure_edges_match_the_pairwise_definition(self, name, actions, reports):
@@ -361,7 +355,7 @@ class TestPerNormalWork:
             for t in family:
                 for g in action.elements:
                     assert t.image_key(g) == t.apply_matrix(g).key, name
-        assert ranks == {0, 1, 2, 3}
+        assert ranks == {0, 1, 2, 3, 4}
 
     def test_family_order_is_the_fraction_order(self, actions, seeded_actions):
         for name, action in {**actions, **seeded_actions}.items():
@@ -378,13 +372,14 @@ class TestPerNormalWork:
         subsets = [[i for i, above in enumerate(supersets) if j in above]
                    for j in range(len(family))]
         trace = _trace_memo(action)
-        whole = toruslat.AffineSubtorus.whole_torus(action.r, 2 * action.d)
-        everything = list(range(len(family)))
+        whole = family[0]
+        assert whole == toruslat.AffineSubtorus.whole_torus(action.r, 2 * action.d)
+        assert subsets[0] == list(range(1, len(family)))
         checked = 0
         for n in action.elements:  # the open stratum's Weyl group is G
-            assert _moebius_trace(whole, everything, supersets, family, perms[n],
+            assert _moebius_trace(whole, subsets[0], supersets, family, perms[n],
                                   n, trace) == per_member_trace(
-                action, whole, everything, supersets, family, perms[n], n)
+                action, whole, subsets[0], supersets, family, perms[n], n)
             checked += 1
         for cls in subgroup_class_poset(action).classes[1:]:
             members = [i for i, h in enumerate(isotropy) if h == cls.representative]
@@ -411,17 +406,17 @@ class TestPerNormalWork:
         toruslat._transport.cache_clear()
         try:
             with pytest.raises(ConsistencyError):
-                family[0].image_key(action.generators[0])
+                family[1].image_key(action.generators[0])
         finally:
             toruslat._transport.cache_clear()
 
     def test_work_is_counted_per_normal(self, monkeypatch):
-        # one stratify(s4_standard_d2): 314 members, 14 normals, 2
-        # generators; the Moebius step meets 9,204 fixed deeper members
+        # one stratify(s4_standard_d2): 315 members (the whole torus
+        # among them), 15 normals, 2 generators
         action = catalog("s4_standard_d2")
         family, _ = _fixed_arrangement(action)
         normals = {t.normal for t in family}
-        assert (len(family), len(normals), len(action.generators)) == (314, 14, 2)
+        assert (len(family), len(normals), len(action.generators)) == (315, 15, 2)
         traces = []
 
         def counted(m, power=1):
@@ -436,6 +431,115 @@ class TestPerNormalWork:
         assert toruslat._induced_matrix.cache_info().misses <= 120
         assert toruslat._transport.cache_info().misses <= 2 * 14
 
+
+def weyl_orbits(members, weyl_cosets, perms):
+    """Orbits of the Weyl group on the members with one exact isotropy, by
+    breadth-first search over the cosets' permutations; each orbit sorted,
+    the orbits ordered by least member."""
+    unassigned = set(members)
+    orbits = []
+    while unassigned:
+        start = min(unassigned)
+        orbit, frontier = {start}, [start]
+        while frontier:
+            i = frontier.pop()
+            for coset in weyl_cosets:
+                j = perms[coset[0]][i]
+                if j not in orbit:
+                    orbit.add(j)
+                    frontier.append(j)
+        unassigned -= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+class TestStratumLoop:
+    """One loop over the isotropy classes: orbits from one G-orbit
+    labelling, and one Moebius trace per fixed (Weyl coset, member) pair
+    feeding the orbit sums and the bookkeeping check."""
+
+    def test_orbits_match_the_weyl_coset_search(self, actions, seeded_actions):
+        for name, action in {**actions, **seeded_actions}.items():
+            family, isotropy = _fixed_arrangement(action)
+            perms = _element_permutations(action, family)
+            poset = subgroup_class_poset(action)
+            index_of = {t.key: i for i, t in enumerate(family)}
+            report = stratify(action)
+            for s in report.strata:
+                cls = poset.classes[poset.class_of(s.isotropy)]
+                members = [i for i, h in enumerate(isotropy) if h == s.isotropy]
+                expected = weyl_orbits(members, cls.weyl_cosets, perms)
+                got = [[index_of[m.key] for m in o.members] for o in s.orbits]
+                assert got == expected, (name, s.label)
+
+    def test_one_trace_per_fixed_pair(self, monkeypatch):
+        from collections import Counter
+
+        action = catalog("s4_standard_d2")
+        family, isotropy = _fixed_arrangement(action)
+        perms = _element_permutations(action, family)
+        pairs = Counter(
+            (coset[0], family[i].key)
+            for cls in subgroup_class_poset(action).classes
+            for coset in cls.weyl_cosets
+            for i, h in enumerate(isotropy)
+            if h == cls.representative and perms[coset[0]][i] == i
+        )
+        calls = Counter()
+        moebius = strata._moebius_trace
+
+        def counted(subtorus, deeper, supersets, family, images, n, trace):
+            calls[n, subtorus.key] += 1
+            return moebius(subtorus, deeper, supersets, family, images, n, trace)
+
+        monkeypatch.setattr(strata, "_moebius_trace", counted)
+        stratify(action)
+        assert calls == pairs
+        assert sum(calls.values()) == 315
+
+    def test_bookkeeping_is_checked(self, monkeypatch, reports):
+        action = catalog("octahedral_s4_sl3")
+        moved = next(o.members[1] for s in reports["octahedral_s4_sl3"].strata
+                     for o in s.orbits if o.size > 1)
+        moebius = strata._moebius_trace
+
+        def perturbed(subtorus, *args):
+            return moebius(subtorus, *args) + int(subtorus == moved)
+
+        monkeypatch.setattr(strata, "_moebius_trace", perturbed)
+        with pytest.raises(ConsistencyError, match="bookkeeping"):
+            stratify(action)
+
+    def test_orbit_count_is_checked(self, monkeypatch):
+        # z6_sl2 is abelian, so every member's isotropy group represents its
+        # class; a member that is not the least of its G-orbit is given a
+        # label of its own, which splits an orbit of its stratum
+        labels = strata._orbit_labels
+
+        def split(action, perms):
+            label = labels(action, perms)
+            i = next(i for i, least in enumerate(label) if least != i)
+            label[i] = i
+            return label
+
+        monkeypatch.setattr(strata, "_orbit_labels", split)
+        with pytest.raises(ConsistencyError, match="orbit of size"):
+            stratify(catalog("z6_sl2"))
+
+    def test_inexact_average_is_checked(self, monkeypatch):
+        # a non-generator element of z6_sl2 that moves members is made to fix
+        # them all, so its trace on the open stratum comes out wrong
+        action = catalog("z6_sl2")
+        n = next(g for g in action.elements
+                 if g != action.identity and g not in action.generators)
+        permutations = strata._element_permutations
+
+        def fixing(action, family):
+            return {**permutations(action, family), n: tuple(range(len(family)))}
+
+        monkeypatch.setattr(strata, "_element_permutations", fixing)
+        with pytest.raises(ConsistencyError, match="does not average"):
+            stratify(action)
 
 OPTIMIZED_SCRIPT = """
 import sys
@@ -461,6 +565,40 @@ try:  # a change of rows that is not unimodular
 except ConsistencyError:
     raised.append("transport")
 toruslat._section = section
+octa = catalog("octahedral_s4_sl3")
+moved = next(o.members[1] for s in strata.stratify(octa).strata
+             for o in s.orbits if o.size > 1)
+moebius = strata._moebius_trace
+strata._moebius_trace = lambda t, *args: moebius(t, *args) + int(t == moved)
+try:  # one non-representative member's traces perturbed
+    strata.stratify(octa)
+except ConsistencyError:
+    raised.append("bookkeeping")
+strata._moebius_trace = moebius
+labels = strata._orbit_labels
+
+def split(action, perms):
+    label = labels(action, perms)
+    i = next(i for i, least in enumerate(label) if least != i)
+    label[i] = i
+    return label
+
+strata._orbit_labels = split
+try:  # one member of an orbit labelled apart from the rest
+    strata.stratify(catalog("z6_sl2"))
+except ConsistencyError:
+    raised.append("orbit-count")
+strata._orbit_labels = labels
+z6 = catalog("z6_sl2")
+n = next(g for g in z6.elements if g != z6.identity and g not in z6.generators)
+permutations = strata._element_permutations
+strata._element_permutations = lambda action, family: {
+    **permutations(action, family), n: tuple(range(len(family)))}
+try:  # an element made to fix every member
+    strata.stratify(z6)
+except ConsistencyError:
+    raised.append("average")
+strata._element_permutations = permutations
 strata.quotient_poincare = lambda action: IntPolynomial([1])
 try:  # strata that cannot sum to the quotient polynomial
     strata.stratify(catalog("z6_sl2"))
@@ -490,7 +628,8 @@ def test_checks_survive_optimized_mode():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["saturation", "transport", "partition",
+    assert out.stdout.split() == ["saturation", "transport", "bookkeeping",
+                                  "orbit-count", "average", "partition",
                                   "orbit-stabilizer"]
 
 
@@ -553,6 +692,3 @@ class TestLedger:
         ]:
             with pytest.raises(MalformedLedger):
                 assemble_from_ledger(doc)
-
-    def test_assemble_resolution_helper(self):
-        assert assemble_resolution_poincare(catalog("z6_sl2")) == poly(1, 0, 22, 0, 1)
