@@ -5,8 +5,9 @@ one per conjugacy class of occurring isotropy groups.  Everything is
 computed upstairs, on the torus, with exact equivariant bookkeeping:
 
 * the arrangement ("the family") is the set of components of Fix(H) for
-  every subgroup H, taken from the subgroup lattice.  Fix(1) is the whole
-  torus, so the open stratum is the stratum of the trivial group;
+  every subgroup H, taken from the subgroup lattice and solved once per
+  lattice spanned by the rows of 1 - h.  Fix(1) is the whole torus, so
+  the open stratum is the stratum of the trivial group;
 * each component's pointwise stabilizer is read off the same walk: it is
   the largest subgroup whose fixed locus has the component among its
   components.  These stabilizers single out the strata;
@@ -22,8 +23,9 @@ computed upstairs, on the torus, with exact equivariant bookkeeping:
 * on each member, the points with strictly larger isotropy form a union
   of family members, and an inclusion-exclusion over the members fixed
   by a Weyl element yields that element's trace on the cohomology (with
-  compact supports) of the open part.  It is taken once per (Weyl coset,
-  member it fixes), with each (normal, element) torus trace computed
+  compact supports) of the open part.  A representative's traces are
+  taken once per conjugacy class of its stabilizer, any other member's
+  once per Weyl coset fixing it, and each (normal, element) torus trace
   once per stratification;
 * averaging a representative's traces over its stabilizer computes the
   quotient polynomial of its orbit, and weighting by the fiber polynomial
@@ -51,6 +53,7 @@ from .toruslat import (
     EnumerationTooLarge,
     _induced_matrix,
     _reduced,
+    _row_lattice,
     fix_locus,
 )
 
@@ -173,17 +176,25 @@ def _fixed_arrangement(action: IntegralAction,
     A component C of Fix(H) is a component of Fix(K) exactly for the K
     with H ≤ K ≤ Iso(C); subgroups come in increasing order, so the last
     one whose fixed locus yields C is C's pointwise stabilizer Iso(C).
+    Fix(H) depends only on the lattice spanned by the rows of 1 - h for h
+    in H, so ``fix_locus`` runs once per lattice (keyed by its Hermite
+    basis) and every subgroup with that lattice reuses its components.
 
-    ``budget`` bounds each fixed locus's component enumeration, and also
-    the family times |G|, the size of the element permutations that
-    :func:`stratify` builds on it; :class:`EnumerationTooLarge` is raised
-    as soon as the growing family passes it.  The family is sorted by
-    (-rank, normal, shifts), the shifts compared over one common
+    ``budget`` bounds each distinct fixed locus's component enumeration,
+    and also the family times |G|, the size of the element permutations
+    that :func:`stratify` builds on it; :class:`EnumerationTooLarge` is
+    raised as soon as the growing family passes it.  The family is sorted
+    by (-rank, normal, shifts), the shifts compared over one common
     denominator.
     """
     seen: dict = {}
+    loci: dict = {}  # row lattice -> components of its fixed locus
     for sub in action.all_subgroups():
-        for comp in fix_locus(action, sub, budget=budget):
+        rows = _row_lattice(action, sub)
+        comps = loci.get(rows)
+        if comps is None:
+            comps = loci[rows] = fix_locus(action, sub, budget=budget).components
+        for comp in comps:
             seen[comp.key] = (comp, sub)
         if len(seen) * action.order > budget:
             raise EnumerationTooLarge(
@@ -307,12 +318,36 @@ def _trace_memo(action):
     def trace(normal, n):
         value = traces.get((normal, n))
         if value is None:
-            value = traces[normal, n] = det_one_plus_t(
-                _induced_matrix(normal, action.r, n), power
-            )
+            try:
+                eta = _induced_matrix(normal, action.r, n)
+            except ValueError as exc:
+                raise ConsistencyError(f"{exc}: {n} on normal {normal}") from None
+            value = traces[normal, n] = det_one_plus_t(eta, power)
         return value
 
     return trace
+
+
+def _trace_table(action, weyl_cosets, orbits, perms, moebius):
+    """``table[c][i]``: the trace of Weyl coset c on the open part of each
+    member i of ``orbits`` that c fixes.  Conjugation by S, the union of a
+    representative's stabilizer cosets, fixes its open part, so its traces
+    are taken once per S-class of cosets; other members' once per coset."""
+    index, mult, inv = action._index_of, action._table, action._inv_of
+    coset_of = {index[g]: c for c, coset in enumerate(weyl_cosets) for g in coset}
+    ns = [coset[0] for coset in weyl_cosets]
+    table = [{} for _ in ns]
+    for rep, *others in orbits:
+        stab = [c for c, n in enumerate(ns) if perms[n][rep] == rep]
+        conjugators = [index[ns[c]] for c in stab]
+        for c, x in zip(stab, conjugators):
+            if rep not in table[c]:
+                value = moebius(rep, ns[c])
+                for s in conjugators:
+                    table[coset_of[mult[mult[s][x]][inv[s]]]][rep] = value
+        for c, n in enumerate(ns):
+            table[c].update((i, moebius(i, n)) for i in others if perms[n][i] == i)
+    return table
 
 
 def _orbit_labels(action, perms):
@@ -385,21 +420,15 @@ def stratify(action: IntegralAction,
     for cls in (poset.classes[k] for k in occurring):
         subgroup, weyl_cosets = cls.representative, cls.weyl_cosets
         members = by_subgroup[subgroup]
-        # table[c][i]: the trace of Weyl coset c on the open part of member
-        # i, for each member i that c fixes
-        table = [
-            {i: _moebius_trace(family[i], subsets[i], supersets, family,
-                               perms[n], n, trace)
-             for i in members if perms[n][i] == i}
-            for n in (coset[0] for coset in weyl_cosets)
-        ]
-
         # the members of one G-orbit whose isotropy is exactly H form one
         # orbit of its normalizer
         orbit_members: dict[int, list[int]] = {}
         for i in members:
             orbit_members.setdefault(label[i], []).append(i)
-
+        table = _trace_table(
+            action, weyl_cosets, orbit_members.values(), perms,
+            lambda i, n: _moebius_trace(family[i], subsets[i], supersets,
+                                        family, perms[n], n, trace))
         fiber = fiber_poincare_equivariant(action, subgroup, weyl_cosets, action.d)
         orbits = []
         for orbit in orbit_members.values():

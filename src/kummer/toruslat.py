@@ -408,8 +408,8 @@ def fix_locus(action: IntegralAction, subgroup,
               budget: int = DEFAULT_ENUMERATION_BUDGET) -> FixLocus:
     """Components of the common fixed locus of a set of group elements.
 
-    Raises :class:`EnumerationTooLarge` when there are more than
-    ``budget`` components to enumerate.
+    It is solved from :func:`_row_lattice`.  Raises
+    :class:`EnumerationTooLarge` beyond ``budget`` components.
 
     >>> from .catalog import catalog
     >>> octa = catalog("octahedral_s4_sl3")
@@ -417,20 +417,19 @@ def fix_locus(action: IntegralAction, subgroup,
     >>> len(fix_locus(octa, [g]))
     16
     """
-    elements = sorted(frozenset(subgroup) | {action.identity})
-    rows = []
-    ident = identity_matrix(action.r)
-    for h in elements:
-        if h == action.identity:
-            continue
-        rows.extend(mat_sub(ident, h))
-    # the fixed set depends only on the lattice the rows span, so its
-    # Hermite basis (at most r rows) stands in for the |H| - 1 blocks
-    rows = hermite_normal_form(rows, action.r)
+    rows = _row_lattice(action, subgroup)
     copies = 2 * action.d
     rhs = tuple((0,) * len(rows) for _ in range(copies))
     comps = solve_torus_system(rows, 1, rhs, action.r, copies, budget)
-    return FixLocus(comps, frozenset(elements))
+    return FixLocus(comps, frozenset(subgroup) | {action.identity})
+
+
+def _row_lattice(action: IntegralAction, subgroup):
+    """Hermite basis of the lattice spanned by the rows of 1 - h, h in
+    ``subgroup``: Fix(H) depends on it only, and it has at most r rows."""
+    ident = identity_matrix(action.r)
+    return hermite_normal_form([row for h in subgroup for row in mat_sub(ident, h)],
+                               action.r)
 
 
 def component_count(action: IntegralAction, g) -> int:

@@ -284,6 +284,28 @@ class TestMainEntryPoint:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_unpreserved_lattice_exit_one(self, monkeypatch, capsys):
+        import kummer.strata
+        from kummer.catalog import catalog
+
+        # a non-generator element leading its conjugacy class is made to fix
+        # every member, so the open stratum's trace asks for its matrix on
+        # a tangent lattice it moves
+        action = catalog("octahedral_s4_sl3")
+        n = next(cls[0] for cls in action.conjugacy_classes()[1:]
+                 if cls[0] not in action.generators)
+        permutations = kummer.strata._element_permutations
+        monkeypatch.setattr(
+            kummer.strata, "_element_permutations",
+            lambda action, family: {**permutations(action, family),
+                                    n: tuple(range(len(family)))})
+        assert main(["--catalog", "octahedral_s4_sl3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal inconsistency: matrix does not "
+                              "preserve the lattice")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_natural_s3_on_abelian_surface(self, capsys):
         # Hilb^3 of an abelian surface, by Goettsche's formula: b1 = 4 on the
         # quotient and on its crepant resolution alike

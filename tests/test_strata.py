@@ -252,6 +252,34 @@ class TestLatticeConstruction:
             ]
             assert _strict_supersets(family, isotropy) == scan, name
 
+    def test_one_solve_per_lattice_matches_one_per_subgroup(self, actions,
+                                                             seeded_actions):
+        for name, action in {**actions, **seeded_actions}.items():
+            family, isotropy = _fixed_arrangement(action)
+            got = {t.key: h for t, h in zip(family, isotropy)}
+            assert len(got) == len(family), name
+            assert got == per_subgroup_arrangement(action), name
+
+    @pytest.mark.parametrize("name, lattices", [("s4_standard_d2", 15), ("d8_b2", 7)])
+    def test_one_fixed_locus_per_row_lattice(self, name, lattices, actions,
+                                             monkeypatch):
+        # distinct row lattices give distinct fixed loci (a lattice is the
+        # annihilator of its fixed locus), so count the loci
+        action = actions[name]
+        loci = {frozenset(c.key for c in fix_locus(action, sub))
+                for sub in action.all_subgroups()}
+        solved = []
+
+        def counted(action, sub, budget):
+            result = fix_locus(action, sub, budget=budget)
+            solved.append(frozenset(c.key for c in result))
+            return result
+
+        monkeypatch.setattr(strata, "fix_locus", counted)
+        _fixed_arrangement(action)
+        assert len(solved) == len(set(solved)) == len(loci) == lattices
+        assert set(solved) == loci
+
     def test_a_missing_component_is_inconsistent(self, actions):
         # member 0 is the whole torus; member 1 is a curve through points
         family, isotropy = _fixed_arrangement(actions["d8_b2"])
@@ -327,6 +355,16 @@ SEEDED_BASES = {
 def seeded_actions():
     return {name: generate_group(gens, d=d)
             for name, (gens, d) in SEEDED_BASES.items()}
+
+
+def per_subgroup_arrangement(action):
+    """Each component's key mapped to its isotropy, with one fixed-locus
+    solve per subgroup: the last subgroup yielding a component."""
+    isotropy = {}
+    for sub in action.all_subgroups():
+        for comp in fix_locus(action, sub):
+            isotropy[comp.key] = sub
+    return isotropy
 
 
 def per_member_trace(action, subtorus, deeper, supersets, family, images, n):
@@ -410,6 +448,18 @@ class TestPerNormalWork:
         finally:
             toruslat._transport.cache_clear()
 
+    def test_an_unpreserved_lattice_is_inconsistent(self, actions):
+        # the public matrix keeps its ValueError; inside stratify the same
+        # failure is an internal inconsistency
+        action = actions["octahedral_s4_sl3"]
+        family, _ = _fixed_arrangement(action)
+        t = next(t for t in family if t.rank == 1)
+        g = next(g for g in action.elements if t.image_key(g)[0] != t.normal)
+        with pytest.raises(ValueError, match="does not preserve"):
+            t.induced_lattice_matrix(g)
+        with pytest.raises(ConsistencyError, match="does not preserve"):
+            _trace_memo(action)(t.normal, g)
+
     def test_work_is_counted_per_normal(self, monkeypatch):
         # one stratify(s4_standard_d2): 315 members (the whole torus
         # among them), 15 normals, 2 generators
@@ -473,29 +523,80 @@ class TestStratumLoop:
                 assert got == expected, (name, s.label)
 
     def test_one_trace_per_fixed_pair(self, monkeypatch):
+        # a representative's traces: one per class of its stabilizer cosets
+        # under conjugation by their union; any other member's: one per
+        # coset fixing it
         from collections import Counter
+        from kummer.exactalg import mat_inverse_unimodular, mat_mul
 
         action = catalog("s4_standard_d2")
         family, isotropy = _fixed_arrangement(action)
         perms = _element_permutations(action, family)
-        pairs = Counter(
-            (coset[0], family[i].key)
-            for cls in subgroup_class_poset(action).classes
-            for coset in cls.weyl_cosets
-            for i, h in enumerate(isotropy)
-            if h == cls.representative and perms[coset[0]][i] == i
-        )
+        conj = {(s, x): mat_mul(mat_mul(s, x), mat_inverse_unimodular(s))
+                for s in action.elements for x in action.elements}
+        expected = Counter()
+        for cls in subgroup_class_poset(action).classes:
+            members = [i for i, h in enumerate(isotropy) if h == cls.representative]
+            for rep, *others in weyl_orbits(members, cls.weyl_cosets, perms):
+                stab = [frozenset(c) for c in cls.weyl_cosets
+                        if perms[c[0]][rep] == rep]
+                union = [s for coset in stab for s in coset]
+                classes = {
+                    frozenset(frozenset(conj[s, x] for x in coset) for s in union)
+                    for coset in stab
+                }
+                assert set().union(*classes) == set(stab)
+                expected[family[rep].key] += len(classes)
+                for i in others:
+                    expected[family[i].key] += sum(perms[c[0]][i] == i
+                                                   for c in cls.weyl_cosets)
         calls = Counter()
         moebius = strata._moebius_trace
 
         def counted(subtorus, deeper, supersets, family, images, n, trace):
-            calls[n, subtorus.key] += 1
+            calls[subtorus.key] += 1
             return moebius(subtorus, deeper, supersets, family, images, n, trace)
 
         monkeypatch.setattr(strata, "_moebius_trace", counted)
         stratify(action)
-        assert calls == pairs
-        assert sum(calls.values()) == 315
+        assert calls == expected
+        assert sum(calls.values()) == 296
+        assert calls[family[0].key] == 5
+
+    @pytest.mark.parametrize("name", ["octahedral_s4_sl3", "s4_standard_d2"])
+    def test_class_traces_match_direct_traces(self, name, actions, monkeypatch):
+        # every representative's table entry, copied across a class of its
+        # stabilizer cosets, is its own trace for that coset
+        action = actions[name]
+        tables = []
+        trace_table = strata._trace_table
+
+        def recorded(action, weyl_cosets, orbits, perms, moebius):
+            orbits = list(orbits)
+            table = trace_table(action, weyl_cosets, orbits, perms, moebius)
+            tables.append((weyl_cosets, [orbit[0] for orbit in orbits], table))
+            return table
+
+        monkeypatch.setattr(strata, "_trace_table", recorded)
+        stratify(action)
+        family, isotropy = _fixed_arrangement(action)
+        perms = _element_permutations(action, family)
+        supersets = _strict_supersets(family, isotropy)
+        subsets = [[i for i, above in enumerate(supersets) if j in above]
+                    for j in range(len(family))]
+        checked = 0
+        for weyl_cosets, reps, table in tables:
+            for rep in reps:
+                fixed = [c for c, coset in enumerate(weyl_cosets)
+                         if perms[coset[0]][rep] == rep]
+                assert [c for c, row in enumerate(table) if rep in row] == fixed
+                for c in fixed:
+                    n = weyl_cosets[c][0]
+                    assert table[c][rep] == per_member_trace(
+                        action, family[rep], subsets[rep], supersets, family,
+                        perms[n], n)
+                    checked += 1
+        assert checked > len(action.elements)
 
     def test_bookkeeping_is_checked(self, monkeypatch, reports):
         action = catalog("octahedral_s4_sl3")
@@ -575,6 +676,15 @@ try:  # one non-representative member's traces perturbed
 except ConsistencyError:
     raised.append("bookkeeping")
 strata._moebius_trace = moebius
+whole = strata._fixed_arrangement(octa)[0][0]
+lead = octa.conjugacy_classes()[1][0]
+strata._moebius_trace = lambda t, *args: moebius(t, *args) + int(
+    t == whole and args[-2] == lead)
+try:  # the representative's trace for one class of stabilizer cosets perturbed
+    strata.stratify(octa)
+except ConsistencyError:
+    raised.append("representative")
+strata._moebius_trace = moebius
 labels = strata._orbit_labels
 
 def split(action, perms):
@@ -629,8 +739,8 @@ def test_checks_survive_optimized_mode():
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["saturation", "transport", "bookkeeping",
-                                  "orbit-count", "average", "partition",
-                                  "orbit-stabilizer"]
+                                  "representative", "orbit-count", "average",
+                                  "partition", "orbit-stabilizer"]
 
 
 class TestLedger:
