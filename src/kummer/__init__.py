@@ -48,7 +48,6 @@ from .repring import (
 )
 from .toruslat import (
     AffineSubtorus,
-    FixLocus,
     component_count,
     fix_locus,
     generic_isotropy,

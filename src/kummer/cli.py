@@ -70,6 +70,8 @@ class JobSpec:
             raise InputError("exactly one of --catalog or --input is required")
         if oracle is not None and oracle < 1:
             raise InputError("--oracle must be a positive integer")
+        if d is not None and d < 1:
+            raise InputError("--d must be a positive integer")
         self.mode = mode
         self.catalog_name = catalog_name
         self.input_path = input_path
@@ -186,9 +188,11 @@ def _integral_from_file(doc, d_override, cap) -> IntegralAction:
     try:
         matrices = [tuple(tuple(int(x) for x in row) for row in m)
                     for m in doc["matrices"]]
+        d = d_override if d_override is not None else int(doc.get("d", 1))
+        if d < 1:
+            raise ValueError("d must be a positive integer")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad integral spec: {exc}") from None
-    d = d_override if d_override is not None else int(doc.get("d", 1))
     return generate_group(
         matrices, cap=cap, d=d, label=str(doc.get("name", "input")),
         special=bool(doc.get("special", False)),

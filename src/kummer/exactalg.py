@@ -695,10 +695,3 @@ def kernel_basis(m, width: int | None = None) -> Matrix:
     if not cols:
         return ()
     return hermite_normal_form(cols, width)
-
-
-def annihilator_basis(rows, width: int) -> Matrix:
-    """Basis of {a in Z^width : a . v = 0 for all given rows}; saturated."""
-    if not rows:
-        return identity_matrix(width)
-    return kernel_basis(rows, width)

@@ -7,12 +7,13 @@ product once; those products give each generator's right action on the
 indices, from which the Cayley table ``_table[i][j]`` is composed column
 by column on first use.  A subgroup is an int bitmask over the indices
 (containment is ``a & ~b == 0``), and closures, conjugates, normalizers,
-cosets, element and subgroup classes and the subgroup lattice are table
-lookups on indices.  The public methods still take and return elements
-(matrices or permutation tuples) and frozensets of them; matrices are
-multiplied only to close the generators.  Orders stay below a
-configurable cap (default 10000); the interesting actions in the catalog
-have order at most 720.
+cosets, element and subgroup classes, the Weyl permutations of a
+subgroup's classes and the subgroup lattice are table lookups on
+indices.  The public methods still take and return elements (matrices
+or permutation tuples) and frozensets of them; matrices are multiplied
+only to close the generators.  Orders stay below a configurable cap
+(default 10000); the interesting actions in the catalog have order at
+most 720.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class NotFiniteWithinCap(ValueError):
 
 class SpecialityViolation(ValueError):
     """A determinant -1 element appeared where determinant 1 is required."""
-
-
-class NotNormalizer(ValueError):
-    """The given set does not normalize the given subgroup."""
 
 
 class FiniteGroup:
@@ -475,12 +472,6 @@ class SubgroupClassPoset:
         except KeyError:
             raise ValueError("not a subgroup of this group") from None
 
-    def minimum(self) -> int:
-        return 0
-
-    def maximum(self) -> int:
-        return len(self.classes) - 1
-
 
 def subgroup_class_poset(group: FiniteGroup) -> SubgroupClassPoset:
     """The poset of conjugacy classes of subgroups.
@@ -492,32 +483,33 @@ def subgroup_class_poset(group: FiniteGroup) -> SubgroupClassPoset:
     return SubgroupClassPoset(group)
 
 
-def weyl_action_on_classes(group: FiniteGroup, sub: frozenset, normalizer=None):
+def weyl_action_on_classes(group: FiniteGroup, sub: frozenset):
     """Permutation action of N(H)/H on the element classes of H.
 
     Returns ``(cosets, class_reps, perms)`` where ``perms[i]`` is the
-    permutation of H's conjugacy classes induced by ``cosets[i]``.
+    permutation of H's conjugacy classes induced by ``cosets[i]``, over
+    the whole normalizer of H.
     """
     if not group.is_subgroup(sub):
         raise ValueError("not a subgroup")
     mask = group._mask(sub)
-    if normalizer is None:
-        norm = group._normalizer(mask)
-    else:
-        norm = 0
-        for n in normalizer:
-            i = group._index_of.get(n)
-            if i is None or _permuted(mask, group._conjugation(i)) != mask:
-                raise NotNormalizer(f"{n} does not normalize the subgroup")
-            norm |= 1 << i
-    sub_classes = _element_classes(group, _bits(mask), _bits(mask))
-    index_of = {h: i for i, cls in enumerate(sub_classes) for h in cls}
-    cosets = group._cosets(mask, norm)
-    perms = tuple(
-        tuple(index_of[conj[cls[0]]] for cls in sub_classes)
-        for conj in (group._conjugation(group._index_of[c[0]]) for c in cosets)
-    )
-    return cosets, tuple(group.elements[cls[0]] for cls in sub_classes), perms
+    cosets = group._cosets(mask, group._normalizer(mask))
+    classes, perms = _weyl_permutations(group, mask, cosets)
+    return cosets, tuple(group.elements[cls[0]] for cls in classes), perms
+
+
+def _weyl_permutations(group: FiniteGroup, mask: int, cosets):
+    """H's element classes (H conjugating) and, per coset, their permutation
+    by conjugation with the coset's first element, as ``(classes, perms)``."""
+    members = _bits(mask)
+    classes = _element_classes(group, members, members)
+    class_of = {h: i for i, cls in enumerate(classes) for h in cls}
+    table, perms = group._table, []
+    for coset in cosets:
+        n = group._index_of[coset[0]]
+        row, ninv = table[n], group._inv_of[n]
+        perms.append(tuple(class_of[table[row[cls[0]]][ninv]] for cls in classes))
+    return classes, tuple(perms)
 
 
 def _element_classes(group: FiniteGroup, elements, conjugators) -> tuple[tuple, ...]:

@@ -3,8 +3,8 @@
 For a finite group H acting with determinant one, conjugacy classes of H
 are graded by the age of their eigenvalue exponents, and the central
 fiber of a crepant resolution carries one cohomology class per conjugacy
-class, in degree twice the age.  When a Weyl group permutes the classes
-the fiber polynomial refines to a permutation character in each degree.
+class, in degree twice the age.  The Weyl group N(H)/H permutes the
+classes, and a coset's trace on the fiber counts the classes it fixes.
 
 The symmetric-group case has an independent combinatorial description by
 partition lengths, used as an oracle against the age computation.
@@ -13,7 +13,7 @@ partition lengths, used as an oracle against the age computation.
 from __future__ import annotations
 
 from .exactalg import ConsistencyError, IntPolynomial, age, exponent_multiset
-from .groupcore import FiniteGroup, IntegralAction, _element_classes
+from .groupcore import FiniteGroup, IntegralAction, _weyl_permutations
 
 
 class NonIntegerAge(ValueError):
@@ -21,50 +21,31 @@ class NonIntegerAge(ValueError):
 
 
 class FiberPolynomial:
-    """Cohomology of the central resolution fiber, with optional Weyl data.
+    """Cohomology of the central resolution fiber, with Weyl traces.
 
-    ``plain`` is the ordinary Poincaré polynomial.  When built
-    equivariantly, ``values`` maps each Weyl coset index to the
-    polynomial of traces of that coset on fiber cohomology, and
-    ``characters`` lists the permutation-character values per degree.
+    ``plain`` is the ordinary Poincaré polynomial, ``class_ages`` the age
+    of each class of H, and ``values`` holds, per Weyl coset, the
+    polynomial of that coset's traces on fiber cohomology.
     """
 
-    __slots__ = ("plain", "class_ages", "values", "characters")
+    __slots__ = ("plain", "class_ages", "values")
 
-    def __init__(self, plain, class_ages, values=None, characters=None):
+    def __init__(self, plain, class_ages, values):
         self.plain = plain
         self.class_ages = tuple(class_ages)
-        self.values = None if values is None else tuple(values)
-        self.characters = None if characters is None else tuple(characters)
-
-    @property
-    def class_count(self) -> int:
-        return len(self.class_ages)
+        self.values = tuple(values)
 
     def __repr__(self):
         return f"FiberPolynomial({self.plain})"
 
 
-def _class_ages(group: FiniteGroup, elements_to_matrix, d: int):
-    ages = []
-    for rep in group.class_representatives():
-        exps = exponent_multiset(elements_to_matrix(rep))
-        a = age(exps, d)
-        if a.denominator != 1:
-            raise NonIntegerAge(
-                f"class of order {group.element_order(rep)} has age {a}; "
-                "the restricted action is not Gorenstein"
-            )
-        ages.append(int(a))
-    return tuple(ages)
-
-
-def fiber_poincare(subaction: IntegralAction, d: int | None = None) -> FiberPolynomial:
+def fiber_poincare(subaction: IntegralAction) -> FiberPolynomial:
     """Fiber polynomial of the quotient by a matrix group, graded by age.
 
-    ``d`` defaults to the d carried by the action.  Ages are computed
-    from the full matrices; fixed directions only contribute zero
-    exponents, so the transverse grading is unchanged.
+    Ages are computed from the full matrices; fixed directions only
+    contribute zero exponents, so the transverse grading is unchanged.
+    The classes come from conjugation by every element, and are checked
+    against the group's own classes, closed under the generators.
 
     >>> from .catalog import catalog
     >>> print(fiber_poincare(catalog("d4_sl3")).plain)
@@ -72,26 +53,19 @@ def fiber_poincare(subaction: IntegralAction, d: int | None = None) -> FiberPoly
     >>> print(fiber_poincare(catalog("s4_standard_d2")).plain)
     1 + t^2 + 2*t^4 + t^6
     """
-    if d is None:
-        d = subaction.d
-    ages = _class_ages(subaction, lambda g: g, d)
-    coeffs = [0] * (2 * max(ages, default=0) + 1)
-    for a in ages:
-        coeffs[2 * a] += 1
-    plain = IntPolynomial(coeffs)
-    if plain(1) != len(subaction.conjugacy_classes()):
+    fiber = fiber_poincare_equivariant(subaction, subaction.elements, (), subaction.d)
+    if fiber.plain(1) != len(subaction.conjugacy_classes()):
         raise ConsistencyError("fiber classes do not match the conjugacy classes")
-    return FiberPolynomial(plain, ages)
+    return fiber
 
 
 def fiber_poincare_equivariant(group: FiniteGroup, sub: frozenset,
-                               weyl_cosets, d: int,
-                               matrix_of=None) -> FiberPolynomial:
+                               weyl_cosets, d: int) -> FiberPolynomial:
     """Fiber polynomial of C^n / H with the Weyl permutation action.
 
     ``weyl_cosets`` are cosets of H in its normalizer (tuples with a
-    representative first); the coefficient of t^(2a) is the permutation
-    character of the Weyl group on the age-a classes of H.
+    representative first); the coefficient of t^(2a) in ``values[i]`` is
+    the number of age-a classes of H that coset i fixes.
 
     >>> from .catalog import catalog
     >>> octa = catalog("octahedral_s4_sl3")
@@ -102,35 +76,24 @@ def fiber_poincare_equivariant(group: FiniteGroup, sub: frozenset,
     1 + 3*t^2
     1 + t^2
     """
-    if matrix_of is None:
-        matrix_of = lambda g: g
-    members = sorted(group._index_of[h] for h in sub)
-    classes = _element_classes(group, members, members)
-    index_of = {h: i for i, cls in enumerate(classes) for h in cls}
+    classes, perms = _weyl_permutations(group, group._mask(sub), weyl_cosets)
     ages = []
     for cls in classes:
-        a = age(exponent_multiset(matrix_of(group.elements[cls[0]])), d)
+        a = age(exponent_multiset(group.elements[cls[0]]), d)
         if a.denominator != 1:
             raise NonIntegerAge(f"class has fractional age {a}")
         ages.append(int(a))
-    top = 2 * max(ages, default=0)
-    plain = IntPolynomial([sum(1 for a in ages if 2 * a == i) for i in range(top + 1)])
-    values = []
-    characters = []
-    table = group._table
-    for coset in weyl_cosets:
-        n = group._index_of[coset[0]]
-        row, ninv = table[n], group._inv_of[n]
-        fixed = [
-            index_of[table[row[cls[0]]][ninv]] == i for i, cls in enumerate(classes)
-        ]
-        coeffs = [0] * (top + 1)
-        for i, a in enumerate(ages):
-            if fixed[i]:
-                coeffs[2 * a] += 1
-        values.append(IntPolynomial(coeffs))
-        characters.append(tuple(coeffs))
-    return FiberPolynomial(plain, ages, values, characters)
+
+    def graded(indices):
+        coeffs = [0] * (2 * max(ages) + 1)
+        for i in indices:
+            coeffs[2 * ages[i]] += 1
+        return IntPolynomial(coeffs)
+
+    return FiberPolynomial(
+        graded(range(len(ages))), ages,
+        [graded(i for i, j in enumerate(perm) if i == j) for perm in perms],
+    )
 
 
 # ---------------------------------------------------------------------------

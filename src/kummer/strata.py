@@ -193,7 +193,7 @@ def _fixed_arrangement(action: IntegralAction,
         rows = _row_lattice(action, sub)
         comps = loci.get(rows)
         if comps is None:
-            comps = loci[rows] = fix_locus(action, sub, budget=budget).components
+            comps = loci[rows] = fix_locus(action, sub, budget=budget)
         for comp in comps:
             seen[comp.key] = (comp, sub)
         if len(seen) * action.order > budget:
@@ -445,11 +445,8 @@ def stratify(action: IntegralAction,
             orbits.append(ComponentOrbit(
                 family[rep], tuple(family[i] for i in orbit),
                 tuple(weyl_cosets[c] for c in stab),
-                FiberPolynomial(
-                    fiber.plain, fiber.class_ages,
-                    [fiber.values[c] for c in stab],
-                    [fiber.characters[c] for c in stab],
-                ),
+                FiberPolynomial(fiber.plain, fiber.class_ages,
+                                [fiber.values[c] for c in stab]),
                 _average(y_sum, len(stab)), _average(x_sum, len(stab)),
             ))
             reps.append(rep)
@@ -551,9 +548,16 @@ class LedgerResult:
         self.substitution = substitution
 
 
+def _ledger_coeffs(obj) -> IntPolynomial:
+    try:
+        return IntPolynomial(obj)
+    except TypeError as exc:
+        raise MalformedLedger(f"bad polynomial {obj!r}: {exc}") from None
+
+
 def _ledger_poly(obj, parameter) -> ParamPoly:
     if isinstance(obj, list):
-        return ParamPoly(IntPolynomial(obj))
+        return ParamPoly(_ledger_coeffs(obj))
     if isinstance(obj, dict):
         if "molien" in obj:
             spec = obj["molien"]
@@ -561,13 +565,15 @@ def _ledger_poly(obj, parameter) -> ParamPoly:
                 gens = [tuple(tuple(int(x) for x in row) for row in g)
                         for g in spec["generators"]]
                 d = int(spec["d"])
+                if d < 1:
+                    raise ValueError("d must be a positive integer")
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedLedger(f"bad molien spec: {exc}") from None
             from .groupcore import generate_group
 
             return ParamPoly(quotient_poincare(generate_group(gens, d=d)))
-        const = IntPolynomial(obj.get("const", []))
-        lin = IntPolynomial(obj.get("param", []))
+        const = _ledger_coeffs(obj.get("const", []))
+        lin = _ledger_coeffs(obj.get("param", []))
         if lin and parameter is None:
             raise MalformedLedger("parameter used but not declared")
         return ParamPoly(const, lin)
@@ -608,12 +614,12 @@ def assemble_from_ledger(doc: dict) -> LedgerResult:
         if not isinstance(entry, dict) or "base" not in entry:
             raise MalformedLedger(f"bad entry {entry!r}")
         base = _ledger_poly(entry["base"], parameter)
-        fiber = IntPolynomial(entry.get("fiber", [1]))
+        fiber = _ledger_coeffs(entry.get("fiber", [1]))
         for sub in entry.get("subtract", ()):
             if not isinstance(sub, dict) or "poly" not in sub:
                 raise MalformedLedger(f"bad subtraction {sub!r}")
             c, m = _ledger_scalar(sub.get("multiplicity", 1), parameter)
-            poly = IntPolynomial(sub["poly"])
+            poly = _ledger_coeffs(sub["poly"])
             base = base - ParamPoly(c * poly, m * poly)
         total = total + base.times_poly(fiber)
     substitution = doc.get("substitution")

@@ -11,7 +11,9 @@ where N is the saturated annihilator of the tangent lattice.  The triple
 (N in Hermite form, the least common denominator n of the shifts, the
 integer vectors n * shift reduced mod n) is a canonical form, so
 components can be hashed, compared, intersected and mapped around by
-group elements with no ambiguity, in integer arithmetic only.
+group elements with no ambiguity, in integer arithmetic only.  A fixed
+locus is the tuple of its components.  N and the tangent lattice are
+each other's integer kernel, both from one cached ``kernel_basis``.
 
 Much of the work depends on N alone, and a family of components has far
 fewer normals than members, so it is memoised per normal: the image of
@@ -30,7 +32,6 @@ from operator import mul
 
 from .exactalg import (
     ConsistencyError,
-    annihilator_basis,
     hermite_normal_form,
     identity_matrix,
     kernel_basis,
@@ -73,14 +74,8 @@ def _reduced(den: int, scaled_shifts):
     return den, tuple(tuple(map(mod, copy)) for copy in scaled_shifts)
 
 
-_cached_annihilator = lru_cache(maxsize=None)(annihilator_basis)
+_kernel_basis = lru_cache(maxsize=None)(kernel_basis)
 _cached_inverse = lru_cache(maxsize=None)(mat_inverse_unimodular)
-
-
-@lru_cache(maxsize=None)
-def _lattice_basis(normal, r: int):
-    """Hermite basis rows of the lattice annihilated by ``normal``."""
-    return kernel_basis(normal, r) if normal else identity_matrix(r)
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +129,7 @@ def _induced_matrix(normal, r: int, g):
     basis: the integer M with g . basis_j = sum_i M[i][j] basis_i."""
     if len(normal) == r:
         return ()
-    basis = _lattice_basis(normal, r)
+    basis = _kernel_basis(normal, r)
     # a lattice vector v has coordinates v @ S, where basis @ S = I
     to_coords = tuple(zip(*_section(basis, r)))
     from_coords = tuple(zip(*basis))
@@ -194,7 +189,7 @@ class AffineSubtorus:
     @classmethod
     def _from_scaled(cls, basis_rows, den, points, r, copies):
         """The subtorus with tangent lattice ``basis_rows`` through points / den."""
-        normal = _cached_annihilator(basis_rows, r)
+        normal = _kernel_basis(basis_rows, r)
         shifts = tuple(mat_vec(normal, pt) for pt in points)
         return cls(r, copies, normal, den, shifts)
 
@@ -203,7 +198,7 @@ class AffineSubtorus:
     @property
     def lattice_basis(self):
         """Hermite basis rows of the tangent lattice (empty for a point)."""
-        return _lattice_basis(self.normal, self.r)
+        return _kernel_basis(self.normal, self.r)
 
     @property
     def rank(self) -> int:
@@ -332,9 +327,7 @@ def solve_torus_system(system_rows, den: int, rhs_per_copy, r: int, copies: int,
     lattice = tuple(
         tuple(snf.v[i][j] for i in range(r)) for j in range(rank, r)
     )
-    normal = _cached_annihilator(
-        hermite_normal_form(lattice, r) if lattice else (), r
-    )
+    normal = _kernel_basis(hermite_normal_form(lattice, r) if lattice else (), r)
     divisors = snf.divisors
     top = divisors[-1] if divisors else 1  # every divisor divides the last
     full = den * top
@@ -380,35 +373,12 @@ def solve_torus_system(system_rows, den: int, rhs_per_copy, r: int, copies: int,
     )
 
 
-class FixLocus:
-    """The full fixed-point set of a subgroup, as canonical components."""
-
-    __slots__ = ("components", "source")
-
-    def __init__(self, components, source):
-        self.components = tuple(components)
-        self.source = source
-
-    def __len__(self):
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    @property
-    def dimension(self) -> int:
-        """Common tangent rank of the components (lattice coordinates)."""
-        return self.components[0].rank if self.components else -1
-
-    def __repr__(self):
-        return f"FixLocus({len(self.components)} components, rank {self.dimension})"
-
-
 def fix_locus(action: IntegralAction, subgroup,
-              budget: int = DEFAULT_ENUMERATION_BUDGET) -> FixLocus:
+              budget: int = DEFAULT_ENUMERATION_BUDGET) -> tuple[AffineSubtorus, ...]:
     """Components of the common fixed locus of a set of group elements.
 
-    It is solved from :func:`_row_lattice`.  Raises
+    It is solved from :func:`_row_lattice`, and the components come
+    ordered as :func:`solve_torus_system` returns them.  Raises
     :class:`EnumerationTooLarge` beyond ``budget`` components.
 
     >>> from .catalog import catalog
@@ -420,8 +390,7 @@ def fix_locus(action: IntegralAction, subgroup,
     rows = _row_lattice(action, subgroup)
     copies = 2 * action.d
     rhs = tuple((0,) * len(rows) for _ in range(copies))
-    comps = solve_torus_system(rows, 1, rhs, action.r, copies, budget)
-    return FixLocus(comps, frozenset(subgroup) | {action.identity})
+    return solve_torus_system(rows, 1, rhs, action.r, copies, budget)
 
 
 def _row_lattice(action: IntegralAction, subgroup):

@@ -255,6 +255,30 @@ class TestMainEntryPoint:
         path.write_text(json.dumps({"matrices": [[[2, 0], [0, 1]]]}))
         assert main(["--input", str(path)]) == 2
 
+    @pytest.mark.parametrize("args, doc", [
+        (["--catalog", "z6_sl2", "--d", "0"], None),
+        (["--catalog", "z6_sl2", "--d", "-1"], None),
+        (["--input", "in.json"], {"matrices": [[[0, -1], [1, 1]]], "d": 0}),
+        (["--input", "in.json"], {"matrices": [[[0, -1], [1, 1]]], "d": "x"}),
+        (["--mode", "ledger", "--input", "in.json"], {"entries": [{"base": [1, "x"]}]}),
+        (["--mode", "ledger", "--input", "in.json"], {"entries": [{"base": [1.5]}]}),
+        (["--mode", "ledger", "--input", "in.json"],
+         {"entries": [{"base": [1], "fiber": "ab"}]}),
+        (["--mode", "ledger", "--input", "in.json"],
+         {"entries": [{"base": {"molien": {"generators": [[[0, -1], [1, 1]]],
+                                           "d": 0}}}]}),
+    ], ids=["d_zero", "d_negative", "input_d_zero", "input_d_text",
+            "ledger_text_coefficient", "ledger_float_coefficient",
+            "ledger_string_fiber", "ledger_molien_d_zero"])
+    def test_malformed_input_exit_two(self, args, doc, tmp_path, capsys,
+                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_non_gorenstein_exit_two(self, tmp_path, capsys):
         path = tmp_path / "flip.json"
         path.write_text(json.dumps({"matrices": [[[0, 1], [1, 0]]], "d": 1}))

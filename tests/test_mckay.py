@@ -1,8 +1,8 @@
 import pytest
 
 from kummer.catalog import catalog, standard_sn
-from kummer.exactalg import IntPolynomial
-from kummer.groupcore import generate_group
+from kummer.exactalg import IntPolynomial, age, exponent_multiset, identity_matrix, mat_mul
+from kummer.groupcore import generate_group, weyl_action_on_classes
 from kummer.mckay import (
     NonIntegerAge,
     PartitionData,
@@ -73,9 +73,57 @@ class TestEquivariantFiber:
         z4 = octa.subgroup_closure([((0, -1, 0), (1, 0, 0), (0, 0, 1))])
         cosets = octa.cosets(z4, within=octa.normalizer(z4))
         fib = fiber_poincare_equivariant(octa, z4, cosets, d=1)
-        for character in fib.characters:
-            for degree, value in enumerate(character):
+        for character in fib.values:
+            for degree, value in enumerate(character.coeffs):
                 assert 0 <= value <= fib.plain[degree]
+
+
+def reference_fixed_classes(group, sub, cosets):
+    """Per Weyl coset, the H-classes its first element n fixes (n C n^-1 = C),
+    as an age-graded count; from matrix products alone."""
+    ident = identity_matrix(group.r)
+
+    def inverse(g, among):
+        return next(h for h in among if mat_mul(g, h) == ident)
+
+    def conj(n, g, n_inv):
+        return mat_mul(mat_mul(n, g), n_inv)
+
+    classes = []
+    for g in sorted(sub):
+        if not any(g in cls for cls in classes):
+            classes.append(frozenset(conj(h, g, inverse(h, sub)) for h in sub))
+    ages = [int(age(exponent_multiset(min(cls)), group.d)) for cls in classes]
+    out = []
+    for coset in cosets:
+        n = coset[0]
+        n_inv = inverse(n, group.elements)
+        fixed = [frozenset(conj(n, g, n_inv) for g in cls) == cls for cls in classes]
+        out.append(graded(a for a, f in zip(ages, fixed) if f))
+    return graded(ages), out
+
+
+def graded(ages):
+    ages = list(ages)
+    coeffs = [0] * (2 * max(ages, default=0) + 1)
+    for a in ages:
+        coeffs[2 * a] += 1
+    return IntPolynomial(coeffs)
+
+
+def test_weyl_traces_match_a_matrix_reference(actions, reports):
+    # every isotropy class occurring in the five acceptance actions
+    for name, action in actions.items():
+        for stratum in reports[name].strata:
+            sub = stratum.isotropy
+            cosets, reps, perms = weyl_action_on_classes(action, sub)
+            plain, values = reference_fixed_classes(action, sub, cosets)
+            fib = fiber_poincare_equivariant(action, sub, cosets, action.d)
+            assert fib.plain == plain, name
+            assert list(fib.values) == values, name
+            rep_ages = [int(age(exponent_multiset(r), action.d)) for r in reps]
+            assert [graded(a for j, a in enumerate(rep_ages) if perm[j] == j)
+                    for perm in perms] == values, name
 
 
 class TestPartitionCombinatorics:

@@ -45,19 +45,19 @@ class TestFixLocus:
         g = ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
         locus = fix_locus(octa, octa.subgroup_closure([g]))
         assert len(locus) == 16
-        assert locus.dimension == 1
+        assert locus[0].rank == 1
         assert all(c.complex_dim(octa.d) == 1 for c in locus)
 
     def test_whole_symmetric_group(self):
         s4 = catalog("s4_standard_d2")
         locus = fix_locus(s4, s4.elements)
         assert len(locus) == 256
-        assert locus.dimension == 0
+        assert locus[0].rank == 0
 
     def test_trivial_subgroup(self, octa):
         locus = fix_locus(octa, [octa.identity])
         assert len(locus) == 1
-        assert locus.components[0].rank == 3
+        assert locus[0].rank == 3
 
 
 class TestCounts:
@@ -75,7 +75,7 @@ class TestCounts:
         assert component_count(s4, sigma) == 16
         locus = fix_locus(s4, s4.subgroup_closure([sigma]))
         assert len(locus) == 16
-        assert locus.dimension == 1  # sixteen abelian-surface copies
+        assert locus[0].rank == 1  # sixteen abelian-surface copies
 
     def test_identity_single_component(self, octa):
         assert component_count(octa, octa.identity) == 1
@@ -109,7 +109,7 @@ class TestCounts:
         for partition in partitions(4):
             sigma = standard_rep_matrix(cycle_type_rep(partition, 4), 4)
             locus = fix_locus(s4, s4.subgroup_closure([sigma]))
-            assert locus.components[0].complex_dim(2) == 2 * (len(partition) - 1)
+            assert locus[0].complex_dim(2) == 2 * (len(partition) - 1)
 
 
 class TestIncidence:
