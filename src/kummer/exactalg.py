@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 
 class NotProductOfCyclotomics(ValueError):
@@ -45,11 +46,11 @@ def identity_matrix(n: int) -> Matrix:
 def mat_mul(a, b) -> Matrix:
     """Product of two matrices (tuples of rows; entries int or Fraction)."""
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_sub(a, b) -> Matrix:

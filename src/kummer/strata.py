@@ -584,8 +584,11 @@ def _ledger_scalar(obj, parameter):
     if isinstance(obj, int):
         return (obj, 0)
     if isinstance(obj, dict):
-        c = int(obj.get("const", 0))
-        m = int(obj.get("param", 0))
+        try:
+            c = int(obj.get("const", 0))
+            m = int(obj.get("param", 0))
+        except (TypeError, ValueError):
+            raise MalformedLedger(f"cannot read multiplicity from {obj!r}") from None
         if m and parameter is None:
             raise MalformedLedger("parameter used but not declared")
         return (c, m)
@@ -615,7 +618,10 @@ def assemble_from_ledger(doc: dict) -> LedgerResult:
             raise MalformedLedger(f"bad entry {entry!r}")
         base = _ledger_poly(entry["base"], parameter)
         fiber = _ledger_coeffs(entry.get("fiber", [1]))
-        for sub in entry.get("subtract", ()):
+        subtractions = entry.get("subtract", [])
+        if not isinstance(subtractions, list):
+            raise MalformedLedger(f"'subtract' must be a list, not {subtractions!r}")
+        for sub in subtractions:
             if not isinstance(sub, dict) or "poly" not in sub:
                 raise MalformedLedger(f"bad subtraction {sub!r}")
             c, m = _ledger_scalar(sub.get("multiplicity", 1), parameter)

@@ -42,7 +42,7 @@ from .exactalg import (
     mat_vec,
     smith_normal_form,
 )
-from .groupcore import IntegralAction, _bits
+from .groupcore import IntegralAction, _bits, _element_classes
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -448,10 +448,15 @@ def torsion_oracle(action: IntegralAction, n: int,
                    budget: int = DEFAULT_ENUMERATION_BUDGET) -> dict:
     """Count n-torsion fixed points of every element by brute force.
 
-    Enumerates (Z/n)^r once per element and counts solutions of
-    (I - g) x = 0, then raises to the power 2d for the independent
-    homology copies.  Independent of all normal-form machinery, so it
-    cross-checks the determinant and Smith counts.
+    The n-torsion points fixed by g are the kernel of x -> (I - g) x on
+    (Z/n)^r, so their number is n^r over the size of the image; it is
+    raised to the power 2d for the independent homology copies.  The
+    image is enumerated as a set, one column of I - g at a time, so at
+    most n^r vectors are held.  Independent of all normal-form
+    machinery, so it cross-checks the determinant and Smith counts.
+    x -> kx maps the fixed points of g onto those of kgk^-1, so the
+    enumeration runs once per conjugacy class and every member gets its
+    class representative's count.
 
     >>> from .catalog import catalog
     >>> z6 = catalog("z6_sl2")
@@ -464,46 +469,50 @@ def torsion_oracle(action: IntegralAction, n: int,
     if n ** action.r > budget:
         raise EnumerationTooLarge(f"{n}^{action.r} exceeds budget {budget}")
     ident = identity_matrix(action.r)
-    vectors = [[]]
-    for _ in range(action.r):
-        vectors = [v + [c] for v in vectors for c in range(n)]
-    result = {}
-    for g in action.elements:
-        m = mat_sub(ident, g)
-        count = 0
-        for v in vectors:
-            if all(sum(row[j] * v[j] for j in range(action.r)) % n == 0 for row in m):
-                count += 1
-        result[g] = count ** (2 * action.d)
-    return result
+    counts = [0] * action.order
+    for cls in action._classes:
+        images = {(0,) * action.r}
+        for col in zip(*mat_sub(ident, action.elements[cls[0]])):
+            steps = [tuple(c * x for x in col) for c in range(n)]
+            images = {tuple((a + b) % n for a, b in zip(w, step))
+                      for w in images for step in steps}
+        count = (n ** action.r // len(images)) ** (2 * action.d)
+        for g in cls:
+            counts[g] = count
+    return dict(zip(action.elements, counts))
 
 
 def orbifold_euler(action: IntegralAction) -> int:
     """Orbifold Euler number: average over commuting pairs of chi(common fix).
 
     A positive-dimensional union of subtori has Euler characteristic 0;
-    a finite fixed set contributes its cardinality.  Conjugate pairs fix
-    isomorphic sets, so the sum runs over class representatives g and
-    their centralizers, weighted by class size: the total is
-    sum over classes of |G| * e(X^g / C(g)) (Hirzebruch-Hoefer).
+    a finite fixed set of a pair (g, h) contributes its cardinality
+    |Z^r / L|^(2d), L spanned by the rows of I - g and I - h, read off the
+    pivots of L's Hermite basis.  Conjugate pairs fix isomorphic sets, so
+    g runs over class representatives and h over the classes of the
+    centralizer C(g) under conjugation by C(g) (k (g, h) k^-1 = (g, khk^-1)
+    for k in C(g)), each weighted by both class sizes.  The total is
+    sum over classes of |G| * e(X^g / C(g)) (Hirzebruch-Hoefer), so it
+    must be divisible by |G|.
 
     >>> from .catalog import catalog
     >>> orbifold_euler(catalog("z6_sl2"))
     24
     """
     ident = identity_matrix(action.r)
-    total = 0
-    diffs = [mat_sub(ident, g) for g in action.elements]
+    elements, total = action.elements, 0
     for cls in action._classes:
         g = cls[0]
-        for h in _bits(action._centralizer(g)):
-            snf = smith_normal_form(tuple(diffs[g]) + tuple(diffs[h]))
-            if snf.rank < action.r:
+        diff_g = mat_sub(ident, elements[g])
+        centralizer = _bits(action._centralizer(g))
+        for hcls in _element_classes(action, centralizer, centralizer):
+            hnf = hermite_normal_form(diff_g + mat_sub(ident, elements[hcls[0]]),
+                                      action.r)
+            if len(hnf) < action.r:
                 continue  # positive-dimensional: chi = 0
-            prod = 1
-            for dv in snf.divisors:
-                prod *= abs(dv)
-            total += len(cls) * prod ** (2 * action.d)
+            # full rank: row i's pivot sits in column i
+            index = prod(row[i] for i, row in enumerate(hnf))
+            total += len(cls) * len(hcls) * index ** (2 * action.d)
     if total % action.order:
         raise ConsistencyError(
             f"fixed-point total {total} is not divisible by |G| = {action.order}"

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,19 @@ from kummer.strata import stratify
 from kummer.toruslat import DEFAULT_ENUMERATION_BUDGET
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _assert_input_error_under_optimize(args):
+    """``python -O -m kummer.cli ARGS`` exits 2 with one ``error:`` line:
+    the input check does not rest on ``assert``."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-m", "kummer.cli", *args],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
 
 # SHA-256 of the stdout of `kummer ARGS --format json`, run from the
 # repository root: every integral catalog entry that yields a report at its
@@ -359,10 +375,6 @@ class TestMainEntryPoint:
         lambda k: [[1, 5], [1, 2], [1, 2]],
     ], ids=["not_galois_closed", "wrong_order"])
     def test_bad_analytic_exponents_exit_two(self, exponents, tmp_path, capsys):
-        import os
-        import subprocess
-        import sys
-
         doc = {
             "name": "z5",
             "generators": [[1, 2, 3, 4, 0]],
@@ -377,14 +389,20 @@ class TestMainEntryPoint:
         args = ["--mode", "analytic", "--input", str(path)]
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error: ")
-        src = str(ROOT / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run([sys.executable, "-O", "-m", "kummer.cli", *args],
-                             capture_output=True, text=True, env=env, timeout=120)
-        assert out.returncode == 2, out.stderr
-        assert out.stderr.startswith("error: ")
-        assert "Traceback" not in out.stderr
+        _assert_input_error_under_optimize(args)
+
+    @pytest.mark.parametrize("subtract", [
+        [{"poly": [1], "multiplicity": {"const": "x"}}],
+        5,
+    ], ids=["text_multiplicity", "subtract_not_a_list"])
+    def test_malformed_ledger_exit_two(self, subtract, tmp_path, capsys):
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps({"entries": [{"base": [1], "subtract": subtract}]}))
+        args = ["--mode", "ledger", "--input", str(path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        _assert_input_error_under_optimize(args)
 
     @pytest.mark.parametrize("source, order", [
         (["--catalog", "z6_sl2"], 6),

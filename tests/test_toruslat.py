@@ -1,8 +1,16 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from kummer.catalog import catalog, standard_rep_matrix, standard_sn
+from kummer.catalog import (
+    catalog,
+    integral_catalog_actions,
+    natural_sn,
+    standard_rep_matrix,
+    standard_sn,
+    wreath,
+)
 from kummer.exactalg import identity_matrix, mat_det, mat_sub
 from kummer.groupcore import generate_group
 from kummer.mckay import partitions
@@ -196,6 +204,25 @@ class TestTorsionOracle:
         with pytest.raises(EnumerationTooLarge):
             torsion_oracle(z6, 100, budget=100)
 
+    @pytest.mark.parametrize("action, levels", [
+        *((action, (2, 3, 4)) for action in integral_catalog_actions()),
+        (natural_sn(4, 2), (2,)),
+    ])
+    def test_matches_per_element_enumeration(self, action, levels):
+        # the reference solves (I - g) x = 0 over all of (Z/n)^r for every
+        # element, with no conjugacy classes
+        ident = identity_matrix(action.r)
+        for n in levels:
+            expected = {}
+            for g in action.elements:
+                m = mat_sub(ident, g)
+                fixed = sum(
+                    all(sum(a * b for a, b in zip(row, x)) % n == 0 for row in m)
+                    for x in product(range(n), repeat=action.r)
+                )
+                expected[g] = fixed ** (2 * action.d)
+            assert torsion_oracle(action, n) == expected
+
     def test_matches_isolated_count_at_determinant_level(self):
         for name in ["z2_sl2", "z3_sl2", "z4_sl2", "z6_sl2", "d8_b2"]:
             action = catalog(name)
@@ -221,3 +248,20 @@ class TestOrbifoldEuler:
 
     def test_octahedral(self, octa):
         assert orbifold_euler(octa) == 28
+
+    @pytest.mark.parametrize("n, euler", [(3, 108), (4, 448), (5, 750), (6, 2592)])
+    def test_generalized_kummer_is_n_cubed_sigma(self, n, euler):
+        # e(K_{n-1}(A)) = n^3 sigma(n)
+        assert euler == n ** 3 * sum(k for k in range(1, n + 1) if n % k == 0)
+        assert orbifold_euler(standard_sn(n, d=2)) == euler
+
+    @pytest.mark.parametrize("n, euler", [(2, 324), (3, 3200), (4, 25650)])
+    def test_hilbert_scheme_of_k3_is_goettsche(self, n, euler):
+        # e(Hilb^n(K3)): coefficient of q^n in prod_k (1 - q^k)^-24
+        series = [1] + [0] * n
+        for k in range(1, n + 1):
+            for _ in range(24):
+                for i in range(k, n + 1):
+                    series[i] += series[i - k]
+        assert series[n] == euler
+        assert orbifold_euler(wreath(n, 2, d=2)) == euler
