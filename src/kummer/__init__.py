@@ -68,7 +68,6 @@ from .strata import (
     Stratum,
     assemble_from_ledger,
     stratify,
-    stratum_closure_quotient_poincare,
 )
 from .symcheck import (
     AnalyticEigenData,

@@ -174,8 +174,9 @@ class FiniteGroup:
         return tuple(tuple(self.elements[i] for i in _bits(c)) for c in out)
 
     @cached_property
-    def _subgroups(self) -> tuple[int, ...]:
-        """Every subgroup as a mask, sorted by (order, sorted elements).
+    def _subgroups(self) -> dict[int, tuple[int, ...]]:
+        """Every subgroup as a mask, sorted by (order, sorted elements),
+        mapped to indices of elements that generate it.
 
         Every subgroup is generated by its elements, so it is a join of
         cyclic subgroups: starting from the trivial group, each subgroup
@@ -203,7 +204,8 @@ class FiniteGroup:
                         gens_of[join] = gens
                         new.append(join)
             frontier = new
-        return tuple(sorted(gens_of, key=lambda m: (m.bit_count(), _bits(m))))
+        return {m: gens_of[m]
+                for m in sorted(gens_of, key=lambda m: (m.bit_count(), _bits(m)))}
 
     # -- generic group theory ------------------------------------------------
 
@@ -426,23 +428,26 @@ class SubgroupClassPoset:
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        conjugations = [group._conjugation(group._index_of[g])
-                        for g in group.generators]
+        gens = [group._index_of[g] for g in group.generators]
+        conjugations = [group._conjugation(g) for g in gens]
         # subgroups come sorted, so each conjugation orbit (closed under
         # the generators) is met first at its least member, and the
         # classes are met in their sort order
         self._index = {}  # subgroup mask -> class index
+        self._conjugator = {}  # subgroup mask -> k with mask = k rep k^-1
         orbits, classes = [], []
         for rep in group._subgroups:
             if rep in self._index:
                 continue
             self._index[rep] = len(orbits)
+            self._conjugator[rep] = group._e
             orbit = [rep]
             for sub in orbit:
-                for perm in conjugations:
+                for g, perm in zip(gens, conjugations):
                     image = _permuted(sub, perm)
                     if image not in self._index:
                         self._index[image] = len(orbits)
+                        self._conjugator[image] = group._table[g][self._conjugator[sub]]
                         orbit.append(image)
             orbits.append(orbit)
             rep_set = group._set(rep)

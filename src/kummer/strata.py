@@ -1,35 +1,30 @@
 """Isotropy stratification and the resolution Poincaré polynomial.
 
 The quotient of the torus power decomposes into locally closed strata,
-one per conjugacy class of occurring isotropy groups.  Everything is
-computed upstairs, on the torus, with exact equivariant bookkeeping:
+one per conjugacy class of occurring isotropy groups.  Each stratum is
+computed from traces on the cohomology of fixed loci, once per class of
+subgroups, with exact equivariant bookkeeping and no list of components:
 
-* the arrangement ("the family") is the set of components of Fix(H) for
-  every subgroup H, taken from the subgroup lattice and solved once per
-  lattice spanned by the rows of 1 - h.  Fix(1) is the whole torus, so
-  the open stratum is the stratum of the trivial group;
-* each component's pointwise stabilizer is read off the same walk: it is
-  the largest subgroup whose fixed locus has the component among its
-  components.  These stabilizers single out the strata;
-* containment is read off the lattice too: a member strictly containing
-  a member t has a stabilizer H strictly inside t's, and is the component
-  of Fix(H) through t, so it is found by key, with no pairwise test;
-* the group permutes the members: a generator carries a member's normal
-  and shifts along one unimodular change of rows that depends on the
-  normal only, so the images are keys computed per normal;
-* the members of one G-orbit whose isotropy is exactly H form one orbit
-  of the normalizer of H, so one labelling of the G-orbits gives each
-  stratum's orbits (the downstairs components) and the closure nodes;
-* on each member, the points with strictly larger isotropy form a union
-  of family members, and an inclusion-exclusion over the members fixed
-  by a Weyl element yields that element's trace on the cohomology (with
-  compact supports) of the open part.  A representative's traces are
-  taken once per conjugacy class of its stabilizer, any other member's
-  once per Weyl coset fixing it, and each (normal, element) torus trace
-  once per stratification;
-* averaging a representative's traces over its stabilizer computes the
-  quotient polynomial of its orbit, and weighting by the fiber polynomial
-  first computes its share of the resolution.
+* f(L, w) is the trace of w on the cohomology of Fix(L), for w
+  normalizing L.  It takes one Smith form U M V = D of the lattice M
+  spanned by the rows of 1 - l, l in L: with A = V^-1 w V, the components
+  of Fix(L) are the torsion coordinates z in the sum of the Z/d_i, which
+  w maps by B_ij = d_i A_ij / d_j.  So w fixes |coker [B - I | D]|^{2d}
+  of them, on each with the trace det(1 + t A_free)^{2d} of A's block on
+  the free coordinates;
+* g(L, w) is the trace of w on the cohomology with compact supports of
+  the points whose isotropy is exactly L.  It is f(L, w) minus g(L', w)
+  over the overgroups L' of L that w normalizes and that occur, i.e.
+  g(L', 1) != 0.  Since g(k R k^-1, w) = g(R, k^-1 w k), g is memoised
+  per class representative R and conjugacy class of N(R) in it;
+* a stratum's quotient polynomial y_H averages g(H, w) over N(H), and its
+  share x_H of the resolution weights each w by its trace on the McKay
+  fiber first, w taken once per conjugacy class of N(H).  The rank, the
+  components and the orbits are the top degree of g(H, 1) over 2d and
+  the top coefficients of g(H, 1) and y_H;
+* the orbit detail (``Stratum.orbits``) and the closure edges are built
+  when first read, from the components of Fix(H) for the class
+  representatives H only, with the orbits taken along generators of N(H).
 
 Summing the unweighted strata must reproduce the quotient polynomial,
 and the weighted total evaluated at -1 must match the orbifold Euler
@@ -41,20 +36,25 @@ hypotheses predict; the hypotheses themselves are recorded, not checked.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
-from math import lcm
+from math import prod
 
-from .exactalg import ConsistencyError, IntPolynomial, det_one_plus_t, mat_vec
-from .groupcore import IntegralAction, subgroup_class_poset
+from .exactalg import (
+    ConsistencyError, IntPolynomial, det_one_plus_t, hermite_normal_form,
+    identity_matrix, mat_mul, mat_vec, smith_normal_form,
+)
+from .groupcore import (
+    IntegralAction, _bits, _element_classes, _permuted, subgroup_class_poset,
+)
 from .mckay import FiberPolynomial, fiber_poincare_equivariant
 from .repring import quotient_poincare
 from .toruslat import (
     DEFAULT_ENUMERATION_BUDGET,
     EnumerationTooLarge,
-    _induced_matrix,
+    _cached_inverse,
     _reduced,
     _row_lattice,
     fix_locus,
+    generic_isotropy,
 )
 
 
@@ -65,19 +65,13 @@ class MalformedLedger(ValueError):
 class ComponentOrbit:
     """One normalizer orbit of components with a fixed exact isotropy."""
 
-    __slots__ = (
-        "representative", "members", "stabilizer_cosets", "fiber",
-        "y_poly", "x_poly",
-    )
+    __slots__ = ("representative", "members", "stabilizer_cosets", "fiber")
 
-    def __init__(self, representative, members, stabilizer_cosets, fiber,
-                 y_poly, x_poly):
+    def __init__(self, representative, members, stabilizer_cosets, fiber):
         self.representative = representative
         self.members = members
         self.stabilizer_cosets = stabilizer_cosets
         self.fiber = fiber
-        self.y_poly = y_poly
-        self.x_poly = x_poly
 
     @property
     def size(self) -> int:
@@ -89,42 +83,47 @@ class ComponentOrbit:
 
 
 class Stratum:
-    """All orbits sharing one conjugacy class of isotropy groups."""
+    """All orbits sharing one conjugacy class of isotropy groups.
+
+    ``orbits`` is built on first read, and checked against the counts.
+    """
 
     __slots__ = (
-        "isotropy", "label", "class_size", "weyl_order", "rank", "orbits",
-        "fiber_plain",
+        "isotropy", "label", "class_size", "weyl_order", "rank",
+        "component_count", "orbit_count", "y_poly", "x_poly", "fiber_plain",
+        "_classes", "_index", "_orbits",
     )
 
-    def __init__(self, isotropy, label, class_size, weyl_order, rank, orbits,
-                 fiber_plain):
+    def __init__(self, isotropy, label, class_size, weyl_order, rank,
+                 component_count, orbit_count, y_poly, x_poly, fiber_plain,
+                 classes, index):
         self.isotropy = isotropy
         self.label = label
         self.class_size = class_size
         self.weyl_order = weyl_order
         self.rank = rank
-        self.orbits = orbits
+        self.component_count = component_count
+        self.orbit_count = orbit_count
+        self.y_poly = y_poly
+        self.x_poly = x_poly
         self.fiber_plain = fiber_plain
+        self._classes = classes
+        self._index = index
+        self._orbits = None
 
     @property
     def order(self) -> int:
         return len(self.isotropy)
 
     @property
-    def orbit_count(self) -> int:
-        return len(self.orbits)
-
-    @property
-    def component_count(self) -> int:
-        return sum(o.size for o in self.orbits)
-
-    @property
-    def y_poly(self) -> IntPolynomial:
-        return sum((o.y_poly for o in self.orbits), IntPolynomial.zero())
-
-    @property
-    def x_poly(self) -> IntPolynomial:
-        return sum((o.x_poly for o in self.orbits), IntPolynomial.zero())
+    def orbits(self) -> tuple[ComponentOrbit, ...]:
+        if self._orbits is None:
+            orbits = self._classes.orbits(self._index)
+            if (len(orbits), sum(o.size for o in orbits)) != (
+                    self.orbit_count, self.component_count):
+                raise ConsistencyError("orbit/stabilizer bookkeeping is inconsistent")
+            self._orbits = orbits
+        return self._orbits
 
     def __repr__(self):
         return (
@@ -134,16 +133,18 @@ class Stratum:
 
 
 class StrataReport:
-    """Result of :func:`stratify`: strata, totals, and the closure poset."""
+    """Result of :func:`stratify`: strata, totals, and the closure poset,
+    which is built on first read."""
 
-    __slots__ = ("action", "strata", "quotient", "resolution", "closure_edges")
+    __slots__ = ("action", "strata", "quotient", "resolution", "_classes", "_edges")
 
-    def __init__(self, action, strata, quotient, resolution, closure_edges):
+    def __init__(self, action, strata, quotient, resolution, classes):
         self.action = action
         self.strata = strata
         self.quotient = quotient
         self.resolution = resolution
-        self.closure_edges = closure_edges
+        self._classes = classes
+        self._edges = None
 
     def stratum_by(self, order: int, rank: int | None = None):
         """All strata with the given isotropy order (and tangent rank)."""
@@ -156,223 +157,194 @@ class StrataReport:
     def y_total(self) -> IntPolynomial:
         return sum((s.y_poly for s in self.strata), IntPolynomial.zero())
 
+    @property
+    def closure_edges(self) -> tuple:
+        if self._edges is None:
+            self._edges = self._classes.closure_edges(self.strata)
+        return self._edges
+
     def __repr__(self):
         return f"StrataReport({self.action.label!r}, {len(self.strata)} strata)"
 
 
 # ---------------------------------------------------------------------------
-# the arrangement of fixed loci
+# traces on fixed loci
 
 
-def _fixed_arrangement(action: IntegralAction,
-                       budget: int = DEFAULT_ENUMERATION_BUDGET):
-    """The canonical components of Fix(H) for every subgroup H, and the
-    pointwise stabilizer of each, as ``(family, isotropy)``.
-
-    Fix(1) is the whole torus, which sorts first: member 0, with isotropy
-    the trivial group.  A component of an intersection of fixed loci is a
-    component of the fixed locus of the subgroup the elements generate,
-    so this is the closure of the element fixed loci under intersection.
-    A component C of Fix(H) is a component of Fix(K) exactly for the K
-    with H ≤ K ≤ Iso(C); subgroups come in increasing order, so the last
-    one whose fixed locus yields C is C's pointwise stabilizer Iso(C).
-    Fix(H) depends only on the lattice spanned by the rows of 1 - h for h
-    in H, so ``fix_locus`` runs once per lattice (keyed by its Hermite
-    basis) and every subgroup with that lattice reuses its components.
-
-    ``budget`` bounds each distinct fixed locus's component enumeration,
-    and also the family times |G|, the size of the element permutations
-    that :func:`stratify` builds on it; :class:`EnumerationTooLarge` is
-    raised as soon as the growing family passes it.  The family is sorted
-    by (-rank, normal, shifts), the shifts compared over one common
-    denominator.
-    """
-    seen: dict = {}
-    loci: dict = {}  # row lattice -> components of its fixed locus
-    for sub in action.all_subgroups():
-        rows = _row_lattice(action, sub)
-        comps = loci.get(rows)
-        if comps is None:
-            comps = loci[rows] = fix_locus(action, sub, budget=budget)
-        for comp in comps:
-            seen[comp.key] = (comp, sub)
-        if len(seen) * action.order > budget:
-            raise EnumerationTooLarge(
-                f"component enumeration exceeds budget {budget}: {len(seen)} "
-                f"fixed components times group order {action.order}"
-            )
-    den = lcm(1, *(t.den for t, _ in seen.values()))
-
-    def order(pair):
-        t = pair[0]
-        scale = den // t.den
-        return (-t.rank, t.normal,
-                tuple(tuple(s * scale for s in copy) for copy in t.scaled_shifts))
-
-    pairs = sorted(seen.values(), key=order)
-    return [t for t, _ in pairs], [h for _, h in pairs]
+@lru_cache(maxsize=None)
+def _frame(rows, r: int):
+    """``(V, V^-1, divisors)`` from the Smith form U rows V = D of a row
+    lattice; the identity frame when there are no rows."""
+    if not rows:
+        return identity_matrix(r), identity_matrix(r), ()
+    snf = smith_normal_form(rows)
+    return snf.v, _cached_inverse(snf.v), snf.divisors
 
 
-def _strict_supersets(family, isotropy):
-    """For each member, the ascending indices of the members strictly
-    containing it.
-
-    A member C strictly containing t has Iso(C) = H ⊊ Iso(t), and C is
-    then the component of Fix(H) through t.  All components of Fix(H)
-    share one normal, so C is looked up by the key of the subtorus with
-    H's normal through t's points, built as a plain tuple; it is a strict
-    superset exactly when its own stabilizer is H.
-    """
-    # many members share a point in one copy, and the points of one
-    # superset share their shifts
-    @lru_cache(maxsize=None)
-    def moved_shift(normal, den, pt):
-        return tuple(x % den for x in mat_vec(normal, pt))
-
-    @lru_cache(maxsize=None)
-    def key_of(normal, den, shifts):
-        return (normal, *_reduced(den, shifts))
-
-    index_of = {t.key: i for i, t in enumerate(family)}
-    normal_of: dict = {}
-    for t, h in zip(family, isotropy):
-        normal_of.setdefault(h, t.normal)
-    smaller = {
-        iso: [(h, normal) for h, normal in normal_of.items() if h < iso]
-        for iso in normal_of
-    }
-    supersets = []
-    for t, iso in zip(family, isotropy):
-        den, pts = t.scaled_points()
-        above = []
-        for h, normal in smaller[iso]:
-            shifts = tuple(moved_shift(normal, den, pt) for pt in pts)
-            j = index_of.get(key_of(normal, den, shifts))
-            if j is None:
-                raise ConsistencyError(
-                    "the family misses a component of a fixed locus"
-                )
-            if isotropy[j] == h:
-                above.append(j)
-        supersets.append(sorted(above))
-    return supersets
+def _fixed_trace(action: IntegralAction, rows, w) -> IntPolynomial:
+    """f: the trace of the matrix w on the cohomology of the fixed locus
+    {x : rows x = 0 mod Z^k} of a row lattice, which w must preserve."""
+    v, v_inv, divs = _frame(rows, action.r)
+    a = mat_mul(mat_mul(v_inv, w), v)
+    k, power = len(divs), 2 * action.d
+    if any(a[i][j] for i in range(k) for j in range(k, action.r)) or any(
+            divs[i] * a[i][j] % divs[j] for i in range(k) for j in range(k)):
+        raise ConsistencyError(f"matrix does not preserve the lattice: {w} on {rows}")
+    # the columns of [B - I | D], whose lattice has index |coker [B - I | D]|
+    columns = [[divs[i] * a[i][j] // divs[j] - (i == j) for i in range(k)]
+               for j in range(k)]
+    columns += [[dv * (i == j) for i in range(k)] for j, dv in enumerate(divs)]
+    fixed = prod(row[i] for i, row in enumerate(hermite_normal_form(columns, k)))
+    return fixed ** power * det_one_plus_t(tuple(row[k:] for row in a[k:]), power)
 
 
-def _moebius_trace(subtorus, deeper, supersets, family, images, n, trace):
-    """Trace of the coset of n on the open part of the subtorus.
+class _Classes:
+    """The traces g(R, w) per subgroup class, and the orbit detail and
+    closure edges built from the class representatives' components."""
 
-    ``deeper`` lists, in ascending order, the family indices strictly
-    inside the subtorus, and ``images`` is n's permutation of the family;
-    inclusion-exclusion runs over the deeper members fixed by n.  The
-    family is sorted by decreasing rank, so each member comes after its
-    supersets.  ``trace(normal, n)`` is det(1 + t η)^{2d} for n's matrix η
-    on the tangent lattice of ``normal``; it depends on a member only
-    through its normal, so the coefficients are summed per normal and each
-    normal is subtracted once.
-    """
-    coeff: dict[int, int] = {}
-    per_normal: dict = {}
-    for i in deeper:
-        if images[i] != i:
-            continue
-        c = coeff[i] = 1 - sum(map(coeff.get, supersets[i], repeat(0)))
-        if c:
-            normal = family[i].normal
-            per_normal[normal] = per_normal.get(normal, 0) + c
-    total = trace(subtorus.normal, n)
-    for normal, c in per_normal.items():
-        if c:
-            total = total - c * trace(normal, n)
-    return total
+    def __init__(self, action: IntegralAction, budget: int):
+        self.action, self.budget = action, budget
+        self.poset = subgroup_class_poset(action)
+        self.masks = [action._mask(c.representative) for c in self.poset.classes]
+        self.rows, self.normalizer, self.over = {}, {}, {}
+        self.normalizer_classes, self.class_of = {}, {}
+        self.fibers, self.detail = {}, {}
+        self.memo: dict = {}
 
+    def _prepare(self, c):
+        action, poset, mask = self.action, self.poset, self.masks[c]
+        norm = self.normalizer[c] = action._mask(poset.classes[c].normalizer)
+        classes = self.normalizer_classes[c] = _element_classes(
+            action, _bits(norm), action._subgroups[norm])
+        self.class_of[c] = {w: i for i, cls in enumerate(classes) for w in cls}
+        self.rows[c] = _row_lattice(
+            action, [action.elements[g] for g in action._subgroups[mask]])
+        # the occurring strict overgroups k R k^-1 of the representative
+        over = []
+        for sub in action._subgroups:
+            if sub & mask == mask and sub != mask:
+                c2, k = poset._index[sub], poset._conjugator[sub]
+                if self.g(c2, action._e):
+                    over.append((c2, k, action._inv_of[k]))
+        self.over[c] = over
 
-def _element_permutations(action, family):
-    """Each element's permutation of the family, composed from generators.
-
-    A generator's image of a member is read off the member's key
-    (``AffineSubtorus.image_key``): the transport of its normal is
-    memoised per (normal, generator), so no member needs its lattice
-    basis or points.  An element reached in the closure as ``a * g``
-    sends member i to ``a(g(i))``.
-    """
-    index_of = {t.key: i for i, t in enumerate(family)}
-    gen_perms = []
-    for g in action.generators:
-        perm = tuple(index_of.get(t.image_key(g)) for t in family)
-        if None in perm:
-            raise ConsistencyError("the family is not stable under the group")
-        gen_perms.append(perm)
-    perms = [None] * action.order
-    perms[action._e] = tuple(range(len(family)))
-    for j, k, g in action._tree:
-        perms[j] = tuple(map(perms[k].__getitem__, gen_perms[g]))
-    return dict(zip(action.elements, perms))
-
-
-def _trace_memo(action):
-    """``trace(normal, n)``: det(1 + t η)^{2d} with η the matrix of n on
-    the tangent lattice of ``normal``, computed once per (normal, n)."""
-    power = 2 * action.d
-    traces: dict = {}
-
-    def trace(normal, n):
-        value = traces.get((normal, n))
+    def g(self, c, w) -> IntPolynomial:
+        """g(R, w) for R the representative of class c and w in N(R)."""
+        if c not in self.over:
+            self._prepare(c)
+        key = (c, self.class_of[c][w])
+        value = self.memo.get(key)
         if value is None:
-            try:
-                eta = _induced_matrix(normal, action.r, n)
-            except ValueError as exc:
-                raise ConsistencyError(f"{exc}: {n} on normal {normal}") from None
-            value = traces[normal, n] = det_one_plus_t(eta, power)
+            table = self.action._table
+            value = _fixed_trace(self.action, self.rows[c], self.action.elements[w])
+            for c2, k, k_inv in self.over[c]:
+                w2 = table[table[k_inv][w]][k]
+                if self.normalizer[c2] >> w2 & 1:
+                    value = value - self.g(c2, w2)
+            self.memo[key] = value
         return value
 
-    return trace
+    def orbits(self, c) -> tuple[ComponentOrbit, ...]:
+        """The N(H)-orbits of the components of Fix(H) whose isotropy is
+        exactly H, ordered by least member, each led by it."""
+        if c not in self.detail:
+            action, cls, fiber = self.action, self.poset.classes[c], self.fibers[c]
+            comps = fix_locus(action, cls.representative, budget=self.budget)
+            index_of = {t.key: i for i, t in enumerate(comps)}
+            try:
+                steps = [[index_of[t.image_key(action.elements[n])] for t in comps]
+                         for n in action._subgroups[self.normalizer[c]]]
+            except KeyError:
+                raise ConsistencyError("a fixed locus is not stable under its "
+                                       "normalizer") from None
+            # only what fixes Fix(H)'s identity component pointwise can fix
+            # another component pointwise
+            fixers = generic_isotropy(action, comps[0])
+            larger = fixers - cls.representative
+            seen, orbits, orbit_of = set(), [], {}
+            for start, rep in enumerate(comps):
+                if start in seen:
+                    continue
+                orbit = [start]
+                seen.add(start)
+                for i in orbit:
+                    for step in steps:
+                        if step[i] not in seen:
+                            seen.add(step[i])
+                            orbit.append(step[i])
+                den, pts = rep.scaled_points()
+                if any(all((x - y) % den == 0 for pt in pts
+                           for x, y in zip(mat_vec(g, pt), pt)) for g in larger):
+                    continue
+                stab = [i for i, coset in enumerate(cls.weyl_cosets)
+                        if rep.image_key(coset[0]) == rep.key]
+                if len(stab) * len(orbit) != len(cls.weyl_cosets):
+                    raise ConsistencyError(
+                        f"orbit of size {len(orbit)} and stabilizer of order "
+                        f"{len(stab)} in a Weyl group of order {len(cls.weyl_cosets)}"
+                    )
+                orbit_of.update((comps[i].key, len(orbits)) for i in orbit)
+                orbits.append(ComponentOrbit(
+                    rep, tuple(comps[i] for i in sorted(orbit)),
+                    tuple(cls.weyl_cosets[i] for i in stab),
+                    FiberPolynomial(fiber.plain, fiber.class_ages,
+                                    [fiber.values[i] for i in stab]),
+                ))
+            self.detail[c] = (tuple(orbits), orbit_of, comps[0].normal,
+                              action._mask(fixers))
+        return self.detail[c][0]
 
-
-def _trace_table(action, weyl_cosets, orbits, perms, moebius):
-    """``table[c][i]``: the trace of Weyl coset c on the open part of each
-    member i of ``orbits`` that c fixes.  Conjugation by S, the union of a
-    representative's stabilizer cosets, fixes its open part, so its traces
-    are taken once per S-class of cosets; other members' once per coset."""
-    index, mult, inv = action._index_of, action._table, action._inv_of
-    coset_of = {index[g]: c for c, coset in enumerate(weyl_cosets) for g in coset}
-    ns = [coset[0] for coset in weyl_cosets]
-    table = [{} for _ in ns]
-    for rep, *others in orbits:
-        stab = [c for c, n in enumerate(ns) if perms[n][rep] == rep]
-        conjugators = [index[ns[c]] for c in stab]
-        for c, x in zip(stab, conjugators):
-            if rep not in table[c]:
-                value = moebius(rep, ns[c])
-                for s in conjugators:
-                    table[coset_of[mult[mult[s][x]][inv[s]]]][rep] = value
-        for c, n in enumerate(ns):
-            table[c].update((i, moebius(i, n)) for i in others if perms[n][i] == i)
-    return table
-
-
-def _orbit_labels(action, perms):
-    """For each member, the least index in its G-orbit, walked along the
-    generators' permutations only."""
-    steps = [perms[g] for g in action.generators]
-    label = [None] * len(steps[0])
-    for start in range(len(label)):
-        if label[start] is None:
-            label[start] = start
-            frontier = [start]
-            while frontier:
-                i = frontier.pop()
-                for images in steps:
-                    j = images[i]
-                    if label[j] is None:
-                        label[j] = start
-                        frontier.append(j)
-    return label
+    def closure_edges(self, strata) -> tuple:
+        """(b, a) for orbit nodes a, b when some G-translate of b's
+        representative strictly contains a's, ordered by a, then by b."""
+        action, poset, table = self.action, self.poset, self.action._table
+        node = {(s._index, oi): (si, oi)
+                for si, s in enumerate(strata) for oi in range(len(s.orbits))}
+        edges = []
+        for s in strata:
+            # the members strictly containing a component with isotropy H
+            # are, one each, the components through it of Fix(L) for the
+            # L < H that are H's pointwise stabilizer of their own tangent
+            # lattice: L = k R k^-1 with no other element of H fixing it.
+            # H-conjugate L give G-translates, so one L per H-class is taken
+            mask, above, seen = self.masks[s._index], [], set()
+            conjugations = [action._conjugation(h) for h in action._subgroups[mask]]
+            for sub in action._subgroups:
+                c2 = poset._index[sub]
+                if (sub & mask != sub or sub == mask or sub in seen
+                        or c2 not in self.detail):
+                    continue
+                orbit = [sub]
+                seen.add(sub)
+                for x in orbit:
+                    for perm in conjugations:
+                        y = _permuted(x, perm)
+                        if y not in seen:
+                            seen.add(y)
+                            orbit.append(y)
+                k = poset._conjugator[sub]
+                k_inv, (_, orbit_of, normal, fixers) = action._inv_of[k], self.detail[c2]
+                if not any(fixers >> table[table[k_inv][h]][k] & 1
+                           for h in _bits(mask & ~sub)):
+                    above.append((c2, orbit_of, normal,
+                                  mat_mul(normal, action.elements[k_inv])))
+            for oi, orbit in enumerate(s.orbits):
+                den, pts = orbit.representative.scaled_points()
+                targets = set()
+                for c2, orbit_of, normal, moved in above:
+                    key = (normal, *_reduced(den, [mat_vec(moved, pt) for pt in pts]))
+                    if key not in orbit_of:
+                        raise ConsistencyError("the orbits miss a component of a "
+                                               "fixed locus")
+                    targets.add(node[c2, orbit_of[key]])
+                edges.extend((b, node[s._index, oi]) for b in sorted(targets))
+        return tuple(edges)
 
 
 def _average(total: IntPolynomial, count: int) -> IntPolynomial:
     """total / count, which must be exact."""
     if any(c % count for c in total.coeffs):
-        raise ConsistencyError(f"{total} does not average over {count} cosets")
+        raise ConsistencyError(f"{total} does not average over {count} elements")
     return total.divide_exact(count)
 
 
@@ -380,8 +352,9 @@ def stratify(action: IntegralAction,
              budget: int = DEFAULT_ENUMERATION_BUDGET) -> StrataReport:
     """Full isotropy stratification with per-stratum polynomials.
 
-    ``budget`` bounds the component enumeration of each fixed locus, and
-    the family times |G|; :class:`~kummer.toruslat.EnumerationTooLarge`
+    ``budget`` bounds the number of components of Fix(H) for the
+    representative H of every stratum, read off the Smith divisors before
+    anything is enumerated; :class:`~kummer.toruslat.EnumerationTooLarge`
     is raised beyond it.
 
     >>> from .catalog import catalog
@@ -389,117 +362,49 @@ def stratify(action: IntegralAction,
     >>> print(report.resolution)
     1 + 22*t^2 + t^4
     """
-    poset = subgroup_class_poset(action)
-    family, isotropy = _fixed_arrangement(action, budget)
-    perms = _element_permutations(action, family)
-    trace = _trace_memo(action)
-    label = _orbit_labels(action, perms)
-
-    # strict containments: supersets[i] = indices of members strictly above i,
-    # subsets[j] = indices of members strictly inside j
-    supersets = _strict_supersets(family, isotropy)
-    subsets: list[list[int]] = [[] for _ in family]
-    for i, above in enumerate(supersets):
-        for j in above:
-            subsets[j].append(i)
-
-    # group components by their exact isotropy subgroup
-    by_subgroup: dict[frozenset, list[int]] = {}
-    for i, h in enumerate(isotropy):
-        by_subgroup.setdefault(h, []).append(i)
-
-    # one stratum per occurring class of isotropy groups, the open stratum
-    # of the trivial group first; the family is stable under the group, so
-    # every occurring class representative occurs itself
-    strata = []
-    reps = []  # family index of each orbit representative, over all strata
-    label_count: dict[int, int] = {}
-    zero = IntPolynomial.zero()
-
-    occurring = sorted({poset.class_of(h) for h in by_subgroup})
-    for cls in (poset.classes[k] for k in occurring):
+    classes = _Classes(action, budget)
+    strata, label_count, zero = [], {}, IntPolynomial.zero()
+    power = 2 * action.d
+    for c, cls in enumerate(classes.poset.classes):
+        top = classes.g(c, action._e)
+        if not top:
+            continue  # no point has isotropy exactly H
+        count = prod(_frame(classes.rows[c], action.r)[2]) ** power
+        if count > budget:
+            raise EnumerationTooLarge(
+                f"component enumeration exceeds budget {budget}: Fix of a "
+                f"subgroup of order {cls.order} has {count} components"
+            )
         subgroup, weyl_cosets = cls.representative, cls.weyl_cosets
-        members = by_subgroup[subgroup]
-        # the members of one G-orbit whose isotropy is exactly H form one
-        # orbit of its normalizer
-        orbit_members: dict[int, list[int]] = {}
-        for i in members:
-            orbit_members.setdefault(label[i], []).append(i)
-        table = _trace_table(
-            action, weyl_cosets, orbit_members.values(), perms,
-            lambda i, n: _moebius_trace(family[i], subsets[i], supersets,
-                                        family, perms[n], n, trace))
-        fiber = fiber_poincare_equivariant(action, subgroup, weyl_cosets, action.d)
-        orbits = []
-        for orbit in orbit_members.values():
-            rep = orbit[0]
-            # stabilizer of the representative inside the Weyl group
-            stab = [c for c, row in enumerate(table) if rep in row]
-            if len(stab) * len(orbit) != len(weyl_cosets):
-                raise ConsistencyError(
-                    f"orbit of size {len(orbit)} and stabilizer of order "
-                    f"{len(stab)} in a Weyl group of order {len(weyl_cosets)}"
-                )
-            y_sum = sum((table[c][rep] for c in stab), zero)
-            x_sum = sum((table[c][rep] * fiber.values[c] for c in stab), zero)
-            orbits.append(ComponentOrbit(
-                family[rep], tuple(family[i] for i in orbit),
-                tuple(weyl_cosets[c] for c in stab),
-                FiberPolynomial(fiber.plain, fiber.class_ages,
-                                [fiber.values[c] for c in stab]),
-                _average(y_sum, len(stab)), _average(x_sum, len(stab)),
-            ))
-            reps.append(rep)
-
-        # over all members and the whole Weyl group, each orbit's traces
-        # add up to |W| times its average
-        table_sum = sum((t for row in table for t in row.values()), zero)
-        if table_sum != len(weyl_cosets) * sum((o.y_poly for o in orbits), zero):
-            raise ConsistencyError("orbit/stabilizer bookkeeping is inconsistent")
-
+        fiber = classes.fibers[c] = fiber_poincare_equivariant(
+            action, subgroup, weyl_cosets, action.d)
+        coset_of = {action._index_of[g]: i
+                    for i, coset in enumerate(weyl_cosets) for g in coset}
+        y_sum = x_sum = zero
+        for ncls in classes.normalizer_classes[c]:
+            trace = len(ncls) * classes.g(c, ncls[0])
+            y_sum = y_sum + trace
+            x_sum = x_sum + trace * fiber.values[coset_of[ncls[0]]]
+        normalizer_order = len(subgroup) * len(weyl_cosets)
+        y_poly = _average(y_sum, normalizer_order)
         order = len(subgroup)
         label_count[order] = label_count.get(order, 0) + 1
         suffix = chr(ord("a") + label_count[order] - 1)
         strata.append(Stratum(
             subgroup, "1" if order == 1 else f"o{order}{suffix}", cls.size,
-            len(weyl_cosets), family[members[0]].rank, tuple(orbits), fiber.plain,
+            len(weyl_cosets), top.degree // power, top[top.degree],
+            y_poly[top.degree], y_poly, _average(x_sum, normalizer_order),
+            fiber.plain, classes, c,
         ))
 
     quotient = quotient_poincare(action)
     resolution = sum((s.x_poly for s in strata), zero)
-
-    # closure poset: orbit node a lies in the closure of orbit node b when
-    # some G-translate of b's representative strictly contains a's.  The
-    # orbit nodes are the G-orbits of members, named by their labels
-    nodes = [(si, oi) for si, s in enumerate(strata) for oi in range(len(s.orbits))]
-    node_of = {label[rep]: b for b, rep in enumerate(reps)}
-    edges = [
-        (nodes[b], nodes[a])
-        for a, rep in enumerate(reps)
-        for b in sorted({node_of[label[j]] for j in supersets[rep]})
-    ]
-
-    report = StrataReport(action, tuple(strata), quotient, resolution, tuple(edges))
+    report = StrataReport(action, tuple(strata), quotient, resolution, classes)
     if report.y_total != quotient:
         raise ConsistencyError(
             f"strata sum to {report.y_total}, not the quotient polynomial {quotient}"
         )
     return report
-
-
-def stratum_closure_quotient_poincare(orbit: ComponentOrbit, d: int) -> IntPolynomial:
-    """Quotient polynomial of the closed image of one component orbit.
-
-    Averages the torus traces of the stabilizer over the representative,
-    with no deeper-locus subtraction (translations do not act on
-    cohomology).
-    """
-    power = 2 * d
-    total = IntPolynomial.zero()
-    for coset in orbit.stabilizer_cosets:
-        eta = orbit.representative.induced_lattice_matrix(coset[0])
-        total = total + det_one_plus_t(eta, power)
-    return total.divide_exact(len(orbit.stabilizer_cosets))
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +485,20 @@ def _ledger_poly(obj, parameter) -> ParamPoly:
     raise MalformedLedger(f"cannot read polynomial from {obj!r}")
 
 
+def _ledger_int(obj) -> int:
+    """``int(obj)``, refusing booleans and numbers it would truncate."""
+    if isinstance(obj, bool) or (isinstance(obj, float) and not obj.is_integer()):
+        raise ValueError(f"{obj!r} is not an integer")
+    return int(obj)
+
+
 def _ledger_scalar(obj, parameter):
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return (obj, 0)
     if isinstance(obj, dict):
         try:
-            c = int(obj.get("const", 0))
-            m = int(obj.get("param", 0))
+            c = _ledger_int(obj.get("const", 0))
+            m = _ledger_int(obj.get("param", 0))
         except (TypeError, ValueError):
             raise MalformedLedger(f"cannot read multiplicity from {obj!r}") from None
         if m and parameter is None:
@@ -637,7 +549,7 @@ def assemble_from_ledger(doc: dict) -> LedgerResult:
                 raise MalformedLedger("substitution given but no parameter declared")
         else:
             try:
-                value = total.substitute(int(substitution[parameter]))
+                value = total.substitute(_ledger_int(substitution[parameter]))
             except (KeyError, TypeError, ValueError):
                 raise MalformedLedger(
                     f"substitution must give an integer for {parameter!r}"

@@ -15,11 +15,10 @@ group elements with no ambiguity, in integer arithmetic only.  A fixed
 locus is the tuple of its components.  N and the tangent lattice are
 each other's integer kernel, both from one cached ``kernel_basis``.
 
-Much of the work depends on N alone, and a family of components has far
-fewer normals than members, so it is memoised per normal: the image of
-N under a group element together with the unimodular change of rows that
-carries the shifts along (``_transport``), and the matrix a group element
-induces on the tangent lattice (``_induced_matrix``).
+The image of N under a group element, with the unimodular change of rows
+that carries the shifts along (``_transport``), and the matrix a group
+element induces on the tangent lattice (``_induced_matrix``) depend on N
+alone, so they are memoised per normal.
 """
 
 from __future__ import annotations

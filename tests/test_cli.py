@@ -326,19 +326,18 @@ class TestMainEntryPoint:
 
     def test_unpreserved_lattice_exit_one(self, monkeypatch, capsys):
         import kummer.strata
-        from kummer.catalog import catalog
+        from kummer.groupcore import subgroup_class_poset
 
-        # a non-generator element leading its conjugacy class is made to fix
-        # every member, so the open stratum's trace asks for its matrix on
-        # a tangent lattice it moves
-        action = catalog("octahedral_s4_sl3")
-        n = next(cls[0] for cls in action.conjugacy_classes()[1:]
-                 if cls[0] not in action.generators)
-        permutations = kummer.strata._element_permutations
-        monkeypatch.setattr(
-            kummer.strata, "_element_permutations",
-            lambda action, family: {**permutations(action, family),
-                                    n: tuple(range(len(family)))})
+        # every class of subgroups is given the whole group as normalizer,
+        # so the traces ask for an element's matrix on a fixed locus it
+        # moves
+        def widened(action):
+            poset = subgroup_class_poset(action)
+            for cls in poset.classes:
+                cls.normalizer = frozenset(action.elements)
+            return poset
+
+        monkeypatch.setattr(kummer.strata, "subgroup_class_poset", widened)
         assert main(["--catalog", "octahedral_s4_sl3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: internal inconsistency: matrix does not "
@@ -358,15 +357,23 @@ class TestMainEntryPoint:
         assert main(["--catalog", "s4_standard_d2", "--max-enumeration", "10"]) == 2
         assert "error: component enumeration exceeds budget" in capsys.readouterr().err
 
-    def test_enumeration_budget_bounds_the_family(self, capsys):
-        # every fixed locus has at most 256 components, but the family of
-        # 315 members (the whole torus among them) times |G| = 24 is 7,560
-        # permutation entries
-        assert main(["--catalog", "s4_standard_d2", "--max-enumeration", "5000"]) == 2
+    def test_enumeration_budget_bounds_each_fixed_locus(self, capsys):
+        # the budget bounds the components of Fix(H) for each stratum's
+        # representative H: 256 points for the whole group here
+        from kummer.catalog import catalog
+        from kummer.toruslat import fix_locus
+
+        report = stratify(catalog("s4_standard_d2"))
+        largest = max(len(fix_locus(report.action, s.isotropy)) for s in report.strata)
+        assert largest == 256
+        args = ["--catalog", "s4_standard_d2", "--max-enumeration"]
+        assert main(args + [str(largest - 1)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: component enumeration exceeds budget 5000")
+        assert err.startswith("error: component enumeration exceeds budget "
+                              f"{largest - 1}: ")
         assert "--max-enumeration" in err
         assert err.count("\n") == 1
+        assert main(args + [str(largest), "--equivariant"]) == 0
 
     @pytest.mark.parametrize("exponents", [
         # each class k of Z5 gets (k/5, k/5, k/5): not Galois closed
@@ -391,18 +398,42 @@ class TestMainEntryPoint:
         assert capsys.readouterr().err.startswith("error: ")
         _assert_input_error_under_optimize(args)
 
-    @pytest.mark.parametrize("subtract", [
-        [{"poly": [1], "multiplicity": {"const": "x"}}],
-        5,
-    ], ids=["text_multiplicity", "subtract_not_a_list"])
-    def test_malformed_ledger_exit_two(self, subtract, tmp_path, capsys):
+    @pytest.mark.parametrize("subtract, extra", [
+        ([{"poly": [1], "multiplicity": {"const": "x"}}], {}),
+        (5, {}),
+        ([{"poly": [1], "multiplicity": {"const": 1.5}}], {}),
+        ([{"poly": [1], "multiplicity": {"param": 1}}],
+         {"parameter": "m", "substitution": {"m": False}}),
+    ], ids=["text_multiplicity", "subtract_not_a_list", "fractional_const",
+            "boolean_substitution"])
+    def test_malformed_ledger_exit_two(self, subtract, extra, tmp_path, capsys):
         path = tmp_path / "ledger.json"
-        path.write_text(json.dumps({"entries": [{"base": [1], "subtract": subtract}]}))
+        path.write_text(json.dumps(
+            {"entries": [{"base": [1], "subtract": subtract}], **extra}))
         args = ["--mode", "ledger", "--input", str(path)]
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         _assert_input_error_under_optimize(args)
+
+    @pytest.mark.parametrize("subtract, extra", [
+        ([{"poly": [1], "multiplicity": {"const": True}}], {}),
+        ([{"poly": [1], "multiplicity": True}], {}),
+        ([{"poly": [1], "multiplicity": {"param": 0.5}}],
+         {"parameter": "m", "substitution": {"m": 2}}),
+        ([{"poly": [1], "multiplicity": {"param": 1}}],
+         {"parameter": "m", "substitution": {"m": 1.5}}),
+    ], ids=["boolean_const", "boolean_multiplicity", "fractional_param",
+            "fractional_substitution"])
+    def test_non_integral_ledger_values_exit_two(self, subtract, extra, tmp_path,
+                                                 capsys):
+        # int() would truncate these or read a boolean as a number
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps(
+            {"entries": [{"base": [1], "subtract": subtract}], **extra}))
+        assert main(["--mode", "ledger", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("source, order", [
         (["--catalog", "z6_sl2"], 6),
