@@ -5,26 +5,31 @@ element i is the i-th smallest and sorted index lists sort like sorted
 element lists.  Closing the generators takes each (element, generator)
 product once; those products give each generator's right action on the
 indices, from which the Cayley table ``_table[i][j]`` is composed column
-by column on first use.  A subgroup is an int bitmask over the indices
-(containment is ``a & ~b == 0``), and closures, conjugates, normalizers,
-cosets, element and subgroup classes, the Weyl permutations of a
-subgroup's classes and the subgroup lattice are table lookups on
-indices.  The public methods still take and return elements (matrices
-or permutation tuples) and frozensets of them; matrices are multiplied
-only to close the generators.  Orders stay below a configurable cap
-(default 10000); the interesting actions in the catalog have order at
-most 720.
+by column on first use.  A matrix group is closed on the orbit of the
+basis rows: row i of a * g is (row i of a) * g, so a matrix is the tuple
+of its rows' places in that orbit and a product is r lookups.  A
+subgroup is an int bitmask over the indices (containment is
+``a & ~b == 0``), and closures, conjugates, normalizers, cosets, element
+and subgroup classes and the Weyl permutations of a subgroup's classes
+are table lookups on indices.  The subgroup lattice is built class by
+class from joins of class representatives with single elements, each
+new class listed once with a conjugator per member.  The public methods
+still take and return elements (matrices or permutation tuples) and
+frozensets of them.  Orders stay below a configurable cap (default
+10000); the interesting actions in the catalog have order at most 720.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd
+from operator import mul
 
 from .exactalg import (
     ConsistencyError,
+    exponent_multiset,
     identity_matrix,
     mat_det,
-    mat_mul,
 )
 
 DEFAULT_ORDER_CAP = 10_000
@@ -56,8 +61,14 @@ class FiniteGroup:
     def _product(a, b):
         raise NotImplementedError
 
+    @staticmethod
+    def _decode(word):
+        """The element a closure word stands for: itself by default."""
+        return word
+
     def _close(self, gens, ident, cap: int):
-        """Close ``gens`` from ``ident`` under right multiplication.
+        """Close the words ``gens`` from ``ident`` under right
+        multiplication by ``_product``; ``_decode`` gives the elements.
 
         Every (element, generator) product is taken once and kept: as
         ``_right[k]``, generator k's right action on the element indices,
@@ -82,12 +93,13 @@ class FiniteGroup:
                     row.append(p)
                 images[a] = row
             frontier = new
-        self.generators = gens
-        self.elements = tuple(sorted(images))
-        index = self._index_of = {g: i for i, g in enumerate(self.elements)}
+        decoded = {a: self._decode(a) for a in images}
+        words = sorted(images, key=decoded.__getitem__)
+        self.elements = tuple(map(decoded.__getitem__, words))
+        self._index_of = {g: i for i, g in enumerate(self.elements)}
+        index = {a: i for i, a in enumerate(words)}
         self._e = index[ident]
-        self._right = [[index[images[x][k]] for x in self.elements]
-                       for k in range(len(gens))]
+        self._right = [[index[images[a][k]] for a in words] for k in range(len(gens))]
         self._tree = [(index[p], index[a], k) for p, a, k in tree]
 
     # -- the index kernel -----------------------------------------------------
@@ -174,36 +186,84 @@ class FiniteGroup:
         return tuple(tuple(self.elements[i] for i in _bits(c)) for c in out)
 
     @cached_property
+    def _lattice(self) -> tuple[list, dict, dict]:
+        """The conjugacy classes of subgroups on masks, as ``(classes,
+        conjugator, gens_of)``: one ``(members, normalizer)`` per class,
+        sorted by (order, sorted indices) of its least member R, which
+        leads ``members``; m = k R k^-1 for k = ``conjugator[m]``, and
+        m is generated by the indices ``gens_of[m]``.
+
+        Breadth first from the trivial group, each representative H is
+        joined with one g per H-double coset, N(H)-conjugate and generator
+        of <g>, all of which give conjugate joins; every subgroup is a
+        chain of joins, so its class is reached.  A new join's class is
+        listed at once by the generators' conjugations, so a later join
+        is named by a lookup, and N(H) is closed from H and the Schreier
+        elements of that listing.
+        """
+        table, inv, e, orders = self._table, self._inv_of, self._e, self._orders
+        gens = [self._index_of[g] for g in self.generators]
+        perms = [self._conjugation(g) for g in gens]
+        found, conjugator, gens_of = [], {}, {}
+
+        def add_class(join, join_gens):
+            orbit, conj, edges = [join], {join: e}, []
+            for sub in orbit:
+                for x, perm in zip(gens, perms):
+                    image = _permuted(sub, perm)
+                    if image in conj:
+                        edges.append((sub, x, image))
+                    else:
+                        conj[image] = table[x][conj[sub]]
+                        orbit.append(image)
+            rep = min(orbit, key=_bits)
+            rep_inv = inv[conj[rep]]
+            for sub in orbit:
+                k, k_inv = conj[sub], inv[conj[sub]]
+                conjugator[sub] = table[k][rep_inv]
+                gens_of[sub] = tuple(table[table[k][a]][k_inv] for a in join_gens)
+            norm, norm_gens = rep, list(gens_of[rep])
+            for sub, x, image in edges:
+                y = table[table[inv[conjugator[image]]][x]][conjugator[sub]]
+                if not norm >> y & 1:
+                    norm_gens.append(y)
+                    norm = self._closure(norm_gens)
+            orbit.remove(rep)
+            found.append(((rep, *orbit), norm, norm_gens))
+
+        add_class(1 << e, ())
+        everything = (1 << len(table)) - 1
+        for (sub, *_), _, norm_gens in found:
+            members, done, sub_gens = _bits(sub), sub, gens_of[sub]
+            while done != everything:
+                rest = everything & ~done
+                g = (rest & -rest).bit_length() - 1
+                cyclic, p = [], g
+                for n in range(1, orders[g]):
+                    if gcd(n, orders[g]) == 1:
+                        cyclic.append(p)
+                    p = table[p][g]
+                seen = set(cyclic)
+                for x in cyclic:
+                    for n in norm_gens:
+                        y = table[table[n][x]][inv[n]]
+                        if y not in seen:
+                            seen.add(y)
+                            cyclic.append(y)
+                for x in cyclic:
+                    if not done >> x & 1:
+                        done |= self._closure(sub_gens, [table[h][x] for h in members])
+                join = self._closure(sub_gens + (g,), members)
+                if join not in conjugator:
+                    add_class(join, sub_gens + (g,))
+        found.sort(key=lambda c: (c[0][0].bit_count(), _bits(c[0][0])))
+        return [c[:2] for c in found], conjugator, gens_of
+
+    @cached_property
     def _subgroups(self) -> dict[int, tuple[int, ...]]:
         """Every subgroup as a mask, sorted by (order, sorted elements),
-        mapped to indices of elements that generate it.
-
-        Every subgroup is generated by its elements, so it is a join of
-        cyclic subgroups: starting from the trivial group, each subgroup
-        found is joined with every cyclic subgroup it does not contain.
-        ``<H, x>`` is the same for every x in one double coset ``H g H``,
-        so each double coset is joined once.  A join is closed from the
-        generators that reached it plus the new cyclic generator.
-        """
-        table, cyclic = self._table, {}
-        for g in range(len(self.elements)):
-            cyclic.setdefault(self._closure((g,)), g)
-        gens_of = {1 << self._e: ()}
-        frontier = [1 << self._e]
-        while frontier:
-            new = []
-            for sub in frontier:
-                done, members = sub, _bits(sub)
-                for g in cyclic.values():
-                    if done >> g & 1:
-                        continue
-                    done |= self._closure(gens_of[sub], [table[h][g] for h in members])
-                    gens = gens_of[sub] + (g,)
-                    join = self._closure(gens)
-                    if join not in gens_of:
-                        gens_of[join] = gens
-                        new.append(join)
-            frontier = new
+        mapped to indices of elements that generate it."""
+        gens_of = self._lattice[2]
         return {m: gens_of[m]
                 for m in sorted(gens_of, key=lambda m: (m.bit_count(), _bits(m)))}
 
@@ -302,6 +362,26 @@ def _permuted(mask: int, perm) -> int:
     return sum(1 << perm[i] for i in _bits(mask))
 
 
+def _row_orbit(gens, r: int, cap: int):
+    """The orbit of the basis rows under the matrices ``gens``, as ``(rows,
+    actions)`` with the basis rows first and ``rows[actions[k][i]] = rows[i]
+    * gens[k]``; it holds the rows of every element, at most r * cap."""
+    rows = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    index = {row: i for i, row in enumerate(rows)}
+    columns = [tuple(zip(*g)) for g in gens]
+    actions = [[] for _ in gens]
+    for row in rows:
+        for cols, action in zip(columns, actions):
+            image = tuple(sum(map(mul, row, col)) for col in cols)
+            if image not in index:
+                if len(rows) >= r * cap:
+                    raise NotFiniteWithinCap(f"group closure exceeds cap {cap}")
+                index[image] = len(rows)
+                rows.append(image)
+            action.append(index[image])
+    return rows, actions
+
+
 class IntegralAction(FiniteGroup):
     """A finite group of invertible integer matrices acting on a torus power.
 
@@ -324,7 +404,9 @@ class IntegralAction(FiniteGroup):
                 raise NonInvertible(f"generator has determinant {mat_det(g)}")
         if d < 1:
             raise ValueError("d must be a positive integer")
-        self._close(gens, identity_matrix(r), cap)
+        self.generators = gens
+        self._rows, actions = _row_orbit(gens, r, cap)
+        self._close(actions, tuple(range(r)), cap)
         self.r = r
         self.d = d
         self.label = label or f"group of order {self.order} in GL({r},Z)"
@@ -334,7 +416,19 @@ class IntegralAction(FiniteGroup):
                 "determinant -1 element in an action declared special"
             )
 
-    _product = staticmethod(mat_mul)
+    @staticmethod
+    def _product(a, g):
+        # a is the tuple of a matrix's rows in the row orbit, and row i of
+        # a * g is (row i of a) * g, so g acts row by row
+        return tuple(map(g.__getitem__, a))
+
+    def _decode(self, a):
+        return tuple(map(self._rows.__getitem__, a))
+
+    @cached_property
+    def _class_exponents(self) -> tuple:
+        """Eigenvalue exponents of the elements of each conjugacy class."""
+        return tuple(map(exponent_multiset, self.class_representatives()))
 
     def restrict(self, sub, label: str = "") -> "IntegralAction":
         """The subgroup as an IntegralAction of its own (same r, d)."""
@@ -382,6 +476,7 @@ class AbstractGroup(FiniteGroup):
             if sorted(g) != list(range(n)):
                 raise ValueError(f"not a permutation of 0..{n - 1}: {g}")
         self.degree = n
+        self.generators = gens
         self._close(gens, tuple(range(n)), cap)
         self.label = label or f"permutation group of order {self.order}"
 
@@ -428,41 +523,22 @@ class SubgroupClassPoset:
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        gens = [group._index_of[g] for g in group.generators]
-        conjugations = [group._conjugation(g) for g in gens]
-        # subgroups come sorted, so each conjugation orbit (closed under
-        # the generators) is met first at its least member, and the
-        # classes are met in their sort order
-        self._index = {}  # subgroup mask -> class index
-        self._conjugator = {}  # subgroup mask -> k with mask = k rep k^-1
-        orbits, classes = [], []
-        for rep in group._subgroups:
-            if rep in self._index:
-                continue
-            self._index[rep] = len(orbits)
-            self._conjugator[rep] = group._e
-            orbit = [rep]
-            for sub in orbit:
-                for g, perm in zip(gens, conjugations):
-                    image = _permuted(sub, perm)
-                    if image not in self._index:
-                        self._index[image] = len(orbits)
-                        self._conjugator[image] = group._table[g][self._conjugator[sub]]
-                        orbit.append(image)
-            orbits.append(orbit)
-            rep_set = group._set(rep)
-            norm = group.normalizer(rep_set)
-            if len(orbit) * len(norm) != group.order:
+        lattice, self._conjugator, _ = group._lattice  # mask -> k, mask = k rep k^-1
+        self._index = {sub: i for i, (members, _) in enumerate(lattice)
+                       for sub in members}  # subgroup mask -> class index
+        classes = []
+        for members, norm in lattice:
+            if len(members) * norm.bit_count() != group.order:
                 raise ConsistencyError(
-                    f"class of {len(orbit)} subgroups with a normalizer of order "
-                    f"{len(norm)} in a group of order {group.order}"
+                    f"class of {len(members)} subgroups with a normalizer of order "
+                    f"{norm.bit_count()} in a group of order {group.order}"
                 )
-            classes.append(SubgroupClass(rep_set, len(orbit), norm,
-                                         group._cosets(rep, group._mask(norm))))
+            classes.append(SubgroupClass(group._set(members[0]), len(members),
+                                         group._set(norm), group._cosets(members[0], norm)))
         self.classes = tuple(classes)
         self.leq = tuple(
-            tuple(any(not sub & ~other[0] for sub in orbit) for other in orbits)
-            for orbit in orbits
+            tuple(any(not sub & ~other[0][0] for sub in members) for other in lattice)
+            for members, _ in lattice
         )
         if not all(self.leq[i][i] for i in range(len(classes))):
             raise ConsistencyError("subconjugacy is not reflexive")

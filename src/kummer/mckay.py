@@ -12,7 +12,7 @@ partition lengths, used as an oracle against the age computation.
 
 from __future__ import annotations
 
-from .exactalg import ConsistencyError, IntPolynomial, age, exponent_multiset
+from .exactalg import ConsistencyError, IntPolynomial, age
 from .groupcore import FiniteGroup, IntegralAction, _weyl_permutations
 
 
@@ -79,7 +79,8 @@ def fiber_poincare_equivariant(group: FiniteGroup, sub: frozenset,
     classes, perms = _weyl_permutations(group, group._mask(sub), weyl_cosets)
     ages = []
     for cls in classes:
-        a = age(exponent_multiset(group.elements[cls[0]]), d)
+        # age is a class function of the whole group
+        a = age(group._class_exponents[group.class_index(group.elements[cls[0]])], d)
         if a.denominator != 1:
             raise NonIntegerAge(f"class has fractional age {a}")
         ages.append(int(a))

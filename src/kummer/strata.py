@@ -217,8 +217,18 @@ class _Classes:
         classes = self.normalizer_classes[c] = _element_classes(
             action, _bits(norm), action._subgroups[norm])
         self.class_of[c] = {w: i for i, cls in enumerate(classes) for w in cls}
-        self.rows[c] = _row_lattice(
+        rows = self.rows[c] = _row_lattice(
             action, [action.elements[g] for g in action._subgroups[mask]])
+        # |pi_0 Fix(R)| = base^power, before any trace; it exceeds the
+        # budget unformed when base > 1 and power exceeds its bit length
+        base, power = prod(_frame(rows, action.r)[2]), 2 * action.d
+        small = base == 1 or power <= self.budget.bit_length()
+        if not small or base ** power > self.budget:
+            raise EnumerationTooLarge(
+                f"component enumeration exceeds budget {self.budget}: Fix of a "
+                f"subgroup of order {poset.classes[c].order} has "
+                f"{base ** power if small else f'{base}^{power}'} components"
+            )
         # the occurring strict overgroups k R k^-1 of the representative
         over = []
         for sub in action._subgroups:
@@ -353,8 +363,8 @@ def stratify(action: IntegralAction,
     """Full isotropy stratification with per-stratum polynomials.
 
     ``budget`` bounds the number of components of Fix(H) for the
-    representative H of every stratum, read off the Smith divisors before
-    anything is enumerated; :class:`~kummer.toruslat.EnumerationTooLarge`
+    representative H of every subgroup class, read off the Smith divisors
+    before the class's first trace; :class:`~kummer.toruslat.EnumerationTooLarge`
     is raised beyond it.
 
     >>> from .catalog import catalog
@@ -369,12 +379,6 @@ def stratify(action: IntegralAction,
         top = classes.g(c, action._e)
         if not top:
             continue  # no point has isotropy exactly H
-        count = prod(_frame(classes.rows[c], action.r)[2]) ** power
-        if count > budget:
-            raise EnumerationTooLarge(
-                f"component enumeration exceeds budget {budget}: Fix of a "
-                f"subgroup of order {cls.order} has {count} components"
-            )
         subgroup, weyl_cosets = cls.representative, cls.weyl_cosets
         fiber = classes.fibers[c] = fiber_poincare_equivariant(
             action, subgroup, weyl_cosets, action.d)

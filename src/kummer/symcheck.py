@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .exactalg import ConsistencyError, euler_phi
-from .groupcore import FiniteGroup, IntegralAction, _bits, _permuted
+from .groupcore import FiniteGroup, IntegralAction
 from .mckay import partitions
 
 
@@ -65,13 +65,7 @@ class AnalyticEigenData:
     @classmethod
     def from_integral(cls, action: IntegralAction) -> "AnalyticEigenData":
         """Tangent data of an integral action: d copies of each matrix."""
-        from .exactalg import exponent_multiset
-
-        exps = []
-        for rep in action.class_representatives():
-            e = exponent_multiset(rep)
-            exps.append((e * action.d).entries)
-        return cls(action, tuple(exps))
+        return cls(action, tuple((e * action.d).entries for e in action._class_exponents))
 
     @property
     def dimension(self) -> int:
@@ -308,17 +302,13 @@ def bls_classify(data: AnalyticEigenData) -> BLSResult:
 
 
 def _has_normal_abelian(group: FiniteGroup, order: int) -> bool:
-    """Whether a normal abelian subgroup has the given order: on masks, H
-    lies in its elements' centralizers and is fixed by the generators."""
-    conjugations = [group._conjugation(group._index_of[g]) for g in group.generators]
-    for sub in group._subgroups:
-        if sub.bit_count() != order:
-            continue
-        if all(not sub & ~group._centralizer(a) for a in _bits(sub)) and all(
-            _permuted(sub, perm) == sub for perm in conjugations
-        ):
-            return True
-    return False
+    """Whether a normal abelian subgroup has the given order: a class of
+    one subgroup in the lattice, whose generators commute."""
+    table, (classes, _, gens_of) = group._table, group._lattice
+    return any(len(members) == 1 and members[0].bit_count() == order
+               and all(table[a][b] == table[b][a]
+                       for a in gens_of[members[0]] for b in gens_of[members[0]])
+               for members, _ in classes)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,19 @@ from kummer.toruslat import DEFAULT_ENUMERATION_BUDGET
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _assert_input_error_under_optimize(args):
-    """``python -O -m kummer.cli ARGS`` exits 2 with one ``error:`` line:
-    the input check does not rest on ``assert``."""
+def _run_cli(args, flags=(), timeout=120):
+    """``python FLAGS -m kummer.cli ARGS`` in a fresh process."""
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-O", "-m", "kummer.cli", *args],
-                         capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *flags, "-m", "kummer.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def _assert_input_error_under_optimize(args):
+    """``python -O -m kummer.cli ARGS`` exits 2 with one ``error:`` line:
+    the input check does not rest on ``assert``."""
+    out = _run_cli(args, flags=["-O"])
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert "Traceback" not in out.stderr
@@ -358,13 +363,15 @@ class TestMainEntryPoint:
         assert "error: component enumeration exceeds budget" in capsys.readouterr().err
 
     def test_enumeration_budget_bounds_each_fixed_locus(self, capsys):
-        # the budget bounds the components of Fix(H) for each stratum's
-        # representative H: 256 points for the whole group here
+        # the budget bounds the components of Fix(H) for each subgroup
+        # class's representative H: 256 points for the whole group here
         from kummer.catalog import catalog
+        from kummer.groupcore import subgroup_class_poset
         from kummer.toruslat import fix_locus
 
-        report = stratify(catalog("s4_standard_d2"))
-        largest = max(len(fix_locus(report.action, s.isotropy)) for s in report.strata)
+        action = catalog("s4_standard_d2")
+        largest = max(len(fix_locus(action, c.representative))
+                      for c in subgroup_class_poset(action).classes)
         assert largest == 256
         args = ["--catalog", "s4_standard_d2", "--max-enumeration"]
         assert main(args + [str(largest - 1)]) == 2
@@ -374,6 +381,17 @@ class TestMainEntryPoint:
         assert "--max-enumeration" in err
         assert err.count("\n") == 1
         assert main(args + [str(largest), "--equivariant"]) == 0
+
+    def test_large_d_stops_before_any_trace(self):
+        # Fix(-1) on z6_sl2 has 4^(2d) components: the budget stops --d 800
+        # before a trace of degree 2rd = 3200 is taken, and 4^1600 is not
+        # formed since 1600 exceeds the budget's bit length
+        out = _run_cli(["--catalog", "z6_sl2", "--d", "800"], timeout=20)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr == (
+            f"error: component enumeration exceeds budget {DEFAULT_ENUMERATION_BUDGET}: "
+            "Fix of a subgroup of order 2 has 4^1600 components "
+            "(set by --max-enumeration)\n")
 
     @pytest.mark.parametrize("exponents", [
         # each class k of Z5 gets (k/5, k/5, k/5): not Galois closed

@@ -4,6 +4,7 @@ from kummer.catalog import (
     ACCEPTANCE_ACTIONS,
     binary_tetrahedral_group,
     catalog,
+    integral_catalog_actions,
     natural_rep_matrix,
     natural_sn,
     quotient_rep_matrix,
@@ -21,11 +22,14 @@ from kummer.exactalg import (
     smith_normal_form,
 )
 from kummer.groupcore import (
+    DEFAULT_ORDER_CAP,
+    FiniteGroup,
     NonInvertible,
     NotFiniteWithinCap,
     SpecialityViolation,
     generate_group,
     subgroup_class_poset,
+    _bits,
     weyl_action_on_classes,
 )
 from kummer.toruslat import orbifold_euler
@@ -49,7 +53,8 @@ class TestGenerateGroup:
             generate_group([((2, 0), (0, 1))])
 
     def test_infinite_group_hits_cap(self):
-        with pytest.raises(NotFiniteWithinCap):
+        # the orbit of the basis rows is infinite too, and capped at r * cap
+        with pytest.raises(NotFiniteWithinCap, match="group closure exceeds cap 500"):
             generate_group([((1, 1), (0, 1))], cap=500)
 
     def test_speciality(self):
@@ -227,9 +232,99 @@ class TestIndexKernel:
         assert orbifold_euler(action) == total // action.order
 
 
+def _oracle_lattice(group):
+    """The subgroups of a group and their conjugacy classes from plain
+    products: a product table of the elements, every subgroup as the
+    closure of a pair, checked to be closed under joining one more
+    element, and each class as the images under conjugation by every
+    element.  Returns ``(subgroups, classes, conjugate)``: index
+    frozensets and ``conjugate(sub, k)``, the subgroup k sub k^-1."""
+    mats = [_as_matrix(g) for g in group.elements]
+    position = {m: i for i, m in enumerate(mats)}
+    product = [[position[mat_mul(a, b)] for b in mats] for a in mats]
+    inverse = [row.index(group._e) for row in product]
+
+    def closure(gens):
+        seen, frontier = {group._e}, [group._e]
+        while frontier:
+            frontier = [product[a][g] for a in frontier for g in gens]
+            frontier = [p for p in set(frontier) if p not in seen]
+            seen.update(frontier)
+        return frozenset(seen)
+
+    def conjugate(sub, k):
+        return frozenset(product[product[k][h]][inverse[k]] for h in sub)
+
+    n = len(mats)
+    subgroups = {closure((a, b)) for a in range(n) for b in range(a, n)}
+    assert all(closure((*sub, g)) in subgroups for sub in subgroups for g in range(n))
+    classes = {frozenset(conjugate(sub, k) for k in range(n)) for sub in subgroups}
+    return subgroups, classes, conjugate
+
+
+class _MatrixClosure(FiniteGroup):
+    """Generators closed with ``mat_mul`` on whole matrices."""
+
+    _product = staticmethod(mat_mul)
+
+    def __init__(self, gens):
+        self._close(gens, identity_matrix(len(gens[0])), DEFAULT_ORDER_CAP)
+
+
+class TestLatticeAgainstOracle:
+    """The class-by-class lattice against brute force, on the integral
+    catalog and on the benchmark's actions in two seeded bases."""
+
+    @staticmethod
+    def sample(source, perfbench_actions):
+        if source == "catalog":
+            return integral_catalog_actions()
+        return perfbench_actions(int(source.split("/")[1]))
+
+    @pytest.mark.parametrize("source", ["catalog", "perfbench/7", "perfbench/63"])
+    def test_classes_normalizers_conjugators_generators(self, source,
+                                                        perfbench_actions):
+        for group in self.sample(source, perfbench_actions):
+            subgroups, classes, conjugate = _oracle_lattice(group)
+            assert {frozenset(_bits(m)) for m in group._subgroups} == subgroups
+            poset = subgroup_class_poset(group)
+            got = [frozenset(frozenset(_bits(m)) for m, i in poset._index.items()
+                             if i == c) for c in range(len(poset))]
+            assert set(got) == classes and len(got) == len(classes), group.label
+            reps = [sorted(group._index_of[g] for g in c.representative)
+                    for c in poset.classes]
+            assert reps == sorted(reps, key=lambda r: (len(r), r))
+            for members, cls, rep in zip(got, poset.classes, reps):
+                assert rep == min(sorted(m) for m in members), group.label
+                assert cls.size == len(members)
+                norm = {k for k in range(group.order)
+                        if conjugate(frozenset(rep), k) == frozenset(rep)}
+                assert {group._index_of[g] for g in cls.normalizer} == norm
+                assert cls.normalizer == group.normalizer(cls.representative)
+            for mask, gens in group._subgroups.items():
+                sub = frozenset(_bits(mask))
+                rep = poset.classes[poset._index[mask]].representative
+                rep = frozenset(group._index_of[g] for g in rep)
+                assert conjugate(rep, poset._conjugator[mask]) == sub
+                assert group._closure(gens) == mask
+                assert _plain_closure([_as_matrix(group.elements[g]) for g in gens]
+                                      or [_as_matrix(group.identity)]) == frozenset(
+                    _as_matrix(group.elements[i]) for i in sub)
+
+    @pytest.mark.parametrize("source", ["catalog", "perfbench/7", "perfbench/63"])
+    def test_row_orbit_closure_is_the_matrix_closure(self, source, perfbench_actions):
+        for group in self.sample(source, perfbench_actions):
+            plain = _MatrixClosure(group.generators)
+            assert plain.elements == group.elements, group.label
+            assert plain._e == group._e
+            assert plain._right == group._right
+            assert plain._tree == group._tree
+
+
 class TestHeavyLattices:
-    """The subgroup lattices of the dimension-8 generalized Kummer and of
-    Hilb^3 of a K3 (the lattice only; stratifying them is not tier-1)."""
+    """The subgroup lattices of the dimension-8 and -10 generalized Kummers
+    and of Hilb^3 and Hilb^4 of a K3 (the lattice only; stratifying them is
+    not tier-1)."""
 
     def test_standard_s5(self):
         group = standard_sn(5, d=2)
@@ -247,6 +342,17 @@ class TestHeavyLattices:
         assert len(group.all_subgroups()) == 98
         assert len(poset) == 33
         assert sum(c.size for c in poset.classes) == 98
+
+    @pytest.mark.parametrize("make, count, classes", [
+        (lambda: standard_sn(6, d=2), 1455, 56),
+        (lambda: wreath(4, 2, d=2), 1659, 193),
+    ], ids=["standard_s6", "wreath_4"])
+    def test_next_sizes(self, make, count, classes):
+        group = make()
+        poset = subgroup_class_poset(group)
+        assert len(group.all_subgroups()) == count
+        assert len(poset) == classes
+        assert sum(c.size for c in poset.classes) == count
 
 
 class TestWeylAction:
