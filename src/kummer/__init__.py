@@ -38,14 +38,7 @@ from .catalog import (
     standard_sn,
     wreath,
 )
-from .repring import (
-    ClassFunction,
-    EquivariantPolynomial,
-    equivariant_product_invariants,
-    mu0,
-    quotient_poincare,
-    torus_equivariant_polynomial,
-)
+from .repring import quotient_poincare
 from .toruslat import (
     AffineSubtorus,
     component_count,

@@ -581,9 +581,16 @@ def weyl_action_on_classes(group: FiniteGroup, sub: frozenset):
 
 def _weyl_permutations(group: FiniteGroup, mask: int, cosets):
     """H's element classes (H conjugating) and, per coset, their permutation
-    by conjugation with the coset's first element, as ``(classes, perms)``."""
-    members = _bits(mask)
-    classes = _element_classes(group, members, members)
+    by conjugation with the coset's first element, as ``(classes, perms)``.
+
+    H conjugates through generators taken greedily from its members, each
+    one not yet in the span of those before it."""
+    members, gens, span = _bits(mask), [], 1 << group._e
+    for h in members:
+        if not span >> h & 1:
+            gens.append(h)
+            span = group._closure(gens)
+    classes = _element_classes(group, members, gens)
     class_of = {h: i for i, cls in enumerate(classes) for h in cls}
     table, perms = group._table, []
     for coset in cosets:
@@ -597,8 +604,9 @@ def _element_classes(group: FiniteGroup, elements, conjugators) -> tuple[tuple, 
     """Orbits of the indices ``elements`` under conjugation by the indices
     ``conjugators``.
 
-    The whole group passes its generators (closing under them reaches the
-    full class), a subgroup passes its own elements.  Each class is a
+    Closing under generators of a group reaches the full class, so the
+    whole group passes its generators and a subgroup a generating set of
+    its own (:func:`_weyl_permutations`) or its elements.  Each class is a
     sorted tuple of indices; classes are sorted by (order of elements,
     smallest member).
     """

@@ -44,8 +44,9 @@ def fiber_poincare(subaction: IntegralAction) -> FiberPolynomial:
 
     Ages are computed from the full matrices; fixed directions only
     contribute zero exponents, so the transverse grading is unchanged.
-    The classes come from conjugation by every element, and are checked
-    against the group's own classes, closed under the generators.
+    The classes come from conjugation by a generating set picked greedily
+    from the elements, and are checked against the group's own classes,
+    closed under its given generators.
 
     >>> from .catalog import catalog
     >>> print(fiber_poincare(catalog("d4_sl3")).plain)

@@ -1,245 +1,35 @@
-"""Class functions and Poincaré polynomials with character coefficients.
+"""Molien averages: the Poincaré polynomial of the quotient of a torus.
 
-Every character this pipeline needs is a polynomial combination of
-exterior powers of an integer representation, hence integer valued; so
-class functions are stored as integer vectors indexed by the conjugacy
-classes of a fixed group.  Averaging over the group (the multiplicity of
-the trivial representation) turns an equivariant polynomial into an
-ordinary one.
+The representation-ring coefficients of the strata are the per-class
+traces that :mod:`kummer.strata` keeps; this module keeps only the
+average the pipeline checks them against, and the exact division both use.
 """
 
 from __future__ import annotations
 
-from .exactalg import IntPolynomial, det_one_plus_t
-from .groupcore import FiniteGroup, IntegralAction
+from .exactalg import ConsistencyError, IntPolynomial, det_one_plus_t
+from .groupcore import IntegralAction
 
 
-class NonIntegralInvariant(ValueError):
-    """A group average came out non-integral: the input was not a character."""
-
-
-class GroupMismatch(ValueError):
-    """Class functions over different groups cannot be combined."""
-
-
-class ClassFunction:
-    """An integer-valued class function on a finite group.
-
-    >>> from .groupcore import generate_group
-    >>> z2 = generate_group([((-1,),)])
-    >>> chi = ClassFunction(z2, (1, -1))   # the sign character
-    >>> (chi * chi).values
-    (1, 1)
-    """
-
-    __slots__ = ("group", "values")
-
-    def __init__(self, group: FiniteGroup, values):
-        vals = tuple(int(v) for v in values)
-        if len(vals) != len(group.conjugacy_classes()):
-            raise ValueError("one value per conjugacy class required")
-        self.group = group
-        self.values = vals
-
-    @classmethod
-    def trivial(cls, group):
-        return cls(group, (1,) * len(group.conjugacy_classes()))
-
-    @classmethod
-    def zero(cls, group):
-        return cls(group, (0,) * len(group.conjugacy_classes()))
-
-    @classmethod
-    def from_callable(cls, group, fn):
-        return cls(group, tuple(fn(rep) for rep in group.class_representatives()))
-
-    def __call__(self, g):
-        return self.values[self.group.class_index(g)]
-
-    def _check(self, other):
-        if self.group is not other.group:
-            raise GroupMismatch("class functions over different groups")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = ClassFunction(self.group, tuple(other for _ in self.values))
-        self._check(other)
-        return ClassFunction(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = ClassFunction(self.group, tuple(other for _ in self.values))
-        self._check(other)
-        return ClassFunction(self.group, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ClassFunction(self.group, tuple(a * other for a in self.values))
-        self._check(other)
-        return ClassFunction(self.group, tuple(a * b for a, b in zip(self.values, other.values)))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClassFunction)
-            and self.group is other.group
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((id(self.group), self.values))
-
-    def __repr__(self):
-        return f"ClassFunction({self.values!r})"
-
-
-def mu0(f: ClassFunction) -> int:
-    """Average of a class function over the group.
-
-    For the character of a representation this is the multiplicity of the
-    trivial constituent, i.e. the dimension of the invariant subspace.
-
-    >>> from .groupcore import generate_group
-    >>> z2 = generate_group([((-1,),)])
-    >>> mu0(ClassFunction.trivial(z2))
-    1
-    >>> mu0(ClassFunction(z2, (2, 0)))   # the regular representation
-    1
-    """
-    group = f.group
-    total = sum(
-        len(cls) * v for cls, v in zip(group.conjugacy_classes(), f.values)
-    )
-    if total % group.order:
-        raise NonIntegralInvariant(
-            f"group average {total}/{group.order} is not an integer"
-        )
-    return total // group.order
-
-
-class EquivariantPolynomial:
-    """A polynomial in t whose coefficients are class functions.
-
-    The workhorse instance is the cohomology series of a torus: the value
-    at a class [g] is det(I + t g)^(2d), recording the action on each
-    exterior power of first cohomology.
-    """
-
-    __slots__ = ("group", "coefficients")
-
-    def __init__(self, group, coefficients):
-        coeffs = list(coefficients)
-        while coeffs and all(v == 0 for v in coeffs[-1].values):
-            coeffs.pop()
-        for c in coeffs:
-            if c.group is not group:
-                raise GroupMismatch("coefficient over the wrong group")
-        self.group = group
-        self.coefficients = tuple(coeffs)
-
-    @classmethod
-    def from_value_polynomials(cls, group, polys):
-        """Build from one IntPolynomial per conjugacy class."""
-        reps = group.class_representatives()
-        if len(polys) != len(reps):
-            raise ValueError("one polynomial per class required")
-        degree = max((p.degree for p in polys), default=0)
-        coeffs = [
-            ClassFunction(group, tuple(p[i] for p in polys))
-            for i in range(degree + 1)
-        ]
-        return cls(group, coeffs)
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    def value_at_class(self, index: int) -> IntPolynomial:
-        return IntPolynomial([c.values[index] for c in self.coefficients])
-
-    def value_at(self, g) -> IntPolynomial:
-        return self.value_at_class(self.group.class_index(g))
-
-    def _check(self, other):
-        if self.group is not other.group:
-            raise GroupMismatch("polynomials over different groups")
-
-    def __add__(self, other):
-        self._check(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        zero = ClassFunction.zero(self.group)
-
-        def at(obj, i):
-            return obj.coefficients[i] if i < len(obj.coefficients) else zero
-
-        return EquivariantPolynomial(
-            self.group, [at(self, i) + at(other, i) for i in range(n)]
-        )
-
-    def __mul__(self, other):
-        self._check(other)
-        if not self.coefficients or not other.coefficients:
-            return EquivariantPolynomial(self.group, [])
-        out = [
-            ClassFunction.zero(self.group)
-            for _ in range(len(self.coefficients) + len(other.coefficients) - 1)
-        ]
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] = out[i + j] + a * b
-        return EquivariantPolynomial(self.group, out)
-
-    def reduce(self) -> IntPolynomial:
-        """Apply the group average coefficient-wise."""
-        return IntPolynomial([mu0(c) for c in self.coefficients])
-
-    def __repr__(self):
-        return f"EquivariantPolynomial(degree={self.degree})"
-
-
-def torus_equivariant_polynomial(action: IntegralAction) -> EquivariantPolynomial:
-    """Cohomology series of the torus power with its group action.
-
-    The coefficient of t^i at the class of g is the trace of g on the
-    i-th exterior power of first cohomology, i.e. the t^i coefficient of
-    det(I + t g)^(2d).
-
-    >>> from .groupcore import generate_group
-    >>> triv = generate_group([((1,),)])
-    >>> torus_equivariant_polynomial(triv).value_at(((1,),))
-    IntPolynomial([1, 2, 1])
-    """
-    polys = [
-        det_one_plus_t(rep, 2 * action.d)
-        for rep in action.class_representatives()
-    ]
-    return EquivariantPolynomial.from_value_polynomials(action, polys)
+def _average(total: IntPolynomial, count: int) -> IntPolynomial:
+    """total / count, which must be exact."""
+    if any(c % count for c in total.coeffs):
+        raise ConsistencyError(f"{total} does not average over {count} elements")
+    return total.divide_exact(count)
 
 
 def quotient_poincare(action: IntegralAction) -> IntPolynomial:
     """Poincaré polynomial of the quotient of the torus power.
 
-    Averaging det(I + t g)^(2d) over the group computes the invariant
-    part of cohomology in each degree (a Molien sum).
+    The t^i coefficient of det(I + t g)^(2d) is the trace of g on H^i of
+    the torus; its average over the group, one term per conjugacy class
+    weighted by the class size, is the invariant part (a Molien sum).
 
     >>> from .catalog import catalog
     >>> print(quotient_poincare(catalog("z6_sl2")))
     1 + 4*t^2 + t^4
     """
-    return torus_equivariant_polynomial(action).reduce()
-
-
-def equivariant_product_invariants(factors) -> IntPolynomial:
-    """Group average of a product of equivariant polynomials.
-
-    All factors must live over the same group.  Used for the invariant
-    cohomology of a product carrying a diagonal action.
-    """
-    factors = list(factors)
-    if not factors:
-        raise ValueError("need at least one factor")
-    product = factors[0]
-    for f in factors[1:]:
-        product = product * f
-    return product.reduce()
+    elements, power = action.elements, 2 * action.d
+    total = sum((len(cls) * det_one_plus_t(elements[cls[0]], power)
+                 for cls in action._classes), IntPolynomial.zero())
+    return _average(total, action.order)

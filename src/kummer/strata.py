@@ -46,7 +46,7 @@ from .groupcore import (
     IntegralAction, _bits, _element_classes, _permuted, subgroup_class_poset,
 )
 from .mckay import FiberPolynomial, fiber_poincare_equivariant
-from .repring import quotient_poincare
+from .repring import _average, quotient_poincare
 from .toruslat import (
     DEFAULT_ENUMERATION_BUDGET,
     EnumerationTooLarge,
@@ -349,13 +349,6 @@ class _Classes:
                     targets.add(node[c2, orbit_of[key]])
                 edges.extend((b, node[s._index, oi]) for b in sorted(targets))
         return tuple(edges)
-
-
-def _average(total: IntPolynomial, count: int) -> IntPolynomial:
-    """total / count, which must be exact."""
-    if any(c % count for c in total.coeffs):
-        raise ConsistencyError(f"{total} does not average over {count} elements")
-    return total.divide_exact(count)
 
 
 def stratify(action: IntegralAction,

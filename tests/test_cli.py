@@ -329,6 +329,23 @@ class TestMainEntryPoint:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_non_integral_molien_sum_exit_one(self, monkeypatch, capsys):
+        import kummer.repring
+        from kummer.exactalg import IntPolynomial
+
+        # the generator's class (a single element: z6_sl2 is abelian) is
+        # off by one, so the Molien sum is not divisible by |G| = 6
+        trace, generator = kummer.repring.det_one_plus_t, ((0, -1), (1, 1))
+        monkeypatch.setattr(
+            kummer.repring, "det_one_plus_t",
+            lambda m, power: trace(m, power) + IntPolynomial([int(m == generator)]))
+        assert main(["--catalog", "z6_sl2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal inconsistency: ")
+        assert err.endswith(" does not average over 6 elements\n")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unpreserved_lattice_exit_one(self, monkeypatch, capsys):
         import kummer.strata
         from kummer.groupcore import subgroup_class_poset

@@ -1,78 +1,13 @@
 import pytest
 
-from kummer.catalog import catalog, standard_sn
+from kummer.catalog import catalog, integral_catalog_actions
 from kummer.exactalg import IntPolynomial, det_one_plus_t
-from kummer.groupcore import generate_group
-from kummer.repring import (
-    ClassFunction,
-    EquivariantPolynomial,
-    GroupMismatch,
-    NonIntegralInvariant,
-    equivariant_product_invariants,
-    mu0,
-    quotient_poincare,
-    torus_equivariant_polynomial,
-)
+from kummer.repring import quotient_poincare
 
 
 @pytest.fixture(scope="module")
 def octa():
     return catalog("octahedral_s4_sl3")
-
-
-class TestMu0:
-    def test_trivial_and_regular(self, octa):
-        assert mu0(ClassFunction.trivial(octa)) == 1
-        regular = ClassFunction.from_callable(
-            octa, lambda g: octa.order if g == octa.identity else 0
-        )
-        assert mu0(regular) == 1
-
-    def test_octahedral_matrix_character(self, octa):
-        # no invariant vector: the average of traces vanishes
-        trace = ClassFunction.from_callable(
-            octa, lambda g: sum(g[i][i] for i in range(3))
-        )
-        assert mu0(trace) == 0
-
-    def test_non_integral_rejected(self, octa):
-        bad = ClassFunction.from_callable(
-            octa, lambda g: 1 if g == octa.identity else 0
-        )
-        with pytest.raises(NonIntegralInvariant):
-            mu0(bad)
-
-    def test_additive_and_positive_on_products(self, octa):
-        trace = ClassFunction.from_callable(
-            octa, lambda g: sum(g[i][i] for i in range(3))
-        )
-        assert mu0(trace + trace) == 2 * mu0(trace)
-        # a real character times itself contains the trivial one
-        assert mu0(trace * trace) >= 1
-
-
-class TestTorusPolynomial:
-    def test_trivial_group(self):
-        triv = generate_group([identity := ((1,),)], d=1)
-        poly = torus_equivariant_polynomial(triv)
-        assert poly.value_at(identity) == IntPolynomial([1, 2, 1])
-
-    def test_minus_one_on_surface(self):
-        z2 = generate_group([((-1,),)], d=2)
-        poly = torus_equivariant_polynomial(z2)
-        assert poly.value_at(((-1,),)) == IntPolynomial([1, -1]) ** 4
-
-    def test_z6_generator_value(self):
-        z6 = catalog("z6_sl2")
-        poly = torus_equivariant_polynomial(z6)
-        gen = ((0, -1), (1, 1))
-        assert poly.value_at(gen) == IntPolynomial([1, 1, 1]) ** 2
-
-    def test_leading_and_constant_trivial(self, octa):
-        poly = torus_equivariant_polynomial(octa)
-        ident_values = (1,) * len(octa.conjugacy_classes())
-        assert poly.coefficients[0].values == ident_values
-        assert poly.coefficients[-1].values == ident_values
 
 
 class TestQuotientPoincare:
@@ -99,43 +34,12 @@ class TestQuotientPoincare:
             if not action.has_nonzero_fixed_vector():
                 assert q[1] == 0
 
-    def test_coefficientwise_divisibility(self, octa):
-        total = IntPolynomial.zero()
-        for g in octa.elements:
-            total = total + det_one_plus_t(g, 2 * octa.d)
-        assert all(c % octa.order == 0 for c in total.coeffs)
-
-
-class TestEquivariantProducts:
-    def test_single_factor_surface_involution(self):
-        z2 = generate_group([((-1,),)], d=2)
-        torus = torus_equivariant_polynomial(z2)
-        assert equivariant_product_invariants([torus]) == IntPolynomial([1, 0, 6, 0, 1])
-
-    def test_surface_times_swapped_fiber(self):
-        z2 = generate_group([((-1,),)], d=2)
-        torus = torus_equivariant_polynomial(z2)
-        fiber = EquivariantPolynomial(z2, [
-            ClassFunction(z2, (1, 1)),
-            ClassFunction.zero(z2),
-            ClassFunction(z2, (2, 0)),
-            ClassFunction.zero(z2),
-            ClassFunction(z2, (1, 1)),
-        ])
-        expected = IntPolynomial([1, 0, 7, 4, 8, 4, 7, 0, 1])
-        assert equivariant_product_invariants([torus, fiber]) == expected
-
-    def test_trivial_group_plain_product(self):
-        triv = generate_group([((1,),)], d=1)
-        torus = torus_equivariant_polynomial(triv)
-        result = equivariant_product_invariants([torus, torus])
-        assert result == IntPolynomial([1, 2, 1]) ** 2
-
-    def test_group_mismatch(self):
-        a = generate_group([((-1,),)], d=1)
-        b = generate_group([((-1,),)], d=1)
-        with pytest.raises(GroupMismatch):
-            equivariant_product_invariants([
-                torus_equivariant_polynomial(a),
-                torus_equivariant_polynomial(b),
-            ])
+    def test_coefficientwise_divisibility(self, perfbench_actions):
+        # the class-weighted average against a sum over every element,
+        # which uses no conjugacy classes
+        for action in integral_catalog_actions() + tuple(perfbench_actions(7)):
+            total = IntPolynomial.zero()
+            for g in action.elements:
+                total = total + det_one_plus_t(g, 2 * action.d)
+            assert all(c % action.order == 0 for c in total.coeffs), action
+            assert total.divide_exact(action.order) == quotient_poincare(action)
