@@ -138,6 +138,16 @@ class IntPolynomial:
         self.coeffs = tuple(int(c) for c in cs)
 
     @classmethod
+    def _of(cls, cs: list) -> "IntPolynomial":
+        """The polynomial of a list of ints built by arithmetic here:
+        trailing zeros are trimmed (in place), nothing is checked."""
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(cls)
+        p.coeffs = tuple(cs)
+        return p
+
+    @classmethod
     def zero(cls):
         return cls(())
 
@@ -173,29 +183,32 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial([other])
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+        b = (other,) if isinstance(other, int) else other.coeffs
+        out = list(self.coeffs)
+        out.extend([0] * (len(b) - len(out)))
+        for i, y in enumerate(b):
+            out[i] += y
+        return IntPolynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
+        return IntPolynomial._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial([other])
-        return self + (-other)
+        b = (other,) if isinstance(other, int) else other.coeffs
+        out = list(self.coeffs)
+        out.extend([0] * (len(b) - len(out)))
+        for i, y in enumerate(b):
+            out[i] -= y
+        return IntPolynomial._of(out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPolynomial([other * c for c in self.coeffs])
+            return IntPolynomial._of([other * c for c in self.coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -204,9 +217,9 @@ class IntPolynomial:
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return IntPolynomial(out)
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return IntPolynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -218,8 +231,9 @@ class IntPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __call__(self, x: int) -> int:
@@ -232,7 +246,7 @@ class IntPolynomial:
         """Divide every coefficient by ``n``, which must be exact."""
         if any(c % n for c in self.coeffs):
             raise ValueError(f"coefficients {self.coeffs} not divisible by {n}")
-        return IntPolynomial([c // n for c in self.coeffs])
+        return IntPolynomial._of([c // n for c in self.coeffs])
 
     def divmod_monic(self, divisor: "IntPolynomial"):
         """Polynomial division by a monic divisor, staying in Z[t].

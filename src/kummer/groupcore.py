@@ -28,8 +28,10 @@ from operator import mul
 from .exactalg import (
     ConsistencyError,
     exponent_multiset,
+    hermite_normal_form,
     identity_matrix,
     mat_det,
+    mat_sub,
 )
 
 DEFAULT_ORDER_CAP = 10_000
@@ -430,6 +432,13 @@ class IntegralAction(FiniteGroup):
         """Eigenvalue exponents of the elements of each conjugacy class."""
         return tuple(map(exponent_multiset, self.class_representatives()))
 
+    @cached_property
+    def _class_ranks(self) -> tuple[int, ...]:
+        """rank(1 - g) for each conjugacy class: the rows of its Hermite form."""
+        ident = identity_matrix(self.r)
+        return tuple(len(hermite_normal_form(mat_sub(ident, g), self.r))
+                     for g in self.class_representatives())
+
     def restrict(self, sub, label: str = "") -> "IntegralAction":
         """The subgroup as an IntegralAction of its own (same r, d)."""
         sub = sorted(sub)
@@ -437,7 +446,7 @@ class IntegralAction(FiniteGroup):
 
     def has_nonzero_fixed_vector(self) -> bool:
         """Whether some nonzero lattice vector is fixed by every element."""
-        from .exactalg import mat_sub, kernel_basis
+        from .exactalg import kernel_basis
 
         stacked = []
         for g in self.generators:
@@ -581,16 +590,8 @@ def weyl_action_on_classes(group: FiniteGroup, sub: frozenset):
 
 def _weyl_permutations(group: FiniteGroup, mask: int, cosets):
     """H's element classes (H conjugating) and, per coset, their permutation
-    by conjugation with the coset's first element, as ``(classes, perms)``.
-
-    H conjugates through generators taken greedily from its members, each
-    one not yet in the span of those before it."""
-    members, gens, span = _bits(mask), [], 1 << group._e
-    for h in members:
-        if not span >> h & 1:
-            gens.append(h)
-            span = group._closure(gens)
-    classes = _element_classes(group, members, gens)
+    by conjugation with the coset's first element, as ``(classes, perms)``."""
+    classes = _element_classes(group, _bits(mask), _generators(group, mask))
     class_of = {h: i for i, cls in enumerate(classes) for h in cls}
     table, perms = group._table, []
     for coset in cosets:
@@ -600,15 +601,27 @@ def _weyl_permutations(group: FiniteGroup, mask: int, cosets):
     return classes, tuple(perms)
 
 
+def _generators(group: FiniteGroup, mask: int) -> list[int]:
+    """Indices generating the subgroup ``mask``, taken greedily from its
+    members, each one not yet in the span of those before it."""
+    gens, span = [], 1 << group._e
+    for h in _bits(mask):
+        if span == mask:
+            break
+        if not span >> h & 1:
+            gens.append(h)
+            span = group._closure(gens)
+    return gens
+
+
 def _element_classes(group: FiniteGroup, elements, conjugators) -> tuple[tuple, ...]:
     """Orbits of the indices ``elements`` under conjugation by the indices
     ``conjugators``.
 
     Closing under generators of a group reaches the full class, so the
     whole group passes its generators and a subgroup a generating set of
-    its own (:func:`_weyl_permutations`) or its elements.  Each class is a
-    sorted tuple of indices; classes are sorted by (order of elements,
-    smallest member).
+    its own (:func:`_generators`).  Each class is a sorted tuple of
+    indices; classes are sorted by (order of elements, smallest member).
     """
     table = group._table
     pairs = [(table[h], group._inv_of[h]) for h in conjugators]

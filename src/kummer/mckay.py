@@ -3,8 +3,11 @@
 For a finite group H acting with determinant one, conjugacy classes of H
 are graded by the age of their eigenvalue exponents, and the central
 fiber of a crepant resolution carries one cohomology class per conjugacy
-class, in degree twice the age.  The Weyl group N(H)/H permutes the
-classes, and a coset's trace on the fiber counts the classes it fixes.
+class, in degree twice the age.  For an integral g acting on d copies,
+every eigenvalue other than 1 pairs with its conjugate (exponents a and
+1 - a) or is -1 (exponent 1/2), so age(g) = d * rank(1 - g) / 2 and no
+eigenvalue is computed.  The Weyl group N(H)/H permutes the classes, and
+a coset's trace on the fiber counts the classes it fixes.
 
 The symmetric-group case has an independent combinatorial description by
 partition lengths, used as an oracle against the age computation.
@@ -12,8 +15,10 @@ partition lengths, used as an oracle against the age computation.
 
 from __future__ import annotations
 
-from .exactalg import ConsistencyError, IntPolynomial, age
-from .groupcore import FiniteGroup, IntegralAction, _weyl_permutations
+from fractions import Fraction
+
+from .exactalg import ConsistencyError, IntPolynomial
+from .groupcore import IntegralAction, _weyl_permutations
 
 
 class NonIntegerAge(ValueError):
@@ -42,8 +47,8 @@ class FiberPolynomial:
 def fiber_poincare(subaction: IntegralAction) -> FiberPolynomial:
     """Fiber polynomial of the quotient by a matrix group, graded by age.
 
-    Ages are computed from the full matrices; fixed directions only
-    contribute zero exponents, so the transverse grading is unchanged.
+    Ages are computed from the full matrices; fixed directions add nothing
+    to rank(1 - g), so the transverse grading is unchanged.
     The classes come from conjugation by a generating set picked greedily
     from the elements, and are checked against the group's own classes,
     closed under its given generators.
@@ -60,7 +65,7 @@ def fiber_poincare(subaction: IntegralAction) -> FiberPolynomial:
     return fiber
 
 
-def fiber_poincare_equivariant(group: FiniteGroup, sub: frozenset,
+def fiber_poincare_equivariant(group: IntegralAction, sub: frozenset,
                                weyl_cosets, d: int) -> FiberPolynomial:
     """Fiber polynomial of C^n / H with the Weyl permutation action.
 
@@ -80,11 +85,12 @@ def fiber_poincare_equivariant(group: FiniteGroup, sub: frozenset,
     classes, perms = _weyl_permutations(group, group._mask(sub), weyl_cosets)
     ages = []
     for cls in classes:
-        # age is a class function of the whole group
-        a = age(group._class_exponents[group.class_index(group.elements[cls[0]])], d)
-        if a.denominator != 1:
-            raise NonIntegerAge(f"class has fractional age {a}")
-        ages.append(int(a))
+        # age is a class function of the whole group; the eigenvalues other
+        # than 1 of an integral g pair with their conjugates or are -1
+        twice = d * group._class_ranks[group.class_index(group.elements[cls[0]])]
+        if twice % 2:
+            raise NonIntegerAge(f"class has fractional age {Fraction(twice, 2)}")
+        ages.append(twice // 2)
 
     def graded(indices):
         coeffs = [0] * (2 * max(ages) + 1)

@@ -190,12 +190,15 @@ def _fixed_trace(action: IntegralAction, rows, w) -> IntPolynomial:
     if any(a[i][j] for i in range(k) for j in range(k, action.r)) or any(
             divs[i] * a[i][j] % divs[j] for i in range(k) for j in range(k)):
         raise ConsistencyError(f"matrix does not preserve the lattice: {w} on {rows}")
+    free = det_one_plus_t(tuple(row[k:] for row in a[k:]), power)
+    if prod(divs) == 1:
+        return free  # Fix(L) is connected, and w fixes its one component
     # the columns of [B - I | D], whose lattice has index |coker [B - I | D]|
     columns = [[divs[i] * a[i][j] // divs[j] - (i == j) for i in range(k)]
                for j in range(k)]
     columns += [[dv * (i == j) for i in range(k)] for j, dv in enumerate(divs)]
     fixed = prod(row[i] for i, row in enumerate(hermite_normal_form(columns, k)))
-    return fixed ** power * det_one_plus_t(tuple(row[k:] for row in a[k:]), power)
+    return fixed ** power * free
 
 
 class _Classes:

@@ -41,7 +41,7 @@ from .exactalg import (
     mat_vec,
     smith_normal_form,
 )
-from .groupcore import IntegralAction, _bits, _element_classes
+from .groupcore import IntegralAction, _bits, _element_classes, _generators
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -490,9 +490,9 @@ def orbifold_euler(action: IntegralAction) -> int:
     pivots of L's Hermite basis.  Conjugate pairs fix isomorphic sets, so
     g runs over class representatives and h over the classes of the
     centralizer C(g) under conjugation by C(g) (k (g, h) k^-1 = (g, khk^-1)
-    for k in C(g)), each weighted by both class sizes.  The total is
-    sum over classes of |G| * e(X^g / C(g)) (Hirzebruch-Hoefer), so it
-    must be divisible by |G|.
+    for k in C(g)), taken along generators of C(g), each weighted by both
+    class sizes.  The total is sum over classes of |G| * e(X^g / C(g))
+    (Hirzebruch-Hoefer), so it must be divisible by |G|.
 
     >>> from .catalog import catalog
     >>> orbifold_euler(catalog("z6_sl2"))
@@ -503,8 +503,9 @@ def orbifold_euler(action: IntegralAction) -> int:
     for cls in action._classes:
         g = cls[0]
         diff_g = mat_sub(ident, elements[g])
-        centralizer = _bits(action._centralizer(g))
-        for hcls in _element_classes(action, centralizer, centralizer):
+        centralizer = action._centralizer(g)
+        for hcls in _element_classes(action, _bits(centralizer),
+                                     _generators(action, centralizer)):
             hnf = hermite_normal_form(diff_g + mat_sub(ident, elements[hcls[0]]),
                                       action.r)
             if len(hnf) < action.r:

@@ -265,6 +265,22 @@ class TestMainEntryPoint:
         assert payload["report_version"] == 1
         assert payload["resolution"] == [1, 0, 22, 0, 1]
 
+    def test_integral_run_factors_no_eigenvalues(self, monkeypatch, capsys):
+        """Ages on the integral path come from rank(1 - g): a run with the
+        cyclotomic factoring disabled prints the same bytes."""
+        import kummer.exactalg
+
+        def refuse(p):
+            raise AssertionError(f"cyclotomic factoring of {p} on the integral path")
+
+        args = ["--catalog", "s4_standard_d2", "--format", "json"]
+        with monkeypatch.context() as patch:
+            patch.setattr(kummer.exactalg, "cyclotomic_factor", refuse)
+            assert main(args) == 0
+            guarded = capsys.readouterr().out
+        assert main(args) == 0
+        assert guarded == capsys.readouterr().out
+
     def test_unknown_catalog_exit_two(self, capsys):
         assert main(["--catalog", "no_such_entry"]) == 2
         assert "error" in capsys.readouterr().err

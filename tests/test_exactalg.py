@@ -46,6 +46,59 @@ class TestIntPolynomial:
             IntPolynomial([1, 2]).divide_exact(2)
 
 
+class TestPolynomialNormalForm:
+    """Arithmetic builds its results without the constructor's checks, so
+    each must still be in normal form: no trailing zero, int coefficients,
+    equal and hash-equal to the checked polynomial of the same list."""
+
+    POLYS = [IntPolynomial(c) for c in (
+        [], [3], [-1], [1, 2, 3], [0, 0, 5], [2, -1, 0, 4], [-2, 1, 0, -4],
+        [1, 0, -1], [0, 0, -3])]
+    SCALARS = (-2, 0, 1, 3)
+
+    @staticmethod
+    def assert_normal(p):
+        assert not p.coeffs or p.coeffs[-1] != 0
+        assert all(type(c) is int for c in p.coeffs)
+        checked = IntPolynomial(list(p.coeffs))
+        assert p == checked and hash(p) == hash(checked)
+
+    def test_every_result_is_normal_and_right(self):
+        for p in self.POLYS:
+            self.assert_normal(-p)
+            assert (-p)(2) == -p(2)
+            for n in self.SCALARS:
+                for value, expected in ((p * n, p(2) * n), (n * p, n * p(2)),
+                                        (p + n, p(2) + n), (n + p, n + p(2)),
+                                        (p - n, p(2) - n), (n - p, n - p(2))):
+                    self.assert_normal(value)
+                    assert value(2) == expected
+                if n:
+                    quotient = (p * (6 * n)).divide_exact(3 * n)
+                    self.assert_normal(quotient)
+                    assert quotient == p * 2
+            for q in self.POLYS:
+                for value, expected in ((p + q, p(3) + q(3)), (p - q, p(3) - q(3)),
+                                        (p * q, p(3) * q(3))):
+                    self.assert_normal(value)
+                    assert value(3) == expected
+
+    def test_cancellations(self):
+        for p in self.POLYS:
+            assert (p - p).coeffs == () and (p - p).degree == -1
+            assert (p * 0).coeffs == () and (0 * p).degree == -1
+            assert (p + (-p)) == IntPolynomial.zero()
+        assert IntPolynomial([2, -1, 0, 4]) + IntPolynomial([-2, 1, 0, -4]) == 0
+        diff = IntPolynomial([1, 2, 3]) - IntPolynomial([0, 0, 3])
+        assert diff.coeffs == (1, 2) and diff.degree == 1
+
+    def test_constructor_still_checks(self):
+        for bad in (Fraction(1, 2), 0.5):
+            with pytest.raises(TypeError):
+                IntPolynomial([1, bad])
+        assert IntPolynomial([Fraction(4, 2), 0]).coeffs == (2,)
+
+
 class TestCharPoly:
     def test_order_six_generator(self):
         assert char_poly(Z6_GEN) == IntPolynomial([1, -1, 1])

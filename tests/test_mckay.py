@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from kummer.catalog import catalog, standard_sn
+from kummer.catalog import catalog, integral_catalog_actions, standard_sn
 from kummer.exactalg import IntPolynomial, age, exponent_multiset, identity_matrix, mat_mul
 from kummer.groupcore import generate_group, weyl_action_on_classes
 from kummer.mckay import (
@@ -39,8 +41,18 @@ class TestFiberPoincare:
 
     def test_non_gorenstein_rejected(self):
         flip = generate_group([((0, 1), (1, 0))], d=1)
-        with pytest.raises(NonIntegerAge):
+        with pytest.raises(NonIntegerAge, match=r"^class has fractional age 1/2$"):
             fiber_poincare(flip)
+
+
+class TestIntegerAges:
+    def test_rank_ages_match_the_exponents(self, perfbench_actions):
+        """age(g) = d * rank(1 - g) / 2, as ``fiber_poincare_equivariant``
+        grades by, equals the age of g's eigenvalue exponents."""
+        for action in integral_catalog_actions() + tuple(perfbench_actions(27182)):
+            for cls, rank in zip(action.conjugacy_classes(), action._class_ranks):
+                assert Fraction(action.d * rank, 2) == age(exponent_multiset(cls[0]),
+                                                           action.d)
 
 
 class TestEquivariantFiber:
