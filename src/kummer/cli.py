@@ -25,6 +25,7 @@ from .exactalg import (
     ConsistencyError, IntPolynomial, mat_sub, identity_matrix, smith_normal_form,
 )
 from .groupcore import (
+    DEFAULT_ORDER_CAP,
     AbstractGroup,
     IntegralAction,
     NonInvertible,
@@ -44,7 +45,9 @@ from .symcheck import (
     symplectic_reflection_generated,
     tetrahedral_obstruction_constraint,
 )
-from .toruslat import EnumerationTooLarge, orbifold_euler, torsion_oracle
+from .toruslat import (
+    DEFAULT_ENUMERATION_BUDGET, EnumerationTooLarge, orbifold_euler, torsion_oracle,
+)
 
 REPORT_VERSION = 1
 
@@ -62,8 +65,8 @@ class JobSpec:
     )
 
     def __init__(self, mode, catalog_name=None, input_path=None, d=None,
-                 oracle=None, equivariant=False, max_group_order=10_000,
-                 max_enumeration=10_000_000):
+                 oracle=None, equivariant=False, max_group_order=DEFAULT_ORDER_CAP,
+                 max_enumeration=DEFAULT_ENUMERATION_BUDGET):
         if mode not in ("integral", "analytic", "ledger"):
             raise InputError(f"unknown mode {mode!r}")
         if (catalog_name is None) == (input_path is None):
@@ -498,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--equivariant", action="store_true",
                         help="include per-orbit Weyl character detail")
     parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--max-group-order", type=int, default=10_000)
-    parser.add_argument("--max-enumeration", type=int, default=10_000_000)
+    parser.add_argument("--max-group-order", type=int, default=DEFAULT_ORDER_CAP)
+    parser.add_argument("--max-enumeration", type=int,
+                        default=DEFAULT_ENUMERATION_BUDGET)
     parser.add_argument("--list", action="store_true",
                         help="list catalog entries and exit")
     return parser

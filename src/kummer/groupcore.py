@@ -545,12 +545,18 @@ class SubgroupClassPoset:
             classes.append(SubgroupClass(group._set(members[0]), len(members),
                                          group._set(norm), group._cosets(members[0], norm)))
         self.classes = tuple(classes)
-        self.leq = tuple(
+
+    @cached_property
+    def leq(self):
+        """The subconjugacy matrix, built when first read."""
+        lattice = self.group._lattice[0]
+        leq = tuple(
             tuple(any(not sub & ~other[0][0] for sub in members) for other in lattice)
             for members, _ in lattice
         )
-        if not all(self.leq[i][i] for i in range(len(classes))):
+        if not all(leq[i][i] for i in range(len(leq))):
             raise ConsistencyError("subconjugacy is not reflexive")
+        return leq
 
     def __len__(self):
         return len(self.classes)

@@ -59,14 +59,14 @@ def fiber_poincare(subaction: IntegralAction) -> FiberPolynomial:
     >>> print(fiber_poincare(catalog("s4_standard_d2")).plain)
     1 + t^2 + 2*t^4 + t^6
     """
-    fiber = fiber_poincare_equivariant(subaction, subaction.elements, (), subaction.d)
+    fiber = fiber_poincare_equivariant(subaction, subaction.elements, ())
     if fiber.plain(1) != len(subaction.conjugacy_classes()):
         raise ConsistencyError("fiber classes do not match the conjugacy classes")
     return fiber
 
 
 def fiber_poincare_equivariant(group: IntegralAction, sub: frozenset,
-                               weyl_cosets, d: int) -> FiberPolynomial:
+                               weyl_cosets) -> FiberPolynomial:
     """Fiber polynomial of C^n / H with the Weyl permutation action.
 
     ``weyl_cosets`` are cosets of H in its normalizer (tuples with a
@@ -77,7 +77,7 @@ def fiber_poincare_equivariant(group: IntegralAction, sub: frozenset,
     >>> octa = catalog("octahedral_s4_sl3")
     >>> z4 = octa.subgroup_closure([((0, -1, 0), (1, 0, 0), (0, 0, 1))])
     >>> cosets = octa.cosets(z4, within=octa.normalizer(z4))
-    >>> fib = fiber_poincare_equivariant(octa, z4, cosets, d=1)
+    >>> fib = fiber_poincare_equivariant(octa, z4, cosets)
     >>> print(fib.plain); print(fib.values[1])
     1 + 3*t^2
     1 + t^2
@@ -87,7 +87,7 @@ def fiber_poincare_equivariant(group: IntegralAction, sub: frozenset,
     for cls in classes:
         # age is a class function of the whole group; the eigenvalues other
         # than 1 of an integral g pair with their conjugates or are -1
-        twice = d * group._class_ranks[group.class_index(group.elements[cls[0]])]
+        twice = group.d * group._class_ranks[group.class_index(group.elements[cls[0]])]
         if twice % 2:
             raise NonIntegerAge(f"class has fractional age {Fraction(twice, 2)}")
         ages.append(twice // 2)

@@ -40,7 +40,7 @@ from math import prod
 
 from .exactalg import (
     ConsistencyError, IntPolynomial, det_one_plus_t, hermite_normal_form,
-    identity_matrix, mat_mul, mat_vec, smith_normal_form,
+    identity_matrix, mat_inverse_unimodular, mat_mul, mat_vec, smith_normal_form,
 )
 from .groupcore import (
     IntegralAction, _bits, _element_classes, _permuted, subgroup_class_poset,
@@ -50,8 +50,6 @@ from .repring import _average, quotient_poincare
 from .toruslat import (
     DEFAULT_ENUMERATION_BUDGET,
     EnumerationTooLarge,
-    _cached_inverse,
-    _reduced,
     _row_lattice,
     fix_locus,
     generic_isotropy,
@@ -178,7 +176,7 @@ def _frame(rows, r: int):
     if not rows:
         return identity_matrix(r), identity_matrix(r), ()
     snf = smith_normal_form(rows)
-    return snf.v, _cached_inverse(snf.v), snf.divisors
+    return snf.v, mat_inverse_unimodular(snf.v), snf.divisors
 
 
 def _fixed_trace(action: IntegralAction, rows, w) -> IntPolynomial:
@@ -265,7 +263,8 @@ class _Classes:
             comps = fix_locus(action, cls.representative, budget=self.budget)
             index_of = {t.key: i for i, t in enumerate(comps)}
             try:
-                steps = [[index_of[t.image_key(action.elements[n])] for t in comps]
+                steps = [[index_of[t.key_in(t.normal, action.elements[n])]
+                          for t in comps]
                          for n in action._subgroups[self.normalizer[c]]]
             except KeyError:
                 raise ConsistencyError("a fixed locus is not stable under its "
@@ -290,7 +289,7 @@ class _Classes:
                            for x, y in zip(mat_vec(g, pt), pt)) for g in larger):
                     continue
                 stab = [i for i, coset in enumerate(cls.weyl_cosets)
-                        if rep.image_key(coset[0]) == rep.key]
+                        if rep.key_in(rep.normal, coset[0]) == rep.key]
                 if len(stab) * len(orbit) != len(cls.weyl_cosets):
                     raise ConsistencyError(
                         f"orbit of size {len(orbit)} and stabilizer of order "
@@ -339,13 +338,11 @@ class _Classes:
                 k_inv, (_, orbit_of, normal, fixers) = action._inv_of[k], self.detail[c2]
                 if not any(fixers >> table[table[k_inv][h]][k] & 1
                            for h in _bits(mask & ~sub)):
-                    above.append((c2, orbit_of, normal,
-                                  mat_mul(normal, action.elements[k_inv])))
+                    above.append((c2, orbit_of, normal, action.elements[k_inv]))
             for oi, orbit in enumerate(s.orbits):
-                den, pts = orbit.representative.scaled_points()
                 targets = set()
-                for c2, orbit_of, normal, moved in above:
-                    key = (normal, *_reduced(den, [mat_vec(moved, pt) for pt in pts]))
+                for c2, orbit_of, normal, k_inv in above:
+                    key = orbit.representative.key_in(normal, k_inv)
                     if key not in orbit_of:
                         raise ConsistencyError("the orbits miss a component of a "
                                                "fixed locus")
@@ -377,7 +374,7 @@ def stratify(action: IntegralAction,
             continue  # no point has isotropy exactly H
         subgroup, weyl_cosets = cls.representative, cls.weyl_cosets
         fiber = classes.fibers[c] = fiber_poincare_equivariant(
-            action, subgroup, weyl_cosets, action.d)
+            action, subgroup, weyl_cosets)
         coset_of = {action._index_of[g]: i
                     for i, coset in enumerate(weyl_cosets) for g in coset}
         y_sum = x_sum = zero

@@ -284,12 +284,10 @@ def bls_classify(data: AnalyticEigenData) -> BLSResult:
     # wreath-type: normal abelian subgroup of order m^n, quotient order n!
     target = order // factorial(n) if order % factorial(n) == 0 else 0
     if target >= 2:
-        m = round(target ** (1.0 / n))
-        for cand in (m - 1, m, m + 1):
-            if cand >= 2 and cand**n == target:
-                if _has_normal_abelian(group, cand**n) and \
-                        symplectic_reflection_generated(data):
-                    return BLSResult("TypeBC", n=n, m=cand)
+        m = next(m for m in range(2, target + 1) if m**n >= target)
+        if m**n == target and _has_normal_abelian(group, target) and \
+                symplectic_reflection_generated(data):
+            return BLSResult("TypeBC", n=n, m=m)
     # binary tetrahedral: order 24, n = 2, a unique involution
     if order == 24 and n == 2:
         involutions = [

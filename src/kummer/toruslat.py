@@ -15,10 +15,11 @@ group elements with no ambiguity, in integer arithmetic only.  A fixed
 locus is the tuple of its components.  N and the tangent lattice are
 each other's integer kernel, both from one cached ``kernel_basis``.
 
-The image of N under a group element, with the unimodular change of rows
-that carries the shifts along (``_transport``), and the matrix a group
-element induces on the tangent lattice (``_induced_matrix``) depend on N
-alone, so they are memoised per normal.
+A group element g moves a component into the component with a given
+normal T when T g factors as M N; the integer map M carries the shifts
+along (``_shift_map``, ``AffineSubtorus.key_in``).  M and the matrix g
+induces on the tangent lattice (``_induced_matrix``) depend on g and the
+normals alone, so they are memoised per normal.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .exactalg import (
     identity_matrix,
     kernel_basis,
     mat_det,
-    mat_inverse_unimodular,
     mat_mul,
     mat_sub,
     mat_vec,
@@ -74,7 +74,6 @@ def _reduced(den: int, scaled_shifts):
 
 
 _kernel_basis = lru_cache(maxsize=None)(kernel_basis)
-_cached_inverse = lru_cache(maxsize=None)(mat_inverse_unimodular)
 
 
 @lru_cache(maxsize=None)
@@ -96,30 +95,21 @@ def _section(rows, r: int):
 
 
 @lru_cache(maxsize=None)
-def _transport(normal, g):
-    """``(normal', U)`` with normal' = HNF(normal g^-1) = U normal g^-1.
-
-    g maps { x : normal x = shift } onto { y : normal g^-1 y = shift },
-    and U carries those equations to their Hermite form, so the image has
-    the normal normal' and the shifts U shift.  U is unimodular, so the
-    shifts keep their least common denominator.  U is read off
-    ``_section`` and checked exactly.
+def _shift_map(target, g, source):
+    """M = target g S for S = ``_section(source)``, checked as M source =
+    target g: then g maps { x : source x = s } into { y : target y = M s }.
     """
-    r = len(g)
-    moved = mat_mul(normal, _cached_inverse(g))
-    image = hermite_normal_form(moved, r)
-    u = mat_mul(image, _section(moved, r))
-    if mat_mul(u, moved) != image or abs(mat_det(u)) != 1:
-        raise ConsistencyError(
-            f"rows {u} do not carry {moved} unimodularly to {image}"
-        )
-    return image, u
+    moved = mat_mul(target, g)
+    m = mat_mul(moved, _section(source, len(g)))
+    if mat_mul(m, source) != moved:
+        raise ConsistencyError(f"rows {moved} do not factor through {source}")
+    return m
 
 
 @lru_cache(maxsize=None)
-def _carried(u, den: int, shift):
-    """One copy's shift vector carried by the change of rows u, mod den."""
-    return tuple(sum(map(mul, row, shift)) % den for row in u)
+def _carried(m, den: int, shift):
+    """One copy's shift vector carried by the map m, mod den."""
+    return tuple(sum(map(mul, row, shift)) % den for row in m)
 
 
 @lru_cache(maxsize=None)
@@ -261,22 +251,23 @@ class AffineSubtorus:
                     return False
         return True
 
-    def image_key(self, g):
-        """Key of the image under the lattice automorphism g, from the
-        normal alone: ``_transport`` gives the image's normal and carries
-        the shifts, whose denominator stays."""
-        if not self.normal:
-            return self.key
-        normal, u = _transport(self.normal, g)
-        return (normal, self.den, tuple(
-            _carried(u, self.den, shift) for shift in self.scaled_shifts
-        ))
+    def key_in(self, target, g):
+        """Key of the component with normal ``target`` that contains the
+        image under the lattice automorphism g, from the normals alone.
+
+        On its own normal g is an automorphism, so the denominator stays.
+        """
+        m = _shift_map(target, g, self.normal)
+        shifts = tuple(_carried(m, self.den, shift) for shift in self.scaled_shifts)
+        if target == self.normal:
+            return (target, self.den, shifts)
+        return (target, *_reduced(self.den, shifts))
 
     def apply_matrix(self, g) -> "AffineSubtorus":
         """Image under the lattice automorphism g (same matrix in each copy).
 
         Built from the lattice basis and a translate, independently of
-        ``image_key``.
+        ``key_in``.
         """
         basis = tuple(mat_vec(g, row) for row in self.lattice_basis) \
             if self.rank else ()

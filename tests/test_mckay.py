@@ -60,7 +60,7 @@ class TestEquivariantFiber:
         octa = catalog("octahedral_s4_sl3")
         z4 = octa.subgroup_closure([((0, -1, 0), (1, 0, 0), (0, 0, 1))])
         cosets = octa.cosets(z4, within=octa.normalizer(z4))
-        fib = fiber_poincare_equivariant(octa, z4, cosets, d=1)
+        fib = fiber_poincare_equivariant(octa, z4, cosets)
         assert fib.plain == IntPolynomial([1, 0, 3])
         assert fib.values[1] == IntPolynomial([1, 0, 1])  # 2 + sign at degree 2
 
@@ -68,7 +68,7 @@ class TestEquivariantFiber:
         octa = catalog("octahedral_s4_sl3")
         z3 = octa.subgroup_closure([((0, 0, 1), (1, 0, 0), (0, 1, 0))])
         cosets = octa.cosets(z3, within=octa.normalizer(z3))
-        fib = fiber_poincare_equivariant(octa, z3, cosets, d=1)
+        fib = fiber_poincare_equivariant(octa, z3, cosets)
         assert fib.plain == IntPolynomial([1, 0, 2])
         assert fib.values[1] == IntPolynomial([1])  # 1 + sign at degree 2
 
@@ -76,7 +76,7 @@ class TestEquivariantFiber:
         s3 = standard_sn(3, d=2)
         sub = s3.subgroup_closure([s3.generators[0]])
         cosets = s3.cosets(sub, within=s3.normalizer(sub))
-        fib = fiber_poincare_equivariant(s3, sub, cosets, d=2)
+        fib = fiber_poincare_equivariant(s3, sub, cosets)
         assert len(fib.values) == 1
         assert fib.values[0] == fib.plain
 
@@ -84,7 +84,7 @@ class TestEquivariantFiber:
         octa = catalog("octahedral_s4_sl3")
         z4 = octa.subgroup_closure([((0, -1, 0), (1, 0, 0), (0, 0, 1))])
         cosets = octa.cosets(z4, within=octa.normalizer(z4))
-        fib = fiber_poincare_equivariant(octa, z4, cosets, d=1)
+        fib = fiber_poincare_equivariant(octa, z4, cosets)
         for character in fib.values:
             for degree, value in enumerate(character.coeffs):
                 assert 0 <= value <= fib.plain[degree]
@@ -130,7 +130,7 @@ def test_weyl_traces_match_a_matrix_reference(actions, reports):
             sub = stratum.isotropy
             cosets, reps, perms = weyl_action_on_classes(action, sub)
             plain, values = reference_fixed_classes(action, sub, cosets)
-            fib = fiber_poincare_equivariant(action, sub, cosets, action.d)
+            fib = fiber_poincare_equivariant(action, sub, cosets)
             assert fib.plain == plain, name
             assert list(fib.values) == values, name
             rep_ages = [int(age(exponent_multiset(r), action.d)) for r in reps]

@@ -11,7 +11,8 @@ from kummer.exactalg import IntPolynomial
 from kummer.repring import quotient_poincare
 from kummer import strata, toruslat
 from kummer.exactalg import (
-    age, det_one_plus_t, exponent_multiset, mat_mul, smith_normal_form,
+    age, det_one_plus_t, exponent_multiset, mat_inverse_unimodular, mat_mul,
+    smith_normal_form,
 )
 from kummer.groupcore import _element_classes, generate_group, subgroup_class_poset
 from kummer.strata import (
@@ -408,7 +409,7 @@ def per_member_trace(action, t, deeper, supersets, family, n):
     power = 2 * action.d
     total = det_one_plus_t(t.induced_lattice_matrix(n), power)
     coeff = {}
-    for i in sorted((i for i in deeper if family[i].image_key(n) == family[i].key),
+    for i in sorted((i for i in deeper if family[i].apply_matrix(n) == family[i]),
                     key=lambda i: -family[i].rank):
         coeff[i] = 1 - sum(coeff[j] for j in supersets[i] if j in coeff)
         total = total - coeff[i] * det_one_plus_t(
@@ -433,10 +434,13 @@ class TestPerNormalWork:
     per-member work they replace."""
 
     def test_transport_matches_apply_matrix(self, all_reports):
-        # the transport is memoised per (normal, element): each stratum's
-        # first representative under every element, the other orbits'
-        # representatives and last members under the generators
-        ranks = set()
+        # key_in against the image apply_matrix builds.  On the image's own
+        # normal (the orbit detail's use): each stratum's first
+        # representative under every element, the other orbits'
+        # representatives and last members under the generators.  On the
+        # normal of Fix(g h g^-1) for h in the isotropy (the closure edges'
+        # use), whose one component containing the image ``contains`` finds
+        ranks, crossed = set(), 0
         for name, report in all_reports.items():
             action = report.action
             for s in report.strata:
@@ -446,8 +450,18 @@ class TestPerNormalWork:
                     for o in s.orbits for t in (o.representative, o.members[-1])]
                 for t, elements in moved:
                     for g in elements:
-                        assert t.image_key(g) == t.apply_matrix(g).key, name
+                        image = t.apply_matrix(g)
+                        assert t.key_in(image.normal, g) == image.key, name
+                t = s.orbits[0].representative
+                for g in action.generators:
+                    image, g_inv = t.apply_matrix(g), mat_inverse_unimodular(g)
+                    for h in s.isotropy:
+                        locus = fix_locus(action, [mat_mul(mat_mul(g, h), g_inv)])
+                        [above] = [m for m in locus if m.contains(image)]
+                        assert t.key_in(above.normal, g) == above.key, name
+                        crossed += above.normal != image.normal
         assert ranks == {0, 1, 2, 3, 4}
+        assert crossed
 
     def test_family_order_is_the_fraction_order(self, all_reports):
         for name, report in all_reports.items():
@@ -478,7 +492,8 @@ class TestPerNormalWork:
             for n in cls.normalizer:
                 expected = sum(
                     (per_member_trace(action, family[i], subsets[i], supersets, family, n)
-                     for i in members if family[i].image_key(n) == family[i].key),
+                     for i in members
+                     if family[i].key_in(family[i].normal, n) == family[i].key),
                     IntPolynomial.zero())
                 assert classes.g(c, action._index_of[n]) == expected, (name, c)
                 checked += 1
@@ -486,19 +501,21 @@ class TestPerNormalWork:
 
     def test_corrupted_transport_is_inconsistent(self, monkeypatch):
         action = catalog("s4_standard_d2")
-        curve = fix_locus(action, [action.generators[0]])[0]
+        curve, g = fix_locus(action, [action.generators[0]])[0], action.generators[1]
+        image = curve.apply_matrix(g)
+        assert curve.key_in(image.normal, g) == image.key
         section = toruslat._section
 
         def corrupted(rows, r):
             return tuple(tuple(2 * x for x in row) for row in section(rows, r))
 
         monkeypatch.setattr(toruslat, "_section", corrupted)
-        toruslat._transport.cache_clear()
+        toruslat._shift_map.cache_clear()
         try:
             with pytest.raises(ConsistencyError):
-                curve.image_key(action.generators[1])
+                curve.key_in(image.normal, g)
         finally:
-            toruslat._transport.cache_clear()
+            toruslat._shift_map.cache_clear()
 
     def test_an_unpreserved_lattice_is_inconsistent(self, actions):
         # the public matrix keeps its ValueError; the trace on a fixed locus
@@ -507,7 +524,7 @@ class TestPerNormalWork:
         sub = next(cls.representative for cls in subgroup_class_poset(action).classes
                    if fix_locus(action, cls.representative)[0].rank == 1)
         t = fix_locus(action, sub)[0]
-        g = next(g for g in action.elements if t.image_key(g)[0] != t.normal)
+        g = next(g for g in action.elements if t.apply_matrix(g).normal != t.normal)
         with pytest.raises(ValueError, match="does not preserve"):
             t.induced_lattice_matrix(g)
         with pytest.raises(ConsistencyError, match="does not preserve"):
@@ -653,7 +670,7 @@ def class_sum(action):
         trace = IntPolynomial.zero()
         for hcls in _element_classes(action, centralizer, centralizer):
             h = action.elements[hcls[0]]
-            fixed = sum(t.image_key(h) == t.key for t in locus)
+            fixed = sum(t.key_in(t.normal, h) == t.key for t in locus)
             trace = trace + len(hcls) * fixed * det_one_plus_t(
                 locus[0].induced_lattice_matrix(h), power)
         shift = IntPolynomial.monomial(2 * int(age(exponent_multiset(g), action.d)))
@@ -678,7 +695,7 @@ class TestFixedTraces:
             for sub in action.all_subgroups():
                 locus, rows = fix_locus(action, sub), _row_lattice(action, sub)
                 for w in action.normalizer(sub):
-                    fixed = sum(t.image_key(w) == t.key for t in locus)
+                    fixed = sum(t.key_in(t.normal, w) == t.key for t in locus)
                     assert _fixed_trace(action, rows, w) == fixed * det_one_plus_t(
                         locus[0].induced_lattice_matrix(w), power), action.label
 
@@ -710,10 +727,10 @@ except ConsistencyError:
 section = toruslat._section
 toruslat._section = lambda rows, r: tuple(
     tuple(2 * x for x in row) for row in section(rows, r))
-try:  # a change of rows that is not unimodular
-    toruslat._transport(((1, 0), (0, 1)), ((0, -1), (1, 1)))
+try:  # a shift map that does not factor through the source normal
+    toruslat._shift_map(((1, 0), (0, 1)), ((0, -1), (1, 1)), ((1, 0), (0, 1)))
 except ConsistencyError:
-    raised.append("transport")
+    raised.append("shift-map")
 toruslat._section = section
 octa = catalog("octahedral_s4_sl3")
 isotropy = strata.generic_isotropy
@@ -773,7 +790,7 @@ def test_checks_survive_optimized_mode():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["saturation", "transport", "bookkeeping",
+    assert out.stdout.split() == ["saturation", "shift-map", "bookkeeping",
                                   "lattice", "orbit-count", "average",
                                   "partition", "orbit-stabilizer"]
 
