@@ -44,6 +44,15 @@ class FiberPolynomial:
         return f"FiberPolynomial({self.plain})"
 
 
+def _class_ages(group: IntegralAction, indices) -> list[int]:
+    """age(g) = d * rank(1 - g) / 2 for the conjugacy classes of the group
+    with the given indices; the least fractional one is reported."""
+    twice = [group.d * group._class_ranks[i] for i in indices]
+    if odd := [t for t in twice if t % 2]:
+        raise NonIntegerAge(f"class has fractional age {Fraction(min(odd), 2)}")
+    return [t // 2 for t in twice]
+
+
 def fiber_poincare(subaction: IntegralAction) -> FiberPolynomial:
     """Fiber polynomial of the quotient by a matrix group, graded by age.
 
@@ -83,14 +92,8 @@ def fiber_poincare_equivariant(group: IntegralAction, sub: frozenset,
     1 + t^2
     """
     classes, perms = _weyl_permutations(group, group._mask(sub), weyl_cosets)
-    ages = []
-    for cls in classes:
-        # age is a class function of the whole group; the eigenvalues other
-        # than 1 of an integral g pair with their conjugates or are -1
-        twice = group.d * group._class_ranks[group.class_index(group.elements[cls[0]])]
-        if twice % 2:
-            raise NonIntegerAge(f"class has fractional age {Fraction(twice, 2)}")
-        ages.append(twice // 2)
+    ages = _class_ages(group, [group.class_index(group.elements[cls[0]])
+                               for cls in classes])
 
     def graded(indices):
         coeffs = [0] * (2 * max(ages) + 1)

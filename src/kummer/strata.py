@@ -23,8 +23,9 @@ subgroups, with exact equivariant bookkeeping and no list of components:
   components and the orbits are the top degree of g(H, 1) over 2d and
   the top coefficients of g(H, 1) and y_H;
 * the orbit detail (``Stratum.orbits``) and the closure edges are built
-  when first read, from the components of Fix(H) for the class
-  representatives H only, with the orbits taken along generators of N(H).
+  when first read, for the class representatives H only, in the same
+  frames: a component is one z per copy, which a matrix carrying one
+  fixed locus into another maps by B (``_component_map``).
 
 Summing the unweighted strata must reproduce the quotient polynomial,
 and the weighted total evaluated at -1 must match the orbifold Euler
@@ -35,8 +36,10 @@ hypotheses predict; the hypotheses themselves are recorded, not checked.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 from math import prod
+from operator import and_, mul
 
 from .exactalg import (
     ConsistencyError, IntPolynomial, det_one_plus_t, hermite_normal_form,
@@ -45,14 +48,14 @@ from .exactalg import (
 from .groupcore import (
     IntegralAction, _bits, _element_classes, _permuted, subgroup_class_poset,
 )
-from .mckay import FiberPolynomial, fiber_poincare_equivariant
+from .mckay import FiberPolynomial, _class_ages, fiber_poincare_equivariant
 from .repring import _average, quotient_poincare
 from .toruslat import (
     DEFAULT_ENUMERATION_BUDGET,
+    AffineSubtorus,
     EnumerationTooLarge,
+    _kernel_basis,
     _row_lattice,
-    fix_locus,
-    generic_isotropy,
 )
 
 
@@ -61,7 +64,8 @@ class MalformedLedger(ValueError):
 
 
 class ComponentOrbit:
-    """One normalizer orbit of components with a fixed exact isotropy."""
+    """One normalizer orbit of components with a fixed exact isotropy, its
+    members read off the traces' Smith frame and built in ``fix_locus`` order."""
 
     __slots__ = ("representative", "members", "stabilizer_cosets", "fiber")
 
@@ -179,21 +183,30 @@ def _frame(rows, r: int):
     return snf.v, mat_inverse_unimodular(snf.v), snf.divisors
 
 
+def _component_map(a, source, target):
+    """B_ij = target_i a_ij / source_j, with which the framed matrix a carries
+    component z of a fixed locus with Smith divisors ``source`` to B z of one
+    with ``target``; a must be 0 from free columns to torsion rows."""
+    k = len(target)
+    if any(a[i][j] for i in range(k) for j in range(len(source), len(a))) or any(
+            target[i] * a[i][j] % dj for i in range(k) for j, dj in enumerate(source)):
+        raise ConsistencyError(f"matrix does not preserve the lattice: {a} from "
+                               f"divisors {source} to {target}")
+    return tuple(tuple(target[i] * a[i][j] // dj for j, dj in enumerate(source))
+                 for i in range(k))
+
+
 def _fixed_trace(action: IntegralAction, rows, w) -> IntPolynomial:
     """f: the trace of the matrix w on the cohomology of the fixed locus
     {x : rows x = 0 mod Z^k} of a row lattice, which w must preserve."""
     v, v_inv, divs = _frame(rows, action.r)
     a = mat_mul(mat_mul(v_inv, w), v)
-    k, power = len(divs), 2 * action.d
-    if any(a[i][j] for i in range(k) for j in range(k, action.r)) or any(
-            divs[i] * a[i][j] % divs[j] for i in range(k) for j in range(k)):
-        raise ConsistencyError(f"matrix does not preserve the lattice: {w} on {rows}")
+    b, k, power = _component_map(a, divs, divs), len(divs), 2 * action.d
     free = det_one_plus_t(tuple(row[k:] for row in a[k:]), power)
     if prod(divs) == 1:
         return free  # Fix(L) is connected, and w fixes its one component
     # the columns of [B - I | D], whose lattice has index |coker [B - I | D]|
-    columns = [[divs[i] * a[i][j] // divs[j] - (i == j) for i in range(k)]
-               for j in range(k)]
+    columns = [[b[i][j] - (i == j) for i in range(k)] for j in range(k)]
     columns += [[dv * (i == j) for i in range(k)] for j, dv in enumerate(divs)]
     fixed = prod(row[i] for i, row in enumerate(hermite_normal_form(columns, k)))
     return fixed ** power * free
@@ -209,7 +222,7 @@ class _Classes:
         self.masks = [action._mask(c.representative) for c in self.poset.classes]
         self.rows, self.normalizer, self.over = {}, {}, {}
         self.normalizer_classes, self.class_of = {}, {}
-        self.fibers, self.detail = {}, {}
+        self.fibers, self.detail, self.coords = {}, {}, {}
         self.memo: dict = {}
 
     def _prepare(self, c):
@@ -255,55 +268,76 @@ class _Classes:
             self.memo[key] = value
         return value
 
+    def _carry(self, g, source, target):
+        """Per copy, the position among class ``target``'s components of the
+        one that the matrix g carries each of class ``source``'s into."""
+        v, _, divs, zs, _ = self.coords[source]
+        _, v_inv, tdivs, _, index_of = self.coords[target]
+        b = _component_map(mat_mul(mat_mul(v_inv, g), v), divs, tdivs)
+        return [index_of[tuple(sum(map(mul, row, z)) % dv for row, dv in zip(b, tdivs))]
+                for z in zs]
+
     def orbits(self, c) -> tuple[ComponentOrbit, ...]:
-        """The N(H)-orbits of the components of Fix(H) whose isotropy is
-        exactly H, ordered by least member, each led by it."""
+        """The N(H)-orbits of the components of Fix(H) (one z per copy) with
+        isotropy exactly H, by least member and led by it.  A framed matrix A
+        fixes one pointwise iff A = I on free columns and (A - I)(z/d, 0) is integral."""
         if c not in self.detail:
             action, cls, fiber = self.action, self.poset.classes[c], self.fibers[c]
-            comps = fix_locus(action, cls.representative, budget=self.budget)
-            index_of = {t.key: i for i, t in enumerate(comps)}
-            try:
-                steps = [[index_of[t.key_in(t.normal, action.elements[n])]
-                          for t in comps]
-                         for n in action._subgroups[self.normalizer[c]]]
-            except KeyError:
-                raise ConsistencyError("a fixed locus is not stable under its "
-                                       "normalizer") from None
-            # only what fixes Fix(H)'s identity component pointwise can fix
-            # another component pointwise
-            fixers = generic_isotropy(action, comps[0])
-            larger = fixers - cls.representative
-            seen, orbits, orbit_of = set(), [], {}
-            for start, rep in enumerate(comps):
-                if start in seen:
+            r, copies, elements = action.r, 2 * action.d, action.elements
+            v, v_inv, divs = _frame(self.rows[c], r)
+            top = max(divs, default=1)
+            # each copy's z in fix_locus order: by the shifts N V (z/d), times top
+            normal = _kernel_basis(_kernel_basis(self.rows[c], r), r)
+            nv = [[sum(map(mul, n, col)) * (top // dj) for col, dj in zip(zip(*v), divs)]
+                  for n in normal]
+            shift = {z: tuple(sum(map(mul, row, z)) % top for row in nv)
+                     for z in product(*map(range, divs))}
+            zs = sorted(shift, key=shift.get)
+            self.coords[c] = v, v_inv, divs, zs, {z: i for i, z in enumerate(zs)}
+            free = list(zip(*v))[len(divs):]
+            fixers = [g for g, m in enumerate(elements)
+                      if all(mat_vec(m, col) == col for col in free)]
+            # per copy's z, a bit for each fixer outside H that fixes it pointwise
+            fixed = [0] * len(zs)
+            for t, g in enumerate(g for g in fixers if not self.masks[c] >> g & 1):
+                a = mat_mul(mat_mul(v_inv, elements[g]), v)
+                scaled = [[(a[i][j] - (i == j)) * (top // dj) % top
+                           for j, dj in enumerate(divs)] for i in range(r)]
+                for i, z in enumerate(zs):
+                    if not any(sum(map(mul, row, z)) % top for row in scaled):
+                        fixed[i] |= 1 << t
+            steps = [self._carry(elements[n], c, c)
+                     for n in action._subgroups[self.normalizer[c]]]
+            weyl = [self._carry(coset[0], c, c) for coset in cls.weyl_cosets]
+            seen, orbits, orbit_of, starts = set(), [], {}, []
+            for start in product(range(len(zs)), repeat=copies):
+                if start in seen or reduce(and_, map(fixed.__getitem__, start)):
                     continue
                 orbit = [start]
                 seen.add(start)
-                for i in orbit:
+                for x in orbit:
                     for step in steps:
-                        if step[i] not in seen:
-                            seen.add(step[i])
-                            orbit.append(step[i])
-                den, pts = rep.scaled_points()
-                if any(all((x - y) % den == 0 for pt in pts
-                           for x, y in zip(mat_vec(g, pt), pt)) for g in larger):
-                    continue
-                stab = [i for i, coset in enumerate(cls.weyl_cosets)
-                        if rep.key_in(rep.normal, coset[0]) == rep.key]
-                if len(stab) * len(orbit) != len(cls.weyl_cosets):
+                        y = tuple(map(step.__getitem__, x))
+                        if y not in seen:
+                            seen.add(y)
+                            orbit.append(y)
+                stab = [i for i, perm in enumerate(weyl)
+                        if all(perm[j] == j for j in start)]
+                if len(stab) * len(orbit) != len(weyl):
                     raise ConsistencyError(
                         f"orbit of size {len(orbit)} and stabilizer of order "
-                        f"{len(stab)} in a Weyl group of order {len(cls.weyl_cosets)}"
+                        f"{len(stab)} in a Weyl group of order {len(weyl)}"
                     )
-                orbit_of.update((comps[i].key, len(orbits)) for i in orbit)
+                orbit_of.update(dict.fromkeys(orbit, len(orbits)))
+                starts.append(start)
+                members = tuple(AffineSubtorus(r, copies, normal, top, tuple(
+                    shift[zs[j]] for j in x)) for x in sorted(orbit))
                 orbits.append(ComponentOrbit(
-                    rep, tuple(comps[i] for i in sorted(orbit)),
-                    tuple(cls.weyl_cosets[i] for i in stab),
+                    members[0], members, tuple(cls.weyl_cosets[i] for i in stab),
                     FiberPolynomial(fiber.plain, fiber.class_ages,
                                     [fiber.values[i] for i in stab]),
                 ))
-            self.detail[c] = (tuple(orbits), orbit_of, comps[0].normal,
-                              action._mask(fixers))
+            self.detail[c] = (tuple(orbits), orbit_of, sum(1 << g for g in fixers), starts)
         return self.detail[c][0]
 
     def closure_edges(self, strata) -> tuple:
@@ -319,7 +353,7 @@ class _Classes:
             # L < H that are H's pointwise stabilizer of their own tangent
             # lattice: L = k R k^-1 with no other element of H fixing it.
             # H-conjugate L give G-translates, so one L per H-class is taken
-            mask, above, seen = self.masks[s._index], [], set()
+            c, mask, above, seen = s._index, self.masks[s._index], [], set()
             conjugations = [action._conjugation(h) for h in action._subgroups[mask]]
             for sub in action._subgroups:
                 c2 = poset._index[sub]
@@ -335,19 +369,21 @@ class _Classes:
                             seen.add(y)
                             orbit.append(y)
                 k = poset._conjugator[sub]
-                k_inv, (_, orbit_of, normal, fixers) = action._inv_of[k], self.detail[c2]
+                k_inv, fixers = action._inv_of[k], self.detail[c2][2]
                 if not any(fixers >> table[table[k_inv][h]][k] & 1
                            for h in _bits(mask & ~sub)):
-                    above.append((c2, orbit_of, normal, action.elements[k_inv]))
-            for oi, orbit in enumerate(s.orbits):
+                    # k^-1 maps Fix(H) into Fix(R), component by component
+                    above.append((c2, self.detail[c2][1],
+                                  self._carry(action.elements[k_inv], c, c2)))
+            for oi, start in enumerate(self.detail[c][3]):
                 targets = set()
-                for c2, orbit_of, normal, k_inv in above:
-                    key = orbit.representative.key_in(normal, k_inv)
+                for c2, orbit_of, carried in above:
+                    key = tuple(map(carried.__getitem__, start))
                     if key not in orbit_of:
                         raise ConsistencyError("the orbits miss a component of a "
                                                "fixed locus")
                     targets.add(node[c2, orbit_of[key]])
-                edges.extend((b, node[s._index, oi]) for b in sorted(targets))
+                edges.extend((b, node[c, oi]) for b in sorted(targets))
         return tuple(edges)
 
 
@@ -358,13 +394,14 @@ def stratify(action: IntegralAction,
     ``budget`` bounds the number of components of Fix(H) for the
     representative H of every subgroup class, read off the Smith divisors
     before the class's first trace; :class:`~kummer.toruslat.EnumerationTooLarge`
-    is raised beyond it.
+    is raised beyond it, and :class:`~kummer.mckay.NonIntegerAge` before the lattice.
 
     >>> from .catalog import catalog
     >>> report = stratify(catalog("z6_sl2"))
     >>> print(report.resolution)
     1 + 22*t^2 + t^4
     """
+    _class_ages(action, range(len(action._class_ranks)))  # before the lattice
     classes = _Classes(action, budget)
     strata, label_count, zero = [], {}, IntPolynomial.zero()
     power = 2 * action.d

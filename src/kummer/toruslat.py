@@ -15,11 +15,9 @@ group elements with no ambiguity, in integer arithmetic only.  A fixed
 locus is the tuple of its components.  N and the tangent lattice are
 each other's integer kernel, both from one cached ``kernel_basis``.
 
-A group element g moves a component into the component with a given
-normal T when T g factors as M N; the integer map M carries the shifts
-along (``_shift_map``, ``AffineSubtorus.key_in``).  M and the matrix g
-induces on the tangent lattice (``_induced_matrix``) depend on g and the
-normals alone, so they are memoised per normal.
+The stratification counts and moves components as torsion coordinates
+in one Smith frame (``strata``) and only builds its members here; this
+model, with images of a lattice basis and a translate, is its reference.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 from math import gcd, lcm, prod
-from operator import mul
 
 from .exactalg import (
     ConsistencyError,
@@ -36,7 +33,6 @@ from .exactalg import (
     identity_matrix,
     kernel_basis,
     mat_det,
-    mat_mul,
     mat_sub,
     mat_vec,
     smith_normal_form,
@@ -92,24 +88,6 @@ def _section(rows, r: int):
         tuple(sum(snf.v[i][t] * snf.u[t][j] for t in range(k)) for j in range(k))
         for i in range(r)
     )
-
-
-@lru_cache(maxsize=None)
-def _shift_map(target, g, source):
-    """M = target g S for S = ``_section(source)``, checked as M source =
-    target g: then g maps { x : source x = s } into { y : target y = M s }.
-    """
-    moved = mat_mul(target, g)
-    m = mat_mul(moved, _section(source, len(g)))
-    if mat_mul(m, source) != moved:
-        raise ConsistencyError(f"rows {moved} do not factor through {source}")
-    return m
-
-
-@lru_cache(maxsize=None)
-def _carried(m, den: int, shift):
-    """One copy's shift vector carried by the map m, mod den."""
-    return tuple(sum(map(mul, row, shift)) % den for row in m)
 
 
 @lru_cache(maxsize=None)
@@ -251,24 +229,9 @@ class AffineSubtorus:
                     return False
         return True
 
-    def key_in(self, target, g):
-        """Key of the component with normal ``target`` that contains the
-        image under the lattice automorphism g, from the normals alone.
-
-        On its own normal g is an automorphism, so the denominator stays.
-        """
-        m = _shift_map(target, g, self.normal)
-        shifts = tuple(_carried(m, self.den, shift) for shift in self.scaled_shifts)
-        if target == self.normal:
-            return (target, self.den, shifts)
-        return (target, *_reduced(self.den, shifts))
-
     def apply_matrix(self, g) -> "AffineSubtorus":
-        """Image under the lattice automorphism g (same matrix in each copy).
-
-        Built from the lattice basis and a translate, independently of
-        ``key_in``.
-        """
+        """Image under the lattice automorphism g (same matrix in each copy),
+        built from the lattice basis and a translate."""
         basis = tuple(mat_vec(g, row) for row in self.lattice_basis) \
             if self.rank else ()
         den, pts = self.scaled_points()
@@ -399,12 +362,8 @@ def component_count(action: IntegralAction, g) -> int:
     >>> component_count(octa, ((-1, 0, 0), (0, -1, 0), (0, 0, 1)))
     16
     """
-    m = mat_sub(identity_matrix(action.r), g)
-    snf = smith_normal_form(m)
-    prod = 1
-    for dv in snf.divisors:
-        prod *= abs(dv)
-    return prod ** (2 * action.d)
+    snf = smith_normal_form(mat_sub(identity_matrix(action.r), g))
+    return prod(map(abs, snf.divisors)) ** (2 * action.d)
 
 
 def isolated_count(action: IntegralAction, g) -> int:

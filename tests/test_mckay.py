@@ -44,6 +44,14 @@ class TestFiberPoincare:
         with pytest.raises(NonIntegerAge, match=r"^class has fractional age 1/2$"):
             fiber_poincare(flip)
 
+    def test_gorenstein_subgroup_of_a_non_gorenstein_group(self):
+        # only the classes of H are graded: the flip's age 1/2 is outside H
+        group = generate_group([((0, 1), (1, 0)), ((-1, 0), (0, -1))], d=1)
+        minus = group.subgroup_closure([((-1, 0), (0, -1))])
+        cosets = group.cosets(minus, within=group.normalizer(minus))
+        fib = fiber_poincare_equivariant(group, minus, cosets)
+        assert fib.plain == IntPolynomial([1, 0, 1])
+
 
 class TestIntegerAges:
     def test_rank_ages_match_the_exponents(self, perfbench_actions):

@@ -11,10 +11,10 @@ from kummer.exactalg import IntPolynomial
 from kummer.repring import quotient_poincare
 from kummer import strata, toruslat
 from kummer.exactalg import (
-    age, det_one_plus_t, exponent_multiset, mat_inverse_unimodular, mat_mul,
-    smith_normal_form,
+    age, det_one_plus_t, exponent_multiset, mat_mul, mat_vec, smith_normal_form,
 )
 from kummer.groupcore import _element_classes, generate_group, subgroup_class_poset
+from kummer.mckay import NonIntegerAge
 from kummer.strata import (
     MalformedLedger, _Classes, _fixed_trace, assemble_from_ledger, stratify,
 )
@@ -248,6 +248,21 @@ def fraction_order(t):
     return (t.normal, t.shifts)
 
 
+@lru_cache(maxsize=None)
+def moves_within(normal, den, shift, w):
+    """Whether the matrix w moves the point section . shift / den of one
+    copy's {N x = shift / den}, N = normal, back into it."""
+    point = mat_vec(toruslat._section(normal, len(w)), shift) if normal else ()
+    return all((n - s) % den == 0
+               for n, s in zip(mat_vec(normal, mat_vec(w, point)), shift))
+
+
+def maps_to_itself(t, w):
+    """Whether the matrix w maps the component t onto itself, copy by copy.
+    It uses neither the Smith frame of the traces nor a transport of keys."""
+    return all(moves_within(t.normal, t.den, shift, w) for shift in t.scaled_shifts)
+
+
 def node_of_member(report):
     """Orbit node (stratum, orbit) of every orbit member."""
     return {m.key: (si, oi) for si, s in enumerate(report.strata)
@@ -342,13 +357,14 @@ class TestLatticeConstruction:
         assert len(frames) == len(set(frames)) == len(expected) <= lattices
         assert set(frames) == expected
 
-    def test_a_missing_component_is_inconsistent(self, monkeypatch):
-        # the second component of each representative's fixed locus dropped
-        monkeypatch.setattr(strata, "fix_locus",
-                            lambda *args, **kw: (lambda c: c[:1] + c[2:])(
-                                fix_locus(*args, **kw)))
-        with pytest.raises(ConsistencyError):
-            stratify(catalog("d8_b2")).closure_edges
+    def test_a_missing_component_is_inconsistent(self):
+        # the open stratum's one component dropped from its orbit map:
+        # every other stratum's representative lies on it
+        report = stratify(catalog("d8_b2"))
+        [s.orbits for s in report.strata]
+        report._classes.detail[report.strata[0]._index][1].popitem()
+        with pytest.raises(ConsistencyError, match="miss a component"):
+            report.closure_edges
 
     @pytest.mark.parametrize("name", ["octahedral_s4_sl3", "d8_b2", "s3_standard_d2"])
     def test_closure_edges_match_the_pairwise_definition(self, name, actions, reports):
@@ -433,35 +449,20 @@ class TestPerNormalWork:
     """The traces taken per class and per normal agree with the
     per-member work they replace."""
 
-    def test_transport_matches_apply_matrix(self, all_reports):
-        # key_in against the image apply_matrix builds.  On the image's own
-        # normal (the orbit detail's use): each stratum's first
-        # representative under every element, the other orbits'
-        # representatives and last members under the generators.  On the
-        # normal of Fix(g h g^-1) for h in the isotropy (the closure edges'
-        # use), whose one component containing the image ``contains`` finds
-        ranks, crossed = set(), 0
+    def test_orbits_are_closed_under_the_normalizer(self, all_reports):
+        # each orbit's member keys, from the Smith frame's permutations, are
+        # closed under the images apply_matrix builds by every element of N(H)
+        ranks = set()
         for name, report in all_reports.items():
-            action = report.action
+            poset = subgroup_class_poset(report.action)
             for s in report.strata:
                 ranks.add(s.rank)
-                moved = [(s.orbits[0].representative, action.elements)] + [
-                    (t, action.generators)
-                    for o in s.orbits for t in (o.representative, o.members[-1])]
-                for t, elements in moved:
-                    for g in elements:
-                        image = t.apply_matrix(g)
-                        assert t.key_in(image.normal, g) == image.key, name
-                t = s.orbits[0].representative
-                for g in action.generators:
-                    image, g_inv = t.apply_matrix(g), mat_inverse_unimodular(g)
-                    for h in s.isotropy:
-                        locus = fix_locus(action, [mat_mul(mat_mul(g, h), g_inv)])
-                        [above] = [m for m in locus if m.contains(image)]
-                        assert t.key_in(above.normal, g) == above.key, name
-                        crossed += above.normal != image.normal
+                normalizer = poset.classes[poset.class_of(s.isotropy)].normalizer
+                for o in s.orbits:
+                    keys = {m.key for m in o.members}
+                    assert {m.apply_matrix(n).key for m in o.members
+                            for n in normalizer} == keys, (name, s.label)
         assert ranks == {0, 1, 2, 3, 4}
-        assert crossed
 
     def test_family_order_is_the_fraction_order(self, all_reports):
         for name, report in all_reports.items():
@@ -493,29 +494,20 @@ class TestPerNormalWork:
                 expected = sum(
                     (per_member_trace(action, family[i], subsets[i], supersets, family, n)
                      for i in members
-                     if family[i].key_in(family[i].normal, n) == family[i].key),
+                     if maps_to_itself(family[i], n)),
                     IntPolynomial.zero())
                 assert classes.g(c, action._index_of[n]) == expected, (name, c)
                 checked += 1
         assert checked > len(action.elements)
 
-    def test_corrupted_transport_is_inconsistent(self, monkeypatch):
-        action = catalog("s4_standard_d2")
-        curve, g = fix_locus(action, [action.generators[0]])[0], action.generators[1]
-        image = curve.apply_matrix(g)
-        assert curve.key_in(image.normal, g) == image.key
-        section = toruslat._section
-
-        def corrupted(rows, r):
-            return tuple(tuple(2 * x for x in row) for row in section(rows, r))
-
-        monkeypatch.setattr(toruslat, "_section", corrupted)
-        toruslat._shift_map.cache_clear()
-        try:
-            with pytest.raises(ConsistencyError):
-                curve.key_in(image.normal, g)
-        finally:
-            toruslat._shift_map.cache_clear()
+    def test_a_matrix_off_the_components_is_inconsistent(self):
+        # z/2 goes to 2z/4, but z/4 is no point of order 2, and a free
+        # column may not feed a torsion row
+        assert strata._component_map(((1,),), (2,), (4,)) == ((2,),)
+        with pytest.raises(ConsistencyError, match="does not preserve"):
+            strata._component_map(((1,),), (4,), (2,))
+        with pytest.raises(ConsistencyError, match="does not preserve"):
+            strata._component_map(((1, 1), (0, 1)), (2,), (2,))
 
     def test_an_unpreserved_lattice_is_inconsistent(self, actions):
         # the public matrix keeps its ValueError; the trace on a fixed locus
@@ -532,26 +524,28 @@ class TestPerNormalWork:
 
     def test_work_is_counted_per_normal(self, monkeypatch):
         # one stratify(s4_standard_d2) takes one f per (class, class of its
-        # normalizer) reached, and solves no fixed locus until the orbits
-        # are read, then one per stratum
+        # normalizer) reached, and the orbits and closure edges solve no
+        # torus system: they are read in the traces' Smith frames
         action = catalog("s4_standard_d2")
         traces, solved = [], []
+        solve = toruslat.solve_torus_system
 
         def counted_trace(action, rows, w):
             traces.append((rows, w))
             return _fixed_trace(action, rows, w)
 
-        def counted_locus(action, sub, budget):
-            solved.append(sub)
-            return fix_locus(action, sub, budget=budget)
+        def counted_solve(*args, **kw):
+            solved.append(args)
+            return solve(*args, **kw)
 
         monkeypatch.setattr(strata, "_fixed_trace", counted_trace)
-        monkeypatch.setattr(strata, "fix_locus", counted_locus)
+        monkeypatch.setattr(toruslat, "solve_torus_system", counted_solve)
         report = stratify(action)
-        assert (len(traces), len(solved)) == (28, 0)
+        assert len(traces) == 28
         assert len(traces) == len(report.strata[0]._classes.memo)
-        report.closure_edges
-        assert sorted(solved, key=len) == [s.isotropy for s in report.strata]
+        assert report.closure_edges and not solved
+        fix_locus(action, [action.identity])  # the counter sees a solve
+        assert len(solved) == 1
 
 
 def weyl_orbits(members, weyl_cosets):
@@ -582,7 +576,8 @@ class TestStratumLoop:
     normalizer), and orbits from the representatives' fixed loci."""
 
     def test_orbits_match_the_weyl_coset_search(self, all_reports):
-        for name, report in all_reports.items():
+        s5 = standard_sn(5, 2)
+        for name, report in {**all_reports, s5.label: stratify(s5)}.items():
             family = arrangement(report.action)
             poset = subgroup_class_poset(report.action)
             for s in report.strata:
@@ -626,14 +621,24 @@ class TestStratumLoop:
                 checked += 1
         assert checked > len(action.elements)
 
-    def test_bookkeeping_is_checked(self, monkeypatch):
-        # every element taken to fix a component pointwise when it fixes a
-        # point of it: components go missing from the orbits
-        monkeypatch.setattr(strata, "generic_isotropy",
-                            lambda action, t: frozenset(action.elements))
+    def test_bookkeeping_is_checked(self):
+        # every isotropy group taken for the trivial group, so H's own
+        # elements fix each component as larger fixers: components go
+        # missing from the orbits
         report = stratify(catalog("octahedral_s4_sl3"))
+        classes = report.strata[0]._classes
+        classes.masks = [1 << report.action._e] * len(classes.masks)
         with pytest.raises(ConsistencyError, match="bookkeeping"):
             [s.orbits for s in report.strata]
+
+    def test_ages_are_checked_before_the_lattice(self):
+        # the diagonal sign group (Z/2)^6 at d = 1 has fractional ages; the
+        # run stops before its subgroup lattice is built
+        action = generate_group([tuple(tuple((i == j) - 2 * (i == j == k) for j in range(6))
+                                       for i in range(6)) for k in range(6)], d=1)
+        with pytest.raises(NonIntegerAge, match=r"^class has fractional age 1/2$"):
+            stratify(action)
+        assert action.order == 64 and "_lattice" not in action.__dict__
 
     def test_orbit_count_is_checked(self):
         # with the orbits taken along the trivial group, every component is
@@ -670,7 +675,7 @@ def class_sum(action):
         trace = IntPolynomial.zero()
         for hcls in _element_classes(action, centralizer, centralizer):
             h = action.elements[hcls[0]]
-            fixed = sum(t.key_in(t.normal, h) == t.key for t in locus)
+            fixed = sum(maps_to_itself(t, h) for t in locus)
             trace = trace + len(hcls) * fixed * det_one_plus_t(
                 locus[0].induced_lattice_matrix(h), power)
         shift = IntPolynomial.monomial(2 * int(age(exponent_multiset(g), action.d)))
@@ -695,7 +700,7 @@ class TestFixedTraces:
             for sub in action.all_subgroups():
                 locus, rows = fix_locus(action, sub), _row_lattice(action, sub)
                 for w in action.normalizer(sub):
-                    fixed = sum(t.key_in(t.normal, w) == t.key for t in locus)
+                    fixed = sum(maps_to_itself(t, w) for t in locus)
                     assert _fixed_trace(action, rows, w) == fixed * det_one_plus_t(
                         locus[0].induced_lattice_matrix(w), power), action.label
 
@@ -714,7 +719,6 @@ from kummer import strata
 from kummer.catalog import catalog
 from kummer.exactalg import ConsistencyError, IntPolynomial
 from kummer.groupcore import SubgroupClassPoset
-from kummer import toruslat
 from kummer.toruslat import AffineSubtorus
 
 if not sys.flags.optimize:
@@ -724,22 +728,18 @@ try:  # an annihilator that is not saturated
     AffineSubtorus(2, 1, ((2, 0),), 1, ((0,),)).scaled_points()
 except ConsistencyError:
     raised.append("saturation")
-section = toruslat._section
-toruslat._section = lambda rows, r: tuple(
-    tuple(2 * x for x in row) for row in section(rows, r))
-try:  # a shift map that does not factor through the source normal
-    toruslat._shift_map(((1, 0), (0, 1)), ((0, -1), (1, 1)), ((1, 0), (0, 1)))
+try:  # a point of order 4 carried to torsion of order 2
+    strata._component_map(((1,),), (4,), (2,))
 except ConsistencyError:
-    raised.append("shift-map")
-toruslat._section = section
+    raised.append("component-map")
 octa = catalog("octahedral_s4_sl3")
-isotropy = strata.generic_isotropy
-strata.generic_isotropy = lambda action, t: frozenset(action.elements)
+report = strata.stratify(octa)
+classes = report.strata[0]._classes
+classes.masks = [1 << octa._e] * len(classes.masks)
 try:  # components dropped from the orbits
-    [s.orbits for s in strata.stratify(octa).strata]
+    [s.orbits for s in report.strata]
 except ConsistencyError:
     raised.append("bookkeeping")
-strata.generic_isotropy = isotropy
 try:  # a trace on a fixed locus that the element moves
     line = strata._row_lattice(octa, [((-1, 0, 0), (0, -1, 0), (0, 0, 1))])
     strata._fixed_trace(octa, line, ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
@@ -790,7 +790,7 @@ def test_checks_survive_optimized_mode():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["saturation", "shift-map", "bookkeeping",
+    assert out.stdout.split() == ["saturation", "component-map", "bookkeeping",
                                   "lattice", "orbit-count", "average",
                                   "partition", "orbit-stabilizer"]
 
