@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .catalog import (
     UnknownCatalogEntry,
@@ -483,6 +484,7 @@ def list_catalog() -> str:
 # entry point
 
 
+@cache  # parse_args leaves the parser as it was, so one serves every main()
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kummer",

@@ -87,25 +87,6 @@ def mat_det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def mat_inverse_unimodular(m: Matrix) -> Matrix:
-    """Inverse of an integer matrix with determinant +-1, again integral."""
-    n = len(m)
-    d = mat_det(m)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    # adjugate / det
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(m[r][c] for c in range(n) if c != j)
-                for r in range(n)
-                if r != i
-            )
-            cof[i][j] = (-1) ** (i + j) * mat_det(minor)
-    return tuple(tuple(cof[j][i] * d for j in range(n)) for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # integer polynomials
 
@@ -341,7 +322,7 @@ def char_poly(m: Matrix) -> IntPolynomial:
                 [sum(m[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
                 for i in range(n)
             ]
-    return IntPolynomial(list(reversed(coeffs)))
+    return IntPolynomial._of(coeffs[::-1])
 
 
 @lru_cache(maxsize=None)
@@ -357,7 +338,7 @@ def det_one_plus_t(m: Matrix, power: int = 1) -> IntPolynomial:
     """
     n = len(m)
     cp = char_poly(m)
-    base = IntPolynomial([(-1) ** i * cp[n - i] for i in range(n + 1)])
+    base = IntPolynomial._of([(-1) ** i * cp[n - i] for i in range(n + 1)])
     return base**power
 
 
@@ -524,14 +505,16 @@ class SmithDecomposition:
     """U * M * V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
     Zero diagonal entries come last; ``divisors`` lists the nonzero ones.
+    ``v_inv`` is V^-1, kept through the column operations that built V.
     """
 
-    __slots__ = ("u", "d", "v", "rows", "cols")
+    __slots__ = ("u", "d", "v", "v_inv", "rows", "cols")
 
-    def __init__(self, u, d, v, rows, cols):
+    def __init__(self, u, d, v, v_inv, rows, cols):
         self.u = u
         self.d = d
         self.v = v
+        self.v_inv = v_inv
         self.rows = rows
         self.cols = cols
 
@@ -566,6 +549,7 @@ def smith_normal_form(m) -> SmithDecomposition:
     a = [list(r) for r in m]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    w = [row[:] for row in v]  # V^-1: each column op on V is a row op on it
 
     def row_op(i, j, q):  # row_i -= q * row_j
         for k in range(cols):
@@ -573,11 +557,12 @@ def smith_normal_form(m) -> SmithDecomposition:
         for k in range(rows):
             u[i][k] -= q * u[j][k]
 
-    def col_op(i, j, q):  # col_i -= q * col_j
+    def col_op(i, j, q):  # col_i -= q * col_j; row_j += q * row_i of V^-1
         for k in range(rows):
             a[k][i] -= q * a[k][j]
         for k in range(cols):
             v[k][i] -= q * v[k][j]
+            w[j][k] += q * w[i][k]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -588,6 +573,7 @@ def smith_normal_form(m) -> SmithDecomposition:
             a[k][i], a[k][j] = a[k][j], a[k][i]
         for k in range(cols):
             v[k][i], v[k][j] = v[k][j], v[k][i]
+        w[i], w[j] = w[j], w[i]
 
     t = 0
     while t < min(rows, cols):
@@ -643,7 +629,7 @@ def smith_normal_form(m) -> SmithDecomposition:
     um = tuple(tuple(r) for r in u)
     vm = tuple(tuple(r) for r in v)
     dm = tuple(tuple(r) for r in a)
-    snf = SmithDecomposition(um, dm, vm, rows, cols)
+    snf = SmithDecomposition(um, dm, vm, tuple(map(tuple, w)), rows, cols)
     if mat_mul(mat_mul(um, m), vm) != dm:
         raise ConsistencyError(f"Smith transforms do not reproduce {dm}")
     divs = snf.divisors

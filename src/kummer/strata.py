@@ -38,12 +38,12 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import product
-from math import prod
+from math import comb, gcd, prod
 from operator import and_, mul
 
 from .exactalg import (
     ConsistencyError, IntPolynomial, det_one_plus_t, hermite_normal_form,
-    identity_matrix, mat_inverse_unimodular, mat_mul, mat_vec, smith_normal_form,
+    identity_matrix, mat_mul, mat_vec, smith_normal_form,
 )
 from .groupcore import (
     IntegralAction, _bits, _element_classes, _permuted, subgroup_class_poset,
@@ -176,11 +176,13 @@ class StrataReport:
 @lru_cache(maxsize=None)
 def _frame(rows, r: int):
     """``(V, V^-1, divisors)`` from the Smith form U rows V = D of a row
-    lattice; the identity frame when there are no rows."""
+    lattice, V^-1 as the form kept it; the identity frame when there are no rows."""
     if not rows:
         return identity_matrix(r), identity_matrix(r), ()
     snf = smith_normal_form(rows)
-    return snf.v, mat_inverse_unimodular(snf.v), snf.divisors
+    if mat_mul(snf.v, snf.v_inv) != identity_matrix(r):
+        raise ConsistencyError(f"Smith transform {snf.v} times {snf.v_inv} is not I")
+    return snf.v, snf.v_inv, snf.divisors
 
 
 def _component_map(a, source, target):
@@ -200,8 +202,12 @@ def _fixed_trace(action: IntegralAction, rows, w) -> IntPolynomial:
     """f: the trace of the matrix w on the cohomology of the fixed locus
     {x : rows x = 0 mod Z^k} of a row lattice, which w must preserve."""
     v, v_inv, divs = _frame(rows, action.r)
+    k, power = len(divs), 2 * action.d
+    if w == action.identity:  # every component, each with trace (1 + t)^{2d(r - k)}
+        n, count = power * (action.r - k), prod(divs) ** power
+        return IntPolynomial._of([count * comb(n, i) for i in range(n + 1)])
     a = mat_mul(mat_mul(v_inv, w), v)
-    b, k, power = _component_map(a, divs, divs), len(divs), 2 * action.d
+    b = _component_map(a, divs, divs)
     free = det_one_plus_t(tuple(row[k:] for row in a[k:]), power)
     if prod(divs) == 1:
         return free  # Fix(L) is connected, and w fixes its one component
@@ -228,8 +234,9 @@ class _Classes:
     def _prepare(self, c):
         action, poset, mask = self.action, self.poset, self.masks[c]
         norm = self.normalizer[c] = action._mask(poset.classes[c].normalizer)
-        classes = self.normalizer_classes[c] = _element_classes(
-            action, _bits(norm), action._subgroups[norm])
+        classes = self.normalizer_classes[c] = (  # N(R) = G: G's classes, same order
+            action._classes if norm == (1 << action.order) - 1
+            else _element_classes(action, _bits(norm), action._subgroups[norm]))
         self.class_of[c] = {w: i for i, cls in enumerate(classes) for w in cls}
         rows = self.rows[c] = _row_lattice(
             action, [action.elements[g] for g in action._subgroups[mask]])
@@ -294,6 +301,9 @@ class _Classes:
                      for z in product(*map(range, divs))}
             zs = sorted(shift, key=shift.get)
             self.coords[c] = v, v_inv, divs, zs, {z: i for i, z in enumerate(zs)}
+            # a member's den is top over the gcd of top and its copies' shifts
+            shifts = [shift[z] for z in zs]
+            parts, divided = [gcd(top, *s) for s in shifts], {}
             free = list(zip(*v))[len(divs):]
             fixers = [g for g, m in enumerate(elements)
                       if all(mat_vec(m, col) == col for col in free)]
@@ -330,8 +340,15 @@ class _Classes:
                     )
                 orbit_of.update(dict.fromkeys(orbit, len(orbits)))
                 starts.append(start)
-                members = tuple(AffineSubtorus(r, copies, normal, top, tuple(
-                    shift[zs[j]] for j in x)) for x in sorted(orbit))
+                members = []
+                for x in sorted(orbit):
+                    part = gcd(*map(parts.__getitem__, x))
+                    if part not in divided:  # read only where part divides parts[j]
+                        divided[part] = [tuple(s // part for s in sh) for sh in shifts]
+                    members.append(AffineSubtorus._of(
+                        r, copies, normal, top // part,
+                        tuple(map(divided[part].__getitem__, x))))
+                members = tuple(members)
                 orbits.append(ComponentOrbit(
                     members[0], members, tuple(cls.weyl_cosets[i] for i in stab),
                     FiberPolynomial(fiber.plain, fiber.class_ages,

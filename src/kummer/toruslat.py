@@ -134,6 +134,15 @@ class AffineSubtorus:
         self.den, self.scaled_shifts = _reduced(den, scaled_shifts)
         self._scaled = None
 
+    @classmethod
+    def _of(cls, r: int, copies: int, normal, den: int, scaled_shifts):
+        """A subtorus given in canonical form, den least and shifts in
+        [0, den), by arithmetic here: nothing is checked or reduced."""
+        s = object.__new__(cls)
+        s.r, s.copies, s.normal, s.den, s.scaled_shifts, s._scaled = (
+            r, copies, normal, den, scaled_shifts, None)
+        return s
+
     # -- construction --------------------------------------------------------
 
     @classmethod
@@ -441,24 +450,33 @@ def orbifold_euler(action: IntegralAction) -> int:
     g runs over class representatives and h over the classes of the
     centralizer C(g) under conjugation by C(g) (k (g, h) k^-1 = (g, khk^-1)
     for k in C(g)), taken along generators of C(g), each weighted by both
-    class sizes.  The total is sum over classes of |G| * e(X^g / C(g))
-    (Hirzebruch-Hoefer), so it must be divisible by |G|.
+    class sizes.  L has rank at most rank(1 - g) + rank(1 - h), so pairs
+    whose ranks sum below r are skipped; the ranks are the row counts of
+    the Hermite forms for g = 1, whose class comes first.  The total is
+    sum over classes of |G| * e(X^g / C(g)) (Hirzebruch-Hoefer), so it
+    must be divisible by |G|.
 
     >>> from .catalog import catalog
     >>> orbifold_euler(catalog("z6_sl2"))
     24
     """
-    ident = identity_matrix(action.r)
+    r, ident = action.r, identity_matrix(action.r)
     elements, total = action.elements, 0
+    rank = dict.fromkeys(range(action.order), r)  # rank(1 - h), read while g = 1
     for cls in action._classes:
         g = cls[0]
+        if rank[g] + max(rank.values()) < r:
+            continue  # no h makes a finite fixed set with g
         diff_g = mat_sub(ident, elements[g])
         centralizer = action._centralizer(g)
         for hcls in _element_classes(action, _bits(centralizer),
                                      _generators(action, centralizer)):
-            hnf = hermite_normal_form(diff_g + mat_sub(ident, elements[hcls[0]]),
-                                      action.r)
-            if len(hnf) < action.r:
+            if rank[g] + rank[hcls[0]] < r:
+                continue  # positive-dimensional: chi = 0
+            hnf = hermite_normal_form(diff_g + mat_sub(ident, elements[hcls[0]]), r)
+            if g == action._e:
+                rank.update(dict.fromkeys(hcls, len(hnf)))
+            if len(hnf) < r:
                 continue  # positive-dimensional: chi = 0
             # full rank: row i's pivot sits in column i
             index = prod(row[i] for i, row in enumerate(hnf))

@@ -508,6 +508,20 @@ class TestMainEntryPoint:
         assert args.mode == "integral"
         assert args.format == "text"
 
+    def test_one_parser_serves_every_call(self, capsys):
+        # main() reuses one parser per process: a call's flags do not carry
+        # over to the next, and the calls print what fresh processes print
+        assert build_parser() is build_parser()
+        equivariant = ["--catalog", "z6_sl2", "--equivariant", "--format", "json"]
+        plain = ["--catalog", "z6_sl2", "--format", "json"]
+        outputs = []
+        for args in (equivariant, plain, ["--catalog", "z2_sl2", "--oracle", "2"]):
+            assert main(args) == 0
+            outputs.append(capsys.readouterr().out)
+            assert outputs[-1] == _run_cli(args).stdout, args
+        assert "orbit_detail" in outputs[0] and "orbit_detail" not in outputs[1]
+        assert not build_parser().parse_args(plain).equivariant
+
 
 @pytest.fixture(scope="module")
 def shared_stratify():

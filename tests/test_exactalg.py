@@ -181,11 +181,14 @@ class TestExponentsAndAge:
 
     def test_age_pairs_with_inverse(self):
         # exponents pair a <-> 1-a between a matrix and its inverse
-        from kummer.exactalg import mat_inverse_unimodular
-
         for m in [Z6_GEN, FOUR_CYCLE_STD]:
+            # U m V = I for unimodular m, so m^-1 = V U
+            snf = smith_normal_form(m)
+            assert snf.d == identity_matrix(len(m))
+            inverse = mat_mul(snf.v, snf.u)
+            assert mat_mul(m, inverse) == identity_matrix(len(m))
             e = exponent_multiset(m)
-            ei = exponent_multiset(mat_inverse_unimodular(m))
+            ei = exponent_multiset(inverse)
             nonzero = sum(1 for x in e.entries if x != 0)
             assert age(e, 2) + age(ei, 2) == 2 * nonzero
             assert ei == e.conjugate()
@@ -225,6 +228,28 @@ class TestNormalForms:
             assert mat_det(snf.u) in (1, -1)
             assert mat_det(snf.v) in (1, -1)
             assert mat_mul(mat_mul(snf.u, m), snf.v) == snf.d
+
+    def test_smith_keeps_the_inverse_of_v(self):
+        # square, rank-deficient (a row that is a sum of others) and k x r
+        # row lattices: V^-1 kept through the column operations inverts V
+        rng = random.Random(17)
+        shapes = []
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            shapes.append((n, n, False))
+            shapes.append((n, n, True))
+            shapes.append((rng.randint(1, n), n, False))
+        for rows, cols, deficient in shapes:
+            m = [[rng.randint(-7, 7) for _ in range(cols)] for _ in range(rows)]
+            if deficient:
+                m[-1] = [sum(col[:-1]) for col in zip(*m)]
+            m = tuple(map(tuple, m))
+            snf = smith_normal_form(m)
+            assert mat_mul(snf.v, snf.v_inv) == identity_matrix(cols)
+            assert mat_mul(snf.v_inv, snf.v) == identity_matrix(cols)
+            assert mat_mul(mat_mul(snf.u, m), snf.v) == snf.d
+            if deficient:
+                assert snf.rank < rows
 
     def test_hermite_is_canonical(self):
         rng = random.Random(3)

@@ -1,5 +1,6 @@
 from collections import Counter
 from functools import lru_cache
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -11,15 +12,20 @@ from kummer.exactalg import IntPolynomial
 from kummer.repring import quotient_poincare
 from kummer import strata, toruslat
 from kummer.exactalg import (
-    age, det_one_plus_t, exponent_multiset, mat_mul, mat_vec, smith_normal_form,
+    age, det_one_plus_t, exponent_multiset, hermite_normal_form, identity_matrix,
+    mat_mul, mat_sub, mat_vec, smith_normal_form,
 )
-from kummer.groupcore import _element_classes, generate_group, subgroup_class_poset
+from kummer.groupcore import (
+    _bits, _element_classes, generate_group, subgroup_class_poset,
+)
 from kummer.mckay import NonIntegerAge
 from kummer.strata import (
     MalformedLedger, _Classes, _fixed_trace, assemble_from_ledger, stratify,
 )
 from kummer.exactalg import ConsistencyError
-from kummer.toruslat import _row_lattice, fix_locus, generic_isotropy, orbifold_euler
+from kummer.toruslat import (
+    AffineSubtorus, _row_lattice, fix_locus, generic_isotropy, orbifold_euler,
+)
 
 A = IntPolynomial([1, 4, 6, 4, 1])          # abelian surface
 B = IntPolynomial([1, 0, 6, 0, 1])          # surface modulo -1
@@ -713,6 +719,108 @@ class TestFixedTraces:
         assert stratify(action).resolution == class_sum(action)
 
 
+def generic_trace(action, rows, w):
+    """f(L, w) by the general formula, with no case for w = 1: the fixed
+    components |coker [B - I | D]|^2d times det(1 + t A_free)^2d."""
+    v, v_inv, divs = strata._frame(rows, action.r)
+    a, k, power = mat_mul(mat_mul(v_inv, w), v), len(divs), 2 * action.d
+    b = strata._component_map(a, divs, divs)
+    columns = [[b[i][j] - (i == j) for i in range(k)] for j in range(k)]
+    columns += [[dv * (i == j) for i in range(k)] for j, dv in enumerate(divs)]
+    fixed = prod(row[i] for i, row in enumerate(hermite_normal_form(columns, k)))
+    return fixed ** power * det_one_plus_t(tuple(row[k:] for row in a[k:]), power)
+
+
+def pair_sum_euler(action):
+    """The orbifold Euler number over every commuting pair (g, h), g once per
+    class, with no rank bound: |Z^r / L|^2d when L has full rank."""
+    ident, total = identity_matrix(action.r), 0
+    for cls in action.conjugacy_classes():
+        g = cls[0]
+        for h in action.elements:
+            if mat_mul(g, h) == mat_mul(h, g):
+                hnf = hermite_normal_form(mat_sub(ident, g) + mat_sub(ident, h),
+                                          action.r)
+                if len(hnf) == action.r:
+                    total += len(cls) * prod(row[i] for i, row in enumerate(hnf)) ** (
+                        2 * action.d)
+    assert total % action.order == 0
+    return total // action.order
+
+
+INTEGRAL_AGES = [
+    a for a in integral_catalog_actions()
+    if all(age(exponent_multiset(g), a.d).denominator == 1 for g in a.elements)]
+
+
+class TestShortcuts:
+    """Closed forms and prunings against the general computations."""
+
+    @pytest.mark.parametrize("action", integral_catalog_actions(),
+                             ids=lambda a: f"{a.label}_d{a.d}")
+    def test_identity_trace_is_the_generic_formula(self, action):
+        for cls in subgroup_class_poset(action).classes:
+            rows = _row_lattice(action, cls.representative)
+            assert _fixed_trace(action, rows, action.identity) == generic_trace(
+                action, rows, action.identity)
+
+    @pytest.mark.parametrize("action", [*integral_catalog_actions(), standard_sn(5, 2)],
+                             ids=lambda a: f"{a.label}_d{a.d}")
+    def test_pruned_euler_is_the_pair_sum(self, action):
+        assert orbifold_euler(action) == pair_sum_euler(action)
+
+    def test_euler_skips_pairs_below_full_rank(self, monkeypatch):
+        # natural_sn(4, 2): 21 pairs of a class and a class of its
+        # centralizer, 13 of them with ranks summing below r = 4; the 5 with
+        # g = 1 still take a Hermite form, which gives the ranks
+        action, forms = natural_sn(4, 2), []
+        hnf = toruslat.hermite_normal_form
+        monkeypatch.setattr(toruslat, "hermite_normal_form",
+                            lambda *args: forms.append(args) or hnf(*args))
+        assert orbifold_euler(action) == pair_sum_euler(action)
+        assert len(forms) == 21 - 13 + 5
+
+    @pytest.mark.parametrize("action", integral_catalog_actions(),
+                             ids=lambda a: f"{a.label}_d{a.d}")
+    def test_full_normalizers_take_the_group_classes(self, action):
+        classes, full = _Classes(action, 10**7), (1 << action.order) - 1
+        for c in range(len(classes.poset.classes)):
+            classes.g(c, action._e)
+            norm = classes.normalizer[c]
+            assert classes.normalizer_classes[c] == _element_classes(
+                action, _bits(norm), action._subgroups[norm])
+            assert (classes.normalizer_classes[c] is action._classes) == (norm == full)
+        assert full in classes.normalizer.values()
+
+    @pytest.mark.parametrize("action", [*INTEGRAL_AGES, standard_sn(5, 2)],
+                             ids=lambda a: f"{a.label}_d{a.d}")
+    def test_orbit_members_equal_the_checked_ones(self, action):
+        # members are built unchecked from per-copy gcds; the checked
+        # constructor, given their shifts over the frame's largest divisor,
+        # reduces them to the same canonical form
+        report = stratify(action)
+        classes, r, copies = report._classes, action.r, 2 * action.d
+        for s in report.strata:
+            top = max(strata._frame(classes.rows[s._index], r)[2], default=1)
+            for m in (m for o in s.orbits for m in o.members):
+                assert top % m.den == 0
+                checked = AffineSubtorus(r, copies, m.normal, top, tuple(
+                    tuple(x * (top // m.den) for x in copy) for copy in m.scaled_shifts))
+                assert checked.key == m.key
+
+    def test_a_wrong_smith_inverse_is_inconsistent(self, monkeypatch):
+        def doubled(rows):
+            snf = smith_normal_form(rows)
+            snf.v_inv = tuple(tuple(2 * x for x in row) for row in snf.v_inv)
+            return snf
+
+        monkeypatch.setattr(strata, "smith_normal_form", doubled)
+        strata._frame.cache_clear()
+        with pytest.raises(ConsistencyError, match="is not I"):
+            strata._frame(((2, 0), (0, 3)), 2)
+        strata._frame.cache_clear()
+
+
 OPTIMIZED_SCRIPT = """
 import sys
 from kummer import strata
@@ -740,6 +848,17 @@ try:  # components dropped from the orbits
     [s.orbits for s in report.strata]
 except ConsistencyError:
     raised.append("bookkeeping")
+snf = strata.smith_normal_form
+def doubled(rows):
+    out = snf(rows)
+    out.v_inv = tuple(tuple(2 * x for x in row) for row in out.v_inv)
+    return out
+strata.smith_normal_form = doubled
+try:  # a Smith transform kept with a wrong inverse
+    strata._frame(((2, 0), (0, 3)), 2)
+except ConsistencyError:
+    raised.append("smith-inverse")
+strata.smith_normal_form = snf
 try:  # a trace on a fixed locus that the element moves
     line = strata._row_lattice(octa, [((-1, 0, 0), (0, -1, 0), (0, 0, 1))])
     strata._fixed_trace(octa, line, ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
@@ -791,8 +910,8 @@ def test_checks_survive_optimized_mode():
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["saturation", "component-map", "bookkeeping",
-                                  "lattice", "orbit-count", "average",
-                                  "partition", "orbit-stabilizer"]
+                                  "smith-inverse", "lattice", "orbit-count",
+                                  "average", "partition", "orbit-stabilizer"]
 
 
 class TestLedger:
