@@ -35,7 +35,9 @@ from .groupcore import (
     generate_group,
 )
 from .mckay import NonIntegerAge
-from .strata import MalformedLedger, assemble_from_ledger, stratify
+from .strata import (
+    MalformedLedger, TerminalStratum, _ledger_int, assemble_from_ledger, stratify,
+)
 from .symcheck import (
     AnalyticEigenData,
     CountingConstraint,
@@ -190,9 +192,9 @@ def _load_json(path):
 
 def _integral_from_file(doc, d_override, cap) -> IntegralAction:
     try:
-        matrices = [tuple(tuple(int(x) for x in row) for row in m)
+        matrices = [tuple(tuple(_ledger_int(x) for x in row) for row in m)
                     for m in doc["matrices"]]
-        d = d_override if d_override is not None else int(doc.get("d", 1))
+        d = d_override if d_override is not None else _ledger_int(doc.get("d", 1))
         if d < 1:
             raise ValueError("d must be a positive integer")
     except (KeyError, TypeError, ValueError) as exc:
@@ -213,12 +215,13 @@ def _within_cap(group, cap):
 
 def _analytic_from_file(doc, cap):
     try:
-        gens = [tuple(int(x) for x in g) for g in doc["generators"]]
+        gens = [tuple(_ledger_int(x) for x in g) for g in doc["generators"]]
         group = AbstractGroup(gens, label=str(doc.get("name", "input")), cap=cap)
         per_class = {}
         for row in doc["class_data"]:
-            rep = tuple(int(x) for x in row["representative"])
-            exps = tuple(Fraction(n, d) for n, d in row["exponents"])
+            rep = tuple(_ledger_int(x) for x in row["representative"])
+            exps = tuple(Fraction(_ledger_int(n), _ledger_int(d))
+                         for n, d in row["exponents"])
             per_class[group.class_index(rep)] = exps
         classes = group.conjugacy_classes()
         if sorted(per_class) != list(range(len(classes))):
@@ -242,12 +245,12 @@ def _analytic_from_file(doc, cap):
 def _constraint_from_doc(doc) -> CountingConstraint:
     try:
         unknowns = {
-            str(name): (int(lo), int(hi))
+            str(name): (_ledger_int(lo), _ledger_int(hi))
             for name, (lo, hi) in doc["unknowns"].items()
         }
         equations = [
-            ({str(k): int(v) for k, v in eq.get("coeffs", {}).items()},
-             int(eq.get("constant", 0)))
+            ({str(k): _ledger_int(v) for k, v in eq.get("coeffs", {}).items()},
+             _ledger_int(eq.get("constant", 0)))
             for eq in doc.get("equations", [])
         ]
         conditions = doc.get("conditions", {})
@@ -533,6 +536,9 @@ def main(argv=None) -> int:
         return 2
     except ConsistencyError as exc:
         sys.stderr.write(f"error: internal inconsistency: {exc}\n")
+        return 1
+    except TerminalStratum as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 1
     sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())
     return 0 if report.passed else 1

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import product
-from math import comb, gcd, prod
+from math import comb, prod
 from operator import and_, mul
 
 from .exactalg import (
@@ -50,22 +50,26 @@ from .groupcore import (
 )
 from .mckay import FiberPolynomial, _class_ages, fiber_poincare_equivariant
 from .repring import _average, quotient_poincare
-from .toruslat import (
-    DEFAULT_ENUMERATION_BUDGET,
-    AffineSubtorus,
-    EnumerationTooLarge,
-    _kernel_basis,
-    _row_lattice,
-)
+from .toruslat import DEFAULT_ENUMERATION_BUDGET, EnumerationTooLarge, _row_lattice
 
 
 class MalformedLedger(ValueError):
     """A ledger document does not follow the expected schema."""
 
 
+class TerminalStratum(ValueError):
+    """A stratum's isotropy has no junior class, so its transverse
+    singularity is terminal and no crepant resolution exists (Reid-Tai)."""
+
+
 class ComponentOrbit:
-    """One normalizer orbit of components with a fixed exact isotropy, its
-    members read off the traces' Smith frame and built in ``fix_locus`` order."""
+    """One normalizer orbit of components of Fix(H) with isotropy exactly H.
+
+    A member is a component's torsion coordinates in the Smith frame
+    U M V = D of H's row lattice M: one z per copy, 0 <= z_i < d_i, and
+    V (z/d, 0) is a point of it.  Members are in ``fix_locus`` order, and
+    the representative is the first.
+    """
 
     __slots__ = ("representative", "members", "stabilizer_cosets", "fiber")
 
@@ -266,6 +270,13 @@ class _Classes:
         key = (c, self.class_of[c][w])
         value = self.memo.get(key)
         if value is None:
+            if not self.memo:  # before the first trace, whose degree is 2rd
+                degree = 2 * self.action.r * self.action.d
+                if (degree + 1) ** 2 > self.budget:
+                    raise EnumerationTooLarge(
+                        f"polynomial degree 2rd = {degree} exceeds budget "
+                        f"{self.budget}: (2rd + 1)^2 = {(degree + 1) ** 2} "
+                        "coefficient products")
             table = self.action._table
             value = _fixed_trace(self.action, self.rows[c], self.action.elements[w])
             for c2, k, k_inv in self.over[c]:
@@ -293,17 +304,15 @@ class _Classes:
             r, copies, elements = action.r, 2 * action.d, action.elements
             v, v_inv, divs = _frame(self.rows[c], r)
             top = max(divs, default=1)
-            # each copy's z in fix_locus order: by the shifts N V (z/d), times top
-            normal = _kernel_basis(_kernel_basis(self.rows[c], r), r)
+            # each copy's z in fix_locus order: by the shifts N V (z/d), times
+            # top, N the Hermite annihilator of the free columns of V
+            normal = hermite_normal_form(v_inv[:len(divs)], r)
             nv = [[sum(map(mul, n, col)) * (top // dj) for col, dj in zip(zip(*v), divs)]
                   for n in normal]
             shift = {z: tuple(sum(map(mul, row, z)) % top for row in nv)
                      for z in product(*map(range, divs))}
             zs = sorted(shift, key=shift.get)
             self.coords[c] = v, v_inv, divs, zs, {z: i for i, z in enumerate(zs)}
-            # a member's den is top over the gcd of top and its copies' shifts
-            shifts = [shift[z] for z in zs]
-            parts, divided = [gcd(top, *s) for s in shifts], {}
             free = list(zip(*v))[len(divs):]
             fixers = [g for g, m in enumerate(elements)
                       if all(mat_vec(m, col) == col for col in free)]
@@ -316,23 +325,16 @@ class _Classes:
                 for i, z in enumerate(zs):
                     if not any(sum(map(mul, row, z)) % top for row in scaled):
                         fixed[i] |= 1 << t
-            steps = [self._carry(elements[n], c, c)
-                     for n in action._subgroups[self.normalizer[c]]]
+            # H fixes Fix(H) pointwise, so one element per Weyl coset gives
+            # the whole N(H)-action on its components
             weyl = [self._carry(coset[0], c, c) for coset in cls.weyl_cosets]
-            seen, orbits, orbit_of, starts = set(), [], {}, []
+            orbits, orbit_of, starts = [], {}, []
             for start in product(range(len(zs)), repeat=copies):
-                if start in seen or reduce(and_, map(fixed.__getitem__, start)):
+                if start in orbit_of or reduce(and_, map(fixed.__getitem__, start)):
                     continue
-                orbit = [start]
-                seen.add(start)
-                for x in orbit:
-                    for step in steps:
-                        y = tuple(map(step.__getitem__, x))
-                        if y not in seen:
-                            seen.add(y)
-                            orbit.append(y)
-                stab = [i for i, perm in enumerate(weyl)
-                        if all(perm[j] == j for j in start)]
+                images = [tuple(map(perm.__getitem__, start)) for perm in weyl]
+                orbit = sorted(set(images))
+                stab = [i for i, y in enumerate(images) if y == start]
                 if len(stab) * len(orbit) != len(weyl):
                     raise ConsistencyError(
                         f"orbit of size {len(orbit)} and stabilizer of order "
@@ -340,15 +342,7 @@ class _Classes:
                     )
                 orbit_of.update(dict.fromkeys(orbit, len(orbits)))
                 starts.append(start)
-                members = []
-                for x in sorted(orbit):
-                    part = gcd(*map(parts.__getitem__, x))
-                    if part not in divided:  # read only where part divides parts[j]
-                        divided[part] = [tuple(s // part for s in sh) for sh in shifts]
-                    members.append(AffineSubtorus._of(
-                        r, copies, normal, top // part,
-                        tuple(map(divided[part].__getitem__, x))))
-                members = tuple(members)
+                members = tuple(tuple(map(zs.__getitem__, x)) for x in orbit)
                 orbits.append(ComponentOrbit(
                     members[0], members, tuple(cls.weyl_cosets[i] for i in stab),
                     FiberPolynomial(fiber.plain, fiber.class_ages,
@@ -410,8 +404,11 @@ def stratify(action: IntegralAction,
 
     ``budget`` bounds the number of components of Fix(H) for the
     representative H of every subgroup class, read off the Smith divisors
-    before the class's first trace; :class:`~kummer.toruslat.EnumerationTooLarge`
-    is raised beyond it, and :class:`~kummer.mckay.NonIntegerAge` before the lattice.
+    before the class's first trace, and the (2rd + 1)^2 coefficient products
+    of a product of two traces, before the first trace;
+    :class:`~kummer.toruslat.EnumerationTooLarge` is raised beyond it, and
+    :class:`~kummer.mckay.NonIntegerAge` before the lattice.  A stratum
+    H != 1 whose McKay fiber has no t^2 term raises :class:`TerminalStratum`.
 
     >>> from .catalog import catalog
     >>> report = stratify(catalog("z6_sl2"))
@@ -427,8 +424,16 @@ def stratify(action: IntegralAction,
         if not top:
             continue  # no point has isotropy exactly H
         subgroup, weyl_cosets = cls.representative, cls.weyl_cosets
+        order = len(subgroup)
+        label_count[order] = label_count.get(order, 0) + 1
+        suffix = chr(ord("a") + label_count[order] - 1)
+        label = "1" if order == 1 else f"o{order}{suffix}"
         fiber = classes.fibers[c] = fiber_poincare_equivariant(
             action, subgroup, weyl_cosets)
+        if order > 1 and not fiber.plain[2]:
+            raise TerminalStratum(
+                f"stratum {label} has no junior class: its isotropy of order "
+                f"{order} gives a terminal singularity, so there is no crepant resolution")
         coset_of = {action._index_of[g]: i
                     for i, coset in enumerate(weyl_cosets) for g in coset}
         y_sum = x_sum = zero
@@ -436,15 +441,11 @@ def stratify(action: IntegralAction,
             trace = len(ncls) * classes.g(c, ncls[0])
             y_sum = y_sum + trace
             x_sum = x_sum + trace * fiber.values[coset_of[ncls[0]]]
-        normalizer_order = len(subgroup) * len(weyl_cosets)
+        normalizer_order = order * len(weyl_cosets)
         y_poly = _average(y_sum, normalizer_order)
-        order = len(subgroup)
-        label_count[order] = label_count.get(order, 0) + 1
-        suffix = chr(ord("a") + label_count[order] - 1)
         strata.append(Stratum(
-            subgroup, "1" if order == 1 else f"o{order}{suffix}", cls.size,
-            len(weyl_cosets), top.degree // power, top[top.degree],
-            y_poly[top.degree], y_poly, _average(x_sum, normalizer_order),
+            subgroup, label, cls.size, len(weyl_cosets), top.degree // power,
+            top[top.degree], y_poly[top.degree], y_poly, _average(x_sum, normalizer_order),
             fiber.plain, classes, c,
         ))
 
@@ -518,9 +519,9 @@ def _ledger_poly(obj, parameter) -> ParamPoly:
         if "molien" in obj:
             spec = obj["molien"]
             try:
-                gens = [tuple(tuple(int(x) for x in row) for row in g)
+                gens = [tuple(tuple(_ledger_int(x) for x in row) for row in g)
                         for g in spec["generators"]]
-                d = int(spec["d"])
+                d = _ledger_int(spec["d"])
                 if d < 1:
                     raise ValueError("d must be a positive integer")
             except (KeyError, TypeError, ValueError) as exc:

@@ -15,8 +15,8 @@ group elements with no ambiguity, in integer arithmetic only.  A fixed
 locus is the tuple of its components.  N and the tangent lattice are
 each other's integer kernel, both from one cached ``kernel_basis``.
 
-The stratification counts and moves components as torsion coordinates
-in one Smith frame (``strata``) and only builds its members here; this
+The stratification counts, moves and lists components as torsion
+coordinates in one Smith frame (``strata``) and builds none here; this
 model, with images of a lattice basis and a translate, is its reference.
 """
 
@@ -133,15 +133,6 @@ class AffineSubtorus:
             raise ValueError("shift length must match the number of equations")
         self.den, self.scaled_shifts = _reduced(den, scaled_shifts)
         self._scaled = None
-
-    @classmethod
-    def _of(cls, r: int, copies: int, normal, den: int, scaled_shifts):
-        """A subtorus given in canonical form, den least and shifts in
-        [0, den), by arithmetic here: nothing is checked or reduced."""
-        s = object.__new__(cls)
-        s.r, s.copies, s.normal, s.den, s.scaled_shifts, s._scaled = (
-            r, copies, normal, den, scaled_shifts, None)
-        return s
 
     # -- construction --------------------------------------------------------
 

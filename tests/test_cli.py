@@ -426,6 +426,15 @@ class TestMainEntryPoint:
             "Fix of a subgroup of order 2 has 4^1600 components "
             "(set by --max-enumeration)\n")
 
+    def test_large_d_with_connected_fixed_loci_stops_on_the_degree(self):
+        # every Smith divisor of natural_s3 is 1, so no component budget
+        # fires; the degree 2rd = 4800 of the traces does, within seconds
+        out = _run_cli(["--catalog", "natural_s3", "--d", "800"], timeout=5)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr == (
+            f"error: polynomial degree 2rd = 4800 exceeds budget {DEFAULT_ENUMERATION_BUDGET}: "
+            "(2rd + 1)^2 = 23049601 coefficient products (set by --max-enumeration)\n")
+
     @pytest.mark.parametrize("exponents", [
         # each class k of Z5 gets (k/5, k/5, k/5): not Galois closed
         lambda k: [[k, 5]] * 3,
@@ -485,6 +494,57 @@ class TestMainEntryPoint:
         assert main(["--mode", "ledger", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, doc", [
+        (["--input", "in.json"], {"matrices": [[[0, -1], [1, 1.7]]], "d": 1.5}),
+        (["--input", "in.json"], {"matrices": [[[0, -1], [1, 1.7]]], "d": 1}),
+        (["--input", "in.json"], {"matrices": [[[0, -1], [1, 1]]], "d": True}),
+        (["--mode", "ledger", "--input", "in.json"],
+         {"entries": [{"base": {"molien": {"generators": [[[0, -1], [1, 1]]],
+                                           "d": 1.5}}}]}),
+        (["--mode", "ledger", "--input", "in.json"],
+         {"entries": [{"base": {"molien": {"generators": [[[0, -1], [True, 1]]],
+                                           "d": 1}}}]}),
+        (["--mode", "analytic", "--input", "in.json"],
+         dict(D6_ANALYTIC, generators=[[1, 0, 2.5], [1, 2, 0]])),
+        (["--mode", "analytic", "--input", "in.json"],
+         dict(D6_ANALYTIC, class_data=[
+             *D6_ANALYTIC["class_data"][:2],
+             {"representative": [1, 2, 0],
+              "exponents": [[True, 3], [1, 3], [2, 3], [2, 3]]}])),
+        (["--mode", "analytic", "--input", "in.json"],
+         dict(D6_ANALYTIC, constraints=[{"label": "components",
+                                         "unknowns": {"m": [1, 81.5]}}])),
+    ], ids=["fractional_entry_and_d", "fractional_entry", "boolean_d",
+            "molien_fractional_d", "molien_boolean_entry", "analytic_fractional_generator",
+            "analytic_boolean_exponent", "constraint_fractional_bound"])
+    def test_non_integral_input_values_exit_two(self, args, doc, tmp_path, capsys,
+                                                monkeypatch):
+        # int() would truncate these or read a boolean as a number: the
+        # first three would run z6_sl2 at d = 1
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(" is not an integer\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, doc, label", [
+        (["--input", "in.json"],
+         {"matrices": [[[-(i == j) for j in range(4)] for i in range(4)]], "d": 1}, "o2a"),
+        (["--catalog", "quotient_s3", "--d", "2"], None, "o3a"),
+    ], ids=["minus_identity_4", "quotient_s3_d2"])
+    def test_stratum_without_a_junior_class_exit_one(self, args, doc, label, tmp_path,
+                                                     capsys, monkeypatch):
+        # a terminal quotient singularity has no crepant resolution, so no
+        # resolution polynomial is reported
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: stratum {label} has no junior class: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("source, order", [
         (["--catalog", "z6_sl2"], 6),

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from kummer.catalog import (
-    catalog, integral_catalog_actions, natural_sn, standard_sn, wreath,
+    catalog, integral_catalog_actions, natural_sn, quotient_sn, standard_sn, wreath,
 )
 from kummer.exactalg import IntPolynomial
 from kummer.repring import quotient_poincare
@@ -20,11 +21,13 @@ from kummer.groupcore import (
 )
 from kummer.mckay import NonIntegerAge
 from kummer.strata import (
-    MalformedLedger, _Classes, _fixed_trace, assemble_from_ledger, stratify,
+    MalformedLedger, TerminalStratum, _Classes, _fixed_trace, assemble_from_ledger,
+    stratify,
 )
 from kummer.exactalg import ConsistencyError
 from kummer.toruslat import (
-    AffineSubtorus, _row_lattice, fix_locus, generic_isotropy, orbifold_euler,
+    AffineSubtorus, EnumerationTooLarge, _row_lattice, fix_locus, generic_isotropy,
+    orbifold_euler,
 )
 
 A = IntPolynomial([1, 4, 6, 4, 1])          # abelian surface
@@ -269,9 +272,28 @@ def maps_to_itself(t, w):
     return all(moves_within(t.normal, t.den, shift, w) for shift in t.scaled_shifts)
 
 
+row_lattice = lru_cache(maxsize=None)(_row_lattice)
+
+
+@lru_cache(maxsize=None)
+def subtorus(action, isotropy, member):
+    """The component of Fix(H) that an orbit member's torsion coordinates
+    name, by the checked constructor: H's tangent lattice through the point
+    V (z/d, 0) in each copy, U M V = D the Smith form of H's row lattice M."""
+    r, rows = action.r, row_lattice(action, isotropy)
+    v, _, divs = strata._frame(rows, r)
+    top = max(divs, default=1)
+    points = [[Fraction(x, top) for x in mat_vec(
+        v, [x * (top // dv) for x, dv in zip(z, divs)] + [0] * (r - len(z)))]
+        for z in member]
+    return AffineSubtorus.from_lattice_and_translate(
+        toruslat._kernel_basis(rows, r), points, r, 2 * action.d)
+
+
 def node_of_member(report):
     """Orbit node (stratum, orbit) of every orbit member."""
-    return {m.key: (si, oi) for si, s in enumerate(report.strata)
+    return {subtorus(report.action, s.isotropy, m).key: (si, oi)
+            for si, s in enumerate(report.strata)
             for oi, o in enumerate(s.orbits) for m in o.members}
 
 
@@ -303,7 +325,8 @@ class TestLatticeConstruction:
             for s in reports[name].strata:
                 for orbit in s.orbits:
                     for m in orbit.members:
-                        assert generic_isotropy(action, m) == s.isotropy, name
+                        assert generic_isotropy(
+                            action, subtorus(action, s.isotropy, m)) == s.isotropy, name
 
     def test_supersets_match_the_containment_scan(self, actions, reports):
         # b -> a when some member of the whole arrangement in b's G-orbit
@@ -323,8 +346,9 @@ class TestLatticeConstruction:
                 (b, (si, oi))
                 for si, s in enumerate(report.strata)
                 for oi, orbit in enumerate(s.orbits)
-                for b in sorted({node_of(c) for c in family if c.rank > s.rank
-                                 and c.contains(orbit.representative)})
+                for rep in [subtorus(action, s.isotropy, orbit.representative)]
+                for b in sorted({node_of(c) for c in family
+                                 if c.rank > s.rank and c.contains(rep)})
             ]
             assert list(report.closure_edges) == expected, name
 
@@ -334,7 +358,8 @@ class TestLatticeConstruction:
         for name, report in all_reports.items():
             family = arrangement(report.action)
             for s in report.strata:
-                got = [m.key for o in s.orbits for m in o.members]
+                got = [subtorus(report.action, s.isotropy, m).key
+                       for o in s.orbits for m in o.members]
                 assert len(got) == len(set(got)) == s.component_count, name
                 assert set(got) == {k for k, (_, h) in family.items()
                                     if h == s.isotropy}, name
@@ -376,7 +401,7 @@ class TestLatticeConstruction:
     def test_closure_edges_match_the_pairwise_definition(self, name, actions, reports):
         # b -> a when some g . rep_b strictly contains rep_a
         action, report = actions[name], reports[name]
-        nodes = [((si, oi), orbit.representative)
+        nodes = [((si, oi), subtorus(action, s.isotropy, orbit.representative))
                  for si, s in enumerate(report.strata)
                  for oi, orbit in enumerate(s.orbits)]
         translates = [
@@ -402,13 +427,13 @@ class TestBasisIndependence:
 
     def test_normalizer_orbit_edges_are_kept(self, reports):
         report = reports["octahedral_s4_sl3"]
-        nodes = [((si, oi), orbit)
+        nodes = [((si, oi), [subtorus(report.action, s.isotropy, m) for m in orbit.members])
                  for si, s in enumerate(report.strata)
                  for oi, orbit in enumerate(s.orbits)]
         within_normalizer_orbits = {
             (b, a)
             for a, oa in nodes for b, ob in nodes
-            if a != b and any(m.contains(oa.representative) for m in ob.members)
+            if a != b and any(m.contains(oa[0]) for m in ob)
         }
         assert within_normalizer_orbits <= set(report.closure_edges)
 
@@ -465,9 +490,9 @@ class TestPerNormalWork:
                 ranks.add(s.rank)
                 normalizer = poset.classes[poset.class_of(s.isotropy)].normalizer
                 for o in s.orbits:
-                    keys = {m.key for m in o.members}
-                    assert {m.apply_matrix(n).key for m in o.members
-                            for n in normalizer} == keys, (name, s.label)
+                    members = [subtorus(report.action, s.isotropy, m) for m in o.members]
+                    assert {m.apply_matrix(n).key for m in members
+                            for n in normalizer} == {m.key for m in members}, (name, s.label)
         assert ranks == {0, 1, 2, 3, 4}
 
     def test_family_order_is_the_fraction_order(self, all_reports):
@@ -475,10 +500,12 @@ class TestPerNormalWork:
             for s in report.strata:
                 locus = fix_locus(report.action, s.isotropy)
                 assert list(locus) == sorted(locus, key=fraction_order), name
-                reps = [o.representative for o in s.orbits]
+                reps = [subtorus(report.action, s.isotropy, o.representative)
+                        for o in s.orbits]
                 assert reps == sorted(reps, key=fraction_order), name
                 for o in s.orbits:
-                    assert list(o.members) == sorted(o.members, key=fraction_order)
+                    members = [subtorus(report.action, s.isotropy, m) for m in o.members]
+                    assert members == sorted(members, key=fraction_order)
                     assert o.members[0] == o.representative, name
 
     @pytest.mark.parametrize("name", ["octahedral_s4_sl3", "s4_standard_d2"])
@@ -589,11 +616,12 @@ class TestStratumLoop:
             for s in report.strata:
                 cls = poset.classes[poset.class_of(s.isotropy)]
                 members = [t for t, h in family.values() if h == s.isotropy]
-                got = [[m.key for m in o.members] for o in s.orbits]
+                got = [[subtorus(report.action, s.isotropy, m).key for m in o.members]
+                       for o in s.orbits]
                 assert got == weyl_orbits(members, cls.weyl_cosets), (name, s.label)
                 for o in s.orbits:
-                    stab = [c for c in cls.weyl_cosets
-                            if o.representative.apply_matrix(c[0]) == o.representative]
+                    rep = subtorus(report.action, s.isotropy, o.representative)
+                    stab = [c for c in cls.weyl_cosets if rep.apply_matrix(c[0]) == rep]
                     assert list(o.stabilizer_cosets) == stab, (name, s.label)
 
     def test_one_trace_per_fixed_pair(self, monkeypatch):
@@ -646,14 +674,40 @@ class TestStratumLoop:
             stratify(action)
         assert action.order == 64 and "_lattice" not in action.__dict__
 
+    def test_degree_is_checked_before_any_trace(self, monkeypatch):
+        # natural_sn(3, d) has connected fixed loci, so the budget bounds it
+        # through the degree 2rd alone: (2rd + 1)^2 coefficient products
+        traced, trace = [], strata._fixed_trace
+        monkeypatch.setattr(strata, "_fixed_trace",
+                            lambda *args: traced.append(args) or trace(*args))
+        with pytest.raises(EnumerationTooLarge, match=r"^polynomial degree 2rd = 12 "
+                           r"exceeds budget 168: \(2rd \+ 1\)\^2 = 169 "):
+            stratify(natural_sn(3, 2), budget=168)
+        assert not traced
+        assert stratify(natural_sn(3, 2), budget=169).resolution[2] == 13
+
+    @pytest.mark.parametrize("action, label", [
+        (generate_group([tuple(tuple(-(i == j) for j in range(4)) for i in range(4))], d=1),
+         "o2a"),
+        (quotient_sn(3, 2), "o3a"),
+        (quotient_sn(4, 2), "o2a"),
+    ], ids=["minus_identity_4", "quotient_s3_d2", "quotient_s4_d2"])
+    def test_a_stratum_without_a_junior_class_is_terminal(self, action, label):
+        # every non-trivial element of the isotropy has age at least 2, so
+        # the transverse singularity is terminal (Reid-Tai)
+        with pytest.raises(TerminalStratum, match=f"^stratum {label} has no junior class"):
+            stratify(action)
+
     def test_orbit_count_is_checked(self):
-        # with the orbits taken along the trivial group, every component is
-        # an orbit of its own, which its stabilizer does not account for
+        # with one Weyl coset of H = {1, -1} in z6_sl2 listed twice, four
+        # cosets move H's points in orbits of three with trivial stabilizers
         report = stratify(catalog("z6_sl2"))
-        classes = report.strata[0]._classes
-        classes.normalizer = dict.fromkeys(classes.normalizer, 1 << report.action._e)
-        with pytest.raises(ConsistencyError, match="orbit of size"):
-            [s.orbits for s in report.strata]
+        (s,) = report.stratum_by(order=2)
+        cls = report._classes.poset.classes[s._index]
+        cls.weyl_cosets += cls.weyl_cosets[1:2]
+        with pytest.raises(ConsistencyError, match="orbit of size 3 and stabilizer "
+                           "of order 1 in a Weyl group of order 4"):
+            s.orbits
 
     def test_inexact_average_is_checked(self, monkeypatch):
         # one non-identity element's traces raised by 1, so the open
@@ -792,21 +846,21 @@ class TestShortcuts:
             assert (classes.normalizer_classes[c] is action._classes) == (norm == full)
         assert full in classes.normalizer.values()
 
-    @pytest.mark.parametrize("action", [*INTEGRAL_AGES, standard_sn(5, 2)],
+    @pytest.mark.parametrize("action", [*INTEGRAL_AGES, standard_sn(5, 2), wreath(3, 2, 2)],
                              ids=lambda a: f"{a.label}_d{a.d}")
     def test_orbit_members_equal_the_checked_ones(self, action):
-        # members are built unchecked from per-copy gcds; the checked
-        # constructor, given their shifts over the frame's largest divisor,
-        # reduces them to the same canonical form
-        report = stratify(action)
-        classes, r, copies = report._classes, action.r, 2 * action.d
-        for s in report.strata:
-            top = max(strata._frame(classes.rows[s._index], r)[2], default=1)
-            for m in (m for o in s.orbits for m in o.members):
-                assert top % m.den == 0
-                checked = AffineSubtorus(r, copies, m.normal, top, tuple(
-                    tuple(x * (top // m.den) for x in copy) for copy in m.scaled_shifts))
-                assert checked.key == m.key
+        # the members, mapped to subtori, are the components of Fix(H) whose
+        # pointwise stabilizer is H, in fix_locus order within each orbit
+        # and by least member across orbits
+        for s in stratify(action).strata:
+            locus = fix_locus(action, s.isotropy)
+            place = {t.key: i for i, t in enumerate(locus)}
+            orbits = [[place[subtorus(action, s.isotropy, m).key] for m in o.members]
+                      for o in s.orbits]
+            assert all(o == sorted(o) for o in orbits)
+            assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
+            assert sorted(i for o in orbits for i in o) == [
+                i for i, t in enumerate(locus) if generic_isotropy(action, t) == s.isotropy]
 
     def test_a_wrong_smith_inverse_is_inconsistent(self, monkeypatch):
         def doubled(rows):
@@ -865,10 +919,11 @@ try:  # a trace on a fixed locus that the element moves
 except ConsistencyError:
     raised.append("lattice")
 report = strata.stratify(catalog("z6_sl2"))
-classes = report.strata[0]._classes
-classes.normalizer = dict.fromkeys(classes.normalizer, 1 << report.action._e)
-try:  # every component made an orbit of its own
-    [s.orbits for s in report.strata]
+(s,) = report.stratum_by(order=2)
+cls = report._classes.poset.classes[s._index]
+cls.weyl_cosets += cls.weyl_cosets[1:2]
+try:  # a Weyl coset listed twice
+    s.orbits
 except ConsistencyError:
     raised.append("orbit-count")
 z6 = catalog("z6_sl2")
