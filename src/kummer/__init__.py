@@ -12,14 +12,9 @@ The package computes, with exact integer arithmetic throughout:
 """
 
 from .exactalg import (
-    ExponentMultiset,
     IntPolynomial,
     SmithDecomposition,
-    age,
     char_poly,
-    cyclotomic_factor,
-    cyclotomic_polynomial,
-    exponent_multiset,
     hermite_normal_form,
     smith_normal_form,
 )

@@ -197,11 +197,13 @@ def _integral_from_file(doc, d_override, cap) -> IntegralAction:
         d = d_override if d_override is not None else _ledger_int(doc.get("d", 1))
         if d < 1:
             raise ValueError("d must be a positive integer")
+        special = doc.get("special", False)
+        if not isinstance(special, bool):
+            raise ValueError(f"special {special!r} is not a boolean")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad integral spec: {exc}") from None
     return generate_group(
-        matrices, cap=cap, d=d, label=str(doc.get("name", "input")),
-        special=bool(doc.get("special", False)),
+        matrices, cap=cap, d=d, label=str(doc.get("name", "input")), special=special,
     )
 
 
@@ -233,16 +235,16 @@ def _analytic_from_file(doc, cap):
         )
     except NotFiniteWithinCap:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad analytic spec: {exc}") from None
-    constraints = []
-    for cdoc in doc.get("constraints", ()):
-        constraints.append((str(cdoc.get("label", "constraint")),
-                            _constraint_from_doc(cdoc)))
-    return data, constraints
+    constraints = doc.get("constraints", [])
+    if not isinstance(constraints, list):
+        raise InputError(f"bad constraint: constraints {constraints!r} are not a list")
+    return data, [_constraint_from_doc(cdoc) for cdoc in constraints]
 
 
-def _constraint_from_doc(doc) -> CountingConstraint:
+def _constraint_from_doc(doc) -> tuple[str, CountingConstraint]:
+    """The label and constraint of one constraint document."""
     try:
         unknowns = {
             str(name): (_ledger_int(lo), _ledger_int(hi))
@@ -253,10 +255,10 @@ def _constraint_from_doc(doc) -> CountingConstraint:
              _ledger_int(eq.get("constant", 0)))
             for eq in doc.get("equations", [])
         ]
-        conditions = doc.get("conditions", {})
-    except (KeyError, TypeError, ValueError) as exc:
+        return (str(doc.get("label", "constraint")),
+                CountingConstraint(unknowns, equations, doc.get("conditions", {})))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad constraint: {exc}") from None
-    return CountingConstraint(unknowns, equations, conditions)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ The main exports are
 * :class:`IntPolynomial` -- dense polynomials over the integers,
 * :func:`char_poly` / :func:`det_one_plus_t` -- characteristic data of an
   integer matrix, computed fraction-free,
-* :func:`cyclotomic_factor` / :func:`exponent_multiset` -- exact
-  eigenvalue exponents of finite-order matrices,
 * :func:`smith_normal_form` / :func:`hermite_normal_form` -- unimodular
   normal forms with transforms.
+
+Nothing here factors a polynomial: the eigenvalues of a finite-order
+integer matrix g are read off the ranks of 1 - g^k, each a Hermite normal
+form (see ``AnalyticEigenData.from_integral``).
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
-
-
-class NotProductOfCyclotomics(ValueError):
-    """The polynomial has a root that is not a root of unity."""
 
 
 class ConsistencyError(RuntimeError):
@@ -229,31 +227,6 @@ class IntPolynomial:
             raise ValueError(f"coefficients {self.coeffs} not divisible by {n}")
         return IntPolynomial._of([c // n for c in self.coeffs])
 
-    def divmod_monic(self, divisor: "IntPolynomial"):
-        """Polynomial division by a monic divisor, staying in Z[t].
-
-        >>> num = IntPolynomial([-1, 0, 0, 0, 0, 0, 1])   # t^6 - 1
-        >>> q, r = num.divmod_monic(IntPolynomial([-1, 1]))
-        >>> print(q); bool(r)
-        1 + t + t^2 + t^3 + t^4 + t^5
-        False
-        """
-        if not divisor.coeffs or divisor.coeffs[-1] != 1:
-            raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        if dd == 0:
-            return self, IntPolynomial.zero()
-        quot = [0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            quot[i - dd] = c
-            for j, dcoef in enumerate(divisor.coeffs):
-                rem[i - dd + j] -= c * dcoef
-        return IntPolynomial(quot), IntPolynomial(rem)
-
     def is_palindromic(self) -> bool:
         """Whether coefficients read the same from both ends.
 
@@ -342,159 +315,8 @@ def det_one_plus_t(m: Matrix, power: int = 1) -> IntPolynomial:
     return base**power
 
 
-# ---------------------------------------------------------------------------
-# cyclotomic machinery
-
-_cyclotomic_cache: dict[int, IntPolynomial] = {}
-
-
-def cyclotomic_polynomial(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by exact division of t^n - 1.
-
-    >>> print(cyclotomic_polynomial(6))
-    1 - t + t^2
-    >>> print(cyclotomic_polynomial(1))
-    -1 + t
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n in _cyclotomic_cache:
-        return _cyclotomic_cache[n]
-    p = IntPolynomial([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = p.divmod_monic(cyclotomic_polynomial(d))
-            if r:
-                raise ConsistencyError(f"t^{n} - 1 leaves a remainder mod Phi_{d}")
-            p = q
-    _cyclotomic_cache[n] = p
-    return p
-
-
 def euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-
-
-def cyclotomic_factor(p: IntPolynomial) -> dict[int, int]:
-    """Factor a monic polynomial as a product of cyclotomics.
-
-    Returns ``{k: multiplicity}`` with p = prod Phi_k^m_k, or raises
-    :class:`NotProductOfCyclotomics`.
-
-    >>> cyclotomic_factor(IntPolynomial([1, -1, 1]))
-    {6: 1}
-    >>> cyclotomic_factor(char_poly(identity_matrix(3)))
-    {1: 3}
-    >>> cyclotomic_factor(IntPolynomial([1, 1, 1, 1]))
-    {2: 1, 4: 1}
-    """
-    if not p.coeffs or p.coeffs[-1] != 1:
-        raise NotProductOfCyclotomics("polynomial is not monic")
-    result: dict[int, int] = {}
-    rem = p
-    k = 1
-    while rem.degree > 0:
-        if euler_phi(k) <= rem.degree:
-            while True:
-                q, r = rem.divmod_monic(cyclotomic_polynomial(k))
-                if r:
-                    break
-                result[k] = result.get(k, 0) + 1
-                rem = q
-                if rem.degree == 0:
-                    break
-        k += 1
-        # every root of unity of order k needs phi(k) <= deg; phi(k) >= sqrt(k/2)
-        if k > 2 * p.degree * p.degree + 2:
-            raise NotProductOfCyclotomics(f"no cyclotomic factorization of {p}")
-    if rem != IntPolynomial.one():
-        raise NotProductOfCyclotomics(f"no cyclotomic factorization of {p}")
-    return result
-
-
-class ExponentMultiset:
-    """Eigenvalues of a finite-order matrix, as exponents a/m in [0, 1).
-
-    An eigenvalue exp(2*pi*i*a/m) is stored as the reduced Fraction a/m.
-    The multiset is closed under the Galois action within each cyclotomic
-    factor, so it is determined by the factor multiplicities.
-
-    >>> e = ExponentMultiset.from_matrix(((0, -1), (1, 1)))
-    >>> e.entries
-    (Fraction(1, 6), Fraction(5, 6))
-    >>> e.order
-    6
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(sorted(Fraction(e) for e in entries))
-        for e in self.entries:
-            if not 0 <= e < 1:
-                raise ValueError("exponents must lie in [0, 1)")
-
-    @classmethod
-    def from_matrix(cls, m: Matrix) -> "ExponentMultiset":
-        factors = cyclotomic_factor(char_poly(m))
-        entries = []
-        for k, mult in factors.items():
-            prim = [Fraction(j, k) for j in range(k) if gcd(j, k) == 1]
-            entries.extend(prim * mult)
-        return cls(entries)
-
-    @property
-    def order(self) -> int:
-        """Least common denominator: the multiplicative order."""
-        n = 1
-        for e in self.entries:
-            n = n * e.denominator // gcd(n, e.denominator)
-        return n
-
-    def conjugate(self) -> "ExponentMultiset":
-        """Exponents of the complex-conjugate matrix (a -> 1-a)."""
-        return ExponentMultiset([(1 - e) % 1 for e in self.entries])
-
-    def __add__(self, other: "ExponentMultiset") -> "ExponentMultiset":
-        return ExponentMultiset(self.entries + other.entries)
-
-    def __mul__(self, n: int) -> "ExponentMultiset":
-        return ExponentMultiset(self.entries * n)
-
-    __rmul__ = __mul__
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, ExponentMultiset) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"ExponentMultiset({list(self.entries)!r})"
-
-
-def exponent_multiset(m: Matrix) -> ExponentMultiset:
-    """Exact eigenvalue exponents of a finite-order integer matrix.
-
-    >>> exponent_multiset(((-1, 0, 0), (0, -1, 0), (0, 0, 1))).entries
-    (Fraction(0, 1), Fraction(1, 2), Fraction(1, 2))
-    """
-    return ExponentMultiset.from_matrix(m)
-
-
-def age(exponents: ExponentMultiset, copies: int = 1) -> Fraction:
-    """Sum of the exponent representatives, taken ``copies`` times.
-
-    For a matrix acting diagonally on ``copies`` coordinate blocks this is
-    the grading weight the McKay correspondence assigns to its class.
-
-    >>> age(exponent_multiset(((-1, 0, 0), (0, -1, 0), (0, 0, 1))))
-    Fraction(1, 1)
-    """
-    return Fraction(copies) * sum(exponents.entries, Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from operator import mul
 
 from .exactalg import (
     ConsistencyError,
-    exponent_multiset,
     hermite_normal_form,
     identity_matrix,
     mat_det,
@@ -426,11 +425,6 @@ class IntegralAction(FiniteGroup):
 
     def _decode(self, a):
         return tuple(map(self._rows.__getitem__, a))
-
-    @cached_property
-    def _class_exponents(self) -> tuple:
-        """Eigenvalue exponents of the elements of each conjugacy class."""
-        return tuple(map(exponent_multiset, self.class_representatives()))
 
     @cached_property
     def _class_ranks(self) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ a resolution would force.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .exactalg import ConsistencyError, euler_phi
 from .groupcore import FiniteGroup, IntegralAction
@@ -64,8 +64,33 @@ class AnalyticEigenData:
 
     @classmethod
     def from_integral(cls, action: IntegralAction) -> "AnalyticEigenData":
-        """Tangent data of an integral action: d copies of each matrix."""
-        return cls(action, tuple((e * action.d).entries for e in action._class_exponents))
+        """Tangent data of an integral action: d copies of each matrix.
+
+        Read off the per-class ranks, with nothing factored: for each k
+        dividing the order of g, r - rank(1 - g^k) eigenvalues of g satisfy
+        x^k = 1.  Less those of exact order j for each divisor j < k of k,
+        that leaves n_k of exact order k, and each primitive k-th root of
+        unity occurs n_k / phi(k) times.
+
+        >>> from .catalog import catalog
+        >>> data = AnalyticEigenData.from_integral(catalog("z6_sl2"))
+        >>> [" ".join(map(str, e)) for e in data.exponents]
+        ['0 0', '1/2 1/2', '1/3 2/3', '1/3 2/3', '1/6 5/6', '1/6 5/6']
+        """
+        table, orders, ranks = action._table, action._orders, action._class_ranks
+        exponents = []
+        for members in action._classes:
+            g = members[0]
+            exact, power, entries = {}, g, []
+            for k in range(1, orders[g] + 1):  # power is g^k
+                if orders[g] % k == 0:
+                    fixed = action.r - ranks[action.class_index(action.elements[power])]
+                    exact[k] = fixed - sum(n for j, n in exact.items() if k % j == 0)
+                    roots = [Fraction(a, k) for a in range(k) if gcd(a, k) == 1]
+                    entries += roots * (exact[k] // len(roots) * action.d)
+                power = table[power][g]
+            exponents.append(entries)
+        return cls(action, exponents)
 
     @property
     def dimension(self) -> int:
@@ -319,7 +344,8 @@ class CountingConstraint:
     ``unknowns`` maps names to (lower, upper) bounds; ``equations`` is a
     list of (coefficient dict, constant) meaning sum + constant = 0;
     ``conditions`` maps a name to one "power_of_<p>" string or a list of
-    them (all must hold).
+    them (all must hold), p an integer at least 2; they are kept as the
+    tuple of their p.
     """
 
     __slots__ = ("unknowns", "equations", "conditions")
@@ -331,7 +357,7 @@ class CountingConstraint:
             for coeffs, const in equations
         ]
         self.conditions = {
-            name: (conds,) if isinstance(conds, str) else tuple(conds)
+            name: tuple(map(_power_base, (conds,) if isinstance(conds, str) else conds))
             for name, conds in (conditions or {}).items()
         }
         for name, bounds in self.unknowns.items():
@@ -361,6 +387,15 @@ class FeasibilityResult:
         return f"infeasible({self.witness})"
 
 
+def _power_base(cond) -> int:
+    """p of a "power_of_<p>" condition; ``ValueError`` unless p >= 2."""
+    prefix = "power_of_"
+    digits = cond[len(prefix):] if isinstance(cond, str) and cond.startswith(prefix) else ""
+    if not (digits.isdecimal() and int(digits) >= 2):
+        raise ValueError(f"unknown condition {cond!r}: expected power_of_<p>, p >= 2")
+    return int(digits)
+
+
 def _is_power_of(x: int, p: int) -> bool:
     if x < 1:
         return False
@@ -386,10 +421,7 @@ def counting_feasibility(constraint: CountingConstraint) -> FeasibilityResult:
     for name in names:
         lo, hi = constraint.unknowns[name]
         values = list(range(lo, hi + 1))
-        for cond in constraint.conditions.get(name, ()):
-            if not cond.startswith("power_of_"):
-                raise ValueError(f"unknown condition {cond!r}")
-            p = int(cond.rsplit("_", 1)[1])
+        for p in constraint.conditions.get(name, ()):
             values = [v for v in values if _is_power_of(v, p)]
         ranges.append(values)
     solutions = []

@@ -153,6 +153,8 @@ class TestIntegralRun:
         assert all("orbit_detail" in s for s in report.payload["strata"])
 
 
+D8_B2_INPUT = {"matrices": [[[-1, 0], [0, 1]], [[0, 1], [1, 0]]], "d": 2}
+
 D6_ANALYTIC = {
     "name": "d6",
     "generators": [[1, 0, 2], [1, 2, 0]],
@@ -264,22 +266,6 @@ class TestMainEntryPoint:
         payload = json.loads(capsys.readouterr().out)
         assert payload["report_version"] == 1
         assert payload["resolution"] == [1, 0, 22, 0, 1]
-
-    def test_integral_run_factors_no_eigenvalues(self, monkeypatch, capsys):
-        """Ages on the integral path come from rank(1 - g): a run with the
-        cyclotomic factoring disabled prints the same bytes."""
-        import kummer.exactalg
-
-        def refuse(p):
-            raise AssertionError(f"cyclotomic factoring of {p} on the integral path")
-
-        args = ["--catalog", "s4_standard_d2", "--format", "json"]
-        with monkeypatch.context() as patch:
-            patch.setattr(kummer.exactalg, "cyclotomic_factor", refuse)
-            assert main(args) == 0
-            guarded = capsys.readouterr().out
-        assert main(args) == 0
-        assert guarded == capsys.readouterr().out
 
     def test_unknown_catalog_exit_two(self, capsys):
         assert main(["--catalog", "no_such_entry"]) == 2
@@ -434,6 +420,42 @@ class TestMainEntryPoint:
         assert out.stderr == (
             f"error: polynomial degree 2rd = 4800 exceeds budget {DEFAULT_ENUMERATION_BUDGET}: "
             "(2rd + 1)^2 = 23049601 coefficient products (set by --max-enumeration)\n")
+
+    @pytest.mark.parametrize("mode, doc, message", [
+        # bool() would read "false" as true: a determinant -1 element in
+        # an action declared special
+        ("integral", dict(D8_B2_INPUT, special="false"),
+         "bad integral spec: special 'false' is not a boolean"),
+        ("integral", dict(D8_B2_INPUT, special=0),
+         "bad integral spec: special 0 is not a boolean"),
+        ("analytic", dict(D6_ANALYTIC, class_data=[
+            {"representative": [0, 1, 2], "exponents": [[0, 0], [0, 1], [0, 1], [0, 1]]},
+            *D6_ANALYTIC["class_data"][1:]]),
+         "bad analytic spec: Fraction(0, 0)"),
+        ("analytic", dict(D6_ANALYTIC, constraints=[
+            {"unknowns": {"s": [0, 5]}, "conditions": {"s": "power_of_x"}}]),
+         "bad constraint: unknown condition 'power_of_x': expected power_of_<p>, p >= 2"),
+        ("analytic", dict(D6_ANALYTIC, constraints=[{"unknowns": {"s": [5, 0]}}]),
+         "bad constraint: empty range for 's'"),
+        # the search for powers of 1 never ended
+        ("analytic", dict(D6_ANALYTIC, constraints=[
+            {"unknowns": {"s": [0, 5]}, "conditions": {"s": ["power_of_1"]}}]),
+         "bad constraint: unknown condition 'power_of_1': expected power_of_<p>, p >= 2"),
+        ("analytic", dict(D6_ANALYTIC, constraints=[
+            {"unknowns": {"s": [0, 5]}, "conditions": ["power_of_2"]}]),
+         "bad constraint: 'list' object has no attribute 'items'"),
+        ("analytic", dict(D6_ANALYTIC, constraints={"unknowns": {"s": [0, 5]}}),
+         "bad constraint: constraints {'unknowns': {'s': [0, 5]}} are not a list"),
+    ], ids=["special_text", "special_number", "exponent_zero_denominator",
+            "constraint_unknown_condition", "constraint_empty_range",
+            "constraint_power_of_one", "constraint_conditions_list",
+            "constraints_not_a_list"])
+    def test_bad_document_exit_two(self, mode, doc, message, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        for flags in ([], ["-O"]):
+            out = _run_cli(["--mode", mode, "--input", str(path)], flags=flags, timeout=5)
+            assert (out.returncode, out.stderr) == (2, f"error: {message}\n")
 
     @pytest.mark.parametrize("exponents", [
         # each class k of Z5 gets (k/5, k/5, k/5): not Galois closed

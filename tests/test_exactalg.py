@@ -4,15 +4,9 @@ from fractions import Fraction
 import pytest
 
 from kummer.exactalg import (
-    ExponentMultiset,
     IntPolynomial,
-    NotProductOfCyclotomics,
-    age,
     char_poly,
-    cyclotomic_factor,
-    cyclotomic_polynomial,
     det_one_plus_t,
-    exponent_multiset,
     hermite_normal_form,
     identity_matrix,
     kernel_basis,
@@ -22,6 +16,9 @@ from kummer.exactalg import (
     smith_normal_form,
 )
 from kummer.catalog import standard_rep_matrix
+from kummer.groupcore import generate_group
+from kummer.symcheck import AnalyticEigenData
+from trace_reference import trace_exponents
 
 
 Z6_GEN = ((0, -1), (1, 1))
@@ -131,53 +128,44 @@ class TestCharPoly:
         assert char_poly(companion) == p
 
 
-class TestCyclotomic:
-    def test_small_table(self):
-        assert cyclotomic_polynomial(1) == IntPolynomial([-1, 1])
-        assert cyclotomic_polynomial(2) == IntPolynomial([1, 1])
-        assert cyclotomic_polynomial(6) == IntPolynomial([1, -1, 1])
-        assert cyclotomic_polynomial(12) == IntPolynomial([1, 0, -1, 0, 1])
-
-    def test_factor_examples(self):
-        assert cyclotomic_factor(IntPolynomial([1, -1, 1])) == {6: 1}
-        assert cyclotomic_factor(IntPolynomial([-1, 1]) ** 3) == {1: 3}
-        assert cyclotomic_factor(IntPolynomial([1, 1, 1, 1])) == {2: 1, 4: 1}
-
-    def test_infinite_order_rejected(self):
-        with pytest.raises(NotProductOfCyclotomics):
-            cyclotomic_factor(char_poly(((1, 1), (0, 1))) + IntPolynomial([1]))
-        with pytest.raises(NotProductOfCyclotomics):
-            cyclotomic_factor(IntPolynomial([-1, -1, 1]))  # golden ratio
-
-    def test_reconstruction(self):
-        # the exponent multiset re-expands to the characteristic polynomial
-        for m in [Z6_GEN, FOUR_CYCLE_STD, ((-1, 0, 0), (0, -1, 0), (0, 0, 1))]:
-            factors = cyclotomic_factor(char_poly(m))
-            product = IntPolynomial.one()
-            for k, mult in factors.items():
-                product = product * cyclotomic_polynomial(k) ** mult
-            assert product == char_poly(m)
-            assert len(exponent_multiset(m)) == len(m)
+def rank_exponents(m, d=1):
+    """The exponents ``AnalyticEigenData.from_integral`` reads off the
+    Hermite ranks for m's class in the cyclic group m generates, ``d``
+    copies of each, after checking them against the trace reference."""
+    group = generate_group([m], d=d)
+    exponents = AnalyticEigenData.from_integral(group).exponents[group.class_index(m)]
+    assert exponents == trace_exponents(m, d)
+    return exponents
 
 
 class TestExponentsAndAge:
+    """Pinned exponents and ages: the age of g on d copies is the sum of
+    its exponents."""
+
     def test_z6_exponents(self):
-        assert exponent_multiset(Z6_GEN).entries == (
-            Fraction(1, 6), Fraction(5, 6),
-        )
+        assert rank_exponents(Z6_GEN) == (Fraction(1, 6), Fraction(5, 6))
+
+    def test_factorization_examples(self):
+        # characteristic polynomials Phi_2 Phi_4 = 1 + t + t^2 + t^3 and
+        # Phi_8 = 1 + t^4 (companion matrix)
+        assert rank_exponents(FOUR_CYCLE_STD) == (
+            Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+        phi8 = ((0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+        assert char_poly(phi8) == IntPolynomial([1, 0, 0, 0, 1])
+        assert rank_exponents(phi8) == tuple(Fraction(a, 8) for a in (1, 3, 5, 7))
 
     def test_identity_and_diag(self):
-        assert exponent_multiset(identity_matrix(3)).entries == (0, 0, 0)
+        assert rank_exponents(identity_matrix(3)) == (0, 0, 0)
         diag = ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
-        assert exponent_multiset(diag).entries == (0, Fraction(1, 2), Fraction(1, 2))
+        assert rank_exponents(diag) == (0, Fraction(1, 2), Fraction(1, 2))
 
     def test_age_examples(self):
-        assert age(exponent_multiset(identity_matrix(5)), 3) == 0
+        assert sum(rank_exponents(identity_matrix(5), 3)) == 0
         diag = ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
-        assert age(exponent_multiset(diag), 1) == 1
+        assert sum(rank_exponents(diag, 1)) == 1
         transposition = standard_rep_matrix((1, 0, 2, 3), 4)
-        assert age(exponent_multiset(transposition), 2) == 1
-        assert age(exponent_multiset(FOUR_CYCLE_STD), 2) == 3
+        assert sum(rank_exponents(transposition, 2)) == 1
+        assert sum(rank_exponents(FOUR_CYCLE_STD, 2)) == 3
 
     def test_age_pairs_with_inverse(self):
         # exponents pair a <-> 1-a between a matrix and its inverse
@@ -187,11 +175,10 @@ class TestExponentsAndAge:
             assert snf.d == identity_matrix(len(m))
             inverse = mat_mul(snf.v, snf.u)
             assert mat_mul(m, inverse) == identity_matrix(len(m))
-            e = exponent_multiset(m)
-            ei = exponent_multiset(inverse)
-            nonzero = sum(1 for x in e.entries if x != 0)
-            assert age(e, 2) + age(ei, 2) == 2 * nonzero
-            assert ei == e.conjugate()
+            e, ei = rank_exponents(m, 2), rank_exponents(inverse, 2)
+            nonzero = sum(1 for x in e if x != 0)  # on both copies
+            assert sum(e) + sum(ei) == nonzero
+            assert ei == tuple(sorted((1 - x) % 1 for x in e))
 
 
 class TestNormalForms:

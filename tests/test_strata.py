@@ -13,8 +13,8 @@ from kummer.exactalg import IntPolynomial
 from kummer.repring import quotient_poincare
 from kummer import strata, toruslat
 from kummer.exactalg import (
-    age, det_one_plus_t, exponent_multiset, hermite_normal_form, identity_matrix,
-    mat_mul, mat_sub, mat_vec, smith_normal_form,
+    det_one_plus_t, hermite_normal_form, identity_matrix, mat_mul, mat_sub, mat_vec,
+    smith_normal_form,
 )
 from kummer.groupcore import (
     _bits, _element_classes, generate_group, subgroup_class_poset,
@@ -29,6 +29,7 @@ from kummer.toruslat import (
     AffineSubtorus, EnumerationTooLarge, _row_lattice, fix_locus, generic_isotropy,
     orbifold_euler,
 )
+from trace_reference import trace_exponents
 
 A = IntPolynomial([1, 4, 6, 4, 1])          # abelian surface
 B = IntPolynomial([1, 0, 6, 0, 1])          # surface modulo -1
@@ -721,6 +722,12 @@ class TestStratumLoop:
             stratify(action)
 
 
+def integral_ages(action):
+    """Whether every class of the action has an integer age, from traces."""
+    return all(sum(trace_exponents(g, action.d)).denominator == 1
+               for g in action.class_representatives())
+
+
 def class_sum(action):
     """The Chen-Ruan class sum: over element classes [g], t^(2 age(g))
     times the average over the centralizer C(g) of the traces on H*(X^g),
@@ -738,7 +745,7 @@ def class_sum(action):
             fixed = sum(maps_to_itself(t, h) for t in locus)
             trace = trace + len(hcls) * fixed * det_one_plus_t(
                 locus[0].induced_lattice_matrix(h), power)
-        shift = IntPolynomial.monomial(2 * int(age(exponent_multiset(g), action.d)))
+        shift = IntPolynomial.monomial(2 * int(sum(trace_exponents(g, action.d))))
         total = total + (shift * trace).divide_exact(len(centralizer))
     return total
 
@@ -765,8 +772,7 @@ class TestFixedTraces:
                         locus[0].induced_lattice_matrix(w), power), action.label
 
     @pytest.mark.parametrize("action", [
-        *(a for a in integral_catalog_actions()
-          if all(age(exponent_multiset(g), a.d).denominator == 1 for g in a.elements)),
+        *(a for a in integral_catalog_actions() if integral_ages(a)),
         natural_sn(4, 2), standard_sn(5, 2), wreath(3, 2, 2),
     ], ids=lambda a: f"{a.label}_d{a.d}")
     def test_resolution_is_the_orbifold_class_sum(self, action):
@@ -802,9 +808,7 @@ def pair_sum_euler(action):
     return total // action.order
 
 
-INTEGRAL_AGES = [
-    a for a in integral_catalog_actions()
-    if all(age(exponent_multiset(g), a.d).denominator == 1 for g in a.elements)]
+INTEGRAL_AGES = [a for a in integral_catalog_actions() if integral_ages(a)]
 
 
 class TestShortcuts:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kummer.catalog import binary_tetrahedral_eigendata, catalog
+from kummer.catalog import binary_tetrahedral_eigendata, catalog, integral_catalog_actions
 from kummer.exactalg import identity_matrix, mat_det, mat_sub
 from kummer.groupcore import AbstractGroup
 from kummer.symcheck import (
@@ -19,6 +19,7 @@ from kummer.symcheck import (
     tetrahedral_obstruction_constraint,
 )
 from kummer.toruslat import isolated_count
+from trace_reference import trace_exponents
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,22 @@ def class_of_order(data, order):
         i for i, cls in enumerate(group.conjugacy_classes())
         if group.element_order(cls[0]) == order
     ]
+
+
+class TestFromIntegral:
+    @pytest.mark.parametrize("source", ["catalog", "perfbench/7", "perfbench/63"])
+    def test_rank_exponents_match_the_trace_reference(self, source, perfbench_actions):
+        # the exponents read off rank(1 - g^k) equal those counted from the
+        # traces of g's powers, d copies of each
+        if source == "catalog":
+            sample = integral_catalog_actions()
+        else:
+            sample = perfbench_actions(int(source.split("/")[1]))
+        for action in sample:
+            data = AnalyticEigenData.from_integral(action)
+            assert data.exponents == tuple(
+                trace_exponents(g, action.d) for g in action.class_representatives()
+            ), action.label
 
 
 class TestLefschetzCount:
@@ -179,3 +196,16 @@ class TestCountingFeasibility:
     def test_unbounded_rejected(self):
         with pytest.raises(UnboundedSearch):
             CountingConstraint({"s": None}, [])
+
+    @pytest.mark.parametrize("unknowns, conditions", [
+        ({"s": (0, 5)}, {"s": "power_of_x"}),
+        ({"s": (0, 5)}, {"s": ["power_of_2", "power_of_1"]}),
+        ({"s": (0, 5)}, {"s": "power_of_0"}),
+        ({"s": (0, 5)}, {"s": "square"}),
+        ({"s": (5, 0)}, None),
+    ], ids=["not_a_number", "power_of_one", "power_of_zero", "unknown_kind",
+            "empty_range"])
+    def test_bad_constraint_rejected_at_construction(self, unknowns, conditions):
+        # before the search: powers of 1 would loop for ever there
+        with pytest.raises(ValueError):
+            CountingConstraint(unknowns, [], conditions)
