@@ -9,12 +9,11 @@ bytes.
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import math
 import sys
 from fractions import Fraction
-from functools import cache
 
 from .catalog import (
     UnknownCatalogEntry,
@@ -405,7 +404,7 @@ def _run_analytic(job: JobSpec) -> Report:
     constraint_rows = []
     obstructed = None
     for label, constraint in constraints:
-        res = counting_feasibility(constraint)
+        res = counting_feasibility(constraint, budget=job.max_enumeration)
         constraint_rows.append({
             "label": label,
             "outcome": ("feasible " + json.dumps(list(res.solutions), sort_keys=True)
@@ -489,46 +488,73 @@ def list_catalog() -> str:
 # entry point
 
 
-@cache  # parse_args leaves the parser as it was, so one serves every main()
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kummer",
-        description="Exact cohomology of torus quotients by integral "
-                    "finite-group actions and of their crepant resolutions.",
-    )
-    parser.add_argument("--mode", choices=["integral", "analytic", "ledger"],
-                        default="integral")
-    source = parser.add_mutually_exclusive_group()
-    source.add_argument("--catalog", help="name of a catalog action")
-    source.add_argument("--input", help="path to a JSON input document")
-    parser.add_argument("--d", type=int, default=None,
-                        help="abelian-variety dimension (integral mode)")
-    parser.add_argument("--oracle", type=int, default=None, metavar="N",
-                        help="cross-check fixed points against N-torsion counts")
-    parser.add_argument("--equivariant", action="store_true",
-                        help="include per-orbit Weyl character detail")
-    parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--max-group-order", type=int, default=DEFAULT_ORDER_CAP)
-    parser.add_argument("--max-enumeration", type=int,
-                        default=DEFAULT_ENUMERATION_BUDGET)
-    parser.add_argument("--list", action="store_true",
-                        help="list catalog entries and exit")
-    return parser
+# long option -> (default, how its value is read: int, a set of choices, str,
+# or None for a flag without one, metavar, help); JobSpec checks the rest
+OPTIONS = {
+    "mode": ("integral", str, "MODE", "integral, analytic or ledger"),
+    "catalog": (None, str, "NAME", "name of a catalog action"),
+    "input": (None, str, "PATH", "path to a JSON input document"),
+    "d": (None, int, "INT", "abelian-variety dimension (integral mode)"),
+    "oracle": (None, int, "N", "cross-check fixed points against N-torsion counts"),
+    "equivariant": (False, None, "", "include per-orbit Weyl character detail"),
+    "format": ("text", {"text", "json"}, "FORMAT", "text or json"),
+    "max-group-order": (DEFAULT_ORDER_CAP, int, "INT", "cap on the group order"),
+    "max-enumeration": (DEFAULT_ENUMERATION_BUDGET, int, "INT", "brute-force budget"),
+    "list": (False, None, "", "list catalog entries and exit"),
+    "help": (False, None, "", "show this help and exit (also -h)"),
+}
+
+
+def _help() -> str:
+    lines = ["usage: kummer (--catalog NAME | --input PATH) [options]",
+             "Exact cohomology of torus quotients by integral finite-group",
+             "actions and of their crepant resolutions.", "options:"]
+    for name, (default, _, metavar, text) in OPTIONS.items():
+        shown = f" (default {default})" if default not in (None, False) else ""
+        lines.append(f"  --{name} {metavar:<{22 - len(name)}}{text}{shown}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_argv(argv) -> dict:
+    """Each option of a ``kummer`` command line by long name, its default
+    if absent; ``InputError`` on an argv error."""
+    try:
+        pairs, rest = getopt.gnu_getopt(argv, "h", [
+            name if option[1] is None else name + "=" for name, option in OPTIONS.items()])
+    except getopt.GetoptError as exc:
+        raise InputError(str(exc)) from None
+    if rest:
+        raise InputError(f"unexpected argument {rest[0]!r}")
+    opts = {name: option[0] for name, option in OPTIONS.items()}
+    for flag, value in pairs:
+        name = "help" if flag == "-h" else flag[2:]
+        kind = OPTIONS[name][1]
+        if kind is None:
+            value = True
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise InputError(f"{flag}: invalid int value {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise InputError(f"{flag}: invalid choice {value!r} "
+                             f"(choose from {', '.join(sorted(kind))})")
+        opts[name] = value
+    return opts
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.list:
-        sys.stdout.write(list_catalog())
-        return 0
     try:
-        job = JobSpec(
-            args.mode, catalog_name=args.catalog, input_path=args.input,
-            d=args.d, oracle=args.oracle, equivariant=args.equivariant,
-            max_group_order=args.max_group_order,
-            max_enumeration=args.max_enumeration,
-        )
-        report = run(job)
+        opts = parse_argv(sys.argv[1:] if argv is None else argv)
+        if opts["help"] or opts["list"]:
+            sys.stdout.write(_help() if opts["help"] else list_catalog())
+            return 0
+        report = run(JobSpec(
+            opts["mode"], catalog_name=opts["catalog"], input_path=opts["input"],
+            d=opts["d"], oracle=opts["oracle"], equivariant=opts["equivariant"],
+            max_group_order=opts["max-group-order"],
+            max_enumeration=opts["max-enumeration"],
+        ))
     except (InputError, NonInvertible, NotFiniteWithinCap, SpecialityViolation,
             NonIntegerAge, UnknownCatalogEntry) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -542,7 +568,7 @@ def main(argv=None) -> int:
     except TerminalStratum as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())
+    sys.stdout.write(report.to_json() if opts["format"] == "json" else report.to_text())
     return 0 if report.passed else 1
 
 

@@ -13,11 +13,13 @@ a resolution would force.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from itertools import product
+from math import factorial, gcd, prod
 
 from .exactalg import ConsistencyError, euler_phi
 from .groupcore import FiniteGroup, IntegralAction
 from .mckay import partitions
+from .toruslat import DEFAULT_ENUMERATION_BUDGET, EnumerationTooLarge
 
 
 class ShapeMismatch(ValueError):
@@ -368,6 +370,9 @@ class CountingConstraint:
                 raise ValueError(f"empty range for {name!r}")
             if lo < 0:
                 raise ValueError("unknowns are non-negative integers")
+        for name in sorted({k for coeffs, _ in self.equations for k in coeffs}):
+            if name not in self.unknowns:
+                raise ValueError(f"equation names undeclared unknown {name!r}")
 
 
 class FeasibilityResult:
@@ -404,8 +409,11 @@ def _is_power_of(x: int, p: int) -> bool:
     return x == 1
 
 
-def counting_feasibility(constraint: CountingConstraint) -> FeasibilityResult:
-    """Exhaustive search for solutions within the declared bounds.
+def counting_feasibility(constraint: CountingConstraint,
+                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> FeasibilityResult:
+    """Exhaustive search for solutions within the declared bounds;
+    ``EnumerationTooLarge`` before it if they span more than ``budget``
+    assignments.
 
     >>> c = CountingConstraint({"s": (0, 300)}, [({"s": 3}, 192)])
     >>> bool(counting_feasibility(c))
@@ -417,30 +425,26 @@ def counting_feasibility(constraint: CountingConstraint) -> FeasibilityResult:
     ({'a': 1, 'b': 16}, {'a': 16, 'b': 1})
     """
     names = sorted(constraint.unknowns)
+    size = prod(hi - lo + 1 for lo, hi in constraint.unknowns.values())
+    if size > budget:
+        raise EnumerationTooLarge(
+            f"counting search of {size} assignments exceeds budget {budget}")
     ranges = []
     for name in names:
         lo, hi = constraint.unknowns[name]
-        values = list(range(lo, hi + 1))
+        values = range(lo, hi + 1)
         for p in constraint.conditions.get(name, ()):
             values = [v for v in values if _is_power_of(v, p)]
         ranges.append(values)
-    solutions = []
-    stack = [{}]
-    for name, values in zip(names, ranges):
-        stack = [dict(s, **{name: v}) for s in stack for v in values]
-    for assignment in stack:
-        ok = True
-        for coeffs, const in constraint.equations:
-            total = const + sum(c * assignment[k] for k, c in coeffs.items())
-            if total != 0:
-                ok = False
-                break
-        if ok:
-            solutions.append(assignment)
+    equations = [([(names.index(k), c) for k, c in coeffs.items()], const)
+                 for coeffs, const in constraint.equations]
+    solutions = tuple(
+        dict(zip(names, values)) for values in product(*ranges)
+        if all(const + sum(c * values[i] for i, c in terms) == 0
+               for terms, const in equations))
     if solutions:
-        return FeasibilityResult(True, tuple(solutions), None)
-    witness = _infeasibility_witness(constraint, names)
-    return FeasibilityResult(False, (), witness)
+        return FeasibilityResult(True, solutions, None)
+    return FeasibilityResult(False, (), _infeasibility_witness(constraint, names))
 
 
 def _infeasibility_witness(constraint: CountingConstraint, names) -> str:

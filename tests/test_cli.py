@@ -1,13 +1,14 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from kummer.cli import InputError, JobSpec, Report, build_parser, list_catalog, main, run
+from kummer.cli import InputError, JobSpec, Report, list_catalog, main, parse_argv, run
 from kummer.strata import stratify
 from kummer.toruslat import DEFAULT_ENUMERATION_BUDGET
 
@@ -446,10 +447,19 @@ class TestMainEntryPoint:
          "bad constraint: 'list' object has no attribute 'items'"),
         ("analytic", dict(D6_ANALYTIC, constraints={"unknowns": {"s": [0, 5]}}),
          "bad constraint: constraints {'unknowns': {'s': [0, 5]}} are not a list"),
+        ("analytic", dict(D6_ANALYTIC, constraints=[
+            {"unknowns": {"s": [0, 5]}, "equations": [{"coeffs": {"t": 1}}]}]),
+         "bad constraint: equation names undeclared unknown 't'"),
+        # 301^3 assignments: each used to be built as a dict before any test
+        ("analytic", dict(D6_ANALYTIC, constraints=[
+            {"unknowns": {"a": [0, 300], "b": [0, 300], "c": [0, 300]}}]),
+         f"counting search of {301 ** 3} assignments exceeds budget "
+         f"{DEFAULT_ENUMERATION_BUDGET} (set by --max-enumeration)"),
     ], ids=["special_text", "special_number", "exponent_zero_denominator",
             "constraint_unknown_condition", "constraint_empty_range",
             "constraint_power_of_one", "constraint_conditions_list",
-            "constraints_not_a_list"])
+            "constraints_not_a_list", "constraint_undeclared_unknown",
+            "constraint_over_budget"])
     def test_bad_document_exit_two(self, mode, doc, message, tmp_path):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
@@ -586,14 +596,13 @@ class TestMainEntryPoint:
         assert main(source + ["--max-group-order", str(order)]) == 0
 
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["--catalog", "z6_sl2"])
-        assert args.mode == "integral"
-        assert args.format == "text"
+        opts = parse_argv(["--catalog", "z6_sl2"])
+        assert opts["mode"] == "integral"
+        assert opts["format"] == "text"
 
     def test_one_parser_serves_every_call(self, capsys):
-        # main() reuses one parser per process: a call's flags do not carry
-        # over to the next, and the calls print what fresh processes print
-        assert build_parser() is build_parser()
+        # main() reads each argv afresh: a call's flags do not carry over
+        # to the next, and the calls print what fresh processes print
         equivariant = ["--catalog", "z6_sl2", "--equivariant", "--format", "json"]
         plain = ["--catalog", "z6_sl2", "--format", "json"]
         outputs = []
@@ -602,7 +611,65 @@ class TestMainEntryPoint:
             outputs.append(capsys.readouterr().out)
             assert outputs[-1] == _run_cli(args).stdout, args
         assert "orbit_detail" in outputs[0] and "orbit_detail" not in outputs[1]
-        assert not build_parser().parse_args(plain).equivariant
+        assert not parse_argv(plain)["equivariant"]
+
+    def test_abbreviations_and_attached_values(self, capsys):
+        # a unique prefix names its option, and --opt=value reads as --opt value
+        outputs = []
+        for args in (["--catalog", "s3_standard", "--equivariant", "--d", "2"],
+                     ["--catalog=s3_standard", "--equiv", "--d=2"]):
+            assert main(args + ["--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert '"d": 2' in outputs[0] and "orbit_detail" in outputs[0]
+
+    @pytest.mark.parametrize("args, named", [
+        (["--catalog", "z6_sl2", "--bogus"], "--bogus"),
+        (["--catalog"], "--catalog"),
+        (["--catalog", "z6_sl2", "--max", "5"], "--max"),
+        (["--catalog", "z6_sl2", "--format", "xml"], "'xml'"),
+        (["--catalog", "z6_sl2", "--d", "two"], "'two'"),
+        (["--catalog", "z6_sl2", "stray"], "'stray'"),
+        (["--catalog", "a", "--input", "b"], "--catalog"),
+    ], ids=["unknown_option", "missing_value", "ambiguous_prefix", "bad_choice",
+            "bad_int", "stray_positional", "two_sources"])
+    def test_argv_error_exit_two(self, args, named, capsys):
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+
+    def test_argv_error_under_optimize(self):
+        _assert_input_error_under_optimize(["--catalog", "z6_sl2", "--d", "two"])
+
+    def test_help_names_every_flag(self, capsys):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        flag_list = readme[readme.index("\nFlags: "):]
+        flags = set(re.findall(r"--[a-z-]+", flag_list[:flag_list.index("\n\n")]))
+        assert {"--mode", "--catalog", "--input", "--list", "--help"} <= flags
+        outputs = []
+        for args in (["-h"], ["--help"]):
+            assert main(args) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("usage: kummer ")
+        assert all(flag in outputs[0] for flag in flags)
+        assert re.search(r"[ (]-h\b", outputs[0])
+
+    def test_a_run_builds_no_argparse_parser_and_imports_no_locale(self):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, kummer.cli; "
+             "code = kummer.cli.main(['--catalog', 'z6_sl2', '--format', 'json']); "
+             "print(code, sorted({'argparse', 'locale'} & set(sys.modules)), "
+             "file=sys.stderr)"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert out.stderr == "0 []\n"
+        assert json.loads(out.stdout)["resolution"] == [1, 0, 22, 0, 1]
 
 
 @pytest.fixture(scope="module")

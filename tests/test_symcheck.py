@@ -18,7 +18,7 @@ from kummer.symcheck import (
     symplectic_reflection_generated,
     tetrahedral_obstruction_constraint,
 )
-from kummer.toruslat import isolated_count
+from kummer.toruslat import EnumerationTooLarge, isolated_count
 from trace_reference import trace_exponents
 
 
@@ -193,6 +193,18 @@ class TestCountingFeasibility:
         result = counting_feasibility(constraint)
         assert result.solutions == ({"m": 1},)
 
+    def test_budget_bounds_the_declared_assignments(self):
+        # 256 * 256 declared assignments, of which 9 * 9 pass the conditions
+        constraint = CountingConstraint(
+            {"a": (1, 256), "b": (1, 256)}, [({"a": 1, "b": 1}, -17)],
+            {"a": "power_of_2", "b": "power_of_2"},
+        )
+        result = counting_feasibility(constraint, budget=256 * 256)
+        assert result.solutions == ({"a": 1, "b": 16}, {"a": 16, "b": 1})
+        message = "counting search of 65536 assignments exceeds budget 65535"
+        with pytest.raises(EnumerationTooLarge, match=message):
+            counting_feasibility(constraint, budget=256 * 256 - 1)
+
     def test_unbounded_rejected(self):
         with pytest.raises(UnboundedSearch):
             CountingConstraint({"s": None}, [])
@@ -209,3 +221,7 @@ class TestCountingFeasibility:
         # before the search: powers of 1 would loop for ever there
         with pytest.raises(ValueError):
             CountingConstraint(unknowns, [], conditions)
+
+    def test_undeclared_unknown_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="undeclared unknown 't'"):
+            CountingConstraint({"s": (0, 5)}, [({"t": 1}, 0)])
