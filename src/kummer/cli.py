@@ -9,7 +9,6 @@ bytes.
 
 from __future__ import annotations
 
-import getopt
 import json
 import math
 import sys
@@ -354,15 +353,13 @@ def _run_integral(job: JobSpec) -> Report:
     ]
     if job.oracle is not None:
         oracle = torsion_oracle(action, job.oracle, budget=job.max_enumeration)
-        ident = identity_matrix(action.r)
-        mism = []
+        ident, mism = identity_matrix(action.r), []
+        forms = [smith_normal_form(mat_sub(ident, g))  # the count is a class function
+                 for g in action.class_representatives()]
+        by_class = [(math.prod(math.gcd(dv, job.oracle) for dv in snf.divisors)
+                     * job.oracle ** (action.r - snf.rank)) ** (2 * action.d) for snf in forms]
         for g in action.elements:
-            snf = smith_normal_form(mat_sub(ident, g))
-            predicted = 1
-            for dv in snf.divisors:
-                predicted *= math.gcd(abs(dv), abs(job.oracle))
-            predicted = (predicted * job.oracle ** (action.r - snf.rank)) \
-                ** (2 * action.d)
+            predicted = by_class[action.class_index(g)]
             if oracle[g] != predicted:
                 mism.append([list(map(list, g)), oracle[g], predicted])
         checks.append(_check(f"torsion_oracle_n{job.oracle}", mism, []))
@@ -517,18 +514,39 @@ def _help() -> str:
 
 def parse_argv(argv) -> dict:
     """Each option of a ``kummer`` command line by long name, its default
-    if absent; ``InputError`` on an argv error."""
-    try:
-        pairs, rest = getopt.gnu_getopt(argv, "h", [
-            name if option[1] is None else name + "=" for name, option in OPTIONS.items()])
-    except getopt.GetoptError as exc:
-        raise InputError(str(exc)) from None
+    if absent; ``InputError`` on an argv error.  Read as GNU getopt reads
+    it, with its error texts: ``--opt value``, ``--opt=value``, prefixes."""
+    pairs, rest, args = [], [], iter(argv)
+    for arg in args:
+        if arg == "--":
+            rest += args
+        elif arg.startswith("--"):
+            name, attached, value = arg[2:].partition("=")
+            matches = [option for option in OPTIONS if option.startswith(name)]
+            if name not in OPTIONS and len(matches) != 1:
+                raise InputError(f"option --{name} not "
+                                 + ("a unique prefix" if matches else "recognized"))
+            name = name if name in OPTIONS else matches[0]
+            if OPTIONS[name][1] is None:
+                if attached:
+                    raise InputError(f"option --{name} must not have an argument")
+            elif not attached:
+                value = next(args, None)
+                if value is None:
+                    raise InputError(f"option --{name} requires argument")
+            pairs.append((name, value))
+        elif arg.startswith("-") and arg != "-":
+            for letter in arg[1:]:
+                if letter != "h":
+                    raise InputError(f"option -{letter} not recognized")
+            pairs.append(("help", ""))
+        else:
+            rest.append(arg)
     if rest:
         raise InputError(f"unexpected argument {rest[0]!r}")
     opts = {name: option[0] for name, option in OPTIONS.items()}
-    for flag, value in pairs:
-        name = "help" if flag == "-h" else flag[2:]
-        kind = OPTIONS[name][1]
+    for name, value in pairs:
+        kind, flag = OPTIONS[name][1], f"--{name}"
         if kind is None:
             value = True
         elif kind is int:

@@ -175,16 +175,22 @@ class FiniteGroup:
         return sum(1 << g for g, row in enumerate(table)
                    if all(sub >> table[row[h]][inv[g]] & 1 for h in members))
 
+    def _coset_of(self, sub: int, within: int) -> dict[int, int]:
+        """Each index in ``within`` mapped to the number of its left coset of
+        ``sub``: the identity's coset is 0, the rest follow by least member."""
+        table, members, coset_of = self._table, _bits(sub), {}
+        for g in sorted(_bits(within), key=lambda g: g != self._e):
+            if g not in coset_of:
+                row, i = table[g], len(coset_of) // len(members)
+                coset_of.update((row[h], i) for h in members)
+        return coset_of
+
     def _cosets(self, sub: int, within: int) -> tuple[tuple, ...]:
         """Left cosets of ``sub`` inside ``within``, as in :meth:`cosets`."""
-        members, out = _bits(sub), []
-        while within:
-            row = self._table[(within & -within).bit_length() - 1]
-            coset = sum(1 << row[h] for h in members)
-            within &= ~coset
-            out.append(coset)
-        out.sort(key=lambda c: not c >> self._e & 1)
-        return tuple(tuple(self.elements[i] for i in _bits(c)) for c in out)
+        coset_of, out = self._coset_of(sub, within), {}
+        for g in sorted(coset_of):
+            out.setdefault(coset_of[g], []).append(self.elements[g])
+        return tuple(tuple(out[i]) for i in range(len(out)))
 
     @cached_property
     def _lattice(self) -> tuple[list, dict, dict]:
@@ -493,25 +499,33 @@ class AbstractGroup(FiniteGroup):
 
 
 class SubgroupClass:
-    """One conjugacy class of subgroups with its normalizer data."""
+    """One conjugacy class of subgroups as masks of its least member R and
+    of N(R); R, N(R) and the Weyl cosets are built when read (assignable)."""
 
-    __slots__ = ("representative", "size", "normalizer", "weyl_cosets", "order")
+    def __init__(self, group, mask, size, norm):
+        self.group, self.mask, self.size, self.norm = group, mask, size, norm
+        self.order = mask.bit_count()
 
-    def __init__(self, representative, size, normalizer, weyl_cosets):
-        self.representative = representative
-        self.size = size
-        self.normalizer = normalizer
-        self.weyl_cosets = weyl_cosets
-        self.order = len(representative)
+    @cached_property
+    def representative(self) -> frozenset:
+        return self.group._set(self.mask)
 
     @property
-    def weyl_order(self) -> int:
-        return len(self.weyl_cosets)
+    def normalizer(self) -> frozenset:
+        return self.group._set(self.norm)
+
+    @normalizer.setter
+    def normalizer(self, elements):
+        self.norm = self.group._mask(elements)
+
+    @cached_property
+    def weyl_cosets(self) -> tuple[tuple, ...]:
+        return self.group._cosets(self.mask, self.norm)
 
     def __repr__(self):
         return (
             f"SubgroupClass(order={self.order}, size={self.size}, "
-            f"weyl_order={self.weyl_order})"
+            f"weyl_order={self.norm.bit_count() // self.order})"
         )
 
 
@@ -536,8 +550,7 @@ class SubgroupClassPoset:
                     f"class of {len(members)} subgroups with a normalizer of order "
                     f"{norm.bit_count()} in a group of order {group.order}"
                 )
-            classes.append(SubgroupClass(group._set(members[0]), len(members),
-                                         group._set(norm), group._cosets(members[0], norm)))
+            classes.append(SubgroupClass(group, members[0], len(members), norm))
         self.classes = tuple(classes)
 
     @cached_property

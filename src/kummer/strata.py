@@ -15,11 +15,12 @@ subgroups, with exact equivariant bookkeeping and no list of components:
 * g(L, w) is the trace of w on the cohomology with compact supports of
   the points whose isotropy is exactly L.  It is f(L, w) minus g(L', w)
   over the overgroups L' of L that w normalizes and that occur, i.e.
-  g(L', 1) != 0.  Since g(k R k^-1, w) = g(R, k^-1 w k), g is memoised
-  per class representative R and conjugacy class of N(R) in it;
+  g(L', 1) != 0.  R fixes Fix(R) pointwise, so g(R, w) depends only on
+  the class of wR in the Weyl group N(R)/R; since g(k R k^-1, w) =
+  g(R, k^-1 w k), g is memoised per class representative R and Weyl class;
 * a stratum's quotient polynomial y_H averages g(H, w) over N(H), and its
   share x_H of the resolution weights each w by its trace on the McKay
-  fiber first, w taken once per conjugacy class of N(H).  The rank, the
+  fiber first, w taken once per Weyl class of H.  The rank, the
   components and the orbits are the top degree of g(H, 1) over 2d and
   the top coefficients of g(H, 1) and y_H;
 * the orbit detail (``Stratum.orbits``) and the closure edges are built
@@ -46,7 +47,7 @@ from .exactalg import (
     identity_matrix, mat_mul, mat_vec, smith_normal_form,
 )
 from .groupcore import (
-    IntegralAction, _bits, _element_classes, _permuted, subgroup_class_poset,
+    IntegralAction, _bits, _permuted, subgroup_class_poset,
 )
 from .mckay import FiberPolynomial, _class_ages, fiber_poincare_equivariant
 from .repring import _average, quotient_poincare
@@ -223,25 +224,21 @@ def _fixed_trace(action: IntegralAction, rows, w) -> IntPolynomial:
 
 
 class _Classes:
-    """The traces g(R, w) per subgroup class, and the orbit detail and
-    closure edges built from the class representatives' components."""
+    """The traces g(R, w) per subgroup class and class of its Weyl group
+    N(R)/R, read from masks, and the orbit detail and closure edges built
+    from the class representatives' components, which read elements."""
 
     def __init__(self, action: IntegralAction, budget: int):
         self.action, self.budget = action, budget
         self.poset = subgroup_class_poset(action)
-        self.masks = [action._mask(c.representative) for c in self.poset.classes]
-        self.rows, self.normalizer, self.over = {}, {}, {}
-        self.normalizer_classes, self.class_of = {}, {}
+        self.masks = [cls.mask for cls in self.poset.classes]
+        self.normalizer = [cls.norm for cls in self.poset.classes]
+        self.rows, self.over, self.weyl = {}, {}, {}
         self.fibers, self.detail, self.coords = {}, {}, {}
         self.memo: dict = {}
 
     def _prepare(self, c):
         action, poset, mask = self.action, self.poset, self.masks[c]
-        norm = self.normalizer[c] = action._mask(poset.classes[c].normalizer)
-        classes = self.normalizer_classes[c] = (  # N(R) = G: G's classes, same order
-            action._classes if norm == (1 << action.order) - 1
-            else _element_classes(action, _bits(norm), action._subgroups[norm]))
-        self.class_of[c] = {w: i for i, cls in enumerate(classes) for w in cls}
         rows = self.rows[c] = _row_lattice(
             action, [action.elements[g] for g in action._subgroups[mask]])
         # |pi_0 Fix(R)| = base^power, before any trace; it exceeds the
@@ -263,11 +260,35 @@ class _Classes:
                     over.append((c2, k, action._inv_of[k]))
         self.over[c] = over
 
+    def weyl_classes(self, c):
+        """The classes of N(R)/R, R the representative of class c: per class
+        an element and its R-cosets (numbered as in ``weyl_cosets``), R's
+        class first, and each element of N(R) mapped to its class.  They are
+        the orbits of the cosets under conjugation by N(R)'s generators."""
+        if c not in self.weyl:
+            action, norm = self.action, self.normalizer[c]
+            table, inv = action._table, action._inv_of
+            coset_of = action._coset_of(self.masks[c], norm)
+            pairs = [(table[x], inv[x]) for x in action._subgroups[norm]]
+            classes, orbit_of = [], {}
+            for g, i in coset_of.items():
+                if i not in orbit_of:
+                    orbit_of[i], orbit = len(classes), [g]
+                    for y in orbit:
+                        for row, x_inv in pairs:
+                            z = table[row[y]][x_inv]
+                            if coset_of[z] not in orbit_of:
+                                orbit_of[coset_of[z]] = len(classes)
+                                orbit.append(z)
+                    classes.append((g, [coset_of[y] for y in orbit]))
+            self.weyl[c] = classes, {g: orbit_of[i] for g, i in coset_of.items()}
+        return self.weyl[c]
+
     def g(self, c, w) -> IntPolynomial:
         """g(R, w) for R the representative of class c and w in N(R)."""
         if c not in self.over:
             self._prepare(c)
-        key = (c, self.class_of[c][w])
+        key = (c, 0 if w == self.action._e else self.weyl_classes(c)[1][w])
         value = self.memo.get(key)
         if value is None:
             if not self.memo:  # before the first trace, whose degree is 2rd
@@ -434,13 +455,11 @@ def stratify(action: IntegralAction,
             raise TerminalStratum(
                 f"stratum {label} has no junior class: its isotropy of order "
                 f"{order} gives a terminal singularity, so there is no crepant resolution")
-        coset_of = {action._index_of[g]: i
-                    for i, coset in enumerate(weyl_cosets) for g in coset}
         y_sum = x_sum = zero
-        for ncls in classes.normalizer_classes[c]:
-            trace = len(ncls) * classes.g(c, ncls[0])
+        for w, cosets in classes.weyl_classes(c)[0]:
+            trace = len(cosets) * order * classes.g(c, w)
             y_sum = y_sum + trace
-            x_sum = x_sum + trace * fiber.values[coset_of[ncls[0]]]
+            x_sum = x_sum + trace * fiber.values[cosets[0]]
         normalizer_order = order * len(weyl_cosets)
         y_poly = _average(y_sum, normalizer_order)
         strata.append(Stratum(

@@ -136,6 +136,27 @@ class TestIntegralRun:
         assert report.payload["resolution"] == [1, 0, 20, 14, 20, 0, 1]
         assert report.passed
 
+    def test_oracle_predicts_per_class_and_compares_per_element(self, monkeypatch):
+        # one Smith form of 1 - g per conjugacy class; an element off its
+        # class's count is still listed on its own
+        import kummer.cli as cli
+        from kummer.catalog import catalog
+
+        action = catalog("octahedral_s4_sl3")
+        g = next(cls[-1] for cls in action.conjugacy_classes() if len(cls) > 1)
+        oracle, snf = cli.torsion_oracle, cli.smith_normal_form
+        forms = []
+        monkeypatch.setattr(cli, "torsion_oracle", lambda action, n, budget: {
+            h: count + (h == g) for h, count in oracle(action, n, budget=budget).items()})
+        monkeypatch.setattr(cli, "smith_normal_form",
+                            lambda rows: forms.append(rows) or snf(rows))
+        report = run(JobSpec("integral", catalog_name="octahedral_s4_sl3", oracle=6))
+        (check,) = [c for c in report.payload["checks"] if c["name"] == "torsion_oracle_n6"]
+        expected = oracle(action, 6)[g]
+        assert check["left"] == [[list(map(list, g)), expected + 1, expected]]
+        assert not check["pass"] and not report.passed
+        assert len(forms) == len(action.conjugacy_classes())
+
     def test_input_file(self, tmp_path):
         doc = {"name": "z4", "matrices": [[[0, -1], [1, 0]]], "d": 1,
                "special": True}
@@ -670,6 +691,19 @@ class TestMainEntryPoint:
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
         assert out.stderr == "0 []\n"
         assert json.loads(out.stdout)["resolution"] == [1, 0, 22, 0, 1]
+
+    def test_argv_is_read_without_getopt_or_gettext(self):
+        # gettext costs over a millisecond of every process's set-up
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, kummer.cli; "
+             "code = kummer.cli.main(['--cat=z6_sl2', '--equiv', '--format', 'json']); "
+             "print(code, sorted({'getopt', 'gettext'} & set(sys.modules)), "
+             "file=sys.stderr)"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert out.stderr == "0 []\n"
+        assert "orbit_detail" in json.loads(out.stdout)["strata"][1]
 
 
 @pytest.fixture(scope="module")

@@ -509,11 +509,13 @@ class TestPerNormalWork:
                     assert members == sorted(members, key=fraction_order)
                     assert o.members[0] == o.representative, name
 
-    @pytest.mark.parametrize("name", ["octahedral_s4_sl3", "s4_standard_d2"])
+    @pytest.mark.parametrize("name", ["octahedral_s4_sl3", "s4_standard_d2", "d8_b2",
+                                      "d4_sl3", "s3_standard_d2"])
     def test_moebius_per_normal_matches_per_member(self, name, actions):
         # g(H, w) for a class representative H is the sum, over the members
-        # with isotropy H that w fixes, of their Moebius traces
-        action = actions[name]
+        # with isotropy H that w fixes, of their Moebius traces; these know
+        # nothing of the traces' sharing per class of the Weyl group
+        action = actions[name] if name in actions else catalog(name)
         family, isotropy = zip(*sorted(arrangement(action).values(),
                                        key=lambda pair: -pair[0].rank))
         supersets = [[j for j, c in enumerate(family[:i])
@@ -558,7 +560,7 @@ class TestPerNormalWork:
 
     def test_work_is_counted_per_normal(self, monkeypatch):
         # one stratify(s4_standard_d2) takes one f per (class, class of its
-        # normalizer) reached, and the orbits and closure edges solve no
+        # Weyl group) reached, and the orbits and closure edges solve no
         # torus system: they are read in the traces' Smith frames
         action = catalog("s4_standard_d2")
         traces, solved = [], []
@@ -575,11 +577,23 @@ class TestPerNormalWork:
         monkeypatch.setattr(strata, "_fixed_trace", counted_trace)
         monkeypatch.setattr(toruslat, "solve_torus_system", counted_solve)
         report = stratify(action)
-        assert len(traces) == 28
+        assert len(traces) == 17
         assert len(traces) == len(report.strata[0]._classes.memo)
         assert report.closure_edges and not solved
         fix_locus(action, [action.identity])  # the counter sees a solve
         assert len(solved) == 1
+
+    @pytest.mark.parametrize("action, count", [(standard_sn(5, 2), 29),
+                                               (wreath(3, 2, 2), 57)],
+                             ids=["standard_s5_d2", "wreath_3_2_d2"])
+    def test_traces_are_counted_per_weyl_class(self, action, count, monkeypatch):
+        # one f per (class, class of N(R)/R) reached, as in
+        # test_work_is_counted_per_normal
+        traced, trace = [], strata._fixed_trace
+        monkeypatch.setattr(strata, "_fixed_trace",
+                            lambda *args: traced.append(args) or trace(*args))
+        classes = stratify(action).strata[0]._classes
+        assert len(traced) == len(classes.memo) == count
 
 
 def weyl_orbits(members, weyl_cosets):
@@ -607,7 +621,7 @@ def weyl_orbits(members, weyl_cosets):
 
 class TestStratumLoop:
     """One loop over the isotropy classes: traces per (class, class of the
-    normalizer), and orbits from the representatives' fixed loci."""
+    Weyl group), and orbits from the representatives' fixed loci."""
 
     def test_orbits_match_the_weyl_coset_search(self, all_reports):
         s5 = standard_sn(5, 2)
@@ -626,8 +640,8 @@ class TestStratumLoop:
                     assert list(o.stabilizer_cosets) == stab, (name, s.label)
 
     def test_one_trace_per_fixed_pair(self, monkeypatch):
-        # g is memoised per (subgroup class, conjugacy class of its
-        # normalizer): one trace per such pair reached, at the pair's element
+        # g is memoised per (subgroup class, conjugacy class of its Weyl
+        # group): one trace per such pair reached, at the pair's element
         traced = []
         trace = strata._fixed_trace
 
@@ -640,13 +654,13 @@ class TestStratumLoop:
             traced.clear()
             classes = stratify(action).strata[0]._classes
             assert len(traced) == len(classes.memo)
-            assert len(classes.memo) < sum(len(classes.normalizer_classes[c])
+            assert len(classes.memo) < sum(len(classes.weyl_classes(c)[0])
                                            for c in classes.over)
 
     @pytest.mark.parametrize("name", ["octahedral_s4_sl3", "s4_standard_d2"])
     def test_class_traces_match_direct_traces(self, name, actions):
         # g(k R k^-1, w) = g(R, k^-1 w k): the memo per class representative
-        # and class of its normalizer gives g by its definition at every w
+        # and class of its Weyl group gives g by its definition at every w
         action = actions[name]
         classes, memo, checked = _Classes(action, 10**7), {}, 0
         for c, cls in enumerate(classes.poset.classes):
@@ -841,15 +855,30 @@ class TestShortcuts:
     @pytest.mark.parametrize("action", integral_catalog_actions(),
                              ids=lambda a: f"{a.label}_d{a.d}")
     def test_full_normalizers_take_the_group_classes(self, action):
-        classes, full = _Classes(action, 10**7), (1 << action.order) - 1
-        for c in range(len(classes.poset.classes)):
-            classes.g(c, action._e)
-            norm = classes.normalizer[c]
-            assert classes.normalizer_classes[c] == _element_classes(
-                action, _bits(norm), action._subgroups[norm])
-            assert (classes.normalizer_classes[c] is action._classes) == (norm == full)
-        assert full in classes.normalizer.values()
+        # each subgroup class's Weyl classes partition N(R) into unions of
+        # R-cosets closed under conjugation by all of N(R), as many as a
+        # brute-force count of the classes of N(R)/R; for R = 1, N(R) = G
+        # and they are the group's own classes
+        classes, table, inv = _Classes(action, 10**7), action._table, action._inv_of
+        for c, cls in enumerate(classes.poset.classes):
+            weyl, class_of = classes.weyl_classes(c)
+            norm, members = _bits(cls.norm), _bits(cls.mask)
+            cosets = [[action._index_of[g] for g in coset] for coset in cls.weyl_cosets]
+            assert cosets[0] == members and sorted(class_of) == norm
+            blocks = [sorted(x for i in orbit for x in cosets[i]) for _, orbit in weyl]
+            assert sorted(x for block in blocks for x in block) == norm
+            for i, ((w, _), block) in enumerate(zip(weyl, blocks)):
+                assert class_of[w] == i and {class_of[x] for x in block} == {i}
+            assert all(class_of[table[table[n][x]][inv[n]]] == class_of[x]
+                       for n in norm for x in norm)
 
+            def coset(x):
+                return frozenset(table[x][h] for h in members)
+
+            assert len(weyl) == len({frozenset(coset(table[table[n][x]][inv[n]]) for n in norm)
+                                     for x in norm})
+            if c == 0:
+                assert sorted(map(tuple, blocks)) == sorted(action._classes)
     @pytest.mark.parametrize("action", [*INTEGRAL_AGES, standard_sn(5, 2), wreath(3, 2, 2)],
                              ids=lambda a: f"{a.label}_d{a.d}")
     def test_orbit_members_equal_the_checked_ones(self, action):
