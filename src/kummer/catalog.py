@@ -117,64 +117,20 @@ def wreath(r: int, m: int = 2, d: int = 2) -> IntegralAction:
 
 
 # ---------------------------------------------------------------------------
-# binary tetrahedral group: Q8 x| Z3, no integral model
-
-_Q8 = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-
-
-def _q8_mul(a: str, b: str):
-    table = {
-        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-    }
-    sign = 1
-    if a.startswith("-"):
-        sign, a = -sign, a[1:]
-    if b.startswith("-"):
-        sign, b = -sign, b[1:]
-    if a == "1":
-        out = b
-    elif b == "1":
-        out = a
-    else:
-        out = table[(a, b)]
-    if out.startswith("-"):
-        sign, out = -sign, out[1:]
-    return out if sign == 1 else "-" + out
-
-
-_OMEGA = {"1": "1", "-1": "-1", "i": "j", "-i": "-j",
-          "j": "k", "-j": "-k", "k": "i", "-k": "-i"}
-
-
-def _tetrahedral_elements():
-    """Elements (q, k) of Q8 x| Z3, with omega cycling i -> j -> k."""
-
-    def tw(q, k):
-        for _ in range(k):
-            q = _OMEGA[q]
-        return q
-
-    elements = [(q, k) for q in _Q8 for k in range(3)]
-
-    def mul(x, y):
-        return (_q8_mul(x[0], tw(y[0], x[1])), (x[1] + y[1]) % 3)
-
-    return elements, mul
+# binary tetrahedral group: SL(2, F_3), no integral model
 
 
 def binary_tetrahedral_group() -> AbstractGroup:
-    """The order 24 group Q8 x| Z3 in its regular permutation model.
+    """The order 24 group SL(2, F_3) permuting the eight nonzero vectors
+    of F_3^2, generated by [[0, -1], [1, 0]] and [[1, 1], [0, 1]].
 
     >>> binary_tetrahedral_group().order
     24
     """
-    elements, mul = _tetrahedral_elements()
-    index = {e: i for i, e in enumerate(elements)}
-    gens = []
-    for g in [("i", 0), ("1", 1)]:
-        gens.append(tuple(index[mul(g, e)] for e in elements))
+    vectors = [(a, b) for a in range(3) for b in range(3) if a or b]
+    gens = [tuple(vectors.index(((p * a + q * b) % 3, (u * a + v * b) % 3))
+                  for a, b in vectors)
+            for (p, q), (u, v) in (((0, -1), (1, 0)), ((1, 1), (0, 1)))]
     return AbstractGroup(gens, label="binary_tetrahedral")
 
 

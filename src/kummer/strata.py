@@ -26,7 +26,8 @@ subgroups, with exact equivariant bookkeeping and no list of components:
 * the orbit detail (``Stratum.orbits``) and the closure edges are built
   when first read, for the class representatives H only, in the same
   frames: a component is one z per copy, which a matrix carrying one
-  fixed locus into another maps by B (``_component_map``).
+  fixed locus into another maps by B (``_component_map``).  Its isotropy
+  is larger than H iff it is one of Fix(S), S > H occurring, of its rank.
 
 Summing the unweighted strata must reproduce the quotient polynomial,
 and the weighted total evaluated at -1 must match the orbifold Euler
@@ -44,11 +45,9 @@ from operator import and_, mul
 
 from .exactalg import (
     ConsistencyError, IntPolynomial, det_one_plus_t, hermite_normal_form,
-    identity_matrix, mat_mul, mat_vec, smith_normal_form,
+    identity_matrix, mat_mul, smith_normal_form,
 )
-from .groupcore import (
-    IntegralAction, _bits, _permuted, subgroup_class_poset,
-)
+from .groupcore import IntegralAction, _permuted, subgroup_class_poset
 from .mckay import FiberPolynomial, _class_ages, fiber_poincare_equivariant
 from .repring import _average, quotient_poincare
 from .toruslat import DEFAULT_ENUMERATION_BUDGET, EnumerationTooLarge, _row_lattice
@@ -226,7 +225,8 @@ def _fixed_trace(action: IntegralAction, rows, w) -> IntPolynomial:
 class _Classes:
     """The traces g(R, w) per subgroup class and class of its Weyl group
     N(R)/R, read from masks, and the orbit detail and closure edges built
-    from the class representatives' components, which read elements."""
+    from the class representatives' components.  The occurring overgroups
+    that g subtracts are the one test of a component's isotropy."""
 
     def __init__(self, action: IntegralAction, budget: int):
         self.action, self.budget = action, budget
@@ -307,50 +307,51 @@ class _Classes:
             self.memo[key] = value
         return value
 
-    def _carry(self, g, source, target):
-        """Per copy, the position among class ``target``'s components of the
-        one that the matrix g carries each of class ``source``'s into."""
-        v, _, divs, zs, _ = self.coords[source]
-        _, v_inv, tdivs, _, index_of = self.coords[target]
-        b = _component_map(mat_mul(mat_mul(v_inv, g), v), divs, tdivs)
-        return [index_of[tuple(sum(map(mul, row, z)) % dv for row, dv in zip(b, tdivs))]
-                for z in zs]
-
-    def orbits(self, c) -> tuple[ComponentOrbit, ...]:
-        """The N(H)-orbits of the components of Fix(H) (one z per copy) with
-        isotropy exactly H, by least member and led by it.  A framed matrix A
-        fixes one pointwise iff A = I on free columns and (A - I)(z/d, 0) is integral."""
-        if c not in self.detail:
-            action, cls, fiber = self.action, self.poset.classes[c], self.fibers[c]
-            r, copies, elements = action.r, 2 * action.d, action.elements
-            v, v_inv, divs = _frame(self.rows[c], r)
+    def _coords(self, c):
+        """``(V, V^-1, divisors, zs, index_of)`` for class c: its Smith frame
+        and one copy's torsion coordinates z, in fix_locus order and numbered."""
+        if c not in self.coords:
+            v, v_inv, divs = _frame(self.rows[c], self.action.r)
             top = max(divs, default=1)
-            # each copy's z in fix_locus order: by the shifts N V (z/d), times
-            # top, N the Hermite annihilator of the free columns of V
-            normal = hermite_normal_form(v_inv[:len(divs)], r)
+            # ordered by the shifts N V (z/d), times top, N the Hermite
+            # annihilator of the free columns of V
+            normal = hermite_normal_form(v_inv[:len(divs)], self.action.r)
             nv = [[sum(map(mul, n, col)) * (top // dj) for col, dj in zip(zip(*v), divs)]
                   for n in normal]
             shift = {z: tuple(sum(map(mul, row, z)) % top for row in nv)
                      for z in product(*map(range, divs))}
             zs = sorted(shift, key=shift.get)
             self.coords[c] = v, v_inv, divs, zs, {z: i for i, z in enumerate(zs)}
-            free = list(zip(*v))[len(divs):]
-            fixers = [g for g, m in enumerate(elements)
-                      if all(mat_vec(m, col) == col for col in free)]
-            # per copy's z, a bit for each fixer outside H that fixes it pointwise
+        return self.coords[c]
+
+    def _carry(self, g, source, target):
+        """Per copy, the position among class ``target``'s components of the
+        one that the matrix g carries each of class ``source``'s into."""
+        v, _, divs, zs, _ = self._coords(source)
+        _, v_inv, tdivs, _, index_of = self._coords(target)
+        b = _component_map(mat_mul(mat_mul(v_inv, g), v), divs, tdivs)
+        return [index_of[tuple(sum(map(mul, row, z)) % dv for row, dv in zip(b, tdivs))]
+                for z in zs]
+
+    def orbits(self, c) -> tuple[ComponentOrbit, ...]:
+        """The N(H)-orbits of the components of Fix(H) (one z per copy) with
+        isotropy exactly H, by least member and led by it.  A component's
+        isotropy S occurs, and the component is one of Fix(S), of its rank."""
+        if c not in self.detail:
+            action, cls, fiber = self.action, self.poset.classes[c], self.fibers[c]
+            _, _, divs, zs, _ = self._coords(c)
+            # per copy's z, a bit for each such S = k R k^-1 whose fixed locus
+            # has it: k carries the components of Fix(R) onto those of Fix(S)
             fixed = [0] * len(zs)
-            for t, g in enumerate(g for g in fixers if not self.masks[c] >> g & 1):
-                a = mat_mul(mat_mul(v_inv, elements[g]), v)
-                scaled = [[(a[i][j] - (i == j)) * (top // dj) % top
-                           for j, dj in enumerate(divs)] for i in range(r)]
-                for i, z in enumerate(zs):
-                    if not any(sum(map(mul, row, z)) % top for row in scaled):
+            for t, (c2, k, _) in enumerate(self.over[c]):
+                if len(_frame(self.rows[c2], action.r)[2]) == len(divs):
+                    for i in self._carry(action.elements[k], c2, c):
                         fixed[i] |= 1 << t
             # H fixes Fix(H) pointwise, so one element per Weyl coset gives
             # the whole N(H)-action on its components
             weyl = [self._carry(coset[0], c, c) for coset in cls.weyl_cosets]
             orbits, orbit_of, starts = [], {}, []
-            for start in product(range(len(zs)), repeat=copies):
+            for start in product(range(len(zs)), repeat=2 * action.d):
                 if start in orbit_of or reduce(and_, map(fixed.__getitem__, start)):
                     continue
                 images = [tuple(map(perm.__getitem__, start)) for perm in weyl]
@@ -369,52 +370,50 @@ class _Classes:
                     FiberPolynomial(fiber.plain, fiber.class_ages,
                                     [fiber.values[i] for i in stab]),
                 ))
-            self.detail[c] = (tuple(orbits), orbit_of, sum(1 << g for g in fixers), starts)
+            self.detail[c] = tuple(orbits), orbit_of, fixed, starts
         return self.detail[c][0]
 
     def closure_edges(self, strata) -> tuple:
         """(b, a) for orbit nodes a, b when some G-translate of b's
         representative strictly contains a's, ordered by a, then by b."""
-        action, poset, table = self.action, self.poset, self.action._table
+        action, poset, lattice = self.action, self.poset, self.action._lattice[0]
         node = {(s._index, oi): (si, oi)
                 for si, s in enumerate(strata) for oi in range(len(s.orbits))}
         edges = []
-        for s in strata:
+        for si, s in enumerate(strata):
             # the members strictly containing a component with isotropy H
-            # are, one each, the components through it of Fix(L) for the
-            # L < H that are H's pointwise stabilizer of their own tangent
-            # lattice: L = k R k^-1 with no other element of H fixing it.
-            # H-conjugate L give G-translates, so one L per H-class is taken
+            # are, one each, the components through it of Fix(L), L < H of
+            # a larger rank, whose isotropy is exactly L.  H-conjugate L give
+            # G-translates, so one L per H-class is taken
             c, mask, above, seen = s._index, self.masks[s._index], [], set()
             conjugations = [action._conjugation(h) for h in action._subgroups[mask]]
-            for sub in action._subgroups:
-                c2 = poset._index[sub]
-                if (sub & mask != sub or sub == mask or sub in seen
-                        or c2 not in self.detail):
+            for t in strata[:si]:
+                if t.rank == s.rank:
                     continue
-                orbit = [sub]
-                seen.add(sub)
-                for x in orbit:
-                    for perm in conjugations:
-                        y = _permuted(x, perm)
-                        if y not in seen:
-                            seen.add(y)
-                            orbit.append(y)
-                k = poset._conjugator[sub]
-                k_inv, fixers = action._inv_of[k], self.detail[c2][2]
-                if not any(fixers >> table[table[k_inv][h]][k] & 1
-                           for h in _bits(mask & ~sub)):
+                for sub in lattice[t._index][0]:
+                    if sub & ~mask or sub in seen:
+                        continue
+                    orbit = [sub]
+                    seen.add(sub)
+                    for x in orbit:
+                        for perm in conjugations:
+                            y = _permuted(x, perm)
+                            if y not in seen:
+                                seen.add(y)
+                                orbit.append(y)
                     # k^-1 maps Fix(H) into Fix(R), component by component
-                    above.append((c2, self.detail[c2][1],
-                                  self._carry(action.elements[k_inv], c, c2)))
+                    k_inv = action._inv_of[poset._conjugator[sub]]
+                    above.append((t._index, *self.detail[t._index][1:3],
+                                  self._carry(action.elements[k_inv], c, t._index)))
             for oi, start in enumerate(self.detail[c][3]):
                 targets = set()
-                for c2, orbit_of, carried in above:
+                for c2, orbit_of, fixed, carried in above:
                     key = tuple(map(carried.__getitem__, start))
-                    if key not in orbit_of:
+                    if key in orbit_of:
+                        targets.add(node[c2, orbit_of[key]])
+                    elif not reduce(and_, map(fixed.__getitem__, key)):  # exactly L
                         raise ConsistencyError("the orbits miss a component of a "
                                                "fixed locus")
-                    targets.add(node[c2, orbit_of[key]])
                 edges.extend((b, node[c, oi]) for b in sorted(targets))
         return tuple(edges)
 

@@ -671,12 +671,12 @@ class TestStratumLoop:
         assert checked > len(action.elements)
 
     def test_bookkeeping_is_checked(self):
-        # every isotropy group taken for the trivial group, so H's own
-        # elements fix each component as larger fixers: components go
-        # missing from the orbits
+        # every class's occurring overgroups dropped, so every component of
+        # Fix(H) looks as if its isotropy were exactly H: the orbits take
+        # in components that the traces do not count
         report = stratify(catalog("octahedral_s4_sl3"))
         classes = report.strata[0]._classes
-        classes.masks = [1 << report.action._e] * len(classes.masks)
+        classes.over = dict.fromkeys(classes.over, [])
         with pytest.raises(ConsistencyError, match="bookkeeping"):
             [s.orbits for s in report.strata]
 
@@ -712,6 +712,28 @@ class TestStratumLoop:
         # the transverse singularity is terminal (Reid-Tai)
         with pytest.raises(TerminalStratum, match=f"^stratum {label} has no junior class"):
             stratify(action)
+
+    def test_reid_tai_leaves_only_reflection_generated_isotropy_in_b3(self):
+        # each nontrivial subgroup class of B_3 = wreath(3, 2) as its own
+        # action at d = 2: where no stratum is terminal, every isotropy is
+        # generated by its symplectic reflections, rank(1 - h) = 1, as
+        # Verbitsky's theorem needs; their orbits and edges are checked too
+        b3, ident = wreath(3, 2, 2), identity_matrix(3)
+        classes = subgroup_class_poset(b3).classes[1:]
+        reports = []
+        for cls in classes:
+            action = b3.restrict(cls.representative)
+            try:
+                reports.append(stratify(action))
+            except TerminalStratum:
+                continue
+            for s in reports[-1].strata:
+                reflections = [h for h in s.isotropy
+                               if len(hermite_normal_form(mat_sub(ident, h), 3)) == 1]
+                assert action.subgroup_closure(reflections) == s.isotropy
+                assert len(s.orbits) == s.orbit_count
+            reports[-1].closure_edges
+        assert (len(classes), len(reports)) == (32, 9)
 
     def test_orbit_count_is_checked(self):
         # with one Weyl coset of H = {1, -1} in z6_sl2 listed twice, four
@@ -930,8 +952,8 @@ except ConsistencyError:
 octa = catalog("octahedral_s4_sl3")
 report = strata.stratify(octa)
 classes = report.strata[0]._classes
-classes.masks = [1 << octa._e] * len(classes.masks)
-try:  # components dropped from the orbits
+classes.over = dict.fromkeys(classes.over, [])
+try:  # components of a larger isotropy taken into the orbits
     [s.orbits for s in report.strata]
 except ConsistencyError:
     raised.append("bookkeeping")
