@@ -3,7 +3,8 @@
 The package computes, with exact integer arithmetic throughout:
 
 * fixed loci of finite groups of integer matrices acting on a power of
-  an abelian variety, as canonical (N, integer shifts) subtorus translates;
+  an abelian variety, read as torsion coordinates in Smith frames (as
+  canonical subtorus translates in ``fix_locus``, the tests' reference);
 * the stratification of the quotient by isotropy classes;
 * Poincaré polynomials of the quotient (Molien averages) and, under the
   locally-product and McKay hypotheses, of a crepant resolution;

@@ -72,10 +72,10 @@ class JobSpec:
             raise InputError(f"unknown mode {mode!r}")
         if (catalog_name is None) == (input_path is None):
             raise InputError("exactly one of --catalog or --input is required")
-        if oracle is not None and oracle < 1:
-            raise InputError("--oracle must be a positive integer")
-        if d is not None and d < 1:
-            raise InputError("--d must be a positive integer")
+        for flag, value in {"oracle": oracle, "d": d, "max-group-order": max_group_order,
+                            "max-enumeration": max_enumeration}.items():
+            if value is not None and value < 1:
+                raise InputError(f"--{flag} must be a positive integer")
         self.mode = mode
         self.catalog_name = catalog_name
         self.input_path = input_path

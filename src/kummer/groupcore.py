@@ -12,16 +12,17 @@ subgroup is an int bitmask over the indices (containment is
 ``a & ~b == 0``), and closures, conjugates, normalizers, cosets, element
 and subgroup classes and the Weyl permutations of a subgroup's classes
 are table lookups on indices.  The subgroup lattice is built class by
-class from joins of class representatives with single elements, each
-new class listed once with a conjugator per member.  The public methods
-still take and return elements (matrices or permutation tuples) and
-frozensets of them.  Orders stay below a configurable cap (default
-10000); the interesting actions in the catalog have order at most 720.
+class from joins of class representatives with single elements, as one
+:class:`SubgroupClass` record per class, which is all that its readers
+see of it.  The public methods still take and return elements (matrices
+or permutation tuples) and frozensets of them.  Orders stay below a
+configurable cap (default 10000); the catalog's actions have order at
+most 720.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import gcd
 from operator import mul
 
@@ -193,12 +194,9 @@ class FiniteGroup:
         return tuple(tuple(out[i]) for i in range(len(out)))
 
     @cached_property
-    def _lattice(self) -> tuple[list, dict, dict]:
-        """The conjugacy classes of subgroups on masks, as ``(classes,
-        conjugator, gens_of)``: one ``(members, normalizer)`` per class,
-        sorted by (order, sorted indices) of its least member R, which
-        leads ``members``; m = k R k^-1 for k = ``conjugator[m]``, and
-        m is generated by the indices ``gens_of[m]``.
+    def _lattice(self) -> tuple[SubgroupClass, ...]:
+        """The conjugacy classes of subgroups as :class:`SubgroupClass`
+        records, sorted by (order, sorted indices) of their least members.
 
         Breadth first from the trivial group, each representative H is
         joined with one g per H-double coset, N(H)-conjugate and generator
@@ -211,7 +209,7 @@ class FiniteGroup:
         table, inv, e, orders = self._table, self._inv_of, self._e, self._orders
         gens = [self._index_of[g] for g in self.generators]
         perms = [self._conjugation(g) for g in gens]
-        found, conjugator, gens_of = [], {}, {}
+        found, known = [], set()
 
         def add_class(join, join_gens):
             orbit, conj, edges = [join], {join: e}, []
@@ -223,25 +221,25 @@ class FiniteGroup:
                     else:
                         conj[image] = table[x][conj[sub]]
                         orbit.append(image)
-            rep = min(orbit, key=_bits)
-            rep_inv = inv[conj[rep]]
-            for sub in orbit:
-                k, k_inv = conj[sub], inv[conj[sub]]
-                conjugator[sub] = table[k][rep_inv]
-                gens_of[sub] = tuple(table[table[k][a]][k_inv] for a in join_gens)
-            norm, norm_gens = rep, list(gens_of[rep])
+            rep = min(orbit, key=_mask_key)
+            k, k_inv = conj[rep], inv[conj[rep]]
+            rep_gens = tuple(table[table[k][a]][k_inv] for a in join_gens)
+            conj = {sub: table[conj[sub]][k_inv] for sub in orbit}  # sub = k rep k^-1
+            norm, norm_gens = rep, list(rep_gens)
             for sub, x, image in edges:
-                y = table[table[inv[conjugator[image]]][x]][conjugator[sub]]
+                y = table[table[inv[conj[image]]][x]][conj[sub]]
                 if not norm >> y & 1:
                     norm_gens.append(y)
                     norm = self._closure(norm_gens)
-            orbit.remove(rep)
-            found.append(((rep, *orbit), norm, norm_gens))
+            known.update(orbit)
+            members = (rep, *(sub for sub in orbit if sub != rep))
+            found.append(SubgroupClass(self, members, tuple(map(conj.get, members)),
+                                       rep_gens, norm, tuple(norm_gens)))
 
         add_class(1 << e, ())
         everything = (1 << len(table)) - 1
-        for (sub, *_), _, norm_gens in found:
-            members, done, sub_gens = _bits(sub), sub, gens_of[sub]
+        for cls in found:
+            members, done, sub_gens = _bits(cls.mask), cls.mask, cls.gens
             while done != everything:
                 rest = everything & ~done
                 g = (rest & -rest).bit_length() - 1
@@ -252,7 +250,7 @@ class FiniteGroup:
                     p = table[p][g]
                 seen = set(cyclic)
                 for x in cyclic:
-                    for n in norm_gens:
+                    for n in cls.norm_gens:
                         y = table[table[n][x]][inv[n]]
                         if y not in seen:
                             seen.add(y)
@@ -261,18 +259,9 @@ class FiniteGroup:
                     if not done >> x & 1:
                         done |= self._closure(sub_gens, [table[h][x] for h in members])
                 join = self._closure(sub_gens + (g,), members)
-                if join not in conjugator:
+                if join not in known:
                     add_class(join, sub_gens + (g,))
-        found.sort(key=lambda c: (c[0][0].bit_count(), _bits(c[0][0])))
-        return [c[:2] for c in found], conjugator, gens_of
-
-    @cached_property
-    def _subgroups(self) -> dict[int, tuple[int, ...]]:
-        """Every subgroup as a mask, sorted by (order, sorted elements),
-        mapped to indices of elements that generate it."""
-        gens_of = self._lattice[2]
-        return {m: gens_of[m]
-                for m in sorted(gens_of, key=lambda m: (m.bit_count(), _bits(m)))}
+        return tuple(sorted(found, key=lambda cls: _mask_key(cls.mask)))
 
     # -- generic group theory ------------------------------------------------
 
@@ -328,7 +317,8 @@ class FiniteGroup:
 
     def all_subgroups(self) -> tuple[frozenset, ...]:
         """Every subgroup, sorted by (order, sorted elements)."""
-        return tuple(map(self._set, self._subgroups))
+        masks = (sub for cls in self._lattice for sub in cls.members)
+        return tuple(map(self._set, sorted(masks, key=_mask_key)))
 
     def conjugate_subgroup(self, sub: frozenset, g) -> frozenset:
         return self._set(_permuted(self._mask(sub),
@@ -362,6 +352,16 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _mask_order(a: int, b: int) -> int:
+    """Negative, 0 or positive as mask a sorts before, with or after b by (order,
+    sorted indices): of equal orders the owner of the lowest differing bit is first."""
+    low = (a ^ b) & -(a ^ b)
+    return a.bit_count() - b.bit_count() or (low & b) - (low & a)
+
+
+_mask_key = cmp_to_key(_mask_order)
 
 
 def _permuted(mask: int, perm) -> int:
@@ -499,12 +499,19 @@ class AbstractGroup(FiniteGroup):
 
 
 class SubgroupClass:
-    """One conjugacy class of subgroups as masks of its least member R and
-    of N(R); R, N(R) and the Weyl cosets are built when read (assignable)."""
+    """One conjugacy class of subgroups: ``members`` as masks, least member R
+    first, ``members[i]`` = k R k^-1 for k = ``conjugators[i]``, R generated
+    by ``gens`` and N(R) (mask ``norm``) by ``norm_gens``, all indices.  The
+    orbit-stabilizer count is checked; R, N(R) and Weyl cosets built when read."""
 
-    def __init__(self, group, mask, size, norm):
-        self.group, self.mask, self.size, self.norm = group, mask, size, norm
-        self.order = mask.bit_count()
+    def __init__(self, group, members, conjugators, gens, norm, norm_gens):
+        self.group, self.members, self.conjugators = group, members, conjugators
+        self.gens, self.norm, self.norm_gens = gens, norm, norm_gens
+        self.mask, self.size, self.order = members[0], len(members), members[0].bit_count()
+        if self.size * norm.bit_count() != group.order:
+            raise ConsistencyError(
+                f"class of {self.size} subgroups with a normalizer of order "
+                f"{norm.bit_count()} in a group of order {group.order}")
 
     @cached_property
     def representative(self) -> frozenset:
@@ -514,23 +521,18 @@ class SubgroupClass:
     def normalizer(self) -> frozenset:
         return self.group._set(self.norm)
 
-    @normalizer.setter
-    def normalizer(self, elements):
-        self.norm = self.group._mask(elements)
-
     @cached_property
     def weyl_cosets(self) -> tuple[tuple, ...]:
         return self.group._cosets(self.mask, self.norm)
 
     def __repr__(self):
-        return (
-            f"SubgroupClass(order={self.order}, size={self.size}, "
-            f"weyl_order={self.norm.bit_count() // self.order})"
-        )
+        return (f"SubgroupClass(order={self.order}, size={self.size}, "
+                f"weyl_order={self.norm.bit_count() // self.order})")
 
 
 class SubgroupClassPoset:
-    """Conjugacy classes of subgroups, ordered by subconjugacy.
+    """Conjugacy classes of subgroups, ordered by subconjugacy: a view of
+    the group's :meth:`~FiniteGroup._lattice` records.
 
     ``classes`` are sorted by (order, sorted representative), so
     ``classes[0]`` is the trivial group.  ``leq[i][j]`` says class i is
@@ -539,28 +541,13 @@ class SubgroupClassPoset:
     """
 
     def __init__(self, group: FiniteGroup):
-        self.group = group
-        lattice, self._conjugator, _ = group._lattice  # mask -> k, mask = k rep k^-1
-        self._index = {sub: i for i, (members, _) in enumerate(lattice)
-                       for sub in members}  # subgroup mask -> class index
-        classes = []
-        for members, norm in lattice:
-            if len(members) * norm.bit_count() != group.order:
-                raise ConsistencyError(
-                    f"class of {len(members)} subgroups with a normalizer of order "
-                    f"{norm.bit_count()} in a group of order {group.order}"
-                )
-            classes.append(SubgroupClass(group, members[0], len(members), norm))
-        self.classes = tuple(classes)
+        self.group, self.classes = group, group._lattice
 
     @cached_property
     def leq(self):
         """The subconjugacy matrix, built when first read."""
-        lattice = self.group._lattice[0]
-        leq = tuple(
-            tuple(any(not sub & ~other[0][0] for sub in members) for other in lattice)
-            for members, _ in lattice
-        )
+        leq = tuple(tuple(any(not sub & ~other.mask for sub in cls.members)
+                          for other in self.classes) for cls in self.classes)
         if not all(leq[i][i] for i in range(len(leq))):
             raise ConsistencyError("subconjugacy is not reflexive")
         return leq
@@ -571,8 +558,10 @@ class SubgroupClassPoset:
     def class_of(self, sub: frozenset) -> int:
         """Index of the class containing the subgroup."""
         try:
-            return self._index[self.group._mask(sub)]
-        except KeyError:
+            mask = self.group._mask(sub)
+            return next(i for i, cls in enumerate(self.classes)
+                        if cls.order == mask.bit_count() and mask in cls.members)
+        except (KeyError, StopIteration):
             raise ValueError("not a subgroup of this group") from None
 
 

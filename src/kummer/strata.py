@@ -47,7 +47,7 @@ from .exactalg import (
     ConsistencyError, IntPolynomial, det_one_plus_t, hermite_normal_form,
     identity_matrix, mat_mul, smith_normal_form,
 )
-from .groupcore import IntegralAction, _permuted, subgroup_class_poset
+from .groupcore import IntegralAction, _mask_key, _permuted
 from .mckay import FiberPolynomial, _class_ages, fiber_poincare_equivariant
 from .repring import _average, quotient_poincare
 from .toruslat import DEFAULT_ENUMERATION_BUDGET, EnumerationTooLarge, _row_lattice
@@ -224,40 +224,43 @@ def _fixed_trace(action: IntegralAction, rows, w) -> IntPolynomial:
 
 class _Classes:
     """The traces g(R, w) per subgroup class and class of its Weyl group
-    N(R)/R, read from masks, and the orbit detail and closure edges built
-    from the class representatives' components.  The occurring overgroups
-    that g subtracts are the one test of a component's isotropy."""
+    N(R)/R, and the orbit detail and closure edges built from the class
+    representatives' components; class c is the lattice record ``classes[c]``.
+    The occurring overgroups that g subtracts are the one test of a
+    component's isotropy."""
 
     def __init__(self, action: IntegralAction, budget: int):
-        self.action, self.budget = action, budget
-        self.poset = subgroup_class_poset(action)
-        self.masks = [cls.mask for cls in self.poset.classes]
-        self.normalizer = [cls.norm for cls in self.poset.classes]
+        self.action, self.budget, self.classes = action, budget, action._lattice
         self.rows, self.over, self.weyl = {}, {}, {}
         self.fibers, self.detail, self.coords = {}, {}, {}
         self.memo: dict = {}
 
     def _prepare(self, c):
-        action, poset, mask = self.action, self.poset, self.masks[c]
-        rows = self.rows[c] = _row_lattice(
-            action, [action.elements[g] for g in action._subgroups[mask]])
+        action, cls = self.action, self.classes[c]
+        rows = self.rows[c] = _row_lattice(action, [action.elements[g] for g in cls.gens])
         # |pi_0 Fix(R)| = base^power, before any trace; it exceeds the
         # budget unformed when base > 1 and power exceeds its bit length
         base, power = prod(_frame(rows, action.r)[2]), 2 * action.d
         small = base == 1 or power <= self.budget.bit_length()
         if not small or base ** power > self.budget:
+            count = base ** power if small else f"{base}^{power}"
             raise EnumerationTooLarge(
-                f"component enumeration exceeds budget {self.budget}: Fix of a "
-                f"subgroup of order {poset.classes[c].order} has "
-                f"{base ** power if small else f'{base}^{power}'} components"
-            )
-        # the occurring strict overgroups k R k^-1 of the representative
+                f"component enumeration exceeds budget {self.budget}: Fix of a subgroup of "
+                f"order {cls.order} has {count} components")
+        # the occurring strict overgroups k R k^-1 of R, among the later
+        # classes' members; asking a class whether it occurs prepares it, so
+        # the classes are asked in the order of their least member over R by
+        # (order, sorted elements), which fixes the class a budget error names
+        above = []
+        for c2, cls2 in enumerate(self.classes[c + 1:], c + 1):
+            subs = [(sub, k) for sub, k in zip(cls2.members, cls2.conjugators)
+                    if sub & cls.mask == cls.mask]
+            if subs:
+                above.append((min(_mask_key(sub) for sub, _ in subs), c2, subs))
         over = []
-        for sub in action._subgroups:
-            if sub & mask == mask and sub != mask:
-                c2, k = poset._index[sub], poset._conjugator[sub]
-                if self.g(c2, action._e):
-                    over.append((c2, k, action._inv_of[k]))
+        for _, c2, subs in sorted(above):
+            if self.g(c2, action._e):
+                over.extend((c2, k, action._inv_of[k]) for _, k in subs)
         self.over[c] = over
 
     def weyl_classes(self, c):
@@ -266,10 +269,10 @@ class _Classes:
         class first, and each element of N(R) mapped to its class.  They are
         the orbits of the cosets under conjugation by N(R)'s generators."""
         if c not in self.weyl:
-            action, norm = self.action, self.normalizer[c]
+            action, cls = self.action, self.classes[c]
             table, inv = action._table, action._inv_of
-            coset_of = action._coset_of(self.masks[c], norm)
-            pairs = [(table[x], inv[x]) for x in action._subgroups[norm]]
+            coset_of = action._coset_of(cls.mask, cls.norm)
+            pairs = [(table[x], inv[x]) for x in cls.norm_gens]
             classes, orbit_of = [], {}
             for g, i in coset_of.items():
                 if i not in orbit_of:
@@ -302,7 +305,7 @@ class _Classes:
             value = _fixed_trace(self.action, self.rows[c], self.action.elements[w])
             for c2, k, k_inv in self.over[c]:
                 w2 = table[table[k_inv][w]][k]
-                if self.normalizer[c2] >> w2 & 1:
+                if self.classes[c2].norm >> w2 & 1:
                     value = value - self.g(c2, w2)
             self.memo[key] = value
         return value
@@ -338,7 +341,7 @@ class _Classes:
         isotropy exactly H, by least member and led by it.  A component's
         isotropy S occurs, and the component is one of Fix(S), of its rank."""
         if c not in self.detail:
-            action, cls, fiber = self.action, self.poset.classes[c], self.fibers[c]
+            action, cls, fiber = self.action, self.classes[c], self.fibers[c]
             _, _, divs, zs, _ = self._coords(c)
             # per copy's z, a bit for each such S = k R k^-1 whose fixed locus
             # has it: k carries the components of Fix(R) onto those of Fix(S)
@@ -376,7 +379,7 @@ class _Classes:
     def closure_edges(self, strata) -> tuple:
         """(b, a) for orbit nodes a, b when some G-translate of b's
         representative strictly contains a's, ordered by a, then by b."""
-        action, poset, lattice = self.action, self.poset, self.action._lattice[0]
+        action = self.action
         node = {(s._index, oi): (si, oi)
                 for si, s in enumerate(strata) for oi in range(len(s.orbits))}
         edges = []
@@ -385,13 +388,14 @@ class _Classes:
             # are, one each, the components through it of Fix(L), L < H of
             # a larger rank, whose isotropy is exactly L.  H-conjugate L give
             # G-translates, so one L per H-class is taken
-            c, mask, above, seen = s._index, self.masks[s._index], [], set()
-            conjugations = [action._conjugation(h) for h in action._subgroups[mask]]
+            c, cls, above, seen = s._index, self.classes[s._index], [], set()
+            conjugations = [action._conjugation(h) for h in cls.gens]
             for t in strata[:si]:
                 if t.rank == s.rank:
                     continue
-                for sub in lattice[t._index][0]:
-                    if sub & ~mask or sub in seen:
+                tcls = self.classes[t._index]
+                for sub, k in zip(tcls.members, tcls.conjugators):
+                    if sub & ~cls.mask or sub in seen:
                         continue
                     orbit = [sub]
                     seen.add(sub)
@@ -402,9 +406,8 @@ class _Classes:
                                 seen.add(y)
                                 orbit.append(y)
                     # k^-1 maps Fix(H) into Fix(R), component by component
-                    k_inv = action._inv_of[poset._conjugator[sub]]
-                    above.append((t._index, *self.detail[t._index][1:3],
-                                  self._carry(action.elements[k_inv], c, t._index)))
+                    above.append((t._index, *self.detail[t._index][1:3], self._carry(
+                        action.elements[action._inv_of[k]], c, t._index)))
             for oi, start in enumerate(self.detail[c][3]):
                 targets = set()
                 for c2, orbit_of, fixed, carried in above:
@@ -439,12 +442,11 @@ def stratify(action: IntegralAction,
     classes = _Classes(action, budget)
     strata, label_count, zero = [], {}, IntPolynomial.zero()
     power = 2 * action.d
-    for c, cls in enumerate(classes.poset.classes):
+    for c, cls in enumerate(classes.classes):
         top = classes.g(c, action._e)
         if not top:
             continue  # no point has isotropy exactly H
-        subgroup, weyl_cosets = cls.representative, cls.weyl_cosets
-        order = len(subgroup)
+        subgroup, weyl_cosets, order = cls.representative, cls.weyl_cosets, cls.order
         label_count[order] = label_count.get(order, 0) + 1
         suffix = chr(ord("a") + label_count[order] - 1)
         label = "1" if order == 1 else f"o{order}{suffix}"

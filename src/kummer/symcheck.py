@@ -329,11 +329,9 @@ def bls_classify(data: AnalyticEigenData) -> BLSResult:
 def _has_normal_abelian(group: FiniteGroup, order: int) -> bool:
     """Whether a normal abelian subgroup has the given order: a class of
     one subgroup in the lattice, whose generators commute."""
-    table, (classes, _, gens_of) = group._table, group._lattice
-    return any(len(members) == 1 and members[0].bit_count() == order
-               and all(table[a][b] == table[b][a]
-                       for a in gens_of[members[0]] for b in gens_of[members[0]])
-               for members, _ in classes)
+    table = group._table
+    return any(cls.size == 1 and cls.order == order and all(table[a][b] == table[b][a]
+               for a in cls.gens for b in cls.gens) for cls in group._lattice)
 
 
 # ---------------------------------------------------------------------------

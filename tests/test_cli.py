@@ -115,6 +115,17 @@ class TestJobSpec:
         with pytest.raises(InputError):
             JobSpec("integral", catalog_name="z6_sl2", oracle=0)
 
+    @pytest.mark.parametrize("flag", ["--max-enumeration", "--max-group-order"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_budgets_are_input_errors(self, flag, value, capsys):
+        # a budget of 0 is no budget: it used to reach the first fixed
+        # locus ("Fix of a subgroup of order 1 has 1 components") or the
+        # group closure ("group closure exceeds cap 0")
+        assert main(["--catalog", "z6_sl2", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be a positive integer\n"
+        assert captured.out == ""
+
 
 class TestIntegralRun:
     def test_z6_values(self, z6_report):
@@ -371,19 +382,20 @@ class TestMainEntryPoint:
         assert "Traceback" not in err
 
     def test_unpreserved_lattice_exit_one(self, monkeypatch, capsys):
-        import kummer.strata
-        from kummer.groupcore import subgroup_class_poset
+        from kummer.groupcore import FiniteGroup
 
         # every class of subgroups is given the whole group as normalizer,
         # so the traces ask for an element's matrix on a fixed locus it
         # moves
-        def widened(action):
-            poset = subgroup_class_poset(action)
-            for cls in poset.classes:
-                cls.normalizer = frozenset(action.elements)
-            return poset
+        lattice = FiniteGroup._lattice.func
 
-        monkeypatch.setattr(kummer.strata, "subgroup_class_poset", widened)
+        def widened(group):
+            classes = lattice(group)
+            for cls in classes:
+                cls.norm = (1 << group.order) - 1
+            return classes
+
+        monkeypatch.setattr(FiniteGroup, "_lattice", property(widened))
         assert main(["--catalog", "octahedral_s4_sl3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: internal inconsistency: matrix does not "

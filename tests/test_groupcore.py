@@ -29,6 +29,7 @@ from kummer.groupcore import (
     generate_group,
     subgroup_class_poset,
     _bits,
+    _mask_key,
     weyl_action_on_classes,
 )
 from kummer.toruslat import orbifold_euler
@@ -203,6 +204,13 @@ class TestIndexKernel:
             inv = mats[group._inv_of[i]]
             assert mat_mul(a, inv) == ident == mat_mul(inv, a)
 
+    def test_masks_sort_by_order_then_sorted_indices(self):
+        # the lowest differing bit orders masks of one order as their
+        # sorted index lists would
+        masks = list(range(1 << 8))
+        expected = sorted(masks, key=lambda m: (m.bit_count(), _bits(m)))
+        assert sorted(reversed(masks), key=_mask_key) == expected
+
     @pytest.mark.parametrize("make", [
         lambda: catalog("s4_standard_d2"),
         lambda: catalog("octahedral_s4_sl3"),
@@ -286,30 +294,26 @@ class TestLatticeAgainstOracle:
                                                         perfbench_actions):
         for group in self.sample(source, perfbench_actions):
             subgroups, classes, conjugate = _oracle_lattice(group)
-            assert {frozenset(_bits(m)) for m in group._subgroups} == subgroups
-            poset = subgroup_class_poset(group)
-            got = [frozenset(frozenset(_bits(m)) for m, i in poset._index.items()
-                             if i == c) for c in range(len(poset))]
+            lattice = group._lattice
+            assert {frozenset(_bits(m)) for cls in lattice for m in cls.members} == subgroups
+            got = [frozenset(frozenset(_bits(m)) for m in cls.members) for cls in lattice]
             assert set(got) == classes and len(got) == len(classes), group.label
-            reps = [sorted(group._index_of[g] for g in c.representative)
-                    for c in poset.classes]
+            reps = [sorted(group._index_of[g] for g in c.representative) for c in lattice]
             assert reps == sorted(reps, key=lambda r: (len(r), r))
-            for members, cls, rep in zip(got, poset.classes, reps):
+            for members, cls, rep in zip(got, lattice, reps):
                 assert rep == min(sorted(m) for m in members), group.label
-                assert cls.size == len(members)
+                assert rep == _bits(cls.members[0]) and cls.size == len(members)
                 norm = {k for k in range(group.order)
                         if conjugate(frozenset(rep), k) == frozenset(rep)}
                 assert {group._index_of[g] for g in cls.normalizer} == norm
                 assert cls.normalizer == group.normalizer(cls.representative)
-            for mask, gens in group._subgroups.items():
-                sub = frozenset(_bits(mask))
-                rep = poset.classes[poset._index[mask]].representative
-                rep = frozenset(group._index_of[g] for g in rep)
-                assert conjugate(rep, poset._conjugator[mask]) == sub
-                assert group._closure(gens) == mask
-                assert _plain_closure([_as_matrix(group.elements[g]) for g in gens]
-                                      or [_as_matrix(group.identity)]) == frozenset(
-                    _as_matrix(group.elements[i]) for i in sub)
+                for mask, k in zip(cls.members, cls.conjugators, strict=True):
+                    assert conjugate(frozenset(rep), k) == frozenset(_bits(mask))
+                for gens, mask in ((cls.gens, cls.mask), (cls.norm_gens, cls.norm)):
+                    assert group._closure(gens) == mask
+                    assert _plain_closure([_as_matrix(group.elements[g]) for g in gens]
+                                          or [_as_matrix(group.identity)]) == frozenset(
+                        _as_matrix(group.elements[i]) for i in _bits(mask))
 
     @pytest.mark.parametrize("source", ["catalog", "perfbench/7", "perfbench/63"])
     def test_row_orbit_closure_is_the_matrix_closure(self, source, perfbench_actions):

@@ -524,7 +524,7 @@ class TestPerNormalWork:
                    for j in range(len(family))]
         classes = _Classes(action, 10**7)
         checked = 0
-        for c, cls in enumerate(classes.poset.classes):
+        for c, cls in enumerate(classes.classes):
             members = [i for i, h in enumerate(isotropy) if h == cls.representative]
             for n in cls.normalizer:
                 expected = sum(
@@ -663,7 +663,7 @@ class TestStratumLoop:
         # and class of its Weyl group gives g by its definition at every w
         action = actions[name]
         classes, memo, checked = _Classes(action, 10**7), {}, 0
-        for c, cls in enumerate(classes.poset.classes):
+        for c, cls in enumerate(classes.classes):
             for w in cls.normalizer:
                 assert classes.g(c, action._index_of[w]) == direct_g(
                     action, cls.representative, w, memo), (name, c)
@@ -700,6 +700,18 @@ class TestStratumLoop:
             stratify(natural_sn(3, 2), budget=168)
         assert not traced
         assert stratify(natural_sn(3, 2), budget=169).resolution[2] == 13
+
+    def test_overgroup_classes_are_prepared_in_subgroup_order(self):
+        # a class's overgroup classes are asked whether they occur, and so
+        # checked against the budget, in the (order, sorted elements) order
+        # of each one's least member over it; in plain class order these
+        # errors would name classes of order 16, 48 and 48
+        action = standard_sn(6, 2)
+        for budget, order, count in ((10, 8, 16), (100, 720, 1296), (1000, 720, 1296)):
+            with pytest.raises(EnumerationTooLarge, match=(
+                    f"^component enumeration exceeds budget {budget}: Fix of a "
+                    f"subgroup of order {order} has {count} components$")):
+                stratify(action, budget=budget)
 
     @pytest.mark.parametrize("action, label", [
         (generate_group([tuple(tuple(-(i == j) for j in range(4)) for i in range(4))], d=1),
@@ -740,7 +752,7 @@ class TestStratumLoop:
         # cosets move H's points in orbits of three with trivial stabilizers
         report = stratify(catalog("z6_sl2"))
         (s,) = report.stratum_by(order=2)
-        cls = report._classes.poset.classes[s._index]
+        cls = report._classes.classes[s._index]
         cls.weyl_cosets += cls.weyl_cosets[1:2]
         with pytest.raises(ConsistencyError, match="orbit of size 3 and stabilizer "
                            "of order 1 in a Weyl group of order 4"):
@@ -882,7 +894,7 @@ class TestShortcuts:
         # brute-force count of the classes of N(R)/R; for R = 1, N(R) = G
         # and they are the group's own classes
         classes, table, inv = _Classes(action, 10**7), action._table, action._inv_of
-        for c, cls in enumerate(classes.poset.classes):
+        for c, cls in enumerate(classes.classes):
             weyl, class_of = classes.weyl_classes(c)
             norm, members = _bits(cls.norm), _bits(cls.mask)
             cosets = [[action._index_of[g] for g in coset] for coset in cls.weyl_cosets]
@@ -935,7 +947,7 @@ import sys
 from kummer import strata
 from kummer.catalog import catalog
 from kummer.exactalg import ConsistencyError, IntPolynomial
-from kummer.groupcore import SubgroupClassPoset
+from kummer.groupcore import SubgroupClass
 from kummer.toruslat import AffineSubtorus
 
 if not sys.flags.optimize:
@@ -975,7 +987,7 @@ except ConsistencyError:
     raised.append("lattice")
 report = strata.stratify(catalog("z6_sl2"))
 (s,) = report.stratum_by(order=2)
-cls = report._classes.poset.classes[s._index]
+cls = report._classes.classes[s._index]
 cls.weyl_cosets += cls.weyl_cosets[1:2]
 try:  # a Weyl coset listed twice
     s.orbits
@@ -996,10 +1008,9 @@ try:  # strata that cannot sum to the quotient polynomial
 except ConsistencyError:
     raised.append("partition")
 z6 = catalog("z6_sl2")
-lattice, *rest = z6._lattice
-z6._lattice = ([(members, 1 << z6._e) for members, _ in lattice], *rest)
-try:  # normalizers too small for orbit-stabilizer
-    SubgroupClassPoset(z6)
+cls = z6._lattice[0]
+try:  # a normalizer too small for orbit-stabilizer
+    SubgroupClass(z6, cls.members, cls.conjugators, cls.gens, cls.mask, cls.gens)
 except ConsistencyError:
     raised.append("orbit-stabilizer")
 print(" ".join(raised))
