@@ -24,7 +24,6 @@ from .groupcore import (
     IntegralAction,
     generate_group,
     subgroup_class_poset,
-    weyl_action_on_classes,
 )
 from .catalog import (
     catalog,

@@ -190,6 +190,8 @@ def _load_json(path):
 
 def _integral_from_file(doc, d_override, cap) -> IntegralAction:
     try:
+        if not isinstance(doc, dict):
+            raise ValueError("the document must be a JSON object")
         matrices = [tuple(tuple(_ledger_int(x) for x in row) for row in m)
                     for m in doc["matrices"]]
         d = d_override if d_override is not None else _ledger_int(doc.get("d", 1))
@@ -215,6 +217,8 @@ def _within_cap(group, cap):
 
 def _analytic_from_file(doc, cap):
     try:
+        if not isinstance(doc, dict):
+            raise ValueError("the document must be a JSON object")
         gens = [tuple(_ledger_int(x) for x in g) for g in doc["generators"]]
         group = AbstractGroup(gens, label=str(doc.get("name", "input")), cap=cap)
         per_class = {}

@@ -13,9 +13,10 @@ subgroup is an int bitmask over the indices (containment is
 and subgroup classes and the Weyl permutations of a subgroup's classes
 are table lookups on indices.  The subgroup lattice is built class by
 class from joins of class representatives with single elements, as one
-:class:`SubgroupClass` record per class, which is all that its readers
-see of it.  The public methods still take and return elements (matrices
-or permutation tuples) and frozensets of them.  Orders stay below a
+:class:`SubgroupClass` record per class, with R's cosets in N(R) grouped
+once as index tuples; the records are all that their readers see of it.
+Only the public methods take and return elements (matrices or
+permutation tuples) and frozensets of them.  Orders stay below a
 configurable cap (default 10000); the catalog's actions have order at
 most 720.
 """
@@ -186,12 +187,10 @@ class FiniteGroup:
                 coset_of.update((row[h], i) for h in members)
         return coset_of
 
-    def _cosets(self, sub: int, within: int) -> tuple[tuple, ...]:
-        """Left cosets of ``sub`` inside ``within``, as in :meth:`cosets`."""
-        coset_of, out = self._coset_of(sub, within), {}
-        for g in sorted(coset_of):
-            out.setdefault(coset_of[g], []).append(self.elements[g])
-        return tuple(tuple(out[i]) for i in range(len(out)))
+    def _cosets(self, sub: int, within: int) -> tuple[tuple[int, ...], ...]:
+        """Left cosets of ``sub`` inside ``within`` as sorted index tuples,
+        numbered as by :meth:`_coset_of`."""
+        return _grouped(self._coset_of(sub, within))
 
     @cached_property
     def _lattice(self) -> tuple[SubgroupClass, ...]:
@@ -302,11 +301,13 @@ class FiniteGroup:
                                 [self._index_of[g] for g in self.generators])
 
     def class_index(self, g) -> int:
-        return self._class_of[g]
+        return self._class_number[self._index_of[g]]
 
     @cached_property
-    def _class_of(self) -> dict:
-        return {h: i for i, cls in enumerate(self.conjugacy_classes()) for h in cls}
+    def _class_number(self) -> list[int]:
+        """The number of each element's conjugacy class, by element index."""
+        pairs = sorted((h, i) for i, cls in enumerate(self._classes) for h in cls)
+        return [i for _, i in pairs]
 
     def class_representatives(self) -> tuple:
         return tuple(cls[0] for cls in self.conjugacy_classes())
@@ -334,7 +335,8 @@ class FiniteGroup:
         first, the rest are ordered by smallest member.
         """
         ambient = (1 << len(self.elements)) - 1 if within is None else self._mask(within)
-        return self._cosets(self._mask(sub), ambient)
+        return tuple(tuple(map(self.elements.__getitem__, coset))
+                     for coset in self._cosets(self._mask(sub), ambient))
 
     def is_subgroup(self, sub) -> bool:
         try:
@@ -362,6 +364,15 @@ def _mask_order(a: int, b: int) -> int:
 
 
 _mask_key = cmp_to_key(_mask_order)
+
+
+def _grouped(coset_of: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The cosets numbered by a :meth:`FiniteGroup._coset_of` map, as sorted
+    index tuples in the order of their numbers."""
+    cosets = [[] for _ in range(max(coset_of.values()) + 1)]
+    for g in sorted(coset_of):
+        cosets[coset_of[g]].append(g)
+    return tuple(map(tuple, cosets))
 
 
 def _permuted(mask: int, perm) -> int:
@@ -403,12 +414,13 @@ class IntegralAction(FiniteGroup):
         gens = tuple(tuple(tuple(int(x) for x in row) for row in g) for g in generators)
         if not gens:
             raise NonInvertible("need at least one generator")
-        r = len(gens[0])
+        r, dets = len(gens[0]), []
         for g in gens:
             if len(g) != r or any(len(row) != r for row in g):
                 raise NonInvertible("generators must be square of equal size")
-            if mat_det(g) not in (1, -1):
-                raise NonInvertible(f"generator has determinant {mat_det(g)}")
+            dets.append(mat_det(g))
+            if dets[-1] not in (1, -1):
+                raise NonInvertible(f"generator has determinant {dets[-1]}")
         if d < 1:
             raise ValueError("d must be a positive integer")
         self.generators = gens
@@ -417,7 +429,7 @@ class IntegralAction(FiniteGroup):
         self.r = r
         self.d = d
         self.label = label or f"group of order {self.order} in GL({r},Z)"
-        self.special = all(mat_det(g) == 1 for g in gens)
+        self.special = all(det == 1 for det in dets)
         if special and not self.special:
             raise SpecialityViolation(
                 "determinant -1 element in an action declared special"
@@ -514,6 +526,16 @@ class SubgroupClass:
                 f"{norm.bit_count()} in a group of order {group.order}")
 
     @cached_property
+    def coset_of(self) -> dict[int, int]:
+        """Each index in N(R) mapped to the number of its R-coset, R's first."""
+        return self.group._coset_of(self.mask, self.norm)
+
+    @cached_property
+    def cosets(self) -> tuple[tuple[int, ...], ...]:
+        """The Weyl cosets of R in N(R) as sorted index tuples, by number."""
+        return _grouped(self.coset_of)
+
+    @cached_property
     def representative(self) -> frozenset:
         return self.group._set(self.mask)
 
@@ -523,84 +545,34 @@ class SubgroupClass:
 
     @cached_property
     def weyl_cosets(self) -> tuple[tuple, ...]:
-        return self.group._cosets(self.mask, self.norm)
+        """``cosets`` as tuples of elements."""
+        return tuple(tuple(map(self.group.elements.__getitem__, c)) for c in self.cosets)
 
     def __repr__(self):
         return (f"SubgroupClass(order={self.order}, size={self.size}, "
                 f"weyl_order={self.norm.bit_count() // self.order})")
 
 
-class SubgroupClassPoset:
-    """Conjugacy classes of subgroups, ordered by subconjugacy: a view of
-    the group's :meth:`~FiniteGroup._lattice` records.
-
-    ``classes`` are sorted by (order, sorted representative), so
-    ``classes[0]`` is the trivial group.  ``leq[i][j]`` says class i is
-    subconjugate to class j (some member of class i is contained in some
-    member of class j).
-    """
-
-    def __init__(self, group: FiniteGroup):
-        self.group, self.classes = group, group._lattice
-
-    @cached_property
-    def leq(self):
-        """The subconjugacy matrix, built when first read."""
-        leq = tuple(tuple(any(not sub & ~other.mask for sub in cls.members)
-                          for other in self.classes) for cls in self.classes)
-        if not all(leq[i][i] for i in range(len(leq))):
-            raise ConsistencyError("subconjugacy is not reflexive")
-        return leq
-
-    def __len__(self):
-        return len(self.classes)
-
-    def class_of(self, sub: frozenset) -> int:
-        """Index of the class containing the subgroup."""
-        try:
-            mask = self.group._mask(sub)
-            return next(i for i, cls in enumerate(self.classes)
-                        if cls.order == mask.bit_count() and mask in cls.members)
-        except (KeyError, StopIteration):
-            raise ValueError("not a subgroup of this group") from None
-
-
-def subgroup_class_poset(group: FiniteGroup) -> SubgroupClassPoset:
-    """The poset of conjugacy classes of subgroups.
+def subgroup_class_poset(group: FiniteGroup) -> tuple[SubgroupClass, ...]:
+    """The conjugacy classes of subgroups, as the group's
+    :meth:`~FiniteGroup._lattice` records: sorted by (order, sorted
+    representative), so the trivial group comes first.
 
     >>> s3 = generate_group([((-1, 1), (0, 1)), ((0, -1), (-1, 0))])
     >>> len(subgroup_class_poset(s3))
     4
     """
-    return SubgroupClassPoset(group)
+    return group._lattice
 
 
-def weyl_action_on_classes(group: FiniteGroup, sub: frozenset):
-    """Permutation action of N(H)/H on the element classes of H.
-
-    Returns ``(cosets, class_reps, perms)`` where ``perms[i]`` is the
-    permutation of H's conjugacy classes induced by ``cosets[i]``, over
-    the whole normalizer of H.
-    """
-    if not group.is_subgroup(sub):
-        raise ValueError("not a subgroup")
-    mask = group._mask(sub)
-    cosets = group._cosets(mask, group._normalizer(mask))
-    classes, perms = _weyl_permutations(group, mask, cosets)
-    return cosets, tuple(group.elements[cls[0]] for cls in classes), perms
-
-
-def _weyl_permutations(group: FiniteGroup, mask: int, cosets):
-    """H's element classes (H conjugating) and, per coset, their permutation
-    by conjugation with the coset's first element, as ``(classes, perms)``."""
+def _weyl_permutations(group: FiniteGroup, mask: int, reps):
+    """H's element classes (H conjugating) and, per index in ``reps``, their
+    permutation by conjugation with it, as ``(classes, perms)``."""
     classes = _element_classes(group, _bits(mask), _generators(group, mask))
     class_of = {h: i for i, cls in enumerate(classes) for h in cls}
-    table, perms = group._table, []
-    for coset in cosets:
-        n = group._index_of[coset[0]]
-        row, ninv = table[n], group._inv_of[n]
-        perms.append(tuple(class_of[table[row[cls[0]]][ninv]] for cls in classes))
-    return classes, tuple(perms)
+    table, inv = group._table, group._inv_of
+    return classes, tuple(tuple(class_of[table[table[n][cls[0]]][inv[n]]] for cls in classes)
+                          for n in reps)
 
 
 def _generators(group: FiniteGroup, mask: int) -> list[int]:

@@ -68,32 +68,31 @@ def fiber_poincare(subaction: IntegralAction) -> FiberPolynomial:
     >>> print(fiber_poincare(catalog("s4_standard_d2")).plain)
     1 + t^2 + 2*t^4 + t^6
     """
-    fiber = fiber_poincare_equivariant(subaction, subaction.elements, ())
+    fiber = fiber_poincare_equivariant(subaction, (1 << subaction.order) - 1, ())
     if fiber.plain(1) != len(subaction.conjugacy_classes()):
         raise ConsistencyError("fiber classes do not match the conjugacy classes")
     return fiber
 
 
-def fiber_poincare_equivariant(group: IntegralAction, sub: frozenset,
-                               weyl_cosets) -> FiberPolynomial:
+def fiber_poincare_equivariant(group: IntegralAction, mask: int, reps) -> FiberPolynomial:
     """Fiber polynomial of C^n / H with the Weyl permutation action.
 
-    ``weyl_cosets`` are cosets of H in its normalizer (tuples with a
-    representative first); the coefficient of t^(2a) in ``values[i]`` is
-    the number of age-a classes of H that coset i fixes.
+    H is the index mask ``mask``, and ``reps`` holds the index of one
+    element per coset of H in its normalizer; the coefficient of t^(2a) in
+    ``values[i]`` is the number of age-a classes of H that ``reps[i]`` fixes.
 
     >>> from .catalog import catalog
     >>> octa = catalog("octahedral_s4_sl3")
-    >>> z4 = octa.subgroup_closure([((0, -1, 0), (1, 0, 0), (0, 0, 1))])
-    >>> cosets = octa.cosets(z4, within=octa.normalizer(z4))
-    >>> fib = fiber_poincare_equivariant(octa, z4, cosets)
+    >>> z4 = octa._lattice[6]  # the quarter turns about one axis
+    >>> [octa.elements[g] for g in z4.gens]
+    [((0, -1, 0), (1, 0, 0), (0, 0, 1))]
+    >>> fib = fiber_poincare_equivariant(octa, z4.mask, [c[0] for c in z4.cosets])
     >>> print(fib.plain); print(fib.values[1])
     1 + 3*t^2
     1 + t^2
     """
-    classes, perms = _weyl_permutations(group, group._mask(sub), weyl_cosets)
-    ages = _class_ages(group, [group.class_index(group.elements[cls[0]])
-                               for cls in classes])
+    classes, perms = _weyl_permutations(group, mask, reps)
+    ages = _class_ages(group, [group._class_number[cls[0]] for cls in classes])
 
     def graded(indices):
         coeffs = [0] * (2 * max(ages) + 1)

@@ -20,9 +20,10 @@ subgroups, with exact equivariant bookkeeping and no list of components:
   g(R, k^-1 w k), g is memoised per class representative R and Weyl class;
 * a stratum's quotient polynomial y_H averages g(H, w) over N(H), and its
   share x_H of the resolution weights each w by its trace on the McKay
-  fiber first, w taken once per Weyl class of H.  The rank, the
-  components and the orbits are the top degree of g(H, 1) over 2d and
-  the top coefficients of g(H, 1) and y_H;
+  fiber first, w taken once per Weyl class of H; the fiber takes H's mask
+  and one element index per Weyl coset.  The rank, the components and
+  the orbits are the top degree of g(H, 1) over 2d and the top
+  coefficients of g(H, 1) and y_H;
 * the orbit detail (``Stratum.orbits``) and the closure edges are built
   when first read, for the class representatives H only, in the same
   frames: a component is one z per copy, which a matrix carrying one
@@ -225,9 +226,10 @@ def _fixed_trace(action: IntegralAction, rows, w) -> IntPolynomial:
 class _Classes:
     """The traces g(R, w) per subgroup class and class of its Weyl group
     N(R)/R, and the orbit detail and closure edges built from the class
-    representatives' components; class c is the lattice record ``classes[c]``.
-    The occurring overgroups that g subtracts are the one test of a
-    component's isotropy."""
+    representatives' components; class c is the lattice record ``classes[c]``,
+    whose one grouping of R's cosets in N(R), by index, the Weyl classes,
+    the fiber and the orbits share.  The occurring overgroups that g
+    subtracts are the one test of a component's isotropy."""
 
     def __init__(self, action: IntegralAction, budget: int):
         self.action, self.budget, self.classes = action, budget, action._lattice
@@ -265,13 +267,12 @@ class _Classes:
 
     def weyl_classes(self, c):
         """The classes of N(R)/R, R the representative of class c: per class
-        an element and its R-cosets (numbered as in ``weyl_cosets``), R's
-        class first, and each element of N(R) mapped to its class.  They are
-        the orbits of the cosets under conjugation by N(R)'s generators."""
+        an element and its R-cosets (numbered as in ``cosets``), R's class
+        first, and each element of N(R) mapped to its class.  They are the
+        orbits of the cosets under conjugation by N(R)'s generators."""
         if c not in self.weyl:
             action, cls = self.action, self.classes[c]
-            table, inv = action._table, action._inv_of
-            coset_of = action._coset_of(cls.mask, cls.norm)
+            table, inv, coset_of = action._table, action._inv_of, cls.coset_of
             pairs = [(table[x], inv[x]) for x in cls.norm_gens]
             classes, orbit_of = [], {}
             for g, i in coset_of.items():
@@ -352,7 +353,7 @@ class _Classes:
                         fixed[i] |= 1 << t
             # H fixes Fix(H) pointwise, so one element per Weyl coset gives
             # the whole N(H)-action on its components
-            weyl = [self._carry(coset[0], c, c) for coset in cls.weyl_cosets]
+            weyl = [self._carry(action.elements[coset[0]], c, c) for coset in cls.cosets]
             orbits, orbit_of, starts = [], {}, []
             for start in product(range(len(zs)), repeat=2 * action.d):
                 if start in orbit_of or reduce(and_, map(fixed.__getitem__, start)):
@@ -446,12 +447,12 @@ def stratify(action: IntegralAction,
         top = classes.g(c, action._e)
         if not top:
             continue  # no point has isotropy exactly H
-        subgroup, weyl_cosets, order = cls.representative, cls.weyl_cosets, cls.order
+        order, weyl_order = cls.order, len(cls.cosets)
         label_count[order] = label_count.get(order, 0) + 1
         suffix = chr(ord("a") + label_count[order] - 1)
         label = "1" if order == 1 else f"o{order}{suffix}"
         fiber = classes.fibers[c] = fiber_poincare_equivariant(
-            action, subgroup, weyl_cosets)
+            action, cls.mask, [coset[0] for coset in cls.cosets])
         if order > 1 and not fiber.plain[2]:
             raise TerminalStratum(
                 f"stratum {label} has no junior class: its isotropy of order "
@@ -461,10 +462,10 @@ def stratify(action: IntegralAction,
             trace = len(cosets) * order * classes.g(c, w)
             y_sum = y_sum + trace
             x_sum = x_sum + trace * fiber.values[cosets[0]]
-        normalizer_order = order * len(weyl_cosets)
+        normalizer_order = order * weyl_order
         y_poly = _average(y_sum, normalizer_order)
         strata.append(Stratum(
-            subgroup, label, cls.size, len(weyl_cosets), top.degree // power,
+            cls.representative, label, cls.size, weyl_order, top.degree // power,
             top[top.degree], y_poly[top.degree], y_poly, _average(x_sum, normalizer_order),
             fiber.plain, classes, c,
         ))

@@ -86,7 +86,7 @@ class AnalyticEigenData:
             exact, power, entries = {}, g, []
             for k in range(1, orders[g] + 1):  # power is g^k
                 if orders[g] % k == 0:
-                    fixed = action.r - ranks[action.class_index(action.elements[power])]
+                    fixed = action.r - ranks[action._class_number[power]]
                     exact[k] = fixed - sum(n for j, n in exact.items() if k % j == 0)
                     roots = [Fraction(a, k) for a in range(k) if gcd(a, k) == 1]
                     entries += roots * (exact[k] // len(roots) * action.d)

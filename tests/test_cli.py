@@ -424,7 +424,7 @@ class TestMainEntryPoint:
 
         action = catalog("s4_standard_d2")
         largest = max(len(fix_locus(action, c.representative))
-                      for c in subgroup_class_poset(action).classes)
+                      for c in subgroup_class_poset(action))
         assert largest == 256
         args = ["--catalog", "s4_standard_d2", "--max-enumeration"]
         assert main(args + [str(largest - 1)]) == 2
@@ -488,11 +488,17 @@ class TestMainEntryPoint:
             {"unknowns": {"a": [0, 300], "b": [0, 300], "c": [0, 300]}}]),
          f"counting search of {301 ** 3} assignments exceeds budget "
          f"{DEFAULT_ENUMERATION_BUDGET} (set by --max-enumeration)"),
+        # these used to report Python's type errors on indexing
+        ("integral", [], "bad integral spec: the document must be a JSON object"),
+        ("integral", "text", "bad integral spec: the document must be a JSON object"),
+        ("analytic", [], "bad analytic spec: the document must be a JSON object"),
+        ("analytic", "text", "bad analytic spec: the document must be a JSON object"),
     ], ids=["special_text", "special_number", "exponent_zero_denominator",
             "constraint_unknown_condition", "constraint_empty_range",
             "constraint_power_of_one", "constraint_conditions_list",
             "constraints_not_a_list", "constraint_undeclared_unknown",
-            "constraint_over_budget"])
+            "constraint_over_budget", "integral_list", "integral_string",
+            "analytic_list", "analytic_string"])
     def test_bad_document_exit_two(self, mode, doc, message, tmp_path):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))

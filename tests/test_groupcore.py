@@ -30,9 +30,10 @@ from kummer.groupcore import (
     subgroup_class_poset,
     _bits,
     _mask_key,
-    weyl_action_on_classes,
+    _weyl_permutations,
 )
 from kummer.toruslat import orbifold_euler
+from lattice_reference import class_of, subconjugacy, weyl_reps
 from trace_reference import trace_exponents
 
 import itertools
@@ -91,22 +92,22 @@ class TestConjugacyClasses:
 
 class TestSubgroupPoset:
     def test_s3_four_classes(self):
-        poset = subgroup_class_poset(standard_sn(3, d=2))
-        assert [c.order for c in poset.classes] == [1, 2, 3, 6]
-        assert [c.size for c in poset.classes] == [1, 3, 1, 1]
+        classes = subgroup_class_poset(standard_sn(3, d=2))
+        assert [c.order for c in classes] == [1, 2, 3, 6]
+        assert [c.size for c in classes] == [1, 3, 1, 1]
 
     def test_z6_divisor_classes(self):
-        poset = subgroup_class_poset(catalog("z6_sl2"))
-        assert [c.order for c in poset.classes] == [1, 2, 3, 6]
-        assert all(c.size == 1 for c in poset.classes)
+        classes = subgroup_class_poset(catalog("z6_sl2"))
+        assert [c.order for c in classes] == [1, 2, 3, 6]
+        assert all(c.size == 1 for c in classes)
 
     def test_binary_tetrahedral_lattice(self):
         group = binary_tetrahedral_group()
-        poset = subgroup_class_poset(group)
-        profile = [(c.order, c.size) for c in poset.classes]
+        classes = subgroup_class_poset(group)
+        profile = [(c.order, c.size) for c in classes]
         assert profile == [(1, 1), (2, 1), (3, 4), (4, 3), (6, 4), (8, 1), (24, 1)]
-        by_order = {c.order: i for i, c in enumerate(poset.classes)}
-        leq = poset.leq
+        by_order = {c.order: i for i, c in enumerate(classes)}
+        leq = subconjugacy(group)
         # chains: Z3 < Z6 < T and Z4 < Q8; the involution is central, inside
         # every subgroup of order not equal to 3
         assert leq[by_order[3]][by_order[6]]
@@ -120,14 +121,15 @@ class TestSubgroupPoset:
     def test_orbit_stabilizer_and_extremes(self):
         for name in ["octahedral_s4_sl3", "d8_b2"]:
             g = catalog(name)
-            poset = subgroup_class_poset(g)
-            for c in poset.classes:
+            classes = subgroup_class_poset(g)
+            for c in classes:
                 assert c.size * len(c.normalizer) == g.order
-            assert poset.classes[0].order == 1
-            assert poset.classes[-1].order == g.order
-            for i in range(len(poset.classes)):
-                assert poset.leq[0][i]
-                assert poset.leq[i][-1]
+            assert classes[0].order == 1
+            assert classes[-1].order == g.order
+            leq = subconjugacy(g)
+            for i in range(len(classes)):
+                assert leq[0][i]
+                assert leq[i][-1]
 
 
     @pytest.mark.parametrize("make, count", [
@@ -145,16 +147,16 @@ class TestSubgroupPoset:
 
     def test_class_of_is_the_conjugacy_class(self):
         octa = catalog("octahedral_s4_sl3")
-        poset = subgroup_class_poset(octa)
-        sizes = [0] * len(poset)
+        classes = subgroup_class_poset(octa)
+        sizes = [0] * len(classes)
         for sub in octa.all_subgroups():
-            i = poset.class_of(sub)
+            i = class_of(octa, sub)
             sizes[i] += 1
-            rep = poset.classes[i].representative
+            rep = classes[i].representative
             assert any(octa.conjugate_subgroup(sub, g) == rep for g in octa.elements)
-        assert sizes == [c.size for c in poset.classes]
+        assert sizes == [c.size for c in classes]
         with pytest.raises(ValueError):
-            poset.class_of(frozenset({octa.identity, octa.generators[1]}))
+            class_of(octa, frozenset({octa.identity, octa.generators[1]}))
 
 
 def _as_matrix(g):
@@ -332,9 +334,9 @@ class TestHeavyLattices:
 
     def test_standard_s5(self):
         group = standard_sn(5, d=2)
-        poset = subgroup_class_poset(group)
+        classes = subgroup_class_poset(group)
         assert len(group.all_subgroups()) == 156
-        assert [(c.order, c.size) for c in poset.classes] == [
+        assert [(c.order, c.size) for c in classes] == [
             (1, 1), (2, 10), (2, 15), (3, 10), (4, 15), (4, 15), (4, 5), (5, 6),
             (6, 10), (6, 10), (6, 10), (8, 15), (10, 6), (12, 10), (12, 5),
             (20, 6), (24, 5), (60, 1), (120, 1),
@@ -342,10 +344,10 @@ class TestHeavyLattices:
 
     def test_wreath_3(self):
         group = wreath(3, 2, d=2)
-        poset = subgroup_class_poset(group)
+        classes = subgroup_class_poset(group)
         assert len(group.all_subgroups()) == 98
-        assert len(poset) == 33
-        assert sum(c.size for c in poset.classes) == 98
+        assert len(classes) == 33
+        assert sum(c.size for c in classes) == 98
 
     @pytest.mark.parametrize("make, count, classes", [
         (lambda: standard_sn(6, d=2), 1455, 56),
@@ -353,35 +355,36 @@ class TestHeavyLattices:
     ], ids=["standard_s6", "wreath_4"])
     def test_next_sizes(self, make, count, classes):
         group = make()
-        poset = subgroup_class_poset(group)
+        records = subgroup_class_poset(group)
         assert len(group.all_subgroups()) == count
-        assert len(poset) == classes
-        assert sum(c.size for c in poset.classes) == count
+        assert len(records) == classes
+        assert sum(c.size for c in records) == count
 
 
 class TestWeylAction:
     def test_z4_in_octahedral(self):
         octa = catalog("octahedral_s4_sl3")
-        z4 = octa.subgroup_closure([((0, -1, 0), (1, 0, 0), (0, 0, 1))])
-        _, reps, perms = weyl_action_on_classes(octa, z4)
+        z4 = octa._mask(octa.subgroup_closure([((0, -1, 0), (1, 0, 0), (0, 0, 1))]))
+        classes, perms = _weyl_permutations(octa, z4, weyl_reps(octa, z4))
         assert len(perms) == 2
-        orders = [octa.element_order(r) for r in reps]
+        orders = [octa.element_order(octa.elements[cls[0]]) for cls in classes]
         assert orders == [1, 2, 4, 4]
         assert perms[0] == (0, 1, 2, 3)
         assert perms[1] == (0, 1, 3, 2)  # swaps the two order-4 classes
 
     def test_z3_in_octahedral(self):
         octa = catalog("octahedral_s4_sl3")
-        z3 = octa.subgroup_closure([((0, 0, 1), (1, 0, 0), (0, 1, 0))])
-        _, _, perms = weyl_action_on_classes(octa, z3)
+        z3 = octa._mask(octa.subgroup_closure([((0, 0, 1), (1, 0, 0), (0, 1, 0))]))
+        _, perms = _weyl_permutations(octa, z3, weyl_reps(octa, z3))
         assert perms[1] == (0, 2, 1)
 
     def test_self_normalizing_trivial_action(self):
         s3 = standard_sn(3, d=2)
         transposition = standard_rep_matrix((1, 0, 2), 3)
-        sub = s3.subgroup_closure([transposition])
-        cosets, _, perms = weyl_action_on_classes(s3, sub)
-        assert len(cosets) == 1
+        sub = s3._mask(s3.subgroup_closure([transposition]))
+        reps = weyl_reps(s3, sub)
+        _, perms = _weyl_permutations(s3, sub, reps)
+        assert len(reps) == 1
         assert perms == ((0, 1),)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from kummer.catalog import catalog, integral_catalog_actions, standard_sn
 from kummer.exactalg import IntPolynomial, identity_matrix, mat_mul
-from kummer.groupcore import generate_group, weyl_action_on_classes
+from kummer.groupcore import _weyl_permutations, generate_group
 from kummer.mckay import (
     NonIntegerAge,
     PartitionData,
@@ -14,6 +14,7 @@ from kummer.mckay import (
     partitions,
     young_fiber,
 )
+from lattice_reference import weyl_reps
 from trace_reference import trace_exponents
 
 
@@ -48,9 +49,8 @@ class TestFiberPoincare:
     def test_gorenstein_subgroup_of_a_non_gorenstein_group(self):
         # only the classes of H are graded: the flip's age 1/2 is outside H
         group = generate_group([((0, 1), (1, 0)), ((-1, 0), (0, -1))], d=1)
-        minus = group.subgroup_closure([((-1, 0), (0, -1))])
-        cosets = group.cosets(minus, within=group.normalizer(minus))
-        fib = fiber_poincare_equivariant(group, minus, cosets)
+        minus = group._mask(group.subgroup_closure([((-1, 0), (0, -1))]))
+        fib = fiber_poincare_equivariant(group, minus, weyl_reps(group, minus))
         assert fib.plain == IntPolynomial([1, 0, 1])
 
 
@@ -68,33 +68,29 @@ class TestIntegerAges:
 class TestEquivariantFiber:
     def test_z4_weyl_character(self):
         octa = catalog("octahedral_s4_sl3")
-        z4 = octa.subgroup_closure([((0, -1, 0), (1, 0, 0), (0, 0, 1))])
-        cosets = octa.cosets(z4, within=octa.normalizer(z4))
-        fib = fiber_poincare_equivariant(octa, z4, cosets)
+        z4 = octa._mask(octa.subgroup_closure([((0, -1, 0), (1, 0, 0), (0, 0, 1))]))
+        fib = fiber_poincare_equivariant(octa, z4, weyl_reps(octa, z4))
         assert fib.plain == IntPolynomial([1, 0, 3])
         assert fib.values[1] == IntPolynomial([1, 0, 1])  # 2 + sign at degree 2
 
     def test_z3_weyl_character(self):
         octa = catalog("octahedral_s4_sl3")
-        z3 = octa.subgroup_closure([((0, 0, 1), (1, 0, 0), (0, 1, 0))])
-        cosets = octa.cosets(z3, within=octa.normalizer(z3))
-        fib = fiber_poincare_equivariant(octa, z3, cosets)
+        z3 = octa._mask(octa.subgroup_closure([((0, 0, 1), (1, 0, 0), (0, 1, 0))]))
+        fib = fiber_poincare_equivariant(octa, z3, weyl_reps(octa, z3))
         assert fib.plain == IntPolynomial([1, 0, 2])
         assert fib.values[1] == IntPolynomial([1])  # 1 + sign at degree 2
 
     def test_trivial_weyl_is_plain(self):
         s3 = standard_sn(3, d=2)
-        sub = s3.subgroup_closure([s3.generators[0]])
-        cosets = s3.cosets(sub, within=s3.normalizer(sub))
-        fib = fiber_poincare_equivariant(s3, sub, cosets)
+        sub = s3._mask(s3.subgroup_closure([s3.generators[0]]))
+        fib = fiber_poincare_equivariant(s3, sub, weyl_reps(s3, sub))
         assert len(fib.values) == 1
         assert fib.values[0] == fib.plain
 
     def test_characters_are_bounded_counts(self):
         octa = catalog("octahedral_s4_sl3")
-        z4 = octa.subgroup_closure([((0, -1, 0), (1, 0, 0), (0, 0, 1))])
-        cosets = octa.cosets(z4, within=octa.normalizer(z4))
-        fib = fiber_poincare_equivariant(octa, z4, cosets)
+        z4 = octa._mask(octa.subgroup_closure([((0, -1, 0), (1, 0, 0), (0, 0, 1))]))
+        fib = fiber_poincare_equivariant(octa, z4, weyl_reps(octa, z4))
         for character in fib.values:
             for degree, value in enumerate(character.coeffs):
                 assert 0 <= value <= fib.plain[degree]
@@ -137,13 +133,16 @@ def test_weyl_traces_match_a_matrix_reference(actions, reports):
     # every isotropy class occurring in the five acceptance actions
     for name, action in actions.items():
         for stratum in reports[name].strata:
-            sub = stratum.isotropy
-            cosets, reps, perms = weyl_action_on_classes(action, sub)
+            sub, mask = stratum.isotropy, action._mask(stratum.isotropy)
+            cosets = action.cosets(sub, within=action.normalizer(sub))
+            reps = [action._index_of[coset[0]] for coset in cosets]
+            classes, perms = _weyl_permutations(action, mask, reps)
             plain, values = reference_fixed_classes(action, sub, cosets)
-            fib = fiber_poincare_equivariant(action, sub, cosets)
+            fib = fiber_poincare_equivariant(action, mask, reps)
             assert fib.plain == plain, name
             assert list(fib.values) == values, name
-            rep_ages = [int(sum(trace_exponents(r, action.d))) for r in reps]
+            rep_ages = [int(sum(trace_exponents(action.elements[cls[0]], action.d)))
+                        for cls in classes]
             assert [graded(a for j, a in enumerate(rep_ages) if perm[j] == j)
                     for perm in perms] == values, name
 

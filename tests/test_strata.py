@@ -17,8 +17,9 @@ from kummer.exactalg import (
     smith_normal_form,
 )
 from kummer.groupcore import (
-    _bits, _element_classes, generate_group, subgroup_class_poset,
+    FiniteGroup, _bits, _element_classes, generate_group, subgroup_class_poset,
 )
+from lattice_reference import class_of
 from kummer.mckay import NonIntegerAge
 from kummer.strata import (
     MalformedLedger, TerminalStratum, _Classes, _fixed_trace, assemble_from_ledger,
@@ -306,9 +307,8 @@ class TestArrangement:
         # under intersection
         for name, action in actions.items():
             family = arrangement(action)
-            poset = subgroup_class_poset(action)
-            counts = Counter(poset.class_of(h) for _, h in family.values())
-            assert counts == {poset.class_of(s.isotropy): s.class_size * s.component_count
+            counts = Counter(class_of(action, h) for _, h in family.values())
+            assert counts == {class_of(action, s.isotropy): s.class_size * s.component_count
                               for s in reports[name].strata}, name
             if name in ("d8_b2", "s3_standard_d2"):
                 positive = [t for t, _ in family.values() if t.rank > 0]
@@ -385,7 +385,7 @@ class TestLatticeConstruction:
         strata._frame.cache_clear()
         stratify(action)
         expected = {_row_lattice(action, c.representative)
-                    for c in subgroup_class_poset(action).classes} - {()}
+                    for c in subgroup_class_poset(action)} - {()}
         assert len(frames) == len(set(frames)) == len(expected) <= lattices
         assert set(frames) == expected
 
@@ -486,10 +486,10 @@ class TestPerNormalWork:
         # closed under the images apply_matrix builds by every element of N(H)
         ranks = set()
         for name, report in all_reports.items():
-            poset = subgroup_class_poset(report.action)
+            classes = subgroup_class_poset(report.action)
             for s in report.strata:
                 ranks.add(s.rank)
-                normalizer = poset.classes[poset.class_of(s.isotropy)].normalizer
+                normalizer = classes[class_of(report.action, s.isotropy)].normalizer
                 for o in s.orbits:
                     members = [subtorus(report.action, s.isotropy, m) for m in o.members]
                     assert {m.apply_matrix(n).key for m in members
@@ -549,7 +549,7 @@ class TestPerNormalWork:
         # the public matrix keeps its ValueError; the trace on a fixed locus
         # that the element moves is an internal inconsistency
         action = actions["octahedral_s4_sl3"]
-        sub = next(cls.representative for cls in subgroup_class_poset(action).classes
+        sub = next(cls.representative for cls in subgroup_class_poset(action)
                    if fix_locus(action, cls.representative)[0].rank == 1)
         t = fix_locus(action, sub)[0]
         g = next(g for g in action.elements if t.apply_matrix(g).normal != t.normal)
@@ -627,9 +627,9 @@ class TestStratumLoop:
         s5 = standard_sn(5, 2)
         for name, report in {**all_reports, s5.label: stratify(s5)}.items():
             family = arrangement(report.action)
-            poset = subgroup_class_poset(report.action)
+            classes = subgroup_class_poset(report.action)
             for s in report.strata:
-                cls = poset.classes[poset.class_of(s.isotropy)]
+                cls = classes[class_of(report.action, s.isotropy)]
                 members = [t for t, h in family.values() if h == s.isotropy]
                 got = [[subtorus(report.action, s.isotropy, m).key for m in o.members]
                        for o in s.orbits]
@@ -638,6 +638,21 @@ class TestStratumLoop:
                     rep = subtorus(report.action, s.isotropy, o.representative)
                     stab = [c for c in cls.weyl_cosets if rep.apply_matrix(c[0]) == rep]
                     assert list(o.stabilizer_cosets) == stab, (name, s.label)
+
+    def test_weyl_cosets_are_grouped_once_per_stratum(self, monkeypatch):
+        # s4_standard_d2 has 5 strata: each one's cosets in N(R) are grouped
+        # once for its fiber, its Weyl classes and its orbits, and no
+        # subgroup is read back from a set of elements
+        action, calls = catalog("s4_standard_d2"), Counter()
+        for name in ("_coset_of", "_mask"):
+            def counted(self, *args, name=name, method=getattr(FiniteGroup, name)):
+                calls[name] += 1
+                return method(self, *args)
+            monkeypatch.setattr(FiniteGroup, name, counted)
+        report = stratify(action)
+        report.closure_edges  # reads every stratum's orbits
+        assert len(report.strata) == 5
+        assert (calls["_coset_of"], calls["_mask"]) == (5, 0)
 
     def test_one_trace_per_fixed_pair(self, monkeypatch):
         # g is memoised per (subgroup class, conjugacy class of its Weyl
@@ -731,7 +746,7 @@ class TestStratumLoop:
         # generated by its symplectic reflections, rank(1 - h) = 1, as
         # Verbitsky's theorem needs; their orbits and edges are checked too
         b3, ident = wreath(3, 2, 2), identity_matrix(3)
-        classes = subgroup_class_poset(b3).classes[1:]
+        classes = subgroup_class_poset(b3)[1:]
         reports = []
         for cls in classes:
             action = b3.restrict(cls.representative)
@@ -753,7 +768,7 @@ class TestStratumLoop:
         report = stratify(catalog("z6_sl2"))
         (s,) = report.stratum_by(order=2)
         cls = report._classes.classes[s._index]
-        cls.weyl_cosets += cls.weyl_cosets[1:2]
+        cls.cosets += cls.cosets[1:2]
         with pytest.raises(ConsistencyError, match="orbit of size 3 and stabilizer "
                            "of order 1 in a Weyl group of order 4"):
             s.orbits
@@ -865,7 +880,7 @@ class TestShortcuts:
     @pytest.mark.parametrize("action", integral_catalog_actions(),
                              ids=lambda a: f"{a.label}_d{a.d}")
     def test_identity_trace_is_the_generic_formula(self, action):
-        for cls in subgroup_class_poset(action).classes:
+        for cls in subgroup_class_poset(action):
             rows = _row_lattice(action, cls.representative)
             assert _fixed_trace(action, rows, action.identity) == generic_trace(
                 action, rows, action.identity)
@@ -988,7 +1003,7 @@ except ConsistencyError:
 report = strata.stratify(catalog("z6_sl2"))
 (s,) = report.stratum_by(order=2)
 cls = report._classes.classes[s._index]
-cls.weyl_cosets += cls.weyl_cosets[1:2]
+cls.cosets += cls.cosets[1:2]
 try:  # a Weyl coset listed twice
     s.orbits
 except ConsistencyError:
