@@ -150,10 +150,7 @@ def binary_tetrahedral_eigendata():
         3: (Fraction(0), Fraction(0), third, 2 * third),
         6: (sixth, half, half, 5 * sixth),
     }
-    data = []
-    for rep in group.class_representatives():
-        data.append(tuple(sorted(by_order[group.element_order(rep)])))
-    return group, tuple(data)
+    return group, tuple(tuple(sorted(by_order[cls.order])) for cls in group._classes)
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +274,3 @@ ACCEPTANCE_ACTIONS = (
     ("d8_b2", 2),
 )
 """The five integral actions exercised by the full verification suite."""
-
-
-def integral_catalog_actions():
-    """Deduplicated list of all integral catalog actions at default d."""
-    seen = {}
-    for name in sorted(_ENTRIES):
-        entry = _ENTRIES[name]
-        if entry.kind != "integral":
-            continue
-        action = entry.build()
-        key = (action.elements, action.d)
-        if key not in seen:
-            seen[key] = action
-    return tuple(seen.values())

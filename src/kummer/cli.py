@@ -20,9 +20,7 @@ from .catalog import (
     catalog_kind,
     list_catalog as catalog_listing,
 )
-from .exactalg import (
-    ConsistencyError, IntPolynomial, mat_sub, identity_matrix, smith_normal_form,
-)
+from .exactalg import ConsistencyError, IntPolynomial
 from .groupcore import (
     DEFAULT_ORDER_CAP,
     AbstractGroup,
@@ -356,12 +354,10 @@ def _run_integral(job: JobSpec) -> Report:
         _check("euler_cross_check", resolution(-1), euler),
     ]
     if job.oracle is not None:
-        oracle = torsion_oracle(action, job.oracle, budget=job.max_enumeration)
-        ident, mism = identity_matrix(action.r), []
-        forms = [smith_normal_form(mat_sub(ident, g))  # the count is a class function
-                 for g in action.class_representatives()]
-        by_class = [(math.prod(math.gcd(dv, job.oracle) for dv in snf.divisors)
-                     * job.oracle ** (action.r - snf.rank)) ** (2 * action.d) for snf in forms]
+        oracle, mism = torsion_oracle(action, job.oracle, budget=job.max_enumeration), []
+        by_class = [(math.prod(math.gcd(dv, job.oracle) for dv in cls.smith.divisors)
+                     * job.oracle ** (action.r - cls.smith.rank)) ** (2 * action.d)
+                    for cls in action._classes]  # the count is a class function
         for g in action.elements:
             predicted = by_class[action.class_index(g)]
             if oracle[g] != predicted:

@@ -134,10 +134,6 @@ class IntPolynomial:
     def one(cls):
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, degree, coefficient=1):
-        return cls((0,) * degree + (coefficient,))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial having degree -1."""

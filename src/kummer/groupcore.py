@@ -11,8 +11,12 @@ of its rows' places in that orbit and a product is r lookups.  A
 subgroup is an int bitmask over the indices (containment is
 ``a & ~b == 0``), and closures, conjugates, normalizers, cosets, element
 and subgroup classes and the Weyl permutations of a subgroup's classes
-are table lookups on indices.  The subgroup lattice is built class by
-class from joins of class representatives with single elements, as one
+are table lookups on indices.  Each element class is one
+:class:`ConjugacyClass` record, which every class-level number reads:
+rank(1 - g) from one Hermite form, and, on first read, the Smith form of
+1 - g and C(g), closed from the Schreier elements of the class's walk,
+with its classes.  The subgroup lattice is built class by class from
+joins of class representatives with single elements, as one
 :class:`SubgroupClass` record per class, with R's cosets in N(R) grouped
 once as index tuples; the records are all that their readers see of it.
 Only the public methods take and return elements (matrices or
@@ -33,6 +37,7 @@ from .exactalg import (
     identity_matrix,
     mat_det,
     mat_sub,
+    smith_normal_form,
 )
 
 DEFAULT_ORDER_CAP = 10_000
@@ -168,10 +173,6 @@ class FiniteGroup:
         table, gi = self._table, self._inv_of[g]
         return [table[x][gi] for x in self._table[g]]
 
-    def _centralizer(self, g: int) -> int:
-        table = self._table
-        return sum(1 << h for h, gh in enumerate(table[g]) if gh == table[h][g])
-
     def _normalizer(self, sub: int) -> int:
         table, inv, members = self._table, self._inv_of, _bits(sub)
         return sum(1 << g for g, row in enumerate(table)
@@ -282,23 +283,14 @@ class FiniteGroup:
         return self._orders[self._index_of[g]]
 
     def conjugacy_classes(self) -> tuple[tuple, ...]:
-        """Element conjugacy classes, each sorted, ordered deterministically.
-
-        Classes are sorted by (order of elements, smallest member).  The
-        orbits come from :func:`_element_classes` with the generators as
-        the conjugating set: conjugation is multiplicative, so closing
-        under the generators reaches the full class.
-        """
-        return self._class_elements
+        """The :class:`ConjugacyClass` records' members as sorted tuples of
+        elements, classes sorted by (order of elements, smallest member)."""
+        return tuple(tuple(map(self.elements.__getitem__, cls.members)) for cls in self._classes)
 
     @cached_property
-    def _class_elements(self) -> tuple[tuple, ...]:
-        return tuple(tuple(self.elements[i] for i in cls) for cls in self._classes)
-
-    @cached_property
-    def _classes(self) -> tuple[tuple[int, ...], ...]:
-        return _element_classes(self, range(len(self.elements)),
-                                [self._index_of[g] for g in self.generators])
+    def _classes(self) -> tuple[ConjugacyClass, ...]:
+        return tuple(ConjugacyClass(self, orbit) for orbit in _class_orbits(
+            self, range(len(self.elements)), [self._index_of[g] for g in self.generators]))
 
     def class_index(self, g) -> int:
         return self._class_number[self._index_of[g]]
@@ -306,7 +298,7 @@ class FiniteGroup:
     @cached_property
     def _class_number(self) -> list[int]:
         """The number of each element's conjugacy class, by element index."""
-        pairs = sorted((h, i) for i, cls in enumerate(self._classes) for h in cls)
+        pairs = sorted((h, i) for i, cls in enumerate(self._classes) for h in cls.members)
         return [i for _, i in pairs]
 
     def class_representatives(self) -> tuple:
@@ -326,7 +318,7 @@ class FiniteGroup:
                                    self._conjugation(self._index_of[g])))
 
     def normalizer(self, sub: frozenset) -> frozenset:
-        return self._set(self._normalizer(self._mask(sub)))
+        return self._set(self._normalizer(self._subgroup_mask(sub)))
 
     def cosets(self, sub: frozenset, within=None) -> tuple[tuple, ...]:
         """Left cosets of ``sub`` inside ``within`` (default: whole group).
@@ -336,7 +328,7 @@ class FiniteGroup:
         """
         ambient = (1 << len(self.elements)) - 1 if within is None else self._mask(within)
         return tuple(tuple(map(self.elements.__getitem__, coset))
-                     for coset in self._cosets(self._mask(sub), ambient))
+                     for coset in self._cosets(self._subgroup_mask(sub), ambient))
 
     def is_subgroup(self, sub) -> bool:
         try:
@@ -344,6 +336,12 @@ class FiniteGroup:
         except KeyError:
             return False
         return self._closure(_bits(mask)) == mask
+
+    def _subgroup_mask(self, sub) -> int:
+        """Bitmask of a set of elements; ``ValueError`` unless a subgroup."""
+        if not self.is_subgroup(sub):
+            raise ValueError("not a subgroup of this group")
+        return self._mask(sub)
 
 
 def _bits(mask: int) -> list[int]:
@@ -444,26 +442,10 @@ class IntegralAction(FiniteGroup):
     def _decode(self, a):
         return tuple(map(self._rows.__getitem__, a))
 
-    @cached_property
-    def _class_ranks(self) -> tuple[int, ...]:
-        """rank(1 - g) for each conjugacy class: the rows of its Hermite form."""
-        ident = identity_matrix(self.r)
-        return tuple(len(hermite_normal_form(mat_sub(ident, g), self.r))
-                     for g in self.class_representatives())
-
     def restrict(self, sub, label: str = "") -> "IntegralAction":
         """The subgroup as an IntegralAction of its own (same r, d)."""
         sub = sorted(sub)
         return IntegralAction(sub, d=self.d, label=label or f"subgroup of {self.label}")
-
-    def has_nonzero_fixed_vector(self) -> bool:
-        """Whether some nonzero lattice vector is fixed by every element."""
-        from .exactalg import kernel_basis
-
-        stacked = []
-        for g in self.generators:
-            stacked.extend(mat_sub(identity_matrix(self.r), g))
-        return len(kernel_basis(tuple(stacked), self.r)) > 0
 
     def __repr__(self):
         return f"IntegralAction({self.label!r}, order={self.order}, r={self.r}, d={self.d})"
@@ -508,6 +490,60 @@ class AbstractGroup(FiniteGroup):
 
     def __repr__(self):
         return f"AbstractGroup({self.label!r}, order={self.order})"
+
+
+class ConjugacyClass:
+    """One conjugacy class of elements: ``members`` (sorted indices), the
+    least one ``rep`` (g) with ``conjugator_of[x]`` = k for x = k g k^-1,
+    ``size`` and element ``order``.  Built on first read: the classes of
+    C(g) and, for an integral action, the ``rank`` of 1 - g from its
+    Hermite form and its ``smith`` form.  ``diff`` (1 - g) and C(g)'s
+    generators are rebuilt on each read: their readers take them once."""
+
+    def __init__(self, group, conjugator_of):
+        self.group, self.conjugator_of = group, conjugator_of
+        self.members = tuple(sorted(conjugator_of))
+        self.rep, self.size = self.members[0], len(self.members)
+        self.order = group._orders[self.rep]
+
+    @property
+    def diff(self) -> tuple:
+        """1 - g."""
+        return mat_sub(identity_matrix(self.group.r), self.group.elements[self.rep])
+
+    @cached_property
+    def rank(self) -> int:
+        return len(hermite_normal_form(self.diff, self.group.r))
+
+    @cached_property
+    def smith(self):
+        """The Smith form of 1 - g."""
+        return smith_normal_form(self.diff)
+
+    @property
+    def centralizer(self) -> tuple[int, list[int]]:
+        """C(g) as (mask, generators).  An edge x -> y = s x s^-1 of the
+        class's walk under a generator s gives the Schreier element
+        k_y^-1 s k_x of C(g), and those generate it; one is kept when it is
+        not yet in the closure of those before, as ``_lattice`` closes N(H)."""
+        group, conj = self.group, self.conjugator_of
+        table, inv = group._table, group._inv_of
+        span, gens = 1 << group._e, []
+        for s in map(group._index_of.__getitem__, group.generators):
+            row = table[s]
+            for x in self.members:
+                y = table[row[x]][inv[s]]  # s x s^-1
+                z = table[table[inv[conj[y]]][s]][conj[x]]
+                if not span >> z & 1:
+                    gens.append(z)
+                    span = group._closure(gens)
+        return span, gens
+
+    @cached_property
+    def centralizer_classes(self) -> tuple[tuple[int, ...], ...]:
+        """C(g)'s classes under its own conjugation, by :func:`_element_classes`."""
+        mask, gens = self.centralizer
+        return _element_classes(self.group, _bits(mask), gens)
 
 
 class SubgroupClass:
@@ -589,31 +625,36 @@ def _generators(group: FiniteGroup, mask: int) -> list[int]:
 
 
 def _element_classes(group: FiniteGroup, elements, conjugators) -> tuple[tuple, ...]:
-    """Orbits of the indices ``elements`` under conjugation by the indices
-    ``conjugators``.
+    """The orbits of :func:`_class_orbits` as sorted index tuples."""
+    return tuple(tuple(sorted(orbit)) for orbit in _class_orbits(group, elements, conjugators))
+
+
+def _class_orbits(group: FiniteGroup, elements, conjugators) -> list[dict[int, int]]:
+    """Orbits of the ascending indices ``elements`` under conjugation by the
+    indices ``conjugators``, each mapping a member x to a product k of
+    conjugators with x = k g k^-1, g the orbit's least member.
 
     Closing under generators of a group reaches the full class, so the
     whole group passes its generators and a subgroup a generating set of
-    its own (:func:`_generators`).  Each class is a sorted tuple of
-    indices; classes are sorted by (order of elements, smallest member).
+    its own (:func:`_generators`).  Orbits are sorted by (order of
+    elements, least member).
     """
     table = group._table
     pairs = [(table[h], group._inv_of[h]) for h in conjugators]
     seen = set()
-    classes = []
+    orbits = []
     for g in elements:
         if g in seen:
             continue
-        orbit = {g}
+        orbit = {g: group._e}
         frontier = [g]
         while frontier:
             cur = frontier.pop()
             for row, hinv in pairs:
                 c = table[row[cur]][hinv]
                 if c not in orbit:
-                    orbit.add(c)
+                    orbit[c] = row[orbit[cur]]
                     frontier.append(c)
-        seen |= orbit
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda c: (group._orders[c[0]], c[0]))
-    return tuple(classes)
+        seen |= orbit.keys()
+        orbits.append((group._orders[g], g, orbit))
+    return [orbit for _, _, orbit in sorted(orbits)]

@@ -47,7 +47,7 @@ class FiberPolynomial:
 def _class_ages(group: IntegralAction, indices) -> list[int]:
     """age(g) = d * rank(1 - g) / 2 for the conjugacy classes of the group
     with the given indices; the least fractional one is reported."""
-    twice = [group.d * group._class_ranks[i] for i in indices]
+    twice = [group.d * group._classes[i].rank for i in indices]
     if odd := [t for t in twice if t % 2]:
         raise NonIntegerAge(f"class has fractional age {Fraction(min(odd), 2)}")
     return [t // 2 for t in twice]

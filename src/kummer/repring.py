@@ -30,6 +30,6 @@ def quotient_poincare(action: IntegralAction) -> IntPolynomial:
     1 + 4*t^2 + t^4
     """
     elements, power = action.elements, 2 * action.d
-    total = sum((len(cls) * det_one_plus_t(elements[cls[0]], power)
+    total = sum((cls.size * det_one_plus_t(elements[cls.rep], power)
                  for cls in action._classes), IntPolynomial.zero())
     return _average(total, action.order)

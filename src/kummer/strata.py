@@ -268,7 +268,7 @@ class _Classes:
     def weyl_classes(self, c):
         """The classes of N(R)/R, R the representative of class c: per class
         an element and its R-cosets (numbered as in ``cosets``), R's class
-        first, and each element of N(R) mapped to its class.  They are the
+        first, and each coset's number mapped to its class.  They are the
         orbits of the cosets under conjugation by N(R)'s generators."""
         if c not in self.weyl:
             action, cls = self.action, self.classes[c]
@@ -285,14 +285,15 @@ class _Classes:
                                 orbit_of[coset_of[z]] = len(classes)
                                 orbit.append(z)
                     classes.append((g, [coset_of[y] for y in orbit]))
-            self.weyl[c] = classes, {g: orbit_of[i] for g, i in coset_of.items()}
+            self.weyl[c] = classes, orbit_of
         return self.weyl[c]
 
     def g(self, c, w) -> IntPolynomial:
         """g(R, w) for R the representative of class c and w in N(R)."""
         if c not in self.over:
             self._prepare(c)
-        key = (c, 0 if w == self.action._e else self.weyl_classes(c)[1][w])
+        key = (c, 0 if w == self.action._e
+               else self.weyl_classes(c)[1][self.classes[c].coset_of[w]])
         value = self.memo.get(key)
         if value is None:
             if not self.memo:  # before the first trace, whose degree is 2rd
@@ -439,7 +440,7 @@ def stratify(action: IntegralAction,
     >>> print(report.resolution)
     1 + 22*t^2 + t^4
     """
-    _class_ages(action, range(len(action._class_ranks)))  # before the lattice
+    _class_ages(action, range(len(action._classes)))  # before the lattice
     classes = _Classes(action, budget)
     strata, label_count, zero = [], {}, IntPolynomial.zero()
     power = 2 * action.d

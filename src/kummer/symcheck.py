@@ -41,22 +41,18 @@ class AnalyticEigenData:
     __slots__ = ("group", "exponents")
 
     def __init__(self, group: FiniteGroup, exponents):
-        classes = group.conjugacy_classes()
+        classes = group._classes
         exps = tuple(tuple(sorted(Fraction(x) for x in e)) for e in exponents)
         if len(exps) != len(classes):
             raise ValueError("one exponent multiset per conjugacy class")
         dims = {len(e) for e in exps}
         if len(dims) != 1:
             raise ValueError("all classes must act on the same dimension")
-        ident_idx = group.class_index(group.identity)
-        if any(x != 0 for x in exps[ident_idx]):
+        if any(exps[0]):  # the identity's class comes first
             raise ValueError("the identity class must have all-zero exponents")
         for cls, e in zip(classes, exps):
-            order = group.element_order(cls[0])
-            if any((x * order).denominator != 1 for x in e):
-                raise ValueError(
-                    f"exponents {e} incompatible with element order {order}"
-                )
+            if any((x * cls.order).denominator != 1 for x in e):
+                raise ValueError(f"exponents {e} incompatible with element order {cls.order}")
             # the action on H^1 is rational: each primitive k-th root of
             # unity occurs equally often in the doubled multiset
             if any(m % euler_phi(k) for k, m in _doubled_by_order(e).items()):
@@ -68,7 +64,7 @@ class AnalyticEigenData:
     def from_integral(cls, action: IntegralAction) -> "AnalyticEigenData":
         """Tangent data of an integral action: d copies of each matrix.
 
-        Read off the per-class ranks, with nothing factored: for each k
+        Read off the class records' ranks, with nothing factored: for each k
         dividing the order of g, r - rank(1 - g^k) eigenvalues of g satisfy
         x^k = 1.  Less those of exact order j for each divisor j < k of k,
         that leaves n_k of exact order k, and each primitive k-th root of
@@ -79,14 +75,13 @@ class AnalyticEigenData:
         >>> [" ".join(map(str, e)) for e in data.exponents]
         ['0 0', '1/2 1/2', '1/3 2/3', '1/3 2/3', '1/6 5/6', '1/6 5/6']
         """
-        table, orders, ranks = action._table, action._orders, action._class_ranks
-        exponents = []
-        for members in action._classes:
-            g = members[0]
+        table, classes, exponents = action._table, action._classes, []
+        for record in classes:
+            g, order = record.rep, record.order
             exact, power, entries = {}, g, []
-            for k in range(1, orders[g] + 1):  # power is g^k
-                if orders[g] % k == 0:
-                    fixed = action.r - ranks[action._class_number[power]]
+            for k in range(1, order + 1):  # power is g^k
+                if order % k == 0:
+                    fixed = action.r - classes[action._class_number[power]].rank
                     exact[k] = fixed - sum(n for j, n in exact.items() if k % j == 0)
                     roots = [Fraction(a, k) for a in range(k) if gcd(a, k) == 1]
                     entries += roots * (exact[k] // len(roots) * action.d)
@@ -244,17 +239,11 @@ def codim2_purity_report(data: AnalyticEigenData) -> PurityReport:
     The verdict flag only records whether every class is a reflection;
     finer coverage arguments belong to :func:`counting_feasibility`.
     """
-    group = data.group
     rows = []
-    for i, cls in enumerate(group.conjugacy_classes()):
-        if cls[0] == group.identity:
-            continue
-        codim = data.codimension(i)
-        res = lefschetz_count(data, cls[0])
-        rows.append(CodimRow(
-            i, group.element_order(cls[0]), len(cls), codim,
-            res.count if res.isolated else None,
-        ))
+    for i, cls in enumerate(data.group._classes[1:], 1):  # the identity's class is first
+        res = lefschetz_count(data, i)
+        rows.append(CodimRow(i, cls.order, cls.size, data.codimension(i),
+                             res.count if res.isolated else None))
     return PurityReport(tuple(rows), all(r.codimension == 2 for r in rows))
 
 

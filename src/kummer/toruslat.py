@@ -37,7 +37,7 @@ from .exactalg import (
     mat_vec,
     smith_normal_form,
 )
-from .groupcore import IntegralAction, _bits, _element_classes, _generators
+from .groupcore import IntegralAction
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -141,12 +141,6 @@ class AffineSubtorus:
         return cls(r, copies, (), 1, ((),) * copies)
 
     @classmethod
-    def from_point(cls, point_per_copy, r: int, copies: int) -> "AffineSubtorus":
-        """The single point with the given rational coordinates."""
-        den, pts = _scaled(point_per_copy)
-        return cls(r, copies, identity_matrix(r), den, pts)
-
-    @classmethod
     def from_lattice_and_translate(cls, basis_rows, translates, r: int,
                                    copies: int) -> "AffineSubtorus":
         """The translate of the lattice's subtorus by a rational point per copy."""
@@ -170,9 +164,6 @@ class AffineSubtorus:
     @property
     def rank(self) -> int:
         return self.r - len(self.normal)
-
-    def complex_dim(self, d: int) -> int:
-        return d * self.rank
 
     @property
     def shifts(self):
@@ -421,12 +412,12 @@ def torsion_oracle(action: IntegralAction, n: int,
     counts = [0] * action.order
     for cls in action._classes:
         images = {(0,) * action.r}
-        for col in zip(*mat_sub(ident, action.elements[cls[0]])):
+        for col in zip(*mat_sub(ident, action.elements[cls.rep])):
             steps = [tuple(c * x for x in col) for c in range(n)]
             images = {tuple((a + b) % n for a, b in zip(w, step))
                       for w in images for step in steps}
         count = (n ** action.r // len(images)) ** (2 * action.d)
-        for g in cls:
+        for g in cls.members:
             counts[g] = count
     return dict(zip(action.elements, counts))
 
@@ -438,40 +429,39 @@ def orbifold_euler(action: IntegralAction) -> int:
     a finite fixed set of a pair (g, h) contributes its cardinality
     |Z^r / L|^(2d), L spanned by the rows of I - g and I - h, read off the
     pivots of L's Hermite basis.  Conjugate pairs fix isomorphic sets, so
-    g runs over class representatives and h over the classes of the
+    g runs over the class records and h over the classes of the
     centralizer C(g) under conjugation by C(g) (k (g, h) k^-1 = (g, khk^-1)
-    for k in C(g)), taken along generators of C(g), each weighted by both
-    class sizes.  L has rank at most rank(1 - g) + rank(1 - h), so pairs
-    whose ranks sum below r are skipped; the ranks are the row counts of
-    the Hermite forms for g = 1, whose class comes first.  The total is
-    sum over classes of |G| * e(X^g / C(g)) (Hirzebruch-Hoefer), so it
-    must be divisible by |G|.
+    for k in C(g)), which g's record holds, each weighted by both class
+    sizes.  L has rank at most rank(1 - g) + rank(1 - h), so pairs whose
+    ranks sum below r are skipped; the ranks are the records'.  When g or
+    h is 1, the other has rank r and |Z^r / L| is its |det(I - h)|, so no
+    Hermite form is taken.  The total is sum over classes of
+    |G| * e(X^g / C(g)) (Hirzebruch-Hoefer), so it must be divisible by |G|.
 
     >>> from .catalog import catalog
     >>> orbifold_euler(catalog("z6_sl2"))
     24
     """
-    r, ident = action.r, identity_matrix(action.r)
+    r, ident, classes = action.r, identity_matrix(action.r), action._classes
     elements, total = action.elements, 0
-    rank = dict.fromkeys(range(action.order), r)  # rank(1 - h), read while g = 1
-    for cls in action._classes:
-        g = cls[0]
-        if rank[g] + max(rank.values()) < r:
+    top = max(cls.rank for cls in classes)
+    for cls in classes:
+        if cls.rank + top < r:
             continue  # no h makes a finite fixed set with g
-        diff_g = mat_sub(ident, elements[g])
-        centralizer = action._centralizer(g)
-        for hcls in _element_classes(action, _bits(centralizer),
-                                     _generators(action, centralizer)):
-            if rank[g] + rank[hcls[0]] < r:
+        diff_g = cls.diff
+        for hcls in cls.centralizer_classes:
+            h = classes[action._class_number[hcls[0]]]
+            if cls.rank + h.rank < r:
                 continue  # positive-dimensional: chi = 0
-            hnf = hermite_normal_form(diff_g + mat_sub(ident, elements[hcls[0]]), r)
-            if g == action._e:
-                rank.update(dict.fromkeys(hcls, len(hnf)))
-            if len(hnf) < r:
-                continue  # positive-dimensional: chi = 0
-            # full rank: row i's pivot sits in column i
-            index = prod(row[i] for i, row in enumerate(hnf))
-            total += len(cls) * len(hcls) * index ** (2 * action.d)
+            if not (cls.rank and h.rank):  # g or h is 1; the other has rank r
+                index = abs(mat_det(h.diff if h.rank else diff_g))
+            else:
+                hnf = hermite_normal_form(diff_g + mat_sub(ident, elements[hcls[0]]), r)
+                if len(hnf) < r:
+                    continue  # positive-dimensional: chi = 0
+                # full rank: row i's pivot sits in column i
+                index = prod(row[i] for i, row in enumerate(hnf))
+            total += cls.size * len(hcls) * index ** (2 * action.d)
     if total % action.order:
         raise ConsistencyError(
             f"fixed-point total {total} is not divisible by |G| = {action.order}"

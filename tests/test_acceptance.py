@@ -9,7 +9,6 @@ import pytest
 from kummer.catalog import (
     binary_tetrahedral_eigendata,
     catalog,
-    integral_catalog_actions,
     standard_rep_matrix,
     standard_sn,
 )
@@ -28,6 +27,7 @@ from kummer.symcheck import (
     tetrahedral_obstruction_constraint,
 )
 from kummer.toruslat import component_count, isolated_count, orbifold_euler, torsion_oracle
+from action_reference import integral_catalog_actions
 from trace_reference import trace_exponents
 
 

@@ -34,9 +34,9 @@ def _assert_input_error_under_optimize(args):
 
 # SHA-256 of the stdout of `kummer ARGS --format json`, run from the
 # repository root: every integral catalog entry that yields a report at its
-# default d, plain and --equivariant, the analytic entry and both demo
-# ledgers.  A refactor keeps these bytes; a digest changes only with a
-# deliberate change of the report.
+# default d, plain and --equivariant, two --oracle runs, the analytic entry
+# and both demo ledgers.  A refactor keeps these bytes; a digest changes
+# only with a deliberate change of the report.
 GOLDEN_REPORTS = {
     "--catalog d4_sl3":
         "0d0c7d2e4eda907a91fd89c26188a0bc395ac5f462021bdd83bc368fb038b789",
@@ -50,6 +50,8 @@ GOLDEN_REPORTS = {
         "a65deddd0f7366f7b9c02d62145440f4cf193e8c58a9cd6cce1485ee1dd95328",
     "--catalog octahedral_s4_sl3 --equivariant":
         "2090845a1a261a15245ea3c79170da3a06bca62778fba0884dc2ed76dd461b7d",
+    "--catalog octahedral_s4_sl3 --oracle 6":
+        "0207d9269653f4959cde262675ae7ee87ba64df77dad9cb6a20a471c14b3690a",
     "--catalog s3_standard":
         "edd144558501acba20441d81e315b75a5928ce538e8088aacc3afb1486b358de",
     "--catalog s3_standard --equivariant":
@@ -90,6 +92,8 @@ GOLDEN_REPORTS = {
         "7c297ad1d0d76a59745ff0a72941115078056927e21b6dc8be2cf6e2c904c1fa",
     "--catalog z6_sl2 --equivariant":
         "29b3f1e8f25eaa1f12acb087994538a6e98d0f59555cb1a3854c8af29a627ab9",
+    "--catalog z6_sl2 --oracle 6":
+        "407b8ae171c876bf0ff49a3008bfb39ccbdd37c7162172dc9249274b9917b3ef",
     "--mode analytic --catalog binary_tetrahedral":
         "48bb24c8e236d27ed981adb464121c667ba0c890f119d32237e3c4ce6885b958",
     "--mode ledger --input demos/ledgers/dihedral6_symbolic.json":
@@ -148,18 +152,19 @@ class TestIntegralRun:
         assert report.passed
 
     def test_oracle_predicts_per_class_and_compares_per_element(self, monkeypatch):
-        # one Smith form of 1 - g per conjugacy class; an element off its
-        # class's count is still listed on its own
+        # one Smith form of 1 - g per conjugacy class, the class record's;
+        # an element off its class's count is still listed on its own
         import kummer.cli as cli
+        import kummer.groupcore as groupcore
         from kummer.catalog import catalog
 
         action = catalog("octahedral_s4_sl3")
         g = next(cls[-1] for cls in action.conjugacy_classes() if len(cls) > 1)
-        oracle, snf = cli.torsion_oracle, cli.smith_normal_form
+        oracle, snf = cli.torsion_oracle, groupcore.smith_normal_form
         forms = []
         monkeypatch.setattr(cli, "torsion_oracle", lambda action, n, budget: {
             h: count + (h == g) for h, count in oracle(action, n, budget=budget).items()})
-        monkeypatch.setattr(cli, "smith_normal_form",
+        monkeypatch.setattr(groupcore, "smith_normal_form",
                             lambda rows: forms.append(rows) or snf(rows))
         report = run(JobSpec("integral", catalog_name="octahedral_s4_sl3", oracle=6))
         (check,) = [c for c in report.payload["checks"] if c["name"] == "torsion_oracle_n6"]
@@ -167,6 +172,36 @@ class TestIntegralRun:
         assert check["left"] == [[list(map(list, g)), expected + 1, expected]]
         assert not check["pass"] and not report.passed
         assert len(forms) == len(action.conjugacy_classes())
+
+    @pytest.mark.parametrize("name", ["s4_standard_d2", "octahedral_s4_sl3", "d8_b2"])
+    @pytest.mark.parametrize("oracle", [None, 6])
+    def test_a_run_takes_one_form_of_each_class(self, name, oracle, monkeypatch):
+        # the class records take the Hermite form of 1 - g, g each class's
+        # representative, once in a run (the ages and the Euler number read
+        # the rank), and its Smith form only for --oracle; the Euler number
+        # takes no Hermite form of 1 - h stacked under 1 - 1 (or over it),
+        # whose lattice is that of 1 - h alone
+        import kummer.groupcore as groupcore
+        import kummer.toruslat as toruslat
+        from kummer.catalog import catalog
+        from kummer.exactalg import identity_matrix, mat_sub
+
+        forms = {"hermite": [], "smith": [], "pairs": []}
+        for module, form, kind in ((groupcore, "hermite_normal_form", "hermite"),
+                                   (groupcore, "smith_normal_form", "smith"),
+                                   (toruslat, "hermite_normal_form", "pairs")):
+            real = getattr(module, form)
+            monkeypatch.setattr(module, form, lambda rows, *rest, _real=real, _kind=kind:
+                                forms[_kind].append(rows) or _real(rows, *rest))
+        report = run(JobSpec("integral", catalog_name=name, oracle=oracle))
+        assert report.passed
+        action = catalog(name)
+        ident, r = identity_matrix(action.r), action.r
+        diffs = [mat_sub(ident, g) for g in action.class_representatives()]
+        assert forms["hermite"] == diffs
+        assert forms["smith"] == (diffs if oracle else [])
+        assert not any(not any(map(any, rows[i:i + r]))
+                       for rows in forms["pairs"] for i in range(0, len(rows), r))
 
     def test_input_file(self, tmp_path):
         doc = {"name": "z4", "matrices": [[[0, -1], [1, 0]]], "d": 1,

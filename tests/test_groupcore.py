@@ -4,7 +4,6 @@ from kummer.catalog import (
     ACCEPTANCE_ACTIONS,
     binary_tetrahedral_group,
     catalog,
-    integral_catalog_actions,
     natural_rep_matrix,
     natural_sn,
     quotient_rep_matrix,
@@ -16,6 +15,7 @@ from kummer.catalog import (
 from kummer.exactalg import (
     char_poly,
     identity_matrix,
+    kernel_basis,
     mat_mul,
     mat_sub,
     smith_normal_form,
@@ -33,6 +33,7 @@ from kummer.groupcore import (
     _weyl_permutations,
 )
 from kummer.toruslat import orbifold_euler
+from action_reference import has_nonzero_fixed_vector, integral_catalog_actions
 from lattice_reference import class_of, subconjugacy, weyl_reps
 from trace_reference import trace_exponents
 
@@ -88,6 +89,36 @@ class TestConjugacyClasses:
             g = catalog(name)
             assert sum(len(c) for c in g.conjugacy_classes()) == g.order
             assert all(g.order % len(c) == 0 for c in g.conjugacy_classes())
+
+    @pytest.mark.parametrize("source", ["catalog", "perfbench/7"])
+    def test_records_against_brute_force(self, source, perfbench_actions):
+        # each class record's conjugators, rank and C(g)-classes against
+        # matrix products: C(g) is the commuting elements, its classes the
+        # orbits under conjugation by all of it
+        sample = (integral_catalog_actions() if source == "catalog"
+                  else perfbench_actions(7))
+        for action in sample:
+            elements, ident = action.elements, identity_matrix(action.r)
+            inverse = {a: b for a in elements for b in elements
+                       if mat_mul(a, b) == ident}
+            for cls in action._classes:
+                g = elements[cls.rep]
+                assert [elements[i] for i in cls.members] == sorted(
+                    {mat_mul(mat_mul(k, g), inverse[k]) for k in elements})
+                for x, k in cls.conjugator_of.items():
+                    assert mat_mul(mat_mul(elements[k], g), inverse[elements[k]]) == elements[x]
+                assert cls.size == len(cls.members) and cls.order == action.element_order(g)
+                assert cls.rank == action.r - len(kernel_basis(mat_sub(ident, g), action.r))
+                centralizer = [h for h in elements if mat_mul(g, h) == mat_mul(h, g)]
+                brute = {frozenset(mat_mul(mat_mul(k, h), inverse[k]) for k in centralizer)
+                         for h in centralizer}
+                got = [frozenset(elements[i] for i in hcls) for hcls in cls.centralizer_classes]
+                assert set(got) == brute and len(got) == len(brute), action.label
+                mask, gens = cls.centralizer
+                assert action._closure(gens) == mask == action._mask(centralizer)
+                assert [list(hcls) for hcls in cls.centralizer_classes] == sorted(
+                    map(sorted, cls.centralizer_classes),
+                    key=lambda c: (action._orders[c[0]], c[0]))
 
 
 class TestSubgroupPoset:
@@ -157,6 +188,21 @@ class TestSubgroupPoset:
         assert sizes == [c.size for c in classes]
         with pytest.raises(ValueError):
             class_of(octa, frozenset({octa.identity, octa.generators[1]}))
+
+    def test_set_level_methods_reject_a_non_subgroup(self):
+        # {1, g} with g of order 3 is no subgroup of Z/6: neither its cosets
+        # nor its normalizer mean anything
+        z6 = catalog("z6_sl2")
+        g = next(g for g in z6.elements if z6.element_order(g) == 3)
+        for sub in ({z6.identity, g}, {g}, set(), {z6.identity, ((2, 0), (0, 2))}):
+            assert not z6.is_subgroup(sub)
+            with pytest.raises(ValueError, match="not a subgroup"):
+                z6.cosets(frozenset(sub))
+            with pytest.raises(ValueError, match="not a subgroup"):
+                z6.normalizer(frozenset(sub))
+        three = z6.subgroup_closure([g])
+        assert [len(c) for c in z6.cosets(three)] == [3, 3]
+        assert z6.normalizer(three) == frozenset(z6.elements)
 
 
 def _as_matrix(g):
@@ -393,10 +439,10 @@ class TestCatalogRepresentations:
         s4 = standard_sn(4)
         assert s4.r == 3
         assert s4.order == 24
-        assert not s4.has_nonzero_fixed_vector()
+        assert not has_nonzero_fixed_vector(s4)
 
     def test_natural_has_fixed_vector(self):
-        assert natural_sn(3).has_nonzero_fixed_vector()
+        assert has_nonzero_fixed_vector(natural_sn(3))
 
     def test_wreath_orders(self):
         assert wreath(2, 2).order == 8

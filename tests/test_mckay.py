@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kummer.catalog import catalog, integral_catalog_actions, standard_sn
+from kummer.catalog import catalog, standard_sn
 from kummer.exactalg import IntPolynomial, identity_matrix, mat_mul
 from kummer.groupcore import _weyl_permutations, generate_group
 from kummer.mckay import (
@@ -14,6 +14,7 @@ from kummer.mckay import (
     partitions,
     young_fiber,
 )
+from action_reference import integral_catalog_actions
 from lattice_reference import weyl_reps
 from trace_reference import trace_exponents
 
@@ -60,9 +61,9 @@ class TestIntegerAges:
         grades by, equals the sum of g's eigenvalue exponents on d copies,
         taken from traces alone."""
         for action in integral_catalog_actions() + tuple(perfbench_actions(27182)):
-            for cls, rank in zip(action.conjugacy_classes(), action._class_ranks):
-                assert Fraction(action.d * rank, 2) == sum(trace_exponents(cls[0],
-                                                                           action.d))
+            for cls in action._classes:
+                assert Fraction(action.d * cls.rank, 2) == sum(trace_exponents(
+                    action.elements[cls.rep], action.d))
 
 
 class TestEquivariantFiber:

@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 from kummer.catalog import (
-    catalog, integral_catalog_actions, natural_sn, quotient_sn, standard_sn, wreath,
+    catalog, natural_sn, quotient_sn, standard_sn, wreath,
 )
 from kummer.exactalg import IntPolynomial
 from kummer.repring import quotient_poincare
-from kummer import strata, toruslat
+from kummer import groupcore, strata, toruslat
 from kummer.exactalg import (
     det_one_plus_t, hermite_normal_form, identity_matrix, mat_mul, mat_sub, mat_vec,
     smith_normal_form,
@@ -19,6 +19,7 @@ from kummer.exactalg import (
 from kummer.groupcore import (
     FiniteGroup, _bits, _element_classes, generate_group, subgroup_class_poset,
 )
+from action_reference import integral_catalog_actions
 from lattice_reference import class_of
 from kummer.mckay import NonIntegerAge
 from kummer.strata import (
@@ -808,7 +809,7 @@ def class_sum(action):
             fixed = sum(maps_to_itself(t, h) for t in locus)
             trace = trace + len(hcls) * fixed * det_one_plus_t(
                 locus[0].induced_lattice_matrix(h), power)
-        shift = IntPolynomial.monomial(2 * int(sum(trace_exponents(g, action.d))))
+        shift = IntPolynomial([0] * 2 * int(sum(trace_exponents(g, action.d))) + [1])
         total = total + (shift * trace).divide_exact(len(centralizer))
     return total
 
@@ -892,14 +893,19 @@ class TestShortcuts:
 
     def test_euler_skips_pairs_below_full_rank(self, monkeypatch):
         # natural_sn(4, 2): 21 pairs of a class and a class of its
-        # centralizer, 13 of them with ranks summing below r = 4; the 5 with
-        # g = 1 still take a Hermite form, which gives the ranks
-        action, forms = natural_sn(4, 2), []
+        # centralizer, 13 of them with ranks summing below r = 4, which no
+        # single rank reaches, so no pair with g = 1 or h = 1 is left; each
+        # of the 8 others takes a Hermite form, and the ranks are the class
+        # records', one Hermite form of 1 - g per class
+        action, forms, ranks = natural_sn(4, 2), [], []
         hnf = toruslat.hermite_normal_form
         monkeypatch.setattr(toruslat, "hermite_normal_form",
                             lambda *args: forms.append(args) or hnf(*args))
+        monkeypatch.setattr(groupcore, "hermite_normal_form",
+                            lambda *args: ranks.append(args) or hnf(*args))
         assert orbifold_euler(action) == pair_sum_euler(action)
-        assert len(forms) == 21 - 13 + 5
+        assert len(forms) == 21 - 13
+        assert len(ranks) == len(action.conjugacy_classes()) == 5
 
     @pytest.mark.parametrize("action", integral_catalog_actions(),
                              ids=lambda a: f"{a.label}_d{a.d}")
@@ -910,9 +916,11 @@ class TestShortcuts:
         # and they are the group's own classes
         classes, table, inv = _Classes(action, 10**7), action._table, action._inv_of
         for c, cls in enumerate(classes.classes):
-            weyl, class_of = classes.weyl_classes(c)
+            weyl, orbit_of = classes.weyl_classes(c)
             norm, members = _bits(cls.norm), _bits(cls.mask)
             cosets = [[action._index_of[g] for g in coset] for coset in cls.weyl_cosets]
+            assert sorted(orbit_of) == list(range(len(cosets)))
+            class_of = {x: orbit_of[cls.coset_of[x]] for x in norm}
             assert cosets[0] == members and sorted(class_of) == norm
             blocks = [sorted(x for i in orbit for x in cosets[i]) for _, orbit in weyl]
             assert sorted(x for block in blocks for x in block) == norm
@@ -927,7 +935,7 @@ class TestShortcuts:
             assert len(weyl) == len({frozenset(coset(table[table[n][x]][inv[n]]) for n in norm)
                                      for x in norm})
             if c == 0:
-                assert sorted(map(tuple, blocks)) == sorted(action._classes)
+                assert sorted(map(tuple, blocks)) == sorted(k.members for k in action._classes)
     @pytest.mark.parametrize("action", [*INTEGRAL_AGES, standard_sn(5, 2), wreath(3, 2, 2)],
                              ids=lambda a: f"{a.label}_d{a.d}")
     def test_orbit_members_equal_the_checked_ones(self, action):

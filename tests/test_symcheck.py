@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kummer.catalog import binary_tetrahedral_eigendata, catalog, integral_catalog_actions
+from kummer.catalog import binary_tetrahedral_eigendata, catalog
 from kummer.exactalg import identity_matrix, mat_det, mat_sub
 from kummer.groupcore import AbstractGroup
 from kummer.symcheck import (
@@ -19,6 +19,7 @@ from kummer.symcheck import (
     tetrahedral_obstruction_constraint,
 )
 from kummer.toruslat import EnumerationTooLarge, isolated_count
+from action_reference import integral_catalog_actions
 from trace_reference import trace_exponents
 
 
