@@ -223,14 +223,6 @@ class IntPolynomial:
             raise ValueError(f"coefficients {self.coeffs} not divisible by {n}")
         return IntPolynomial._of([c // n for c in self.coeffs])
 
-    def is_palindromic(self) -> bool:
-        """Whether coefficients read the same from both ends.
-
-        >>> IntPolynomial([1, 0, 4, 0, 1]).is_palindromic()
-        True
-        """
-        return self.coeffs == tuple(reversed(self.coeffs))
-
     def reciprocal(self, degree: int) -> "IntPolynomial":
         """Coefficients reversed relative to the given top degree."""
         if degree < self.degree:

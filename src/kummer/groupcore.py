@@ -13,16 +13,17 @@ subgroup is an int bitmask over the indices (containment is
 and subgroup classes and the Weyl permutations of a subgroup's classes
 are table lookups on indices.  Each element class is one
 :class:`ConjugacyClass` record, which every class-level number reads:
-rank(1 - g) from one Hermite form, and, on first read, the Smith form of
-1 - g and C(g), closed from the Schreier elements of the class's walk,
-with its classes.  The subgroup lattice is built class by class from
-joins of class representatives with single elements, as one
-:class:`SubgroupClass` record per class, with R's cosets in N(R) grouped
-once as index tuples; the records are all that their readers see of it.
-Only the public methods take and return elements (matrices or
-permutation tuples) and frozensets of them.  Orders stay below a
-configurable cap (default 10000); the catalog's actions have order at
-most 720.
+rank(1 - g) from one Hermite form (:func:`_row_lattice`, which the Euler
+pairs and the strata share), and, on first read, the Smith form of 1 - g
+and C(g), closed from the Schreier elements of the class's walk, with its
+classes.  The subgroup lattice is built class by class from joins of
+class representatives with single elements, as one :class:`SubgroupClass`
+record per class, with R's cosets in N(R) grouped once as index tuples;
+the records are all that their readers see of it: no method lists
+subgroups or cosets as element sets.  Only the public methods take and
+return elements (matrices or permutation tuples) and frozensets of them.
+Orders stay below a configurable cap (default 10000); the catalog's
+actions have order at most 720.
 """
 
 from __future__ import annotations
@@ -188,11 +189,6 @@ class FiniteGroup:
                 coset_of.update((row[h], i) for h in members)
         return coset_of
 
-    def _cosets(self, sub: int, within: int) -> tuple[tuple[int, ...], ...]:
-        """Left cosets of ``sub`` inside ``within`` as sorted index tuples,
-        numbered as by :meth:`_coset_of`."""
-        return _grouped(self._coset_of(sub, within))
-
     @cached_property
     def _lattice(self) -> tuple[SubgroupClass, ...]:
         """The conjugacy classes of subgroups as :class:`SubgroupClass`
@@ -308,27 +304,15 @@ class FiniteGroup:
         """Closure of a subset under multiplication; always contains 1."""
         return self._set(self._closure([self._index_of[g] for g in gens]))
 
-    def all_subgroups(self) -> tuple[frozenset, ...]:
-        """Every subgroup, sorted by (order, sorted elements)."""
-        masks = (sub for cls in self._lattice for sub in cls.members)
-        return tuple(map(self._set, sorted(masks, key=_mask_key)))
-
     def conjugate_subgroup(self, sub: frozenset, g) -> frozenset:
         return self._set(_permuted(self._mask(sub),
                                    self._conjugation(self._index_of[g])))
 
     def normalizer(self, sub: frozenset) -> frozenset:
-        return self._set(self._normalizer(self._subgroup_mask(sub)))
-
-    def cosets(self, sub: frozenset, within=None) -> tuple[tuple, ...]:
-        """Left cosets of ``sub`` inside ``within`` (default: whole group).
-
-        Each coset is a sorted tuple; the coset of the identity comes
-        first, the rest are ordered by smallest member.
-        """
-        ambient = (1 << len(self.elements)) - 1 if within is None else self._mask(within)
-        return tuple(tuple(map(self.elements.__getitem__, coset))
-                     for coset in self._cosets(self._subgroup_mask(sub), ambient))
+        """N(sub); ``ValueError`` unless ``sub`` is a subgroup."""
+        if not self.is_subgroup(sub):
+            raise ValueError("not a subgroup of this group")
+        return self._set(self._normalizer(self._mask(sub)))
 
     def is_subgroup(self, sub) -> bool:
         try:
@@ -336,12 +320,6 @@ class FiniteGroup:
         except KeyError:
             return False
         return self._closure(_bits(mask)) == mask
-
-    def _subgroup_mask(self, sub) -> int:
-        """Bitmask of a set of elements; ``ValueError`` unless a subgroup."""
-        if not self.is_subgroup(sub):
-            raise ValueError("not a subgroup of this group")
-        return self._mask(sub)
 
 
 def _bits(mask: int) -> list[int]:
@@ -364,18 +342,18 @@ def _mask_order(a: int, b: int) -> int:
 _mask_key = cmp_to_key(_mask_order)
 
 
-def _grouped(coset_of: dict[int, int]) -> tuple[tuple[int, ...], ...]:
-    """The cosets numbered by a :meth:`FiniteGroup._coset_of` map, as sorted
-    index tuples in the order of their numbers."""
-    cosets = [[] for _ in range(max(coset_of.values()) + 1)]
-    for g in sorted(coset_of):
-        cosets[coset_of[g]].append(g)
-    return tuple(map(tuple, cosets))
-
-
 def _permuted(mask: int, perm) -> int:
     """Image of an index mask under an index permutation."""
     return sum(1 << perm[i] for i in _bits(mask))
+
+
+def _row_lattice(action, matrices):
+    """Hermite basis of the lattice spanned by the rows of 1 - h, h in
+    ``matrices``: their common fixed locus depends on it only, and it has at
+    most r rows."""
+    ident = identity_matrix(action.r)
+    return hermite_normal_form([row for h in matrices for row in mat_sub(ident, h)],
+                               action.r)
 
 
 def _row_orbit(gens, r: int, cap: int):
@@ -513,7 +491,7 @@ class ConjugacyClass:
 
     @cached_property
     def rank(self) -> int:
-        return len(hermite_normal_form(self.diff, self.group.r))
+        return len(_row_lattice(self.group, (self.group.elements[self.rep],)))
 
     @cached_property
     def smith(self):
@@ -550,7 +528,8 @@ class SubgroupClass:
     """One conjugacy class of subgroups: ``members`` as masks, least member R
     first, ``members[i]`` = k R k^-1 for k = ``conjugators[i]``, R generated
     by ``gens`` and N(R) (mask ``norm``) by ``norm_gens``, all indices.  The
-    orbit-stabilizer count is checked; R, N(R) and Weyl cosets built when read."""
+    orbit-stabilizer count is checked; R as elements and the Weyl cosets, as
+    index tuples, are built when read."""
 
     def __init__(self, group, members, conjugators, gens, norm, norm_gens):
         self.group, self.members, self.conjugators = group, members, conjugators
@@ -569,20 +548,14 @@ class SubgroupClass:
     @cached_property
     def cosets(self) -> tuple[tuple[int, ...], ...]:
         """The Weyl cosets of R in N(R) as sorted index tuples, by number."""
-        return _grouped(self.coset_of)
+        cosets = [[] for _ in range(self.norm.bit_count() // self.order)]
+        for g in sorted(self.coset_of):
+            cosets[self.coset_of[g]].append(g)
+        return tuple(map(tuple, cosets))
 
     @cached_property
     def representative(self) -> frozenset:
         return self.group._set(self.mask)
-
-    @property
-    def normalizer(self) -> frozenset:
-        return self.group._set(self.norm)
-
-    @cached_property
-    def weyl_cosets(self) -> tuple[tuple, ...]:
-        """``cosets`` as tuples of elements."""
-        return tuple(tuple(map(self.group.elements.__getitem__, c)) for c in self.cosets)
 
     def __repr__(self):
         return (f"SubgroupClass(order={self.order}, size={self.size}, "

@@ -48,10 +48,10 @@ from .exactalg import (
     ConsistencyError, IntPolynomial, det_one_plus_t, hermite_normal_form,
     identity_matrix, mat_mul, smith_normal_form,
 )
-from .groupcore import IntegralAction, _mask_key, _permuted
+from .groupcore import IntegralAction, _mask_key, _permuted, _row_lattice
 from .mckay import FiberPolynomial, _class_ages, fiber_poincare_equivariant
 from .repring import _average, quotient_poincare
-from .toruslat import DEFAULT_ENUMERATION_BUDGET, EnumerationTooLarge, _row_lattice
+from .toruslat import DEFAULT_ENUMERATION_BUDGET, EnumerationTooLarge
 
 
 class MalformedLedger(ValueError):
@@ -69,7 +69,8 @@ class ComponentOrbit:
     A member is a component's torsion coordinates in the Smith frame
     U M V = D of H's row lattice M: one z per copy, 0 <= z_i < d_i, and
     V (z/d, 0) is a point of it.  Members are in ``fix_locus`` order, and
-    the representative is the first.
+    the representative is the first.  ``stabilizer_cosets`` are the Weyl
+    cosets (index tuples of the lattice record) that fix it.
     """
 
     __slots__ = ("representative", "members", "stabilizer_cosets", "fiber")
@@ -152,13 +153,6 @@ class StrataReport:
         self.resolution = resolution
         self._classes = classes
         self._edges = None
-
-    def stratum_by(self, order: int, rank: int | None = None):
-        """All strata with the given isotropy order (and tangent rank)."""
-        return tuple(
-            s for s in self.strata
-            if s.order == order and (rank is None or s.rank == rank)
-        )
 
     @property
     def y_total(self) -> IntPolynomial:
@@ -371,7 +365,7 @@ class _Classes:
                 starts.append(start)
                 members = tuple(tuple(map(zs.__getitem__, x)) for x in orbit)
                 orbits.append(ComponentOrbit(
-                    members[0], members, tuple(cls.weyl_cosets[i] for i in stab),
+                    members[0], members, tuple(cls.cosets[i] for i in stab),
                     FiberPolynomial(fiber.plain, fiber.class_ages,
                                     [fiber.values[i] for i in stab]),
                 ))
@@ -560,8 +554,8 @@ def _ledger_poly(obj, parameter) -> ParamPoly:
 
 
 def _ledger_int(obj) -> int:
-    """``int(obj)``, refusing booleans and numbers it would truncate."""
-    if isinstance(obj, bool) or (isinstance(obj, float) and not obj.is_integer()):
+    """``int(obj)``, refusing booleans, strings and numbers it would truncate."""
+    if isinstance(obj, (bool, str)) or (isinstance(obj, float) and not obj.is_integer()):
         raise ValueError(f"{obj!r} is not an integer")
     return int(obj)
 
@@ -573,8 +567,8 @@ def _ledger_scalar(obj, parameter):
         try:
             c = _ledger_int(obj.get("const", 0))
             m = _ledger_int(obj.get("param", 0))
-        except (TypeError, ValueError):
-            raise MalformedLedger(f"cannot read multiplicity from {obj!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise MalformedLedger(f"cannot read multiplicity from {obj!r}: {exc}") from None
         if m and parameter is None:
             raise MalformedLedger("parameter used but not declared")
         return (c, m)

@@ -37,7 +37,7 @@ from .exactalg import (
     mat_vec,
     smith_normal_form,
 )
-from .groupcore import IntegralAction
+from .groupcore import IntegralAction, _row_lattice
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -337,14 +337,6 @@ def fix_locus(action: IntegralAction, subgroup,
     return solve_torus_system(rows, 1, rhs, action.r, copies, budget)
 
 
-def _row_lattice(action: IntegralAction, subgroup):
-    """Hermite basis of the lattice spanned by the rows of 1 - h, h in
-    ``subgroup``: Fix(H) depends on it only, and it has at most r rows."""
-    ident = identity_matrix(action.r)
-    return hermite_normal_form([row for h in subgroup for row in mat_sub(ident, h)],
-                               action.r)
-
-
 def component_count(action: IntegralAction, g) -> int:
     """Number of components of Fix(g), from Smith divisors of I - g.
 
@@ -442,21 +434,19 @@ def orbifold_euler(action: IntegralAction) -> int:
     >>> orbifold_euler(catalog("z6_sl2"))
     24
     """
-    r, ident, classes = action.r, identity_matrix(action.r), action._classes
-    elements, total = action.elements, 0
+    r, classes, elements, total = action.r, action._classes, action.elements, 0
     top = max(cls.rank for cls in classes)
     for cls in classes:
         if cls.rank + top < r:
             continue  # no h makes a finite fixed set with g
-        diff_g = cls.diff
         for hcls in cls.centralizer_classes:
             h = classes[action._class_number[hcls[0]]]
             if cls.rank + h.rank < r:
                 continue  # positive-dimensional: chi = 0
             if not (cls.rank and h.rank):  # g or h is 1; the other has rank r
-                index = abs(mat_det(h.diff if h.rank else diff_g))
+                index = abs(mat_det(h.diff if h.rank else cls.diff))
             else:
-                hnf = hermite_normal_form(diff_g + mat_sub(ident, elements[hcls[0]]), r)
+                hnf = _row_lattice(action, (elements[cls.rep], elements[hcls[0]]))
                 if len(hnf) < r:
                     continue  # positive-dimensional: chi = 0
                 # full rank: row i's pivot sits in column i

@@ -1,7 +1,16 @@
 """Test-side readings of a group's subgroup-class records
-(``FiniteGroup._lattice``): subconjugacy, the class of a subgroup, and the
-Weyl coset representatives that ``fiber_poincare_equivariant`` and
-``_weyl_permutations`` take."""
+(``FiniteGroup._lattice``): every subgroup as a set of elements,
+subconjugacy, the class of a subgroup, and the Weyl coset representatives
+that ``fiber_poincare_equivariant`` and ``_weyl_permutations`` take."""
+
+from kummer.groupcore import _mask_key
+
+
+def all_subgroups(group):
+    """Every subgroup as a frozenset of elements, sorted by (order, sorted
+    elements)."""
+    masks = sorted((sub for cls in group._lattice for sub in cls.members), key=_mask_key)
+    return tuple(map(group._set, masks))
 
 
 def subconjugacy(group):
@@ -28,4 +37,7 @@ def class_of(group, sub):
 def weyl_reps(group, mask):
     """The least index of each coset of the subgroup ``mask`` in its
     normalizer, the identity's coset first."""
-    return [coset[0] for coset in group._cosets(mask, group._normalizer(mask))]
+    coset_of, first = group._coset_of(mask, group._normalizer(mask)), {}
+    for g in sorted(coset_of):
+        first.setdefault(coset_of[g], g)
+    return [first[i] for i in range(len(first))]

@@ -27,7 +27,7 @@ from kummer.symcheck import (
     tetrahedral_obstruction_constraint,
 )
 from kummer.toruslat import component_count, isolated_count, orbifold_euler, torsion_oracle
-from action_reference import integral_catalog_actions
+from action_reference import integral_catalog_actions, stratum_by
 from trace_reference import trace_exponents
 
 
@@ -60,17 +60,17 @@ def test_criterion_01_k3_from_order_six_action(reports):
 def test_criterion_02_octahedral_threefold(reports):
     report = reports["octahedral_s4_sl3"]
     resolution_ok = report.resolution == poly(1, 0, 20, 14, 20, 0, 1)
-    (open_stratum,) = report.stratum_by(order=1)
+    (open_stratum,) = stratum_by(report, order=1)
     one = poly(1, 0, 1)
     s3 = poly(1, 0, 1, 4, 1, 0, 1) - (15 * (one - 4) + 20)
     s12 = 10 * (one * one - 4 * one)
     s13 = poly(1, 0, 2, 2, 1) - 4 * one
     s14 = 4 * (poly(1, 0, 3, 2, 2) - 4 * poly(1, 0, 2))
     s0 = 4 * poly(1, 0, 3) + 16 * poly(1, 0, 4)
-    curves2 = sum((s.x_poly for s in report.stratum_by(order=2, rank=1)),
+    curves2 = sum((s.x_poly for s in stratum_by(report, order=2, rank=1)),
                   IntPolynomial.zero())
-    (z3,) = report.stratum_by(order=3, rank=1)
-    (z4,) = report.stratum_by(order=4, rank=1)
+    (z3,) = stratum_by(report, order=3, rank=1)
+    (z4,) = stratum_by(report, order=4, rank=1)
     points = sum((s.x_poly for s in report.strata if s.rank == 0),
                  IntPolynomial.zero())
     strata_ok = (
@@ -193,7 +193,7 @@ def test_criterion_10_property_suites(actions, reports):
         action = actions[name]
         p = report.resolution
         shapes_ok = shapes_ok and (
-            p.is_palindromic() and p[1] == 0 and p[0] == 1
+            p == p.reciprocal(p.degree) and p[1] == 0 and p[0] == 1
             and p.degree == 2 * action.r * action.d
         )
     eigen_ok = True

@@ -180,28 +180,38 @@ class TestIntegralRun:
         # representative, once in a run (the ages and the Euler number read
         # the rank), and its Smith form only for --oracle; the Euler number
         # takes no Hermite form of 1 - h stacked under 1 - 1 (or over it),
-        # whose lattice is that of 1 - h alone
+        # whose lattice is that of 1 - h alone.  Every Hermite form of
+        # stacked rows of 1 - h is taken by one function, _row_lattice, which
+        # the class records call from groupcore and the rest from toruslat
+        # and strata
         import kummer.groupcore as groupcore
+        import kummer.strata as strata
         import kummer.toruslat as toruslat
         from kummer.catalog import catalog
         from kummer.exactalg import identity_matrix, mat_sub
 
         forms = {"hermite": [], "smith": [], "pairs": []}
-        for module, form, kind in ((groupcore, "hermite_normal_form", "hermite"),
-                                   (groupcore, "smith_normal_form", "smith"),
-                                   (toruslat, "hermite_normal_form", "pairs")):
-            real = getattr(module, form)
-            monkeypatch.setattr(module, form, lambda rows, *rest, _real=real, _kind=kind:
-                                forms[_kind].append(rows) or _real(rows, *rest))
+        real, snf = groupcore._row_lattice, groupcore.smith_normal_form
+        for module, kind in ((groupcore, "hermite"), (toruslat, "pairs"),
+                             (strata, "pairs")):
+            monkeypatch.setattr(module, "_row_lattice", lambda action, sub, _kind=kind:
+                                forms[_kind].append(tuple(sub)) or real(action, sub))
+        monkeypatch.setattr(groupcore, "smith_normal_form",
+                            lambda rows: forms["smith"].append(rows) or snf(rows))
         report = run(JobSpec("integral", catalog_name=name, oracle=oracle))
         assert report.passed
         action = catalog(name)
         ident, r = identity_matrix(action.r), action.r
         diffs = [mat_sub(ident, g) for g in action.class_representatives()]
-        assert forms["hermite"] == diffs
+
+        def stacked(kind):
+            return [tuple(row for h in sub for row in mat_sub(ident, h))
+                    for sub in forms[kind]]
+
+        assert stacked("hermite") == diffs
         assert forms["smith"] == (diffs if oracle else [])
         assert not any(not any(map(any, rows[i:i + r]))
-                       for rows in forms["pairs"] for i in range(0, len(rows), r))
+                       for rows in stacked("pairs") for i in range(0, len(rows), r))
 
     def test_input_file(self, tmp_path):
         doc = {"name": "z4", "matrices": [[[0, -1], [1, 0]]], "d": 1,
@@ -621,13 +631,24 @@ class TestMainEntryPoint:
         (["--mode", "analytic", "--input", "in.json"],
          dict(D6_ANALYTIC, constraints=[{"label": "components",
                                          "unknowns": {"m": [1, 81.5]}}])),
+        (["--input", "in.json"], {"matrices": [[["0", "-1"], ["1", "1"]]]}),
+        (["--input", "in.json"], {"matrices": [[[0, -1], [1, 1]]], "d": "1_0"}),
+        (["--input", "in.json"], {"matrices": [[[0, -1], [1, 1]]], "d": "\u0661"}),
+        (["--mode", "ledger", "--input", "in.json"],
+         {"entries": [{"base": [1], "subtract": [{"poly": [1],
+                                                  "multiplicity": {"const": "3"}}]}]}),
+        (["--mode", "analytic", "--input", "in.json"],
+         dict(D6_ANALYTIC, generators=[["1", "0", "2"], [1, 2, 0]])),
     ], ids=["fractional_entry_and_d", "fractional_entry", "boolean_d",
             "molien_fractional_d", "molien_boolean_entry", "analytic_fractional_generator",
-            "analytic_boolean_exponent", "constraint_fractional_bound"])
+            "analytic_boolean_exponent", "constraint_fractional_bound", "string_entries",
+            "underscored_string_d", "arabic_indic_string_d", "string_multiplicity",
+            "analytic_string_generator"])
     def test_non_integral_input_values_exit_two(self, args, doc, tmp_path, capsys,
                                                 monkeypatch):
-        # int() would truncate these or read a boolean as a number: the
-        # first three would run z6_sl2 at d = 1
+        # int() would truncate these, read a boolean as a number or parse a
+        # string ("1_0" as 10, an Arabic-Indic digit as 1): the first three
+        # and the string entries would run z6_sl2
         monkeypatch.chdir(tmp_path)
         (tmp_path / "in.json").write_text(json.dumps(doc))
         assert main(args) == 2

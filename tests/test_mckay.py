@@ -97,17 +97,25 @@ class TestEquivariantFiber:
                 assert 0 <= value <= fib.plain[degree]
 
 
+def inverse(g, among):
+    return next(h for h in among if mat_mul(g, h) == identity_matrix(len(g)))
+
+
+def conj(n, g, n_inv):
+    return mat_mul(mat_mul(n, g), n_inv)
+
+
+def reference_weyl_cosets(group, sub):
+    """The left cosets gH of H = ``sub`` in N(H) = {g : g H g^-1 = H}, each
+    sorted, by least member; from matrix products alone."""
+    inv = {g: inverse(g, group.elements) for g in group.elements}
+    norm = [g for g in group.elements if {conj(g, h, inv[g]) for h in sub} == sub]
+    return sorted({tuple(sorted(mat_mul(g, h) for h in sub)) for g in norm})
+
+
 def reference_fixed_classes(group, sub, cosets):
     """Per Weyl coset, the H-classes its first element n fixes (n C n^-1 = C),
     as an age-graded count; from matrix products alone."""
-    ident = identity_matrix(group.r)
-
-    def inverse(g, among):
-        return next(h for h in among if mat_mul(g, h) == ident)
-
-    def conj(n, g, n_inv):
-        return mat_mul(mat_mul(n, g), n_inv)
-
     classes = []
     for g in sorted(sub):
         if not any(g in cls for cls in classes):
@@ -135,7 +143,7 @@ def test_weyl_traces_match_a_matrix_reference(actions, reports):
     for name, action in actions.items():
         for stratum in reports[name].strata:
             sub, mask = stratum.isotropy, action._mask(stratum.isotropy)
-            cosets = action.cosets(sub, within=action.normalizer(sub))
+            cosets = reference_weyl_cosets(action, sub)
             reps = [action._index_of[coset[0]] for coset in cosets]
             classes, perms = _weyl_permutations(action, mask, reps)
             plain, values = reference_fixed_classes(action, sub, cosets)
