@@ -16,6 +16,11 @@ The main exports are
 Nothing here factors a polynomial: the eigenvalues of a finite-order
 integer matrix g are read off the ranks of 1 - g^k, each a Hermite normal
 form (see ``AnalyticEigenData.from_integral``).
+
+The kernels work on whole rows and coefficient slices, with one shared
+immutable :func:`identity_matrix` per size, but take the same elementary
+operations in the same order as the entry-by-entry versions that
+``tests/kernel_reference.py`` keeps: every transform and result is theirs.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import add, mul, neg, sub
 
 
 class ConsistencyError(RuntimeError):
@@ -37,22 +42,24 @@ Matrix = tuple[tuple[int, ...], ...]
 # integer matrices
 
 
+@lru_cache(maxsize=None)
 def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    """The n x n identity, one shared tuple per n."""
+    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
 
 
 def mat_mul(a, b) -> Matrix:
     """Product of two matrices (tuples of rows; entries int or Fraction)."""
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    bt = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def mat_vec(a, v):
-    return tuple(sum(map(mul, row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def mat_sub(a, b) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple([tuple(map(sub, ra, rb)) for ra, rb in zip(a, b)])
 
 
 def mat_det(m) -> int:
@@ -158,11 +165,11 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        b = (other,) if isinstance(other, int) else other.coeffs
-        out = list(self.coeffs)
-        out.extend([0] * (len(b) - len(out)))
-        for i, y in enumerate(b):
-            out[i] += y
+        a, b = self.coeffs, (other,) if isinstance(other, int) else other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(map(add, a, b))
+        out += a[len(b):]
         return IntPolynomial._of(out)
 
     __radd__ = __add__
@@ -171,11 +178,9 @@ class IntPolynomial:
         return IntPolynomial._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        b = (other,) if isinstance(other, int) else other.coeffs
-        out = list(self.coeffs)
-        out.extend([0] * (len(b) - len(out)))
-        for i, y in enumerate(b):
-            out[i] -= y
+        a, b = self.coeffs, (other,) if isinstance(other, int) else other.coeffs
+        out = list(map(sub, a, b))
+        out += a[len(b):] if len(a) > len(b) else map(neg, b[len(a):])
         return IntPolynomial._of(out)
 
     def __rsub__(self, other):
@@ -189,10 +194,12 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial.zero()
+        if len(a) < len(b):  # the shorter factor in the outer loop: fewer passes
+            a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
+        for i, y in enumerate(b):
+            if y:
+                for j, x in enumerate(a, i):
                     out[j] += x * y
         return IntPolynomial._of(out)
 
@@ -270,7 +277,7 @@ def char_poly(m: Matrix) -> IntPolynomial:
     # M_k is an integer matrix because every c_k is an integer
     am = m
     for k in range(1, n + 1):
-        trace = sum(am[i][i] for i in range(n))
+        trace = sum([row[i] for i, row in enumerate(am)])
         if trace % k:
             raise ConsistencyError(
                 f"Faddeev-LeVerrier trace {trace} is not divisible by {k}"
@@ -278,11 +285,10 @@ def char_poly(m: Matrix) -> IntPolynomial:
         c = -trace // k
         coeffs.append(c)
         if k < n:
-            mk = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-            am = [
-                [sum(m[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
+            mk = [list(row) for row in am]
+            for i, row in enumerate(mk):
+                row[i] += c
+            am = mat_mul(m, mk)
     return IntPolynomial._of(coeffs[::-1])
 
 
@@ -356,93 +362,82 @@ def smith_normal_form(m) -> SmithDecomposition:
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a = [list(r) for r in m]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    w = [row[:] for row in v]  # V^-1: each column op on V is a row op on it
+    a = list(map(list, m))
+    u = list(map(list, identity_matrix(rows)))
+    vt = list(map(list, identity_matrix(cols)))  # V by columns
+    w = list(map(list, identity_matrix(cols)))  # V^-1: a column op on V is a row op on it
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        for k in range(cols):
-            a[i][k] -= q * a[j][k]
-        for k in range(rows):
-            u[i][k] -= q * u[j][k]
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j; row_j += q * row_i of V^-1
-        for k in range(rows):
-            a[k][i] -= q * a[k][j]
-        for k in range(cols):
-            v[k][i] -= q * v[k][j]
-            w[j][k] += q * w[i][k]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        for r in a:
+            r[i] -= q * r[j]
+        vt[i] = [x - q * y for x, y in zip(vt[i], vt[j])]
+        w[j] = [x + q * y for x, y in zip(w[j], w[i])]
 
     def swap_cols(i, j):
-        for k in range(rows):
-            a[k][i], a[k][j] = a[k][j], a[k][i]
-        for k in range(cols):
-            v[k][i], v[k][j] = v[k][j], v[k][i]
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        vt[i], vt[j] = vt[j], vt[i]
         w[i], w[j] = w[j], w[i]
 
-    t = 0
-    while t < min(rows, cols):
-        # find a pivot: nonzero entry of smallest absolute value
-        pivot = None
-        best = None
+    t, size = 0, min(rows, cols)
+    while t < size:
+        # find a pivot: the first nonzero entry of smallest absolute value
+        best = 0
         for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+            sizes = list(map(abs, a[i][t:]))
+            least = min(filter(None, sizes), default=0)
+            if least and (not best or least < best):
+                best, pi, pj = least, i, t + sizes.index(least)
+                if best == 1:
+                    break
+        if not best:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            swap_cols(t, pj)
         # clear row and column t
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, rows):
                 if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
+                    row_op(i, t, a[i][t] // a[t][t])
                     if a[i][t]:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
+                        u[t], u[i] = u[i], u[t]
                         dirty = True
             for j in range(t + 1, cols):
                 if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
+                    col_op(j, t, a[t][j] // a[t][t])
                     if a[t][j]:
                         swap_cols(t, j)
                         dirty = True
-        # enforce divisibility: a[t][t] must divide everything below-right
-        offender = None
+        # enforce divisibility: a[t][t] must divide everything below-right;
+        # the first offending row is folded in and the pivot redone
+        p = a[t][t]
         for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
+            if any([x % p for x in a[i][t + 1:]]):
+                row_op(t, i, -1)
                 break
-        if offender is not None:
-            row_op(t, offender, -1)  # fold the offending row in, redo pivot
-            continue
-        if a[t][t] < 0:
-            for k in range(cols):
-                a[t][k] = -a[t][k]
-            for k in range(rows):
-                u[t][k] = -u[t][k]
-        t += 1
+        else:
+            if p < 0:
+                a[t] = [-x for x in a[t]]
+                u[t] = [-x for x in u[t]]
+            t += 1
 
-    um = tuple(tuple(r) for r in u)
-    vm = tuple(tuple(r) for r in v)
-    dm = tuple(tuple(r) for r in a)
+    um = tuple(map(tuple, u))
+    vm = tuple(zip(*vt))
+    dm = tuple(map(tuple, a))
     snf = SmithDecomposition(um, dm, vm, tuple(map(tuple, w)), rows, cols)
     if mat_mul(mat_mul(um, m), vm) != dm:
         raise ConsistencyError(f"Smith transforms do not reproduce {dm}")
-    divs = snf.divisors
+    divs = [a[i][i] for i in range(t)]  # the nonzero diagonal: D is 0 from (t, t) on
     if any(divs[i + 1] % divs[i] for i in range(len(divs) - 1)):
         raise ConsistencyError(f"Smith divisors {divs} do not divide in turn")
     return snf
@@ -467,26 +462,30 @@ def hermite_normal_form(rows_in, width: int | None = None) -> Matrix:
     for j in range(width):
         # Euclid down column j until one remaining row has a nonzero entry
         live = [r for r in rest if r[j]]
+        if not live:
+            continue
         while len(live) > 1:
             live.sort(key=lambda r: abs(r[j]))
             pivot = live[0]
+            p, left = pivot[j], [pivot]
             for r in live[1:]:
-                q = r[j] // pivot[j]
+                q = r[j] // p
                 r[:] = [x - q * y for x, y in zip(r, pivot)]
-            live = [pivot] + [r for r in live[1:] if r[j]]
-        if not live:
-            continue
+                if r[j]:
+                    left.append(r)
+            live = left
         pivot = live[0]
         if pivot[j] < 0:
             pivot[:] = [-x for x in pivot]
         # pivot is zero left of j, so this leaves earlier pivot columns reduced
+        p = pivot[j]
         for r in out:
-            q = r[j] // pivot[j]
+            q = r[j] // p
             if q:
                 r[:] = [x - q * y for x, y in zip(r, pivot)]
         out.append(pivot)
-        rest = [r for r in rest if r is not pivot and any(r)]
-    return tuple(tuple(r) for r in out)
+        rest.remove(pivot)  # the one row of rest nonzero at j; zero rows are never live
+    return tuple(map(tuple, out))
 
 
 def kernel_basis(m, width: int | None = None) -> Matrix:

@@ -14,9 +14,9 @@ and subgroup classes and the Weyl permutations of a subgroup's classes
 are table lookups on indices.  Each element class is one
 :class:`ConjugacyClass` record, which every class-level number reads:
 rank(1 - g) from one Hermite form (:func:`_row_lattice`, which the Euler
-pairs and the strata share), and, on first read, the Smith form of 1 - g
-and C(g), closed from the Schreier elements of the class's walk, with its
-classes.  The subgroup lattice is built class by class from joins of
+pairs and the strata share; the strata read this one for <g>), and, on first
+read, the Smith form of 1 - g and C(g), closed from the Schreier elements of
+the class's walk, with its classes.  The subgroup lattice is built class by class from joins of
 class representatives with single elements, as one :class:`SubgroupClass`
 record per class, with R's cosets in N(R) grouped once as index tuples;
 the records are all that their readers see of it: no method lists
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import cached_property, cmp_to_key
 from math import gcd
-from operator import mul
+from operator import mul, sub
 
 from .exactalg import (
     ConsistencyError,
@@ -155,8 +155,9 @@ class FiniteGroup:
         this is the subgroup itself.
         """
         table = self._table
-        frontier = [self._e] if seeds is None else seeds
-        seen = sum(1 << a for a in frontier)
+        frontier, seen = [self._e] if seeds is None else seeds, 0
+        for a in frontier:
+            seen |= 1 << a
         while frontier:
             new = []
             for a in frontier:
@@ -344,7 +345,12 @@ _mask_key = cmp_to_key(_mask_order)
 
 def _permuted(mask: int, perm) -> int:
     """Image of an index mask under an index permutation."""
-    return sum(1 << perm[i] for i in _bits(mask))
+    image = 0
+    while mask:
+        low = mask & -mask
+        image |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return image
 
 
 def _row_lattice(action, matrices):
@@ -352,8 +358,8 @@ def _row_lattice(action, matrices):
     ``matrices``: their common fixed locus depends on it only, and it has at
     most r rows."""
     ident = identity_matrix(action.r)
-    return hermite_normal_form([row for h in matrices for row in mat_sub(ident, h)],
-                               action.r)
+    return hermite_normal_form([list(map(sub, e, row)) for h in matrices
+                                for e, row in zip(ident, h)], action.r)
 
 
 def _row_orbit(gens, r: int, cap: int):
@@ -474,8 +480,9 @@ class ConjugacyClass:
     """One conjugacy class of elements: ``members`` (sorted indices), the
     least one ``rep`` (g) with ``conjugator_of[x]`` = k for x = k g k^-1,
     ``size`` and element ``order``.  Built on first read: the classes of
-    C(g) and, for an integral action, the ``rank`` of 1 - g from its
-    Hermite form and its ``smith`` form.  ``diff`` (1 - g) and C(g)'s
+    C(g) and, for an integral action, the Hermite ``rows`` of 1 - g (their
+    number is the ``rank``; the strata engine reads them for <g>) and its
+    ``smith`` form.  ``diff`` (1 - g) and C(g)'s
     generators are rebuilt on each read: their readers take them once."""
 
     def __init__(self, group, conjugator_of):
@@ -490,8 +497,13 @@ class ConjugacyClass:
         return mat_sub(identity_matrix(self.group.r), self.group.elements[self.rep])
 
     @cached_property
+    def rows(self) -> tuple:
+        """The Hermite basis of the rows of 1 - g (:func:`_row_lattice`)."""
+        return _row_lattice(self.group, (self.group.elements[self.rep],))
+
+    @property
     def rank(self) -> int:
-        return len(_row_lattice(self.group, (self.group.elements[self.rep],)))
+        return len(self.rows)
 
     @cached_property
     def smith(self):

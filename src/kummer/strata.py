@@ -233,7 +233,10 @@ class _Classes:
 
     def _prepare(self, c):
         action, cls = self.action, self.classes[c]
-        rows = self.rows[c] = _row_lattice(action, [action.elements[g] for g in cls.gens])
+        # <g> for g an element class's representative: its record took the form
+        record = len(cls.gens) == 1 and action._classes[action._class_number[cls.gens[0]]]
+        rows = self.rows[c] = (record.rows if record and record.rep == cls.gens[0]
+                               else _row_lattice(action, [action.elements[g] for g in cls.gens]))
         # |pi_0 Fix(R)| = base^power, before any trace; it exceeds the
         # budget unformed when base > 1 and power exceeds its bit length
         base, power = prod(_frame(rows, action.r)[2]), 2 * action.d

@@ -177,23 +177,23 @@ class TestIntegralRun:
     @pytest.mark.parametrize("oracle", [None, 6])
     def test_a_run_takes_one_form_of_each_class(self, name, oracle, monkeypatch):
         # the class records take the Hermite form of 1 - g, g each class's
-        # representative, once in a run (the ages and the Euler number read
-        # the rank), and its Smith form only for --oracle; the Euler number
-        # takes no Hermite form of 1 - h stacked under 1 - 1 (or over it),
-        # whose lattice is that of 1 - h alone.  Every Hermite form of
-        # stacked rows of 1 - h is taken by one function, _row_lattice, which
-        # the class records call from groupcore and the rest from toruslat
-        # and strata
+        # representative, once in a run (the ages, the Euler number and the
+        # strata of <g> read it), and its Smith form only for --oracle; the
+        # Euler number takes no Hermite form of 1 - h stacked under 1 - 1 (or
+        # over it), whose lattice is that of 1 - h alone.  Every Hermite form
+        # of stacked rows of 1 - h is taken by one function, _row_lattice,
+        # which the class records call from groupcore and the rest from
+        # toruslat and strata
         import kummer.groupcore as groupcore
         import kummer.strata as strata
         import kummer.toruslat as toruslat
         from kummer.catalog import catalog
         from kummer.exactalg import identity_matrix, mat_sub
 
-        forms = {"hermite": [], "smith": [], "pairs": []}
+        forms = {"hermite": [], "smith": [], "pairs": [], "strata": []}
         real, snf = groupcore._row_lattice, groupcore.smith_normal_form
         for module, kind in ((groupcore, "hermite"), (toruslat, "pairs"),
-                             (strata, "pairs")):
+                             (strata, "strata")):
             monkeypatch.setattr(module, "_row_lattice", lambda action, sub, _kind=kind:
                                 forms[_kind].append(tuple(sub)) or real(action, sub))
         monkeypatch.setattr(groupcore, "smith_normal_form",
@@ -211,7 +211,9 @@ class TestIntegralRun:
         assert stacked("hermite") == diffs
         assert forms["smith"] == (diffs if oracle else [])
         assert not any(not any(map(any, rows[i:i + r]))
-                       for rows in stacked("pairs") for i in range(0, len(rows), r))
+                       for rows in stacked("pairs") + stacked("strata")
+                       for i in range(0, len(rows), r))
+        assert forms["strata"] and not set(stacked("strata")) & set(diffs)
 
     def test_input_file(self, tmp_path):
         doc = {"name": "z4", "matrices": [[[0, -1], [1, 0]]], "d": 1,

@@ -19,6 +19,7 @@ from kummer.catalog import standard_rep_matrix
 from kummer.groupcore import generate_group
 from kummer.symcheck import AnalyticEigenData
 from trace_reference import trace_exponents
+import kernel_reference
 
 
 Z6_GEN = ((0, -1), (1, 1))
@@ -270,3 +271,80 @@ class TestNormalForms:
         # kernel vectors are killed
         for row in kb:
             assert sum(row) == 0
+
+
+class TestAgainstTheEntryKernels:
+    """The kernels work on whole rows but take the same elementary operations
+    in the same order as the entry-by-entry ones kept in ``kernel_reference``:
+    every transform and result is equal to the reference's, not merely valid
+    (Smith frames V are what fixed-locus traces are written in)."""
+
+    @staticmethod
+    def assert_same(m, width=None):
+        snf, old = smith_normal_form(m), kernel_reference.smith_normal_form(m)
+        assert (snf.u, snf.d, snf.v, snf.v_inv, snf.rows, snf.cols) == (
+            old.u, old.d, old.v, old.v_inv, old.rows, old.cols), m
+        for w in {width, len(m[0]) if m else 0}:
+            assert hermite_normal_form(m, w) == kernel_reference.hermite_normal_form(m, w), m
+        if len(m) == (len(m[0]) if m else 0):
+            assert char_poly.__wrapped__(m).coeffs == kernel_reference.char_poly(m).coeffs, m
+
+    def test_random_matrices(self):
+        rng = random.Random(2028)
+        for _ in range(3000):
+            rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+            m = tuple(tuple(rng.randint(-9, 9) if rng.random() < 0.7 else 0
+                            for _ in range(cols)) for _ in range(rows))
+            self.assert_same(m, cols)
+            other = tuple(tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 5)))
+                          for _ in range(cols))
+            if len(set(map(len, other))) <= 1:
+                assert mat_mul(m, other) == kernel_reference.mat_mul(m, other), (m, other)
+
+    def test_random_polynomials(self):
+        rng = random.Random(2029)
+        for _ in range(3000):
+            a, b = ([rng.randint(-9, 9) for _ in range(rng.randint(0, 7))] for _ in "ab")
+            k = rng.randint(-9, 9)
+            new = IntPolynomial(a), IntPolynomial(b)
+            old = (kernel_reference.IntPolynomial._of(list(new[0].coeffs)),
+                   kernel_reference.IntPolynomial._of(list(new[1].coeffs)))
+            for op in ("__add__", "__sub__", "__mul__"):
+                assert getattr(new[0], op)(new[1]).coeffs == getattr(old[0], op)(old[1]).coeffs
+                assert getattr(new[0], op)(k).coeffs == getattr(old[0], op)(k).coeffs
+
+    def test_every_matrix_of_the_integral_catalog(self, monkeypatch):
+        # the Smith forms of _frame, the products, Hermite forms and Lefschetz
+        # matrices of _fixed_trace, and the row lattices of orbifold_euler
+        from kummer import groupcore, strata
+        from kummer.mckay import NonIntegerAge
+        from kummer.toruslat import orbifold_euler
+        from action_reference import integral_catalog_actions
+
+        seen = {"frame": [], "hermite": [], "lefschetz": [], "products": []}
+
+        def spy(module, name, kind):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: seen[kind].append(args)
+                                or real(*args))
+
+        spy(strata, "_frame", "frame")  # cached: the spy sees every call
+        spy(strata, "hermite_normal_form", "hermite")
+        spy(groupcore, "hermite_normal_form", "hermite")
+        spy(strata, "det_one_plus_t", "lefschetz")
+        spy(strata, "mat_mul", "products")
+        for action in integral_catalog_actions():
+            orbifold_euler(action)
+            try:
+                strata.stratify(action)
+            except NonIntegerAge:
+                pass
+        assert all(len(calls) > 20 for calls in seen.values())
+        for m, _ in seen["frame"]:
+            self.assert_same(m)
+        for m, width in seen["hermite"]:
+            self.assert_same(tuple(map(tuple, m)), width)
+        for m, _ in seen["lefschetz"]:
+            self.assert_same(m)
+        for a, b in seen["products"]:
+            assert mat_mul(a, b) == kernel_reference.mat_mul(a, b)

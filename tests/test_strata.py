@@ -971,7 +971,7 @@ class TestShortcuts:
 
 OPTIMIZED_SCRIPT = """
 import sys
-from kummer import strata
+from kummer import exactalg, strata
 from kummer.catalog import catalog
 from kummer.exactalg import ConsistencyError, IntPolynomial
 from kummer.groupcore import SubgroupClass
@@ -1040,6 +1040,13 @@ try:  # a normalizer too small for orbit-stabilizer
     SubgroupClass(z6, cls.members, cls.conjugators, cls.gens, cls.mask, cls.gens)
 except ConsistencyError:
     raised.append("orbit-stabilizer")
+product = exactalg.mat_mul
+exactalg.mat_mul = lambda a, b: tuple(tuple(2 * x for x in row) for row in product(a, b))
+try:  # Smith transforms whose product U M V is not D
+    exactalg.smith_normal_form(((2, 0), (0, 3)))
+except ConsistencyError:
+    raised.append("smith-product")
+exactalg.mat_mul = product
 print(" ".join(raised))
 """
 
@@ -1059,7 +1066,8 @@ def test_checks_survive_optimized_mode():
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["saturation", "component-map", "bookkeeping",
                                   "smith-inverse", "lattice", "orbit-count",
-                                  "average", "partition", "orbit-stabilizer"]
+                                  "average", "partition", "orbit-stabilizer",
+                                  "smith-product"]
 
 
 class TestLedger:
