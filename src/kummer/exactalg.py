@@ -55,7 +55,7 @@ def mat_mul(a, b) -> Matrix:
 
 
 def mat_vec(a, v):
-    return tuple([sum(map(mul, row, v)) for row in a])
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_sub(a, b) -> Matrix:
