@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .catalog import (
     UnknownCatalogEntry,
@@ -95,7 +96,14 @@ class Report:
         return all(c["pass"] for c in self.payload.get("checks", []))
 
     def to_json(self) -> str:
-        return json.dumps(self.payload, sort_keys=True, indent=2) + "\n"
+        """The payload as ``json.dumps(payload, sort_keys=True, indent=2)``
+        writes it, plus a newline, byte for byte.
+
+        ``json.dumps`` drops to its pure-Python encoder whenever ``indent``
+        is set, which made writing the report a sizeable share of a short
+        run; :func:`_json_text` writes the same bytes in one pass.
+        """
+        return _json_text(self.payload, "\n") + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
@@ -156,6 +164,48 @@ class Report:
             lines.append(f"  [{status}] {c['name']}: {c['left']} vs {c['right']}")
         lines.append(f"overall: {'pass' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
+
+
+# how json.dumps writes each scalar a report holds, by exact type
+_JSON_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
+                bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it.
+
+    ``newline`` is a newline and the indent of the line ``value`` starts
+    on.  Takes the types a report holds: dicts with str keys, lists,
+    tuples, str, int, bool and None; anything else raises ``TypeError``.
+    """
+    leaf = _JSON_LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            leaf = _JSON_LEAVES.get(type(item))
+            text = _json_text(item, inner) if leaf is None else leaf(item)
+            items.append(f"{encode_basestring_ascii(key)}: {text}")
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all([type(item) is int for item in value]):
+            body = ("," + inner).join(map(str, value))
+        else:
+            body = ("," + inner).join([_json_text(item, inner) for item in value])
+        return f"[{inner}{body}{newline}]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _poly_str(coeffs) -> str:

@@ -381,14 +381,19 @@ def torsion_oracle(action: IntegralAction, n: int,
     """Count n-torsion fixed points of every element by brute force.
 
     The n-torsion points fixed by g are the kernel of x -> (I - g) x on
-    (Z/n)^r, so their number is n^r over the size of the image; it is
-    raised to the power 2d for the independent homology copies.  The
-    image is enumerated as a set, one column of I - g at a time, so at
-    most n^r vectors are held.  Independent of all normal-form
-    machinery, so it cross-checks the determinant and Smith counts.
-    x -> kx maps the fixed points of g onto those of kgk^-1, so the
-    enumeration runs once per conjugacy class and every member gets its
-    class representative's count.
+    (Z/n)^r, so their number is n^r over the size of the image H; it is
+    raised to the power 2d for the independent homology copies.  H is
+    enumerated as a set, grown one column c of I - g at a time by coset
+    layers: H is a group, so each coset H + kc, k = 1, 2, ..., is either
+    disjoint from the cosets before it or H itself, and the layers stop
+    at the first k with kc already in H.  So at most n^r vectors are
+    held, and each vector of the final H is built once, besides one
+    shift vector per coset: fewer than 2 * n^r + r tuples per class, at
+    most r * n^r when r > 1.  No Smith or Hermite form is taken, so the
+    counts check the determinant and Smith counts independently of all
+    normal-form machinery.  x -> kx maps the fixed points of g onto
+    those of kgk^-1, so the enumeration runs once per conjugacy class
+    and every member gets its class representative's count.
 
     >>> from .catalog import catalog
     >>> z6 = catalog("z6_sl2")
@@ -405,9 +410,12 @@ def torsion_oracle(action: IntegralAction, n: int,
     for cls in action._classes:
         images = {(0,) * action.r}
         for col in zip(*mat_sub(ident, action.elements[cls.rep])):
-            steps = [tuple(c * x for x in col) for c in range(n)]
-            images = {tuple((a + b) % n for a, b in zip(w, step))
-                      for w in images for step in steps}
+            layer = tuple(images)  # H before this column
+            shift = step = tuple(x % n for x in col)
+            while shift not in images:  # H + shift is a new coset
+                images.update(tuple([(a + b) % n for a, b in zip(w, shift)])
+                              for w in layer)
+                shift = tuple([(a + b) % n for a, b in zip(shift, step)])
         count = (n ** action.r // len(images)) ** (2 * action.d)
         for g in cls.members:
             counts[g] = count

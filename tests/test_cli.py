@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -326,6 +327,27 @@ class TestReportSerialization:
         a = run(JobSpec("integral", catalog_name="z6_sl2")).to_json()
         b = run(JobSpec("integral", catalog_name="z6_sl2")).to_json()
         assert a == b
+
+    @pytest.mark.parametrize("payload", [
+        {"empty_dict": {}, "empty_list": [], "nested": {"a": {}, "b": [[], {}], "c": [{}]}},
+        {"mixed": [True, 1, 0, False, None], "flags": {"t": True, "f": False, "n": None},
+         "no_none": [1, True, 0, False]},
+        {"ints": [-1, -(2 ** 70), 2 ** 64 + 1, 0], "big": 2 ** 100, "neg": -7},
+        {"text": ['quote " back \\ nl \n ctl \x01', "Ω", "\U0001d11e"],
+         "Ω key \"\\": "\U0001d11e"},
+        {"input": {"path": "dir/a, [b] {c}.json", "catalog": None},
+         "tuple": (1, (2, "x"), ()), "rows": [[1, 2], [3, "4"]]},
+        {"subclasses": [IntEnum("Level", "ONE TWO").TWO, type("Name", (str,), {})("Ω")]},
+    ])
+    def test_writer_matches_json_dumps(self, payload):
+        assert Report(payload).to_json() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "int key"}])
+    def test_writer_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            Report({"value": value}).to_json()
+        with pytest.raises(TypeError):
+            Report({"value": [1, value]}).to_json()
 
     def test_text_rendering(self, z6_report):
         text = z6_report.to_text()

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd, prod
 
 import pytest
 
@@ -10,7 +11,7 @@ from kummer.catalog import (
     standard_sn,
     wreath,
 )
-from kummer.exactalg import identity_matrix, mat_det, mat_sub
+from kummer.exactalg import identity_matrix, mat_det, mat_sub, smith_normal_form
 from kummer.groupcore import generate_group
 from kummer.mckay import partitions
 from kummer.toruslat import (
@@ -204,8 +205,11 @@ class TestTorsionOracle:
         with pytest.raises(EnumerationTooLarge):
             torsion_oracle(z6, 100, budget=100)
 
+    # level 6 is composite and shares 2 and 3 with the group orders; it is
+    # taken where the per-element reference stays cheap (r <= 3)
     @pytest.mark.parametrize("action, levels", [
-        *((action, (2, 3, 4)) for action in integral_catalog_actions()),
+        *((action, (2, 3, 4, 6) if action.r <= 3 else (2, 3, 4))
+          for action in integral_catalog_actions()),
         (natural_sn(4, 2), (2,)),
     ])
     def test_matches_per_element_enumeration(self, action, levels):
@@ -222,6 +226,18 @@ class TestTorsionOracle:
                 )
                 expected[g] = fixed ** (2 * action.d)
             assert torsion_oracle(action, n) == expected
+
+    def test_matches_smith_prediction_at_level_40(self):
+        # every element's count against (prod gcd(d_i, n) * n^(r - k))^(2d)
+        # from the Smith divisors d_1..d_k of I - g, as the CLI check has it;
+        # the rank-deficient classes grow their image over many coset layers
+        action, n = catalog("s4_standard_d2"), 40
+        ident = identity_matrix(action.r)
+        oracle = torsion_oracle(action, n)
+        for g in action.elements:
+            snf = smith_normal_form(mat_sub(ident, g))
+            predicted = prod(gcd(dv, n) for dv in snf.divisors) * n ** (action.r - snf.rank)
+            assert oracle[g] == predicted ** (2 * action.d)
 
     def test_matches_isolated_count_at_determinant_level(self):
         for name in ["z2_sl2", "z3_sl2", "z4_sl2", "z6_sl2", "d8_b2"]:
