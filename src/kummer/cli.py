@@ -75,6 +75,9 @@ class JobSpec:
                             "max-enumeration": max_enumeration}.items():
             if value is not None and value < 1:
                 raise InputError(f"--{flag} must be a positive integer")
+        for flag, value in {"d": d, "oracle": oracle, "equivariant": equivariant}.items():
+            if value and mode != "integral":
+                raise InputError(f"--{flag} applies only in integral mode")
         self.mode = mode
         self.catalog_name = catalog_name
         self.input_path = input_path
@@ -276,7 +279,8 @@ def _analytic_from_file(doc, cap):
                          for n, d in row["exponents"])
             per_class[group.class_index(rep)] = exps
         classes = group.conjugacy_classes()
-        if sorted(per_class) != list(range(len(classes))):
+        if (len(per_class) != len(doc["class_data"])
+                or sorted(per_class) != list(range(len(classes)))):
             raise ValueError(
                 "class_data must cover every conjugacy class exactly once"
             )
@@ -486,7 +490,7 @@ def _run_ledger(job: JobSpec) -> Report:
         raise InputError("ledger mode requires --input")
     doc = _load_json(job.input_path)
     try:
-        result = assemble_from_ledger(doc)
+        result = assemble_from_ledger(doc, cap=job.max_group_order)
     except MalformedLedger as exc:
         raise InputError(str(exc)) from None
     payload = {

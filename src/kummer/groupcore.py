@@ -222,12 +222,8 @@ class FiniteGroup:
             k, k_inv = conj[rep], inv[conj[rep]]
             rep_gens = tuple(table[table[k][a]][k_inv] for a in join_gens)
             conj = {sub: table[conj[sub]][k_inv] for sub in orbit}  # sub = k rep k^-1
-            norm, norm_gens = rep, list(rep_gens)
-            for sub, x, image in edges:
-                y = table[table[inv[conj[image]]][x]][conj[sub]]
-                if not norm >> y & 1:
-                    norm_gens.append(y)
-                    norm = self._closure(norm_gens)
+            schreier = (table[table[inv[conj[image]]][x]][conj[sub]] for sub, x, image in edges)
+            norm, norm_gens = _span(self, schreier, rep_gens, rep)
             known.update(orbit)
             members = (rep, *(sub for sub in orbit if sub != rep))
             found.append(SubgroupClass(self, members, tuple(map(conj.get, members)),
@@ -512,22 +508,20 @@ class ConjugacyClass:
 
     @property
     def centralizer(self) -> tuple[int, list[int]]:
-        """C(g) as (mask, generators).  An edge x -> y = s x s^-1 of the
-        class's walk under a generator s gives the Schreier element
-        k_y^-1 s k_x of C(g), and those generate it; one is kept when it is
-        not yet in the closure of those before, as ``_lattice`` closes N(H)."""
+        """C(g) as (mask, generators), by :func:`_span`.  An edge
+        x -> y = s x s^-1 of the class's walk under a generator s gives the
+        Schreier element k_y^-1 s k_x of C(g), and those generate it."""
         group, conj = self.group, self.conjugator_of
         table, inv = group._table, group._inv_of
-        span, gens = 1 << group._e, []
-        for s in map(group._index_of.__getitem__, group.generators):
-            row = table[s]
-            for x in self.members:
-                y = table[row[x]][inv[s]]  # s x s^-1
-                z = table[table[inv[conj[y]]][s]][conj[x]]
-                if not span >> z & 1:
-                    gens.append(z)
-                    span = group._closure(gens)
-        return span, gens
+
+        def schreier():
+            for s in map(group._index_of.__getitem__, group.generators):
+                row = table[s]
+                for x in self.members:
+                    y = table[row[x]][inv[s]]  # s x s^-1
+                    yield table[table[inv[conj[y]]][s]][conj[x]]
+
+        return _span(group, schreier(), (), 1 << group._e)
 
     @cached_property
     def centralizer_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -589,24 +583,27 @@ def subgroup_class_poset(group: FiniteGroup) -> tuple[SubgroupClass, ...]:
 def _weyl_permutations(group: FiniteGroup, mask: int, reps):
     """H's element classes (H conjugating) and, per index in ``reps``, their
     permutation by conjugation with it, as ``(classes, perms)``."""
-    classes = _element_classes(group, _bits(mask), _generators(group, mask))
+    members = _bits(mask)
+    classes = _element_classes(group, members, _span(group, members, (), 1 << group._e)[1])
     class_of = {h: i for i, cls in enumerate(classes) for h in cls}
     table, inv = group._table, group._inv_of
     return classes, tuple(tuple(class_of[table[table[n][cls[0]]][inv[n]]] for cls in classes)
                           for n in reps)
 
 
-def _generators(group: FiniteGroup, mask: int) -> list[int]:
-    """Indices generating the subgroup ``mask``, taken greedily from its
-    members, each one not yet in the span of those before it."""
-    gens, span = [], 1 << group._e
-    for h in _bits(mask):
-        if span == mask:
-            break
-        if not span >> h & 1:
-            gens.append(h)
+def _span(group: FiniteGroup, candidates, gens, span: int) -> tuple[int, list[int]]:
+    """The subgroup that the indices ``gens``, whose closure is the mask
+    ``span``, and the indices ``candidates`` generate, as ``(mask,
+    generators)``: a candidate is kept, and the span closed again, only when
+    the span so far does not hold it.  It gives N(H) from H and Schreier
+    elements, C(g) from Schreier elements and a subgroup's generating set
+    from its members."""
+    gens = list(gens)
+    for x in candidates:
+        if not span >> x & 1:
+            gens.append(x)
             span = group._closure(gens)
-    return gens
+    return span, gens
 
 
 def _element_classes(group: FiniteGroup, elements, conjugators) -> tuple[tuple, ...]:
@@ -621,7 +618,7 @@ def _class_orbits(group: FiniteGroup, elements, conjugators) -> list[dict[int, i
 
     Closing under generators of a group reaches the full class, so the
     whole group passes its generators and a subgroup a generating set of
-    its own (:func:`_generators`).  Orbits are sorted by (order of
+    its own (:func:`_span`).  Orbits are sorted by (order of
     elements, least member).
     """
     table = group._table

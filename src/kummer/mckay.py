@@ -28,16 +28,15 @@ class NonIntegerAge(ValueError):
 class FiberPolynomial:
     """Cohomology of the central resolution fiber, with Weyl traces.
 
-    ``plain`` is the ordinary Poincaré polynomial, ``class_ages`` the age
-    of each class of H, and ``values`` holds, per Weyl coset, the
-    polynomial of that coset's traces on fiber cohomology.
+    ``plain`` is the ordinary Poincaré polynomial, and ``values`` holds,
+    per Weyl coset, the polynomial of that coset's traces on fiber
+    cohomology.
     """
 
-    __slots__ = ("plain", "class_ages", "values")
+    __slots__ = ("plain", "values")
 
-    def __init__(self, plain, class_ages, values):
+    def __init__(self, plain, values):
         self.plain = plain
-        self.class_ages = tuple(class_ages)
         self.values = tuple(values)
 
     def __repr__(self):
@@ -101,7 +100,7 @@ def fiber_poincare_equivariant(group: IntegralAction, mask: int, reps) -> FiberP
         return IntPolynomial(coeffs)
 
     return FiberPolynomial(
-        graded(range(len(ages))), ages,
+        graded(range(len(ages))),
         [graded(i for i, j in enumerate(perm) if i == j) for perm in perms],
     )
 

@@ -48,7 +48,9 @@ from .exactalg import (
     ConsistencyError, IntPolynomial, det_one_plus_t, hermite_normal_form,
     identity_matrix, mat_mul, smith_normal_form,
 )
-from .groupcore import IntegralAction, _mask_key, _permuted, _row_lattice
+from .groupcore import (
+    DEFAULT_ORDER_CAP, IntegralAction, _mask_key, _permuted, _row_lattice, generate_group,
+)
 from .mckay import FiberPolynomial, _class_ages, fiber_poincare_equivariant
 from .repring import _average, quotient_poincare
 from .toruslat import DEFAULT_ENUMERATION_BUDGET, EnumerationTooLarge
@@ -369,8 +371,7 @@ class _Classes:
                 members = tuple(tuple(map(zs.__getitem__, x)) for x in orbit)
                 orbits.append(ComponentOrbit(
                     members[0], members, tuple(cls.cosets[i] for i in stab),
-                    FiberPolynomial(fiber.plain, fiber.class_ages,
-                                    [fiber.values[i] for i in stab]),
+                    FiberPolynomial(fiber.plain, [fiber.values[i] for i in stab]),
                 ))
             self.detail[c] = tuple(orbits), orbit_of, fixed, starts
         return self.detail[c][0]
@@ -483,32 +484,13 @@ def stratify(action: IntegralAction,
 
 
 class ParamPoly:
-    """A polynomial with coefficients linear in one integer parameter."""
+    """A polynomial with coefficients linear in one integer parameter:
+    ``const + parameter * linear``."""
 
     __slots__ = ("const", "linear")
 
-    def __init__(self, const=None, linear=None):
-        self.const = const if const is not None else IntPolynomial.zero()
-        self.linear = linear if linear is not None else IntPolynomial.zero()
-
-    def __add__(self, other):
-        return ParamPoly(self.const + other.const, self.linear + other.linear)
-
-    def __sub__(self, other):
-        return ParamPoly(self.const - other.const, self.linear - other.linear)
-
-    def times_poly(self, p: IntPolynomial) -> "ParamPoly":
-        return ParamPoly(self.const * p, self.linear * p)
-
-    def substitute(self, value: int) -> IntPolynomial:
-        return self.const + value * self.linear
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ParamPoly)
-            and self.const == other.const
-            and self.linear == other.linear
-        )
+    def __init__(self, const, linear):
+        self.const, self.linear = const, linear
 
     def __repr__(self):
         return f"ParamPoly(const={self.const!r}, linear={self.linear!r})"
@@ -526,14 +508,18 @@ class LedgerResult:
 
 def _ledger_coeffs(obj) -> IntPolynomial:
     try:
+        for c in obj:
+            if isinstance(c, bool):
+                raise TypeError(f"non-integer coefficient {c!r}")
         return IntPolynomial(obj)
     except TypeError as exc:
         raise MalformedLedger(f"bad polynomial {obj!r}: {exc}") from None
 
 
-def _ledger_poly(obj, parameter) -> ParamPoly:
+def _ledger_poly(obj, parameter, cap: int) -> tuple[IntPolynomial, IntPolynomial]:
+    """The ``(const, linear)`` parts of a ledger polynomial."""
     if isinstance(obj, list):
-        return ParamPoly(_ledger_coeffs(obj))
+        return _ledger_coeffs(obj), IntPolynomial.zero()
     if isinstance(obj, dict):
         if "molien" in obj:
             spec = obj["molien"]
@@ -545,14 +531,12 @@ def _ledger_poly(obj, parameter) -> ParamPoly:
                     raise ValueError("d must be a positive integer")
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedLedger(f"bad molien spec: {exc}") from None
-            from .groupcore import generate_group
-
-            return ParamPoly(quotient_poincare(generate_group(gens, d=d)))
+            return quotient_poincare(generate_group(gens, cap=cap, d=d)), IntPolynomial.zero()
         const = _ledger_coeffs(obj.get("const", []))
         lin = _ledger_coeffs(obj.get("param", []))
         if lin and parameter is None:
             raise MalformedLedger("parameter used but not declared")
-        return ParamPoly(const, lin)
+        return const, lin
     raise MalformedLedger(f"cannot read polynomial from {obj!r}")
 
 
@@ -578,12 +562,13 @@ def _ledger_scalar(obj, parameter):
     raise MalformedLedger(f"cannot read multiplicity from {obj!r}")
 
 
-def assemble_from_ledger(doc: dict) -> LedgerResult:
+def assemble_from_ledger(doc: dict, cap: int = DEFAULT_ORDER_CAP) -> LedgerResult:
     """Evaluate a hand-authored strata ledger.
 
     Each entry contributes ``(base - sum(mult * poly)) * fiber``; base
     coefficients and multiplicities may be linear in one declared integer
     parameter, and an optional substitution map produces a plain result.
+    A molien spec's group is closed under the order cap ``cap``.
 
     >>> res = assemble_from_ledger({"entries": []})
     >>> res.symbolic.const
@@ -595,11 +580,11 @@ def assemble_from_ledger(doc: dict) -> LedgerResult:
     entries = doc["entries"]
     if not isinstance(entries, list):
         raise MalformedLedger("'entries' must be a list")
-    total = ParamPoly()
+    const = linear = IntPolynomial.zero()
     for entry in entries:
         if not isinstance(entry, dict) or "base" not in entry:
             raise MalformedLedger(f"bad entry {entry!r}")
-        base = _ledger_poly(entry["base"], parameter)
+        base, base_linear = _ledger_poly(entry["base"], parameter, cap)
         fiber = _ledger_coeffs(entry.get("fiber", [1]))
         subtractions = entry.get("subtract", [])
         if not isinstance(subtractions, list):
@@ -609,22 +594,18 @@ def assemble_from_ledger(doc: dict) -> LedgerResult:
                 raise MalformedLedger(f"bad subtraction {sub!r}")
             c, m = _ledger_scalar(sub.get("multiplicity", 1), parameter)
             poly = _ledger_coeffs(sub["poly"])
-            base = base - ParamPoly(c * poly, m * poly)
-        total = total + base.times_poly(fiber)
+            base, base_linear = base - c * poly, base_linear - m * poly
+        const, linear = const + base * fiber, linear + base_linear * fiber
+    # an undeclared parameter is refused where it is used, so then linear is 0
     substitution = doc.get("substitution")
     value = None
-    if substitution is not None:
-        if parameter is None:
-            value = total.substitute(0)
-            if total.linear:
-                raise MalformedLedger("substitution given but no parameter declared")
-        else:
-            try:
-                value = total.substitute(_ledger_int(substitution[parameter]))
-            except (KeyError, TypeError, ValueError):
-                raise MalformedLedger(
-                    f"substitution must give an integer for {parameter!r}"
-                ) from None
-    elif not total.linear:
-        value = total.const
-    return LedgerResult(total, value, parameter, substitution)
+    if substitution is not None and parameter is not None:
+        try:
+            value = const + _ledger_int(substitution[parameter]) * linear
+        except (KeyError, TypeError, ValueError):
+            raise MalformedLedger(
+                f"substitution must give an integer for {parameter!r}"
+            ) from None
+    elif not linear:
+        value = const
+    return LedgerResult(ParamPoly(const, linear), value, parameter, substitution)

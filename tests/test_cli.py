@@ -131,6 +131,19 @@ class TestJobSpec:
         assert captured.err == f"error: {flag} must be a positive integer\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", [["--d", "7"], ["--oracle", "4"], ["--equivariant"]],
+                             ids=["d", "oracle", "equivariant"])
+    @pytest.mark.parametrize("source", [
+        ["--mode", "ledger", "--input", str(ROOT / "demos/ledgers/dihedral8_pieces.json")],
+        ["--mode", "analytic", "--catalog", "binary_tetrahedral"],
+    ], ids=["ledger", "analytic"])
+    def test_integral_flags_outside_integral_mode(self, source, flag, capsys):
+        # these used to have no effect there, though the report echoed them
+        assert main(source + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag[0]} applies only in integral mode\n"
+        assert captured.out == ""
+
 
 class TestIntegralRun:
     def test_z6_values(self, z6_report):
@@ -535,6 +548,10 @@ class TestMainEntryPoint:
             {"representative": [0, 1, 2], "exponents": [[0, 0], [0, 1], [0, 1], [0, 1]]},
             *D6_ANALYTIC["class_data"][1:]]),
          "bad analytic spec: Fraction(0, 0)"),
+        # the last of two rows for one class used to be kept
+        ("analytic", dict(D6_ANALYTIC, class_data=[
+            *D6_ANALYTIC["class_data"], D6_ANALYTIC["class_data"][0]]),
+         "bad analytic spec: class_data must cover every conjugacy class exactly once"),
         ("analytic", dict(D6_ANALYTIC, constraints=[
             {"unknowns": {"s": [0, 5]}, "conditions": {"s": "power_of_x"}}]),
          "bad constraint: unknown condition 'power_of_x': expected power_of_<p>, p >= 2"),
@@ -563,7 +580,7 @@ class TestMainEntryPoint:
         ("analytic", [], "bad analytic spec: the document must be a JSON object"),
         ("analytic", "text", "bad analytic spec: the document must be a JSON object"),
     ], ids=["special_text", "special_number", "exponent_zero_denominator",
-            "constraint_unknown_condition", "constraint_empty_range",
+            "duplicate_class_row", "constraint_unknown_condition", "constraint_empty_range",
             "constraint_power_of_one", "constraint_conditions_list",
             "constraints_not_a_list", "constraint_undeclared_unknown",
             "constraint_over_budget", "integral_list", "integral_string",
@@ -623,11 +640,22 @@ class TestMainEntryPoint:
          {"parameter": "m", "substitution": {"m": 2}}),
         ([{"poly": [1], "multiplicity": {"param": 1}}],
          {"parameter": "m", "substitution": {"m": 1.5}}),
+        # an "entries" in extra replaces the one entry
+        ([], {"entries": [{"base": [True, 0, 22, 0, True]}]}),
+        ([], {"entries": [{"base": [1], "fiber": [1, 0, True]}]}),
+        ([{"poly": [1, True]}], {}),
+        ([], {"entries": [{"base": {"const": [1, 0, True]}}]}),
+        ([], {"parameter": "m", "entries": [{"base": {"param": [0, True]}}]}),
+        ([], {"entries": [{"base": [1, 0, 1.5]}]}),
     ], ids=["boolean_const", "boolean_multiplicity", "fractional_param",
-            "fractional_substitution"])
+            "fractional_substitution", "boolean_base_coefficient",
+            "boolean_fiber_coefficient", "boolean_poly_coefficient",
+            "boolean_const_coefficient", "boolean_param_coefficient",
+            "fractional_coefficient"])
     def test_non_integral_ledger_values_exit_two(self, subtract, extra, tmp_path,
                                                  capsys):
-        # int() would truncate these or read a boolean as a number
+        # int() would truncate these, and IntPolynomial or int() would read a
+        # boolean as a number
         path = tmp_path / "ledger.json"
         path.write_text(json.dumps(
             {"entries": [{"base": [1], "subtract": subtract}], **extra}))
@@ -702,8 +730,11 @@ class TestMainEntryPoint:
         (["--mode", "analytic", "--catalog", "binary_tetrahedral"], 24),
         (["--input", "z6.json"], 6),
         (["--mode", "analytic", "--input", "d6.json"], 6),
+        # the molien spec's group, which used to be closed under the default cap
+        (["--mode", "ledger", "--input", str(ROOT / "demos/ledgers/dihedral8_pieces.json")],
+         8),
     ], ids=["integral_catalog", "analytic_catalog", "integral_input",
-            "analytic_input"])
+            "analytic_input", "ledger_molien"])
     def test_group_cap_in_every_mode(self, source, order, tmp_path, capsys,
                                      monkeypatch):
         monkeypatch.chdir(tmp_path)
