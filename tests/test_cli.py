@@ -138,7 +138,8 @@ class TestJobSpec:
         ["--mode", "analytic", "--catalog", "binary_tetrahedral"],
     ], ids=["ledger", "analytic"])
     def test_integral_flags_outside_integral_mode(self, source, flag, capsys):
-        # these used to have no effect there, though the report echoed them
+        # they act in integral mode only: elsewhere the report would echo them
+        # and the run ignore them
         assert main(source + flag) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {flag[0]} applies only in integral mode\n"
@@ -548,7 +549,7 @@ class TestMainEntryPoint:
             {"representative": [0, 1, 2], "exponents": [[0, 0], [0, 1], [0, 1], [0, 1]]},
             *D6_ANALYTIC["class_data"][1:]]),
          "bad analytic spec: Fraction(0, 0)"),
-        # the last of two rows for one class used to be kept
+        # a second row for one class would silently replace the first
         ("analytic", dict(D6_ANALYTIC, class_data=[
             *D6_ANALYTIC["class_data"], D6_ANALYTIC["class_data"][0]]),
          "bad analytic spec: class_data must cover every conjugacy class exactly once"),
@@ -730,7 +731,7 @@ class TestMainEntryPoint:
         (["--mode", "analytic", "--catalog", "binary_tetrahedral"], 24),
         (["--input", "z6.json"], 6),
         (["--mode", "analytic", "--input", "d6.json"], 6),
-        # the molien spec's group, which used to be closed under the default cap
+        # a ledger's molien spec closes its group under the cap too
         (["--mode", "ledger", "--input", str(ROOT / "demos/ledgers/dihedral8_pieces.json")],
          8),
     ], ids=["integral_catalog", "analytic_catalog", "integral_input",
