@@ -33,7 +33,7 @@ from .groupcore import (
 )
 from .mckay import NonIntegerAge
 from .strata import (
-    MalformedLedger, TerminalStratum, _ledger_int, assemble_from_ledger, stratify,
+    MalformedLedger, TerminalStratum, _frame, _ledger_int, assemble_from_ledger, stratify,
 )
 from .symcheck import (
     AnalyticEigenData,
@@ -409,8 +409,8 @@ def _run_integral(job: JobSpec) -> Report:
     ]
     if job.oracle is not None:
         oracle, mism = torsion_oracle(action, job.oracle, budget=job.max_enumeration), []
-        by_class = [(math.prod(math.gcd(dv, job.oracle) for dv in cls.smith.divisors)
-                     * job.oracle ** (action.r - cls.smith.rank)) ** (2 * action.d)
+        by_class = [(math.prod(math.gcd(dv, job.oracle) for dv in _frame(cls.rows, action.r)[2])
+                     * job.oracle ** (action.r - cls.rank)) ** (2 * action.d)
                     for cls in action._classes]  # the count is a class function
         for g in action.elements:
             predicted = by_class[action.class_index(g)]

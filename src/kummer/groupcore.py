@@ -14,11 +14,12 @@ and subgroup classes and the Weyl permutations of a subgroup's classes
 are table lookups on indices.  Each element class is one
 :class:`ConjugacyClass` record, which every class-level number reads:
 rank(1 - g) from one Hermite form (:func:`_row_lattice`, which the Euler
-pairs and the strata share; the strata read this one for <g>), and, on first
-read, the Smith form of 1 - g and C(g), closed from the Schreier elements of
-the class's walk, with its classes.  The subgroup lattice is built class by class from joins of
+pairs and the strata share; the strata and ``--oracle`` read this one for
+<g>), and, on first read, C(g), closed from the Schreier elements of the
+class's walk, with its classes.  The subgroup lattice is built class by class from joins of
 class representatives with single elements, as one :class:`SubgroupClass`
-record per class, with R's cosets in N(R) grouped once as index tuples;
+record per class, with R's cosets in N(R) grouped once as index tuples, and
+those cosets grouped into the classes of the Weyl group N(R)/R;
 the records are all that their readers see of it: no method lists
 subgroups or cosets as element sets.  Only the public methods take and
 return elements (matrices or permutation tuples) and frozensets of them.
@@ -38,7 +39,6 @@ from .exactalg import (
     identity_matrix,
     mat_det,
     mat_sub,
-    smith_normal_form,
 )
 
 DEFAULT_ORDER_CAP = 10_000
@@ -477,8 +477,8 @@ class ConjugacyClass:
     least one ``rep`` (g) with ``conjugator_of[x]`` = k for x = k g k^-1,
     ``size`` and element ``order``.  Built on first read: the classes of
     C(g) and, for an integral action, the Hermite ``rows`` of 1 - g (their
-    number is the ``rank``; the strata engine reads them for <g>) and its
-    ``smith`` form.  ``diff`` (1 - g) and C(g)'s
+    number is the ``rank``; the strata engine and ``--oracle`` read them for
+    <g>).  ``diff`` (1 - g) and C(g)'s
     generators are rebuilt on each read: their readers take them once."""
 
     def __init__(self, group, conjugator_of):
@@ -500,11 +500,6 @@ class ConjugacyClass:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def smith(self):
-        """The Smith form of 1 - g."""
-        return smith_normal_form(self.diff)
 
     @property
     def centralizer(self) -> tuple[int, list[int]]:
@@ -534,8 +529,8 @@ class SubgroupClass:
     """One conjugacy class of subgroups: ``members`` as masks, least member R
     first, ``members[i]`` = k R k^-1 for k = ``conjugators[i]``, R generated
     by ``gens`` and N(R) (mask ``norm``) by ``norm_gens``, all indices.  The
-    orbit-stabilizer count is checked; R as elements and the Weyl cosets, as
-    index tuples, are built when read."""
+    orbit-stabilizer count is checked; R as elements, the Weyl cosets, as
+    index tuples, and their Weyl classes are built when read."""
 
     def __init__(self, group, members, conjugators, gens, norm, norm_gens):
         self.group, self.members, self.conjugators = group, members, conjugators
@@ -558,6 +553,27 @@ class SubgroupClass:
         for g in sorted(self.coset_of):
             cosets[self.coset_of[g]].append(g)
         return tuple(map(tuple, cosets))
+
+    @cached_property
+    def weyl_classes(self) -> tuple[list, dict[int, int]]:
+        """The classes of N(R)/R: per class an element and its R-cosets
+        (numbered as in ``cosets``), R's class first, and each coset's
+        number mapped to its class.  They are the orbits of the cosets under
+        conjugation by N(R)'s generators."""
+        table, inv, coset_of = self.group._table, self.group._inv_of, self.coset_of
+        pairs = [(table[x], inv[x]) for x in self.norm_gens]
+        classes, orbit_of = [], {}
+        for g, i in coset_of.items():
+            if i not in orbit_of:
+                orbit_of[i], orbit = len(classes), [g]
+                for y in orbit:
+                    for row, x_inv in pairs:
+                        z = table[row[y]][x_inv]
+                        if coset_of[z] not in orbit_of:
+                            orbit_of[coset_of[z]] = len(classes)
+                            orbit.append(z)
+                classes.append((g, [coset_of[y] for y in orbit]))
+        return classes, orbit_of
 
     @cached_property
     def representative(self) -> frozenset:

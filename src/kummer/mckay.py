@@ -16,6 +16,7 @@ partition lengths, used as an oracle against the age computation.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .exactalg import ConsistencyError, IntPolynomial
 from .groupcore import IntegralAction, _weyl_permutations
@@ -130,39 +131,6 @@ def partitions(n: int):
     yield from rec(n, n)
 
 
-class PartitionData:
-    """Bookkeeping for one partition (a_i^{b_i}) of n."""
-
-    __slots__ = ("partition", "n")
-
-    def __init__(self, partition):
-        p = tuple(sorted(partition, reverse=True))
-        if any(a < 1 for a in p):
-            raise ValueError("parts must be positive")
-        self.partition = p
-        self.n = sum(p)
-
-    @property
-    def length(self) -> int:
-        return len(self.partition)
-
-    @property
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for a in self.partition:
-            out[a] = out.get(a, 0) + 1
-        return out
-
-    def weyl_orders(self) -> tuple[int, ...]:
-        """Factorials of the multiplicities: the order of each S_{b_i}."""
-        from math import factorial
-
-        return tuple(factorial(b) for b in self.multiplicities.values())
-
-    def __repr__(self):
-        return f"PartitionData({self.partition})"
-
-
 def partition_fiber(n: int) -> IntPolynomial:
     """Sum of t^(2i) over partitions of n, graded by co-length.
 
@@ -191,8 +159,4 @@ def young_fiber(partition) -> IntPolynomial:
     >>> print(young_fiber((2, 2)))
     1 + 2*t^2 + t^4
     """
-    data = PartitionData(partition)
-    out = IntPolynomial.one()
-    for a, b in data.multiplicities.items():
-        out = out * partition_fiber(a) ** b
-    return out
+    return prod(map(partition_fiber, partition), start=IntPolynomial.one())

@@ -49,7 +49,7 @@ from .exactalg import (
     identity_matrix, mat_mul, smith_normal_form,
 )
 from .groupcore import (
-    DEFAULT_ORDER_CAP, IntegralAction, _mask_key, _permuted, _row_lattice, generate_group,
+    DEFAULT_ORDER_CAP, IntegralAction, _mask_key, _row_lattice, generate_group,
 )
 from .mckay import FiberPolynomial, _class_ages, fiber_poincare_equivariant
 from .repring import _average, quotient_poincare
@@ -229,7 +229,7 @@ class _Classes:
 
     def __init__(self, action: IntegralAction, budget: int):
         self.action, self.budget, self.classes = action, budget, action._lattice
-        self.rows, self.over, self.weyl = {}, {}, {}
+        self.rows, self.over = {}, {}
         self.fibers, self.detail, self.coords = {}, {}, {}
         self.memo: dict = {}
 
@@ -264,35 +264,12 @@ class _Classes:
                 over.extend((c2, k, action._inv_of[k]) for _, k in subs)
         self.over[c] = over
 
-    def weyl_classes(self, c):
-        """The classes of N(R)/R, R the representative of class c: per class
-        an element and its R-cosets (numbered as in ``cosets``), R's class
-        first, and each coset's number mapped to its class.  They are the
-        orbits of the cosets under conjugation by N(R)'s generators."""
-        if c not in self.weyl:
-            action, cls = self.action, self.classes[c]
-            table, inv, coset_of = action._table, action._inv_of, cls.coset_of
-            pairs = [(table[x], inv[x]) for x in cls.norm_gens]
-            classes, orbit_of = [], {}
-            for g, i in coset_of.items():
-                if i not in orbit_of:
-                    orbit_of[i], orbit = len(classes), [g]
-                    for y in orbit:
-                        for row, x_inv in pairs:
-                            z = table[row[y]][x_inv]
-                            if coset_of[z] not in orbit_of:
-                                orbit_of[coset_of[z]] = len(classes)
-                                orbit.append(z)
-                    classes.append((g, [coset_of[y] for y in orbit]))
-            self.weyl[c] = classes, orbit_of
-        return self.weyl[c]
-
     def g(self, c, w) -> IntPolynomial:
         """g(R, w) for R the representative of class c and w in N(R)."""
         if c not in self.over:
             self._prepare(c)
-        key = (c, 0 if w == self.action._e
-               else self.weyl_classes(c)[1][self.classes[c].coset_of[w]])
+        cls = self.classes[c]
+        key = (c, 0 if w == self.action._e else cls.weyl_classes[1][cls.coset_of[w]])
         value = self.memo.get(key)
         if value is None:
             if not self.memo:  # before the first trace, whose degree is 2rd
@@ -386,28 +363,18 @@ class _Classes:
         for si, s in enumerate(strata):
             # the members strictly containing a component with isotropy H
             # are, one each, the components through it of Fix(L), L < H of
-            # a larger rank, whose isotropy is exactly L.  H-conjugate L give
-            # G-translates, so one L per H-class is taken
-            c, cls, above, seen = s._index, self.classes[s._index], [], set()
-            conjugations = [action._conjugation(h) for h in cls.gens]
+            # a larger rank, whose isotropy is exactly L.  H fixes Fix(H)
+            # pointwise, so H-conjugate L give the same targets
+            c, cls, above = s._index, self.classes[s._index], []
             for t in strata[:si]:
                 if t.rank == s.rank:
                     continue
                 tcls = self.classes[t._index]
                 for sub, k in zip(tcls.members, tcls.conjugators):
-                    if sub & ~cls.mask or sub in seen:
-                        continue
-                    orbit = [sub]
-                    seen.add(sub)
-                    for x in orbit:
-                        for perm in conjugations:
-                            y = _permuted(x, perm)
-                            if y not in seen:
-                                seen.add(y)
-                                orbit.append(y)
-                    # k^-1 maps Fix(H) into Fix(R), component by component
-                    above.append((t._index, *self.detail[t._index][1:3], self._carry(
-                        action.elements[action._inv_of[k]], c, t._index)))
+                    if not sub & ~cls.mask:
+                        # k^-1 maps Fix(H) into Fix(R), component by component
+                        above.append((t._index, *self.detail[t._index][1:3], self._carry(
+                            action.elements[action._inv_of[k]], c, t._index)))
             for oi, start in enumerate(self.detail[c][3]):
                 targets = set()
                 for c2, orbit_of, fixed, carried in above:
@@ -457,7 +424,7 @@ def stratify(action: IntegralAction,
                 f"stratum {label} has no junior class: its isotropy of order "
                 f"{order} gives a terminal singularity, so there is no crepant resolution")
         y_sum = x_sum = zero
-        for w, cosets in classes.weyl_classes(c)[0]:
+        for w, cosets in cls.weyl_classes[0]:
             trace = len(cosets) * order * classes.g(c, w)
             y_sum = y_sum + trace
             x_sum = x_sum + trace * fiber.values[cosets[0]]
@@ -508,6 +475,8 @@ class LedgerResult:
 
 def _ledger_coeffs(obj) -> IntPolynomial:
     try:
+        if not isinstance(obj, list):
+            raise TypeError("not a list")
         for c in obj:
             if isinstance(c, bool):
                 raise TypeError(f"non-integer coefficient {c!r}")

@@ -48,6 +48,8 @@ class AnalyticEigenData:
         dims = {len(e) for e in exps}
         if len(dims) != 1:
             raise ValueError("all classes must act on the same dimension")
+        if outside := [x for e in exps for x in e if not 0 <= x < 1]:
+            raise ValueError(f"exponent {outside[0]} is not in [0, 1)")
         if any(exps[0]):  # the identity's class comes first
             raise ValueError("the identity class must have all-zero exponents")
         for cls, e in zip(classes, exps):

@@ -167,33 +167,41 @@ class TestIntegralRun:
         assert report.passed
 
     def test_oracle_predicts_per_class_and_compares_per_element(self, monkeypatch):
-        # one Smith form of 1 - g per conjugacy class, the class record's;
-        # an element off its class's count is still listed on its own
+        # one Smith frame per conjugacy class, that of the class record's
+        # Hermite rows of 1 - g, which the traces share: no Smith form of
+        # 1 - g itself is taken; an element off its class's count is still
+        # listed on its own
         import kummer.cli as cli
-        import kummer.groupcore as groupcore
+        import kummer.strata as strata
         from kummer.catalog import catalog
+        from kummer.exactalg import hermite_normal_form
 
         action = catalog("octahedral_s4_sl3")
         g = next(cls[-1] for cls in action.conjugacy_classes() if len(cls) > 1)
-        oracle, snf = cli.torsion_oracle, groupcore.smith_normal_form
-        forms = []
+        oracle, frame, snf = cli.torsion_oracle, cli._frame, strata.smith_normal_form
+        frames, forms = [], []
         monkeypatch.setattr(cli, "torsion_oracle", lambda action, n, budget: {
             h: count + (h == g) for h, count in oracle(action, n, budget=budget).items()})
-        monkeypatch.setattr(groupcore, "smith_normal_form",
+        monkeypatch.setattr(cli, "_frame", lambda rows, r: frames.append(rows) or frame(rows, r))
+        monkeypatch.setattr(strata, "smith_normal_form",
                             lambda rows: forms.append(rows) or snf(rows))
+        strata._frame.cache_clear()
         report = run(JobSpec("integral", catalog_name="octahedral_s4_sl3", oracle=6))
         (check,) = [c for c in report.payload["checks"] if c["name"] == "torsion_oracle_n6"]
         expected = oracle(action, 6)[g]
         assert check["left"] == [[list(map(list, g)), expected + 1, expected]]
         assert not check["pass"] and not report.passed
-        assert len(forms) == len(action.conjugacy_classes())
+        assert frames == [cls.rows for cls in action._classes]
+        assert forms and all(hermite_normal_form(rows, action.r) == rows for rows in forms)
 
     @pytest.mark.parametrize("name", ["s4_standard_d2", "octahedral_s4_sl3", "d8_b2"])
     @pytest.mark.parametrize("oracle", [None, 6])
     def test_a_run_takes_one_form_of_each_class(self, name, oracle, monkeypatch):
         # the class records take the Hermite form of 1 - g, g each class's
         # representative, once in a run (the ages, the Euler number and the
-        # strata of <g> read it), and its Smith form only for --oracle; the
+        # strata of <g> read it); Smith forms are taken of Hermite row
+        # lattices only, one per lattice, and --oracle adds those of the
+        # records' rows that no subgroup class's representative shares; the
         # Euler number takes no Hermite form of 1 - h stacked under 1 - 1 (or
         # over it), whose lattice is that of 1 - h alone.  Every Hermite form
         # of stacked rows of 1 - h is taken by one function, _row_lattice,
@@ -206,13 +214,14 @@ class TestIntegralRun:
         from kummer.exactalg import identity_matrix, mat_sub
 
         forms = {"hermite": [], "smith": [], "pairs": [], "strata": []}
-        real, snf = groupcore._row_lattice, groupcore.smith_normal_form
+        real, snf = groupcore._row_lattice, strata.smith_normal_form
         for module, kind in ((groupcore, "hermite"), (toruslat, "pairs"),
                              (strata, "strata")):
             monkeypatch.setattr(module, "_row_lattice", lambda action, sub, _kind=kind:
                                 forms[_kind].append(tuple(sub)) or real(action, sub))
-        monkeypatch.setattr(groupcore, "smith_normal_form",
+        monkeypatch.setattr(strata, "smith_normal_form",
                             lambda rows: forms["smith"].append(rows) or snf(rows))
+        strata._frame.cache_clear()
         report = run(JobSpec("integral", catalog_name=name, oracle=oracle))
         assert report.passed
         action = catalog(name)
@@ -224,7 +233,10 @@ class TestIntegralRun:
                     for sub in forms[kind]]
 
         assert stacked("hermite") == diffs
-        assert forms["smith"] == (diffs if oracle else [])
+        lattices = {real(action, c.representative) for c in action._lattice} - {()}
+        records = {cls.rows for cls in action._classes} - {()}
+        assert len(forms["smith"]) == len(set(forms["smith"]))
+        assert set(forms["smith"]) == (lattices | records if oracle else lattices)
         assert not any(not any(map(any, rows[i:i + r]))
                        for rows in stacked("pairs") + stacked("strata")
                        for i in range(0, len(rows), r))
@@ -265,6 +277,15 @@ D6_ANALYTIC = {
         {"label": "components",
          "unknowns": {"m": [1, 81]},
          "conditions": {"m": ["power_of_2", "power_of_3"]}},
+    ],
+}
+
+Z2_ANALYTIC = {
+    "name": "z2",
+    "generators": [[1, 0]],
+    "class_data": [
+        {"representative": [0, 1], "exponents": [[0, 1], [0, 1]]},
+        {"representative": [1, 0], "exponents": [[1, 2], [1, 2]]},
     ],
 }
 
@@ -549,6 +570,16 @@ class TestMainEntryPoint:
             {"representative": [0, 1, 2], "exponents": [[0, 0], [0, 1], [0, 1], [0, 1]]},
             *D6_ANALYTIC["class_data"][1:]]),
          "bad analytic spec: Fraction(0, 0)"),
+        # exponents lie in [0, 1): with 1 a class fixing a curve was read
+        # as fixing points, and 3/2 failed the self-duality check falsely
+        ("analytic", dict(Z2_ANALYTIC, class_data=[
+            Z2_ANALYTIC["class_data"][0],
+            {"representative": [1, 0], "exponents": [[1, 1], [1, 2]]}]),
+         "bad analytic spec: exponent 1 is not in [0, 1)"),
+        ("analytic", dict(Z2_ANALYTIC, class_data=[
+            Z2_ANALYTIC["class_data"][0],
+            {"representative": [1, 0], "exponents": [[3, 2], [1, 2]]}]),
+         "bad analytic spec: exponent 3/2 is not in [0, 1)"),
         # a second row for one class would silently replace the first
         ("analytic", dict(D6_ANALYTIC, class_data=[
             *D6_ANALYTIC["class_data"], D6_ANALYTIC["class_data"][0]]),
@@ -581,7 +612,7 @@ class TestMainEntryPoint:
         ("analytic", [], "bad analytic spec: the document must be a JSON object"),
         ("analytic", "text", "bad analytic spec: the document must be a JSON object"),
     ], ids=["special_text", "special_number", "exponent_zero_denominator",
-            "duplicate_class_row", "constraint_unknown_condition", "constraint_empty_range",
+            "exponent_one", "exponent_three_halves", "duplicate_class_row", "constraint_unknown_condition", "constraint_empty_range",
             "constraint_power_of_one", "constraint_conditions_list",
             "constraints_not_a_list", "constraint_undeclared_unknown",
             "constraint_over_budget", "integral_list", "integral_string",
@@ -648,15 +679,21 @@ class TestMainEntryPoint:
         ([], {"entries": [{"base": {"const": [1, 0, True]}}]}),
         ([], {"parameter": "m", "entries": [{"base": {"param": [0, True]}}]}),
         ([], {"entries": [{"base": [1, 0, 1.5]}]}),
+        ([], {"entries": [{"base": [1, 0, 22, 0, 1], "fiber": ""}]}),
+        ([], {"entries": [{"base": [1, 0, 22, 0, 1], "fiber": {}}]}),
+        ([{"poly": {}, "multiplicity": 5}], {}),
+        ([], {"entries": [{"base": {"const": ""}}]}),
     ], ids=["boolean_const", "boolean_multiplicity", "fractional_param",
             "fractional_substitution", "boolean_base_coefficient",
             "boolean_fiber_coefficient", "boolean_poly_coefficient",
             "boolean_const_coefficient", "boolean_param_coefficient",
-            "fractional_coefficient"])
+            "fractional_coefficient", "string_fiber", "object_fiber", "object_poly",
+            "string_const"])
     def test_non_integral_ledger_values_exit_two(self, subtract, extra, tmp_path,
                                                  capsys):
-        # int() would truncate these, and IntPolynomial or int() would read a
-        # boolean as a number
+        # int() would truncate these, IntPolynomial or int() would read a
+        # boolean as a number, and IntPolynomial an empty string or object
+        # as the zero polynomial
         path = tmp_path / "ledger.json"
         path.write_text(json.dumps(
             {"entries": [{"base": [1], "subtract": subtract}], **extra}))

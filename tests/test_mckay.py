@@ -7,7 +7,6 @@ from kummer.exactalg import IntPolynomial, identity_matrix, mat_mul
 from kummer.groupcore import _weyl_permutations, generate_group
 from kummer.mckay import (
     NonIntegerAge,
-    PartitionData,
     fiber_poincare,
     fiber_poincare_equivariant,
     partition_fiber,
@@ -166,16 +165,12 @@ class TestPartitionCombinatorics:
         assert young_fiber((3, 1)) == IntPolynomial([1, 0, 1, 0, 1])
         assert young_fiber((2, 2)) == IntPolynomial([1, 0, 1]) ** 2
         assert young_fiber((1, 1, 1, 1)) == IntPolynomial.one()
+        with pytest.raises(ValueError):
+            young_fiber((2, 0))
 
     def test_kappa_sums_to_partition_count(self):
         for n in range(1, 8):
             assert partition_fiber(n)(1) == sum(1 for _ in partitions(n))
-
-    def test_partition_data(self):
-        data = PartitionData((2, 2, 1))
-        assert data.length == 3
-        assert data.multiplicities == {2: 2, 1: 1}
-        assert data.weyl_orders() == (2, 1)
 
     def test_age_oracle_matches_partitions(self):
         # the age grading of the doubled standard action reproduces the

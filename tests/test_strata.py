@@ -674,7 +674,7 @@ class TestStratumLoop:
             traced.clear()
             classes = stratify(action).strata[0]._classes
             assert len(traced) == len(classes.memo)
-            assert len(classes.memo) < sum(len(classes.weyl_classes(c)[0])
+            assert len(classes.memo) < sum(len(classes.classes[c].weyl_classes[0])
                                            for c in classes.over)
 
     @pytest.mark.parametrize("name", ["octahedral_s4_sl3", "s4_standard_d2"])
@@ -920,7 +920,7 @@ class TestShortcuts:
         # and they are the group's own classes
         classes, table, inv = _Classes(action, 10**7), action._table, action._inv_of
         for c, cls in enumerate(classes.classes):
-            weyl, orbit_of = classes.weyl_classes(c)
+            weyl, orbit_of = cls.weyl_classes
             norm, members = _bits(cls.norm), _bits(cls.mask)
             cosets = [list(coset) for coset in cls.cosets]
             assert sorted(orbit_of) == list(range(len(cosets)))
