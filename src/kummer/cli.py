@@ -33,7 +33,8 @@ from .groupcore import (
 )
 from .mckay import NonIntegerAge
 from .strata import (
-    MalformedLedger, TerminalStratum, _frame, _ledger_int, assemble_from_ledger, stratify,
+    MalformedLedger, TerminalStratum, _frame, _ledger_int, _only_keys, assemble_from_ledger,
+    stratify,
 )
 from .symcheck import (
     AnalyticEigenData,
@@ -243,6 +244,7 @@ def _integral_from_file(doc, d_override, cap) -> IntegralAction:
     try:
         if not isinstance(doc, dict):
             raise ValueError("the document must be a JSON object")
+        _only_keys(doc, ("name", "matrices", "d", "special"), "the document")
         matrices = [tuple(tuple(_ledger_int(x) for x in row) for row in m)
                     for m in doc["matrices"]]
         d = d_override if d_override is not None else _ledger_int(doc.get("d", 1))
@@ -270,10 +272,12 @@ def _analytic_from_file(doc, cap):
     try:
         if not isinstance(doc, dict):
             raise ValueError("the document must be a JSON object")
+        _only_keys(doc, ("name", "generators", "class_data", "constraints"), "the document")
         gens = [tuple(_ledger_int(x) for x in g) for g in doc["generators"]]
         group = AbstractGroup(gens, label=str(doc.get("name", "input")), cap=cap)
         per_class = {}
         for row in doc["class_data"]:
+            _only_keys(row, ("representative", "exponents"), "a class_data row")
             rep = tuple(_ledger_int(x) for x in row["representative"])
             exps = tuple(Fraction(_ledger_int(n), _ledger_int(d))
                          for n, d in row["exponents"])
@@ -300,15 +304,16 @@ def _analytic_from_file(doc, cap):
 def _constraint_from_doc(doc) -> tuple[str, CountingConstraint]:
     """The label and constraint of one constraint document."""
     try:
+        _only_keys(doc, ("label", "unknowns", "equations", "conditions"), "a constraint")
         unknowns = {
             str(name): (_ledger_int(lo), _ledger_int(hi))
             for name, (lo, hi) in doc["unknowns"].items()
         }
-        equations = [
-            ({str(k): _ledger_int(v) for k, v in eq.get("coeffs", {}).items()},
-             _ledger_int(eq.get("constant", 0)))
-            for eq in doc.get("equations", [])
-        ]
+        equations = []
+        for eq in doc.get("equations", []):
+            _only_keys(eq, ("coeffs", "constant"), "an equation")
+            coeffs = {str(k): _ledger_int(v) for k, v in eq.get("coeffs", {}).items()}
+            equations.append((coeffs, _ledger_int(eq.get("constant", 0))))
         return (str(doc.get("label", "constraint")),
                 CountingConstraint(unknowns, equations, doc.get("conditions", {})))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

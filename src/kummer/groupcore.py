@@ -38,7 +38,6 @@ from .exactalg import (
     hermite_normal_form,
     identity_matrix,
     mat_det,
-    mat_sub,
 )
 
 DEFAULT_ORDER_CAP = 10_000
@@ -179,16 +178,6 @@ class FiniteGroup:
         table, inv, members = self._table, self._inv_of, _bits(sub)
         return sum(1 << g for g, row in enumerate(table)
                    if all(sub >> table[row[h]][inv[g]] & 1 for h in members))
-
-    def _coset_of(self, sub: int, within: int) -> dict[int, int]:
-        """Each index in ``within`` mapped to the number of its left coset of
-        ``sub``: the identity's coset is 0, the rest follow by least member."""
-        table, members, coset_of = self._table, _bits(sub), {}
-        for g in sorted(_bits(within), key=lambda g: g != self._e):
-            if g not in coset_of:
-                row, i = table[g], len(coset_of) // len(members)
-                coset_of.update((row[h], i) for h in members)
-        return coset_of
 
     @cached_property
     def _lattice(self) -> tuple[SubgroupClass, ...]:
@@ -478,19 +467,14 @@ class ConjugacyClass:
     ``size`` and element ``order``.  Built on first read: the classes of
     C(g) and, for an integral action, the Hermite ``rows`` of 1 - g (their
     number is the ``rank``; the strata engine and ``--oracle`` read them for
-    <g>).  ``diff`` (1 - g) and C(g)'s
-    generators are rebuilt on each read: their readers take them once."""
+    <g>, and the Euler pairs with 1).  C(g)'s generators are rebuilt on
+    each read: their one reader takes them once."""
 
     def __init__(self, group, conjugator_of):
         self.group, self.conjugator_of = group, conjugator_of
         self.members = tuple(sorted(conjugator_of))
         self.rep, self.size = self.members[0], len(self.members)
         self.order = group._orders[self.rep]
-
-    @property
-    def diff(self) -> tuple:
-        """1 - g."""
-        return mat_sub(identity_matrix(self.group.r), self.group.elements[self.rep])
 
     @cached_property
     def rows(self) -> tuple:
@@ -542,17 +526,21 @@ class SubgroupClass:
                 f"{norm.bit_count()} in a group of order {group.order}")
 
     @cached_property
-    def coset_of(self) -> dict[int, int]:
-        """Each index in N(R) mapped to the number of its R-coset, R's first."""
-        return self.group._coset_of(self.mask, self.norm)
+    def cosets(self) -> tuple[tuple[int, ...], ...]:
+        """The Weyl cosets gR of R in N(R) as sorted index tuples: R first,
+        the rest by least member."""
+        table, members = self.group._table, _bits(self.mask)
+        cosets, rest = [tuple(members)], self.norm & ~self.mask
+        while rest:
+            row = table[(rest & -rest).bit_length() - 1]
+            cosets.append(tuple(sorted(row[h] for h in members)))
+            rest &= ~sum(1 << x for x in cosets[-1])
+        return tuple(cosets)
 
     @cached_property
-    def cosets(self) -> tuple[tuple[int, ...], ...]:
-        """The Weyl cosets of R in N(R) as sorted index tuples, by number."""
-        cosets = [[] for _ in range(self.norm.bit_count() // self.order)]
-        for g in sorted(self.coset_of):
-            cosets[self.coset_of[g]].append(g)
-        return tuple(map(tuple, cosets))
+    def coset_of(self) -> dict[int, int]:
+        """Each index in N(R) mapped to the number of its coset in ``cosets``."""
+        return {g: i for i, coset in enumerate(self.cosets) for g in coset}
 
     @cached_property
     def weyl_classes(self) -> tuple[list, dict[int, int]]:
@@ -563,7 +551,7 @@ class SubgroupClass:
         table, inv, coset_of = self.group._table, self.group._inv_of, self.coset_of
         pairs = [(table[x], inv[x]) for x in self.norm_gens]
         classes, orbit_of = [], {}
-        for g, i in coset_of.items():
+        for i, (g, *_) in enumerate(self.cosets):
             if i not in orbit_of:
                 orbit_of[i], orbit = len(classes), [g]
                 for y in orbit:

@@ -30,8 +30,8 @@ class FiberPolynomial:
     """Cohomology of the central resolution fiber, with Weyl traces.
 
     ``plain`` is the ordinary Poincaré polynomial, and ``values`` holds,
-    per Weyl coset, the polynomial of that coset's traces on fiber
-    cohomology.
+    per element of N(H) taken, the polynomial of its traces on fiber
+    cohomology: a class function of the Weyl group N(H)/H.
     """
 
     __slots__ = ("plain", "values")
@@ -77,9 +77,10 @@ def fiber_poincare(subaction: IntegralAction) -> FiberPolynomial:
 def fiber_poincare_equivariant(group: IntegralAction, mask: int, reps) -> FiberPolynomial:
     """Fiber polynomial of C^n / H with the Weyl permutation action.
 
-    H is the index mask ``mask``, and ``reps`` holds the index of one
-    element per coset of H in its normalizer; the coefficient of t^(2a) in
-    ``values[i]`` is the number of age-a classes of H that ``reps[i]`` fixes.
+    H is the index mask ``mask``, and ``reps`` holds indices of elements
+    of its normalizer, such as one per Weyl class; the coefficient of
+    t^(2a) in ``values[i]`` is the number of age-a classes of H that
+    ``reps[i]`` fixes.
 
     >>> from .catalog import catalog
     >>> octa = catalog("octahedral_s4_sl3")

@@ -20,10 +20,10 @@ subgroups, with exact equivariant bookkeeping and no list of components:
   g(R, k^-1 w k), g is memoised per class representative R and Weyl class;
 * a stratum's quotient polynomial y_H averages g(H, w) over N(H), and its
   share x_H of the resolution weights each w by its trace on the McKay
-  fiber first, w taken once per Weyl class of H; the fiber takes H's mask
-  and one element index per Weyl coset.  The rank, the components and
-  the orbits are the top degree of g(H, 1) over 2d and the top
-  coefficients of g(H, 1) and y_H;
+  fiber first, w taken once per Weyl class of H, as is the fiber's
+  character, a class function too.  The rank, the components and the
+  orbits are the top degree of g(H, 1) over 2d and the top coefficients
+  of g(H, 1) and y_H;
 * the orbit detail (``Stratum.orbits``) and the closure edges are built
   when first read, for the class representatives H only, in the same
   frames: a component is one z per copy, which a matrix carrying one
@@ -320,6 +320,7 @@ class _Classes:
         isotropy S occurs, and the component is one of Fix(S), of its rank."""
         if c not in self.detail:
             action, cls, fiber = self.action, self.classes[c], self.fibers[c]
+            class_of = cls.weyl_classes[1]
             _, _, divs, zs, _ = self._coords(c)
             # per copy's z, a bit for each such S = k R k^-1 whose fixed locus
             # has it: k carries the components of Fix(R) onto those of Fix(S)
@@ -348,7 +349,7 @@ class _Classes:
                 members = tuple(tuple(map(zs.__getitem__, x)) for x in orbit)
                 orbits.append(ComponentOrbit(
                     members[0], members, tuple(cls.cosets[i] for i in stab),
-                    FiberPolynomial(fiber.plain, [fiber.values[i] for i in stab]),
+                    FiberPolynomial(fiber.plain, [fiber.values[class_of[i]] for i in stab]),
                 ))
             self.detail[c] = tuple(orbits), orbit_of, fixed, starts
         return self.detail[c][0]
@@ -364,8 +365,8 @@ class _Classes:
             # the members strictly containing a component with isotropy H
             # are, one each, the components through it of Fix(L), L < H of
             # a larger rank, whose isotropy is exactly L.  H fixes Fix(H)
-            # pointwise, so H-conjugate L give the same targets
-            c, cls, above = s._index, self.classes[s._index], []
+            # pointwise, so H-conjugate L give the same map, kept once
+            c, cls, above = s._index, self.classes[s._index], {}
             for t in strata[:si]:
                 if t.rank == s.rank:
                     continue
@@ -373,11 +374,11 @@ class _Classes:
                 for sub, k in zip(tcls.members, tcls.conjugators):
                     if not sub & ~cls.mask:
                         # k^-1 maps Fix(H) into Fix(R), component by component
-                        above.append((t._index, *self.detail[t._index][1:3], self._carry(
-                            action.elements[action._inv_of[k]], c, t._index)))
+                        carried = self._carry(action.elements[action._inv_of[k]], c, t._index)
+                        above[t._index, tuple(carried)] = self.detail[t._index][1:3]
             for oi, start in enumerate(self.detail[c][3]):
                 targets = set()
-                for c2, orbit_of, fixed, carried in above:
+                for (c2, carried), (orbit_of, fixed) in above.items():
                     key = tuple(map(carried.__getitem__, start))
                     if key in orbit_of:
                         targets.add(node[c2, orbit_of[key]])
@@ -418,16 +419,16 @@ def stratify(action: IntegralAction,
         suffix = chr(ord("a") + label_count[order] - 1)
         label = "1" if order == 1 else f"o{order}{suffix}"
         fiber = classes.fibers[c] = fiber_poincare_equivariant(
-            action, cls.mask, [coset[0] for coset in cls.cosets])
+            action, cls.mask, [w for w, _ in cls.weyl_classes[0]])
         if order > 1 and not fiber.plain[2]:
             raise TerminalStratum(
                 f"stratum {label} has no junior class: its isotropy of order "
                 f"{order} gives a terminal singularity, so there is no crepant resolution")
         y_sum = x_sum = zero
-        for w, cosets in cls.weyl_classes[0]:
+        for (w, cosets), character in zip(cls.weyl_classes[0], fiber.values):
             trace = len(cosets) * order * classes.g(c, w)
             y_sum = y_sum + trace
-            x_sum = x_sum + trace * fiber.values[cosets[0]]
+            x_sum = x_sum + trace * character
         normalizer_order = order * weyl_order
         y_poly = _average(y_sum, normalizer_order)
         strata.append(Stratum(
@@ -489,9 +490,11 @@ def _ledger_poly(obj, parameter, cap: int) -> tuple[IntPolynomial, IntPolynomial
     """The ``(const, linear)`` parts of a ledger polynomial."""
     if isinstance(obj, list):
         return _ledger_coeffs(obj), IntPolynomial.zero()
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and obj:
         if "molien" in obj:
+            _only_keys(obj, ("molien",), "a molien base", MalformedLedger)
             spec = obj["molien"]
+            _only_keys(spec, ("generators", "d"), "a molien spec", MalformedLedger)
             try:
                 gens = [tuple(tuple(_ledger_int(x) for x in row) for row in g)
                         for g in spec["generators"]]
@@ -501,6 +504,7 @@ def _ledger_poly(obj, parameter, cap: int) -> tuple[IntPolynomial, IntPolynomial
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedLedger(f"bad molien spec: {exc}") from None
             return quotient_poincare(generate_group(gens, cap=cap, d=d)), IntPolynomial.zero()
+        _only_keys(obj, ("const", "param"), "a polynomial", MalformedLedger)
         const = _ledger_coeffs(obj.get("const", []))
         lin = _ledger_coeffs(obj.get("param", []))
         if lin and parameter is None:
@@ -516,10 +520,20 @@ def _ledger_int(obj) -> int:
     return int(obj)
 
 
+def _only_keys(obj, keys, what: str, error=ValueError) -> None:
+    """Refuse, with ``error``, a key of the mapping ``obj`` outside ``keys``:
+    a key that nothing reads is a typo that would change the answer unseen.
+    Anything but a mapping is left to its reader."""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in keys:
+            raise error(f"unknown key {key!r} in {what}")
+
+
 def _ledger_scalar(obj, parameter):
     if isinstance(obj, int) and not isinstance(obj, bool):
         return (obj, 0)
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and obj:
+        _only_keys(obj, ("const", "param"), "a multiplicity", MalformedLedger)
         try:
             c = _ledger_int(obj.get("const", 0))
             m = _ledger_int(obj.get("param", 0))
@@ -545,6 +559,8 @@ def assemble_from_ledger(doc: dict, cap: int = DEFAULT_ORDER_CAP) -> LedgerResul
     """
     if not isinstance(doc, dict) or "entries" not in doc:
         raise MalformedLedger("ledger must be a mapping with an 'entries' list")
+    _only_keys(doc, ("entries", "parameter", "substitution", "label"), "the ledger",
+               MalformedLedger)
     parameter = doc.get("parameter")
     entries = doc["entries"]
     if not isinstance(entries, list):
@@ -553,6 +569,7 @@ def assemble_from_ledger(doc: dict, cap: int = DEFAULT_ORDER_CAP) -> LedgerResul
     for entry in entries:
         if not isinstance(entry, dict) or "base" not in entry:
             raise MalformedLedger(f"bad entry {entry!r}")
+        _only_keys(entry, ("base", "fiber", "subtract", "label"), "an entry", MalformedLedger)
         base, base_linear = _ledger_poly(entry["base"], parameter, cap)
         fiber = _ledger_coeffs(entry.get("fiber", [1]))
         subtractions = entry.get("subtract", [])
@@ -561,6 +578,8 @@ def assemble_from_ledger(doc: dict, cap: int = DEFAULT_ORDER_CAP) -> LedgerResul
         for sub in subtractions:
             if not isinstance(sub, dict) or "poly" not in sub:
                 raise MalformedLedger(f"bad subtraction {sub!r}")
+            _only_keys(sub, ("poly", "multiplicity", "label"), "a subtraction",
+                       MalformedLedger)
             c, m = _ledger_scalar(sub.get("multiplicity", 1), parameter)
             poly = _ledger_coeffs(sub["poly"])
             base, base_linear = base - c * poly, base_linear - m * poly

@@ -48,6 +48,8 @@ class AnalyticEigenData:
         dims = {len(e) for e in exps}
         if len(dims) != 1:
             raise ValueError("all classes must act on the same dimension")
+        if dims == {0}:
+            raise ValueError("every exponent list is empty: dimension 0")
         if outside := [x for e in exps for x in e if not 0 <= x < 1]:
             raise ValueError(f"exponent {outside[0]} is not in [0, 1)")
         if any(exps[0]):  # the identity's class comes first
@@ -362,6 +364,9 @@ class CountingConstraint:
         for name in sorted({k for coeffs, _ in self.equations for k in coeffs}):
             if name not in self.unknowns:
                 raise ValueError(f"equation names undeclared unknown {name!r}")
+        for name in sorted(self.conditions):
+            if name not in self.unknowns:
+                raise ValueError(f"condition names undeclared unknown {name!r}")
 
 
 class FeasibilityResult:

@@ -434,8 +434,8 @@ def orbifold_euler(action: IntegralAction) -> int:
     for k in C(g)), which g's record holds, each weighted by both class
     sizes.  L has rank at most rank(1 - g) + rank(1 - h), so pairs whose
     ranks sum below r are skipped; the ranks are the records'.  When g or
-    h is 1, the other has rank r and |Z^r / L| is its |det(I - h)|, so no
-    Hermite form is taken.  The total is sum over classes of
+    h is 1, the other has rank r and L is its record's row lattice, so no
+    form is taken for the pair.  The total is sum over classes of
     |G| * e(X^g / C(g)) (Hirzebruch-Hoefer), so it must be divisible by |G|.
 
     >>> from .catalog import catalog
@@ -451,14 +451,14 @@ def orbifold_euler(action: IntegralAction) -> int:
             h = classes[action._class_number[hcls[0]]]
             if cls.rank + h.rank < r:
                 continue  # positive-dimensional: chi = 0
-            if not (cls.rank and h.rank):  # g or h is 1; the other has rank r
-                index = abs(mat_det(h.diff if h.rank else cls.diff))
-            else:
+            if cls.rank and h.rank:
                 hnf = _row_lattice(action, (elements[cls.rep], elements[hcls[0]]))
                 if len(hnf) < r:
                     continue  # positive-dimensional: chi = 0
-                # full rank: row i's pivot sits in column i
-                index = prod(row[i] for i, row in enumerate(hnf))
+            else:  # g or h is 1; the other has rank r, and its record the rows
+                hnf = (h if h.rank else cls).rows
+            # full rank: row i's pivot sits in column i
+            index = prod(row[i] for i, row in enumerate(hnf))
             total += cls.size * len(hcls) * index ** (2 * action.d)
     if total % action.order:
         raise ConsistencyError(

@@ -35,9 +35,13 @@ def class_of(group, sub):
 
 
 def weyl_reps(group, mask):
-    """The least index of each coset of the subgroup ``mask`` in its
-    normalizer, the identity's coset first."""
-    coset_of, first = group._coset_of(mask, group._normalizer(mask)), {}
-    for g in sorted(coset_of):
-        first.setdefault(coset_of[g], g)
-    return [first[i] for i in range(len(first))]
+    """The least index of each left coset gR of the subgroup R = ``mask`` in
+    its normalizer, R's own first, grouped here from the Cayley table."""
+    table, norm = group._table, group._normalizer(mask)
+    members = [h for h in range(len(table)) if mask >> h & 1]
+    reps, seen = [members[0]], set(members)
+    for g in range(len(table)):
+        if norm >> g & 1 and g not in seen:
+            reps.append(g)
+            seen.update(table[g][h] for h in members)
+    return reps

@@ -611,18 +611,79 @@ class TestMainEntryPoint:
         ("integral", "text", "bad integral spec: the document must be a JSON object"),
         ("analytic", [], "bad analytic spec: the document must be a JSON object"),
         ("analytic", "text", "bad analytic spec: the document must be a JSON object"),
+        # every exponent list empty: the classification ended in a traceback
+        ("analytic", dict(Z2_ANALYTIC, class_data=[
+            {"representative": [0, 1], "exponents": []},
+            {"representative": [1, 0], "exponents": []}]),
+         "bad analytic spec: every exponent list is empty: dimension 0"),
     ], ids=["special_text", "special_number", "exponent_zero_denominator",
             "exponent_one", "exponent_three_halves", "duplicate_class_row", "constraint_unknown_condition", "constraint_empty_range",
             "constraint_power_of_one", "constraint_conditions_list",
             "constraints_not_a_list", "constraint_undeclared_unknown",
             "constraint_over_budget", "integral_list", "integral_string",
-            "analytic_list", "analytic_string"])
+            "analytic_list", "analytic_string", "analytic_dimension_zero"])
     def test_bad_document_exit_two(self, mode, doc, message, tmp_path):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
         for flags in ([], ["-O"]):
             out = _run_cli(["--mode", mode, "--input", str(path)], flags=flags, timeout=5)
             assert (out.returncode, out.stderr) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("mode, doc, message", [
+        # each of these ran to exit 0 with the misspelt key ignored: "D"
+        # computed at d = 1, "cnst" subtracted nothing, "fibre" left the
+        # fiber at [1], "cosnt" read as 0 and "constraint" dropped the
+        # constraints; the condition named an unknown that was never declared
+        ("integral", {"matrices": [[[0, -1], [1, 1]]], "D": 2},
+         "bad integral spec: unknown key 'D' in the document"),
+        ("ledger", {"entries": [{"base": [1], "subtract": [
+            {"poly": [1], "multiplicity": {"cnst": 3}}]}]},
+         "unknown key 'cnst' in a multiplicity"),
+        ("ledger", {"entries": [{"base": [1, 0, 22, 0, 1], "fibre": [1, 0, 1]}]},
+         "unknown key 'fibre' in an entry"),
+        ("ledger", {"entries": [{"base": {"cosnt": [1, 0, 22, 0, 1]}}]},
+         "unknown key 'cosnt' in a polynomial"),
+        ("analytic", dict(D6_ANALYTIC, constraint=[{"unknowns": {"s": [0, 3]}}]),
+         "bad analytic spec: unknown key 'constraint' in the document"),
+        ("analytic", dict(D6_ANALYTIC, constraints=[{
+            "unknowns": {"s": [0, 3]}, "equations": [{"coeffs": {"s": 1}, "constant": -2}],
+            "conditions": {"t": "power_of_2"}}]),
+         "bad constraint: condition names undeclared unknown 't'"),
+        # one below each remaining level of the documents
+        ("analytic", dict(Z2_ANALYTIC, class_data=[
+            Z2_ANALYTIC["class_data"][0],
+            {"representative": [1, 0], "exponent": [[1, 2], [1, 2]]}]),
+         "bad analytic spec: unknown key 'exponent' in a class_data row"),
+        ("analytic", dict(D6_ANALYTIC, constraints=[{
+            "unknowns": {"s": [0, 3]}, "lable": "s"}]),
+         "bad constraint: unknown key 'lable' in a constraint"),
+        ("analytic", dict(D6_ANALYTIC, constraints=[{
+            "unknowns": {"s": [0, 3]}, "equations": [{"coeffs": {"s": 1}, "const": -2}]}]),
+         "bad constraint: unknown key 'const' in an equation"),
+        ("ledger", {"entries": [{"base": [1]}], "parmeter": "m"},
+         "unknown key 'parmeter' in the ledger"),
+        ("ledger", {"entries": [{"base": [1], "subtract": [{"poly": [1], "multiplicty": 3}]}]},
+         "unknown key 'multiplicty' in a subtraction"),
+        ("ledger", {"entries": [{"base": {"molien": {"generators": [[[0, -1], [1, 1]]],
+                                                     "D": 2}}}]},
+         "unknown key 'D' in a molien spec"),
+        ("ledger", {"entries": [{"base": {"molien": {"generators": [[[0, -1], [1, 1]]]},
+                                          "const": [1]}}]},
+         "unknown key 'const' in a molien base"),
+        # an empty mapping is neither a polynomial nor a multiplicity
+        ("ledger", {"entries": [{"base": {}}]}, "cannot read polynomial from {}"),
+        ("ledger", {"entries": [{"base": [1], "subtract": [{"poly": [1], "multiplicity": {}}]}]},
+         "cannot read multiplicity from {}"),
+    ], ids=["integral_d_typo", "ledger_const_typo", "ledger_fiber_typo", "ledger_base_typo",
+            "analytic_constraints_typo", "condition_undeclared_unknown",
+            "class_row_typo", "constraint_typo", "equation_typo", "ledger_typo",
+            "subtraction_typo", "molien_spec_typo", "molien_base_extra", "empty_base",
+            "empty_multiplicity"])
+    def test_unread_keys_exit_two(self, mode, doc, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+        assert main(["--mode", mode, "--input", "in.json"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("exponents", [
         # each class k of Z5 gets (k/5, k/5, k/5): not Galois closed

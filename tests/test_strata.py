@@ -17,11 +17,12 @@ from kummer.exactalg import (
     smith_normal_form,
 )
 from kummer.groupcore import (
-    FiniteGroup, _bits, _element_classes, generate_group, subgroup_class_poset,
+    FiniteGroup, SubgroupClass, _bits, _element_classes, generate_group,
+    subgroup_class_poset,
 )
 from action_reference import integral_catalog_actions, stratum_by
 from lattice_reference import all_subgroups, class_of
-from kummer.mckay import NonIntegerAge
+from kummer.mckay import NonIntegerAge, fiber_poincare_equivariant
 from kummer.strata import (
     MalformedLedger, TerminalStratum, _Classes, _fixed_trace, assemble_from_ledger,
     stratify,
@@ -417,6 +418,14 @@ class TestLatticeConstruction:
         ]
         assert list(report.closure_edges) == expected
 
+    @pytest.mark.parametrize("action, count", [(standard_sn(5, 2), 3763),
+                                               (wreath(3, 2, 2), 6171)],
+                             ids=["standard_s5_d2", "wreath_3_2_d2"])
+    def test_closure_edge_counts_are_pinned(self, action, count):
+        # the counts taken when every member L <= H was carried on its own;
+        # H-conjugate members carry Fix(H) alike, so one map each is enough
+        assert len(stratify(action).closure_edges) == count
+
 
 class TestBasisIndependence:
     def test_closure_edge_count(self, reports):
@@ -649,15 +658,16 @@ class TestStratumLoop:
         # once for its fiber, its Weyl classes and its orbits, and no
         # subgroup is read back from a set of elements
         action, calls = catalog("s4_standard_d2"), Counter()
-        for name in ("_coset_of", "_mask"):
-            def counted(self, *args, name=name, method=getattr(FiniteGroup, name)):
-                calls[name] += 1
-                return method(self, *args)
-            monkeypatch.setattr(FiniteGroup, name, counted)
+        grouping, mask = SubgroupClass.cosets.func, FiniteGroup._mask
+        # the body of the record's cached property groups the cosets
+        monkeypatch.setattr(SubgroupClass.cosets, "func",
+                            lambda cls: calls.update(["cosets"]) or grouping(cls))
+        monkeypatch.setattr(FiniteGroup, "_mask",
+                            lambda self, *args: calls.update(["_mask"]) or mask(self, *args))
         report = stratify(action)
         report.closure_edges  # reads every stratum's orbits
         assert len(report.strata) == 5
-        assert (calls["_coset_of"], calls["_mask"]) == (5, 0)
+        assert (calls["cosets"], calls["_mask"]) == (5, 0)
 
     def test_one_trace_per_fixed_pair(self, monkeypatch):
         # g is memoised per (subgroup class, conjugacy class of its Weyl
@@ -894,6 +904,21 @@ class TestShortcuts:
                              ids=lambda a: f"{a.label}_d{a.d}")
     def test_pruned_euler_is_the_pair_sum(self, action):
         assert orbifold_euler(action) == pair_sum_euler(action)
+
+    @pytest.mark.parametrize("action", [*INTEGRAL_AGES, standard_sn(5, 2), wreath(3, 2, 2)],
+                             ids=lambda a: f"{a.label}_d{a.d}")
+    def test_fiber_characters_per_weyl_class_are_the_per_coset_ones(self, action):
+        # a character of N(H)/H on the McKay fiber is a class function: taken
+        # at one element per Weyl class, it gives every coset's value at its class
+        for s in stratify(action).strata:
+            cls = s._classes.classes[s._index]
+            weyl, class_of = cls.weyl_classes
+            per_class = fiber_poincare_equivariant(action, cls.mask, [w for w, _ in weyl])
+            per_coset = fiber_poincare_equivariant(action, cls.mask,
+                                                   [coset[0] for coset in cls.cosets])
+            assert per_class.plain == per_coset.plain, s.label
+            assert list(per_coset.values) == [per_class.values[class_of[i]]
+                                              for i in range(len(cls.cosets))], s.label
 
     def test_euler_skips_pairs_below_full_rank(self, monkeypatch):
         # natural_sn(4, 2): 21 pairs of a class and a class of its

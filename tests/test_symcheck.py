@@ -168,6 +168,11 @@ class TestBLSClassification:
         with pytest.raises(ShapeMismatch):
             bls_classify(data)
 
+    def test_dimension_zero_refused(self):
+        # with no exponents the classification searched an empty range for n
+        with pytest.raises(ValueError, match="dimension 0"):
+            AnalyticEigenData(AbstractGroup([(1, 0)]), [(), ()])
+
 
 class TestCountingFeasibility:
     def test_tetrahedral_identity_infeasible(self):
@@ -226,3 +231,8 @@ class TestCountingFeasibility:
     def test_undeclared_unknown_rejected_at_construction(self):
         with pytest.raises(ValueError, match="undeclared unknown 't'"):
             CountingConstraint({"s": (0, 5)}, [({"t": 1}, 0)])
+
+    def test_condition_on_undeclared_unknown_rejected_at_construction(self):
+        # it used to be ignored: s = 2 was reported feasible
+        with pytest.raises(ValueError, match="condition names undeclared unknown 't'"):
+            CountingConstraint({"s": (0, 3)}, [({"s": 1}, -2)], {"t": "power_of_2"})
