@@ -29,8 +29,7 @@ for name, ledger_file in [
     result = assemble_from_ledger(ledger)
     if result.parameter is not None:
         print(f"   ledger, symbolic {result.parameter}: "
-              f"({result.symbolic.const}) + {result.parameter}*"
-              f"({result.symbolic.linear})")
+              f"({result.const}) + {result.parameter}*({result.linear})")
         print(f"   substituting {result.substitution}: {result.value}")
     else:
         print(f"   ledger resolution  : {result.value}")

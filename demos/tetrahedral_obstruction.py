@@ -10,7 +10,6 @@ identity on the count of fully fixed points that has no solution.
 from kummer import (
     AnalyticEigenData,
     bls_classify,
-    codim2_purity_report,
     counting_feasibility,
     lefschetz_count,
     symplectic_reflection_generated,
@@ -35,8 +34,8 @@ for i, cls in enumerate(group.conjugacy_classes()):
     print(f"  order {group.element_order(cls[0])}, size {len(cls)}: {what}")
 print()
 
-report = codim2_purity_report(data)
-print(f"every non-identity fixed locus has codimension 2: {report.all_codim_two}")
+all_codim_two = all(data.codimension(i) == 2 for i in range(1, len(data.exponents)))
+print(f"every non-identity fixed locus has codimension 2: {all_codim_two}")
 print("a symplectic resolution tolerates no stray isolated points, so the 256")
 print("fixed points of the central involution would have to lie on the four")
 print("order-6 fixed sets of 16 points each, sharing the s fully fixed points:")

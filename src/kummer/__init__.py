@@ -61,7 +61,6 @@ from .symcheck import (
     AnalyticEigenData,
     CountingConstraint,
     bls_classify,
-    codim2_purity_report,
     counting_feasibility,
     lefschetz_count,
     symplectic_reflection_generated,

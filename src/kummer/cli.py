@@ -40,7 +40,6 @@ from .symcheck import (
     AnalyticEigenData,
     CountingConstraint,
     bls_classify,
-    codim2_purity_report,
     counting_feasibility,
     lefschetz_count,
     symplectic_reflection_generated,
@@ -108,10 +107,6 @@ class Report:
         run; :func:`_json_text` writes the same bytes in one pass.
         """
         return _json_text(self.payload, "\n") + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls(json.loads(text))
 
     def to_text(self) -> str:
         p = self.payload
@@ -247,6 +242,8 @@ def _integral_from_file(doc, d_override, cap) -> IntegralAction:
         _only_keys(doc, ("name", "matrices", "d", "special"), "the document")
         matrices = [tuple(tuple(_ledger_int(x) for x in row) for row in m)
                     for m in doc["matrices"]]
+        if matrices and not any(matrices):  # IntegralAction allows rank 0 for standard_sn(1)
+            raise ValueError("the matrices are 0 x 0: a torus of dimension 0")
         d = d_override if d_override is not None else _ledger_int(doc.get("d", 1))
         if d < 1:
             raise ValueError("d must be a positive integer")
@@ -453,9 +450,10 @@ def _run_analytic(job: JobSpec) -> Report:
         })
         if res.isolated and math.isqrt(res.count) ** 2 != res.count:
             square_failures.append([i, res.count])
-    purity = codim2_purity_report(data)
     reflections = symplectic_reflection_generated(data)
-    classification = repr(bls_classify(data)) if data.is_self_dual() else "NoMatch"
+    # the classified list holds only data of the shape V + V*, of even dimension
+    classification = (repr(bls_classify(data))
+                      if data.is_self_dual() and data.dimension % 2 == 0 else "NoMatch")
 
     constraint_rows = []
     obstructed = None
@@ -476,7 +474,8 @@ def _run_analytic(job: JobSpec) -> Report:
         "group": {"label": group.label, "order": group.order,
                   "dimension": data.dimension},
         "classes": rows,
-        "purity_all_codim_two": purity.all_codim_two,
+        # the identity's class comes first
+        "purity_all_codim_two": all(row["codim"] == 2 for row in rows[1:]),
         "reflections": bool(reflections),
         "classification": classification,
         "constraints": constraint_rows,
@@ -495,7 +494,8 @@ def _run_ledger(job: JobSpec) -> Report:
         raise InputError("ledger mode requires --input")
     doc = _load_json(job.input_path)
     try:
-        result = assemble_from_ledger(doc, cap=job.max_group_order)
+        result = assemble_from_ledger(doc, cap=job.max_group_order,
+                                      budget=job.max_enumeration)
     except MalformedLedger as exc:
         raise InputError(str(exc)) from None
     payload = {
@@ -508,8 +508,8 @@ def _run_ledger(job: JobSpec) -> Report:
     if result.parameter is not None:
         payload["symbolic"] = {
             "parameter": result.parameter,
-            "const": _poly(result.symbolic.const),
-            "linear": _poly(result.symbolic.linear),
+            "const": _poly(result.const),
+            "linear": _poly(result.linear),
         }
     if result.value is not None:
         payload["checks"] = [

@@ -38,6 +38,7 @@ from .exactalg import (
     hermite_normal_form,
     identity_matrix,
     mat_det,
+    mat_mul,
 )
 
 DEFAULT_ORDER_CAP = 10_000
@@ -367,6 +368,22 @@ def _row_orbit(gens, r: int, cap: int):
     return rows, actions
 
 
+def _finite_order(g, cap: int) -> None:
+    """``NotFiniteWithinCap`` unless a power g^k, k <= ``cap``, is the
+    identity.  A matrix of finite order has roots of unity as eigenvalues,
+    so every power's trace is at most r in absolute value: the first power
+    past that bound stops the search, before the closure builds the powers'
+    ever larger entries."""
+    r, ident, power = len(g), identity_matrix(len(g)), g
+    for _ in range(cap):
+        if power == ident:
+            return
+        if abs(sum(power[i][i] for i in range(r))) > r:
+            break
+        power = mat_mul(power, g)
+    raise NotFiniteWithinCap(f"group closure exceeds cap {cap}")
+
+
 class IntegralAction(FiniteGroup):
     """A finite group of invertible integer matrices acting on a torus power.
 
@@ -390,6 +407,8 @@ class IntegralAction(FiniteGroup):
                 raise NonInvertible(f"generator has determinant {dets[-1]}")
         if d < 1:
             raise ValueError("d must be a positive integer")
+        for g in gens:
+            _finite_order(g, cap)
         self.generators = gens
         self._rows, actions = _row_orbit(gens, r, cap)
         self._close(actions, tuple(range(r)), cap)

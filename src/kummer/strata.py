@@ -95,13 +95,13 @@ class ComponentOrbit:
 class Stratum:
     """All orbits sharing one conjugacy class of isotropy groups.
 
-    ``orbits`` is built on first read, and checked against the counts.
+    ``orbits`` is built on first read and checked against the counts on each read.
     """
 
     __slots__ = (
         "isotropy", "label", "class_size", "weyl_order", "rank",
         "component_count", "orbit_count", "y_poly", "x_poly", "fiber_plain",
-        "_classes", "_index", "_orbits",
+        "_classes", "_index",
     )
 
     def __init__(self, isotropy, label, class_size, weyl_order, rank,
@@ -119,7 +119,6 @@ class Stratum:
         self.fiber_plain = fiber_plain
         self._classes = classes
         self._index = index
-        self._orbits = None
 
     @property
     def order(self) -> int:
@@ -127,13 +126,11 @@ class Stratum:
 
     @property
     def orbits(self) -> tuple[ComponentOrbit, ...]:
-        if self._orbits is None:
-            orbits = self._classes.orbits(self._index)
-            if (len(orbits), sum(o.size for o in orbits)) != (
-                    self.orbit_count, self.component_count):
-                raise ConsistencyError("orbit/stabilizer bookkeeping is inconsistent")
-            self._orbits = orbits
-        return self._orbits
+        orbits = self._classes.orbits(self._index)
+        if (len(orbits), sum(o.size for o in orbits)) != (
+                self.orbit_count, self.component_count):
+            raise ConsistencyError("orbit/stabilizer bookkeeping is inconsistent")
+        return orbits
 
     def __repr__(self):
         return (
@@ -219,6 +216,17 @@ def _fixed_trace(action: IntegralAction, rows, w) -> IntPolynomial:
     return fixed ** power * free
 
 
+def _degree_within(action: IntegralAction, budget: int) -> None:
+    """``EnumerationTooLarge`` if a product of two of the action's
+    polynomials, of degree 2rd, takes more than ``budget`` coefficient
+    products, (2rd + 1)^2."""
+    degree = 2 * action.r * action.d
+    if (degree + 1) ** 2 > budget:
+        raise EnumerationTooLarge(
+            f"polynomial degree 2rd = {degree} exceeds budget {budget}: "
+            f"(2rd + 1)^2 = {(degree + 1) ** 2} coefficient products")
+
+
 class _Classes:
     """The traces g(R, w) per subgroup class and class of its Weyl group
     N(R)/R, and the orbit detail and closure edges built from the class
@@ -272,13 +280,8 @@ class _Classes:
         key = (c, 0 if w == self.action._e else cls.weyl_classes[1][cls.coset_of[w]])
         value = self.memo.get(key)
         if value is None:
-            if not self.memo:  # before the first trace, whose degree is 2rd
-                degree = 2 * self.action.r * self.action.d
-                if (degree + 1) ** 2 > self.budget:
-                    raise EnumerationTooLarge(
-                        f"polynomial degree 2rd = {degree} exceeds budget "
-                        f"{self.budget}: (2rd + 1)^2 = {(degree + 1) ** 2} "
-                        "coefficient products")
+            if not self.memo:  # before the first trace
+                _degree_within(self.action, self.budget)
             table = self.action._table
             value = _fixed_trace(self.action, self.rows[c], self.action.elements[w])
             for c2, k, k_inv in self.over[c]:
@@ -451,24 +454,15 @@ def stratify(action: IntegralAction,
 # manual strata ledgers
 
 
-class ParamPoly:
-    """A polynomial with coefficients linear in one integer parameter:
-    ``const + parameter * linear``."""
-
-    __slots__ = ("const", "linear")
-
-    def __init__(self, const, linear):
-        self.const, self.linear = const, linear
-
-    def __repr__(self):
-        return f"ParamPoly(const={self.const!r}, linear={self.linear!r})"
-
-
 class LedgerResult:
-    __slots__ = ("symbolic", "value", "parameter", "substitution")
+    """A ledger's total ``const + parameter * linear``, and ``value``, the
+    total at the substitution (``None`` if the total needs one not given)."""
 
-    def __init__(self, symbolic, value, parameter, substitution):
-        self.symbolic = symbolic
+    __slots__ = ("const", "linear", "value", "parameter", "substitution")
+
+    def __init__(self, const, linear, value, parameter, substitution):
+        self.const = const
+        self.linear = linear
         self.value = value
         self.parameter = parameter
         self.substitution = substitution
@@ -486,7 +480,8 @@ def _ledger_coeffs(obj) -> IntPolynomial:
         raise MalformedLedger(f"bad polynomial {obj!r}: {exc}") from None
 
 
-def _ledger_poly(obj, parameter, cap: int) -> tuple[IntPolynomial, IntPolynomial]:
+def _ledger_poly(obj, parameter, cap: int,
+                 budget: int) -> tuple[IntPolynomial, IntPolynomial]:
     """The ``(const, linear)`` parts of a ledger polynomial."""
     if isinstance(obj, list):
         return _ledger_coeffs(obj), IntPolynomial.zero()
@@ -503,7 +498,9 @@ def _ledger_poly(obj, parameter, cap: int) -> tuple[IntPolynomial, IntPolynomial
                     raise ValueError("d must be a positive integer")
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedLedger(f"bad molien spec: {exc}") from None
-            return quotient_poincare(generate_group(gens, cap=cap, d=d)), IntPolynomial.zero()
+            group = generate_group(gens, cap=cap, d=d)
+            _degree_within(group, budget)
+            return quotient_poincare(group), IntPolynomial.zero()
         _only_keys(obj, ("const", "param"), "a polynomial", MalformedLedger)
         const = _ledger_coeffs(obj.get("const", []))
         lin = _ledger_coeffs(obj.get("param", []))
@@ -545,23 +542,32 @@ def _ledger_scalar(obj, parameter):
     raise MalformedLedger(f"cannot read multiplicity from {obj!r}")
 
 
-def assemble_from_ledger(doc: dict, cap: int = DEFAULT_ORDER_CAP) -> LedgerResult:
+def assemble_from_ledger(doc: dict, cap: int = DEFAULT_ORDER_CAP,
+                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> LedgerResult:
     """Evaluate a hand-authored strata ledger.
 
     Each entry contributes ``(base - sum(mult * poly)) * fiber``; base
     coefficients and multiplicities may be linear in one declared integer
-    parameter, and an optional substitution map produces a plain result.
-    A molien spec's group is closed under the order cap ``cap``.
+    parameter, named by a string, and a substitution, which maps that name
+    and no other to an integer, produces a plain result.  A molien spec's
+    group is closed under the order cap ``cap``, and its polynomials of
+    degree 2rd are refused as in :func:`stratify` when (2rd + 1)^2 exceeds
+    ``budget``.
 
     >>> res = assemble_from_ledger({"entries": []})
-    >>> res.symbolic.const
+    >>> res.const
     IntPolynomial([])
     """
     if not isinstance(doc, dict) or "entries" not in doc:
         raise MalformedLedger("ledger must be a mapping with an 'entries' list")
     _only_keys(doc, ("entries", "parameter", "substitution", "label"), "the ledger",
                MalformedLedger)
-    parameter = doc.get("parameter")
+    parameter, substitution = doc.get("parameter"), doc.get("substitution")
+    if parameter is not None and not isinstance(parameter, str):
+        raise MalformedLedger(f"parameter {parameter!r} is not a string")
+    if substitution is not None and parameter is None:
+        raise MalformedLedger("substitution given but no parameter declared")
+    _only_keys(substitution, (parameter,), "the substitution", MalformedLedger)
     entries = doc["entries"]
     if not isinstance(entries, list):
         raise MalformedLedger("'entries' must be a list")
@@ -570,7 +576,7 @@ def assemble_from_ledger(doc: dict, cap: int = DEFAULT_ORDER_CAP) -> LedgerResul
         if not isinstance(entry, dict) or "base" not in entry:
             raise MalformedLedger(f"bad entry {entry!r}")
         _only_keys(entry, ("base", "fiber", "subtract", "label"), "an entry", MalformedLedger)
-        base, base_linear = _ledger_poly(entry["base"], parameter, cap)
+        base, base_linear = _ledger_poly(entry["base"], parameter, cap, budget)
         fiber = _ledger_coeffs(entry.get("fiber", [1]))
         subtractions = entry.get("subtract", [])
         if not isinstance(subtractions, list):
@@ -585,9 +591,8 @@ def assemble_from_ledger(doc: dict, cap: int = DEFAULT_ORDER_CAP) -> LedgerResul
             base, base_linear = base - c * poly, base_linear - m * poly
         const, linear = const + base * fiber, linear + base_linear * fiber
     # an undeclared parameter is refused where it is used, so then linear is 0
-    substitution = doc.get("substitution")
     value = None
-    if substitution is not None and parameter is not None:
+    if substitution is not None:
         try:
             value = const + _ledger_int(substitution[parameter]) * linear
         except (KeyError, TypeError, ValueError):
@@ -596,4 +601,4 @@ def assemble_from_ledger(doc: dict, cap: int = DEFAULT_ORDER_CAP) -> LedgerResul
             ) from None
     elif not linear:
         value = const
-    return LedgerResult(ParamPoly(const, linear), value, parameter, substitution)
+    return LedgerResult(const, linear, value, parameter, substitution)

@@ -169,8 +169,6 @@ def lefschetz_count(data: AnalyticEigenData, g_or_index) -> LefschetzCount:
 
 def _cyclotomic_at_one(k: int) -> int:
     """Phi_k(1): p for prime-power k = p^e, else 1 (k > 1)."""
-    if k == 1:
-        return 0
     n = k
     p = 2
     while p * p <= n:
@@ -214,41 +212,6 @@ def symplectic_reflection_generated(data: AnalyticEigenData) -> ReflectionReport
             reflections.extend(cls)
     sub = group.subgroup_closure(reflections)
     return ReflectionReport(len(sub) == group.order, tuple(reflections), sub)
-
-
-class CodimRow:
-    __slots__ = ("index", "element_order", "class_size", "codimension", "count")
-
-    def __init__(self, index, element_order, class_size, codimension, count):
-        self.index = index
-        self.element_order = element_order
-        self.class_size = class_size
-        self.codimension = codimension
-        self.count = count
-
-
-class PurityReport:
-    """Codimension table of all non-identity classes."""
-
-    __slots__ = ("rows", "all_codim_two")
-
-    def __init__(self, rows, all_codim_two):
-        self.rows = rows
-        self.all_codim_two = all_codim_two
-
-
-def codim2_purity_report(data: AnalyticEigenData) -> PurityReport:
-    """Codimension of every non-identity fixed locus, plus isolated counts.
-
-    The verdict flag only records whether every class is a reflection;
-    finer coverage arguments belong to :func:`counting_feasibility`.
-    """
-    rows = []
-    for i, cls in enumerate(data.group._classes[1:], 1):  # the identity's class is first
-        res = lefschetz_count(data, i)
-        rows.append(CodimRow(i, cls.order, cls.size, data.codimension(i),
-                             res.count if res.isolated else None))
-    return PurityReport(tuple(rows), all(r.codimension == 2 for r in rows))
 
 
 class BLSResult:

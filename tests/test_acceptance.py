@@ -108,8 +108,8 @@ def test_criterion_04_dihedral_six(reports):
     }
     result = assemble_from_ledger(ledger)
     symbolic_ok = (
-        result.symbolic.const == poly(1, 0, 6, 4, 102, 4, 6, 0, 1)
-        and result.symbolic.linear == poly(0, 0, 1, 4, 6, 4, 1)
+        result.const == poly(1, 0, 6, 4, 102, 4, 6, 0, 1)
+        and result.linear == poly(0, 0, 1, 4, 6, 4, 1)
         and result.value == expected
     )
     report_line(4, "dihedral-6 fourfold: integral model and symbolic ledger",

@@ -312,6 +312,19 @@ class TestAnalyticRun:
         count_by_order = {row["order"]: row["count"] for row in payload["classes"]}
         assert count_by_order[3] == 81
 
+    def test_odd_dimension_is_no_match(self, tmp_path):
+        # Z/2 acting by -1 on an elliptic curve: self-dual, but the
+        # classification, for the shape V + V*, raised ShapeMismatch
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(dict(Z2_ANALYTIC, class_data=[
+            {"representative": [0, 1], "exponents": [[0, 1]]},
+            {"representative": [1, 0], "exponents": [[1, 2]]}])))
+        for flags in ([], ["-O"]):
+            out = _run_cli(["--mode", "analytic", "--input", str(path), "--format", "json"],
+                           flags=flags, timeout=20)
+            assert (out.returncode, out.stderr) == (0, "")
+            assert json.loads(out.stdout)["classification"] == "NoMatch"
+
     def test_wrong_kind_rejected(self):
         with pytest.raises(InputError):
             run(JobSpec("analytic", catalog_name="z6_sl2"))
@@ -354,7 +367,7 @@ class TestLedgerRun:
 class TestReportSerialization:
     def test_json_roundtrip(self, z6_report):
         text = z6_report.to_json()
-        parsed = Report.from_json(text)
+        parsed = Report(json.loads(text))
         assert parsed.payload == z6_report.payload
         assert parsed.to_json() == text
 
@@ -616,12 +629,35 @@ class TestMainEntryPoint:
             {"representative": [0, 1], "exponents": []},
             {"representative": [1, 0], "exponents": []}]),
          "bad analytic spec: every exponent list is empty: dimension 0"),
+        # these ran to exit 0: a substitution with no parameter to substitute,
+        # a parameter 5 whose substitution key could only be the string "5",
+        # and a group of order 1 at rank 0
+        ("ledger", {"entries": [{"base": [1, 0, 1]}], "substitution": {"m": 5}},
+         "substitution given but no parameter declared"),
+        ("ledger", {"entries": [{"base": [1, 0, 1]}], "parameter": 5},
+         "parameter 5 is not a string"),
+        ("integral", {"matrices": [[]]},
+         "bad integral spec: the matrices are 0 x 0: a torus of dimension 0"),
+        # the Molien sum at degree 2rd = 20000 ran for more than 20 s
+        ("ledger", {"entries": [{"base": {"molien": {
+            "generators": [[[-1, 0], [0, -1]]], "d": 5000}}}]},
+         f"polynomial degree 2rd = 20000 exceeds budget {DEFAULT_ENUMERATION_BUDGET}: "
+         "(2rd + 1)^2 = 400040001 coefficient products (set by --max-enumeration)"),
+        # infinite order, found by a power's trace beyond r: the closure of
+        # their powers' ever larger entries ended in MemoryError
+        ("integral", {"matrices": [[[10 ** 30, -1], [1, 0]]]},
+         "group closure exceeds cap 10000"),
+        ("integral", {"matrices": [[[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 10 ** 30],
+                                    [0, 0, 1, 0]]]},
+         "group closure exceeds cap 10000"),
     ], ids=["special_text", "special_number", "exponent_zero_denominator",
             "exponent_one", "exponent_three_halves", "duplicate_class_row", "constraint_unknown_condition", "constraint_empty_range",
             "constraint_power_of_one", "constraint_conditions_list",
             "constraints_not_a_list", "constraint_undeclared_unknown",
             "constraint_over_budget", "integral_list", "integral_string",
-            "analytic_list", "analytic_string", "analytic_dimension_zero"])
+            "analytic_list", "analytic_string", "analytic_dimension_zero",
+            "substitution_without_parameter", "parameter_not_a_string", "integral_rank_zero",
+            "molien_degree_over_budget", "infinite_order_trace", "infinite_order_trace_zero"])
     def test_bad_document_exit_two(self, mode, doc, message, tmp_path):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
@@ -674,11 +710,14 @@ class TestMainEntryPoint:
         ("ledger", {"entries": [{"base": {}}]}, "cannot read polynomial from {}"),
         ("ledger", {"entries": [{"base": [1], "subtract": [{"poly": [1], "multiplicity": {}}]}]},
          "cannot read multiplicity from {}"),
+        ("ledger", {"parameter": "m", "entries": [{"base": [1, 0, 1]}],
+                    "substitution": {"m": 0, "n": 7}},
+         "unknown key 'n' in the substitution"),
     ], ids=["integral_d_typo", "ledger_const_typo", "ledger_fiber_typo", "ledger_base_typo",
             "analytic_constraints_typo", "condition_undeclared_unknown",
             "class_row_typo", "constraint_typo", "equation_typo", "ledger_typo",
             "subtraction_typo", "molien_spec_typo", "molien_base_extra", "empty_base",
-            "empty_multiplicity"])
+            "empty_multiplicity", "substitution_typo"])
     def test_unread_keys_exit_two(self, mode, doc, message, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "in.json").write_text(json.dumps(doc))
@@ -880,8 +919,13 @@ class TestMainEntryPoint:
         (["--catalog", "z6_sl2", "--d", "two"], "'two'"),
         (["--catalog", "z6_sl2", "stray"], "'stray'"),
         (["--catalog", "a", "--input", "b"], "--catalog"),
+        (["--catalog", "z6_sl2", "--", "--format"], "unexpected argument '--format'"),
+        (["--equivariant=1"], "option --equivariant must not have an argument"),
+        (["-x"], "option -x not recognized"),
+        (["--mode", "ledger", "--catalog", "z6_sl2"], "ledger mode requires --input"),
     ], ids=["unknown_option", "missing_value", "ambiguous_prefix", "bad_choice",
-            "bad_int", "stray_positional", "two_sources"])
+            "bad_int", "stray_positional", "two_sources", "after_double_dash",
+            "flag_with_value", "unknown_short_option", "ledger_without_input"])
     def test_argv_error_exit_two(self, args, named, capsys):
         assert main(args) == 2
         out, err = capsys.readouterr()

@@ -1114,8 +1114,8 @@ class TestLedger:
             ],
         }
         result = assemble_from_ledger(ledger)
-        assert result.symbolic.const == poly(1, 0, 6, 4, 102, 4, 6, 0, 1)
-        assert result.symbolic.linear == poly(0, 0, 1, 4, 6, 4, 1)
+        assert result.const == poly(1, 0, 6, 4, 102, 4, 6, 0, 1)
+        assert result.linear == poly(0, 0, 1, 4, 6, 4, 1)
         assert result.value == poly(1, 0, 7, 8, 108, 8, 7, 0, 1)
 
     def test_d8_pieces(self):

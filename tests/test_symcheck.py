@@ -1,10 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from kummer.catalog import binary_tetrahedral_eigendata, catalog
+from kummer.cli import JobSpec, run
 from kummer.exactalg import identity_matrix, mat_det, mat_sub
-from kummer.groupcore import AbstractGroup
+from kummer.groupcore import AbstractGroup, generate_group
 from kummer.symcheck import (
     AnalyticEigenData,
     BLSResult,
@@ -12,7 +14,6 @@ from kummer.symcheck import (
     ShapeMismatch,
     UnboundedSearch,
     bls_classify,
-    codim2_purity_report,
     counting_feasibility,
     lefschetz_count,
     symplectic_reflection_generated,
@@ -79,9 +80,14 @@ class TestLefschetzCount:
                 assert isqrt(res.count) ** 2 == res.count
 
     def test_mode_consistency_with_integral_counts(self):
-        for name in ["z6_sl2", "octahedral_s4_sl3", "s3_standard_d2",
-                     "s4_standard_d2", "d8_b2"]:
-            action = catalog(name)
+        # the companion matrix of x^6 + x^3 + 1 has order 9: its six classes
+        # of order 9 count Phi_9(1)^2 = 9 points, an odd composite k
+        companion = generate_group([[[0, 0, 0, 0, 0, -1], [1, 0, 0, 0, 0, 0],
+                                     [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, -1],
+                                     [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]]])
+        assert companion.order == 9
+        for action in [*map(catalog, ["z6_sl2", "octahedral_s4_sl3", "s3_standard_d2",
+                                      "s4_standard_d2", "d8_b2"]), companion]:
             data = AnalyticEigenData.from_integral(action)
             ident = identity_matrix(action.r)
             for rep in action.class_representatives():
@@ -117,31 +123,31 @@ class TestReflections:
 
 class TestPurityReport:
     def test_tetrahedral(self, tetra):
-        report = codim2_purity_report(tetra)
-        assert not report.all_codim_two
-        by_order = {}
-        for row in report.rows:
-            by_order.setdefault(row.element_order, []).append(row)
-        assert by_order[2][0].codimension == 4
-        assert by_order[2][0].count == 256
-        assert all(r.codimension == 2 for r in by_order[3])
-        assert all(r.count is None for r in by_order[3])
-        assert all(r.codimension == 4 for r in by_order[6])
+        payload = run(JobSpec("analytic", catalog_name="binary_tetrahedral")).payload
+        assert payload["purity_all_codim_two"] is False
+        (i2,) = class_of_order(tetra, 2)
+        assert tetra.codimension(i2) == 4
+        assert lefschetz_count(tetra, i2).count == 256
+        for i in class_of_order(tetra, 3):
+            assert tetra.codimension(i) == 2
+            assert lefschetz_count(tetra, i).count is None
+        assert all(tetra.codimension(i) == 4 for i in class_of_order(tetra, 6))
 
     def test_d6(self):
         data = AnalyticEigenData.from_integral(catalog("s3_standard_d2"))
-        report = codim2_purity_report(data)
-        by_order = {r.element_order: r for r in report.rows}
-        assert by_order[2].codimension == 2
-        assert by_order[3].codimension == 4
-        assert by_order[3].count == 81
+        (i2,), (i3,) = class_of_order(data, 2), class_of_order(data, 3)
+        assert data.codimension(i2) == 2
+        assert data.codimension(i3) == 4
+        assert lefschetz_count(data, i3).count == 81
 
-    def test_trivial_group_empty(self):
-        triv = AbstractGroup([(0,)])
-        data = AnalyticEigenData(triv, ((Fraction(0),),))
-        report = codim2_purity_report(data)
-        assert report.rows == ()
-        assert report.all_codim_two
+    def test_trivial_group_empty(self, tmp_path):
+        # no class but the identity's: the verdict holds vacuously
+        path = tmp_path / "trivial.json"
+        path.write_text(json.dumps({"generators": [[0]], "class_data": [
+            {"representative": [0], "exponents": [[0, 1], [0, 1]]}]}))
+        payload = run(JobSpec("analytic", input_path=str(path))).payload
+        assert [row["codim"] for row in payload["classes"]] == [0]
+        assert payload["purity_all_codim_two"] is True
 
 
 class TestBLSClassification:
