@@ -33,8 +33,8 @@ from .groupcore import (
 )
 from .mckay import NonIntegerAge
 from .strata import (
-    MalformedLedger, TerminalStratum, _frame, _ledger_int, _only_keys, assemble_from_ledger,
-    stratify,
+    MalformedLedger, TerminalStratum, _frame, _ledger_int, _ledger_matrices, _only_keys,
+    assemble_from_ledger, stratify,
 )
 from .symcheck import (
     AnalyticEigenData,
@@ -240,10 +240,7 @@ def _integral_from_file(doc, d_override, cap) -> IntegralAction:
         if not isinstance(doc, dict):
             raise ValueError("the document must be a JSON object")
         _only_keys(doc, ("name", "matrices", "d", "special"), "the document")
-        matrices = [tuple(tuple(_ledger_int(x) for x in row) for row in m)
-                    for m in doc["matrices"]]
-        if matrices and not any(matrices):  # IntegralAction allows rank 0 for standard_sn(1)
-            raise ValueError("the matrices are 0 x 0: a torus of dimension 0")
+        matrices = _ledger_matrices(doc["matrices"])
         d = d_override if d_override is not None else _ledger_int(doc.get("d", 1))
         if d < 1:
             raise ValueError("d must be a positive integer")

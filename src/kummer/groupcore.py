@@ -5,40 +5,41 @@ element i is the i-th smallest and sorted index lists sort like sorted
 element lists.  Closing the generators takes each (element, generator)
 product once; those products give each generator's right action on the
 indices, from which the Cayley table ``_table[i][j]`` is composed column
-by column on first use.  A matrix group is closed on the orbit of the
-basis rows: row i of a * g is (row i of a) * g, so a matrix is the tuple
-of its rows' places in that orbit and a product is r lookups.  A
-subgroup is an int bitmask over the indices (containment is
-``a & ~b == 0``), and closures, conjugates, normalizers, cosets, element
-and subgroup classes and the Weyl permutations of a subgroup's classes
-are table lookups on indices.  Each element class is one
-:class:`ConjugacyClass` record, which every class-level number reads:
-rank(1 - g) from one Hermite form (:func:`_row_lattice`, which the Euler
-pairs and the strata share; the strata and ``--oracle`` read this one for
-<g>), and, on first read, C(g), closed from the Schreier elements of the
-class's walk, with its classes.  The subgroup lattice is built class by class from joins of
-class representatives with single elements, as one :class:`SubgroupClass`
-record per class, with R's cosets in N(R) grouped once as index tuples, and
-those cosets grouped into the classes of the Weyl group N(R)/R;
-the records are all that their readers see of it: no method lists
-subgroups or cosets as element sets.  Only the public methods take and
-return elements (matrices or permutation tuples) and frozensets of them.
-Orders stay below a configurable cap (default 10000); the catalog's
-actions have order at most 720.
+by column on first use; matrix and permutation groups share that walk.
+A matrix is the tuple of its rows' places in the orbit of the basis rows
+(row i of a * g is (row i of a) * g), a row imaged under g when a product
+first needs it, and each new one must have |trace| <= r, as a matrix of
+finite order does, so an infinite group stops early.  A subgroup is an
+int bitmask over the indices (containment is ``a & ~b == 0``), and
+closures, conjugates, normalizers, cosets, element and subgroup classes
+and the Weyl permutations of a subgroup's classes are table lookups on
+indices.  Each element class is one :class:`ConjugacyClass` record, which
+every class-level number reads: rank(1 - g) from one Hermite form
+(:func:`_row_lattice`, which the Euler pairs and the strata share; the
+strata and ``--oracle`` read this one for <g>), and, on first read, C(g),
+closed from the Schreier elements of the class's walk, with its classes
+(the group's own for a central g).  The subgroup lattice is built class
+by class from joins of class representatives with single elements, as
+one :class:`SubgroupClass` record per class, with R's cosets in N(R)
+grouped once as index tuples, and those cosets grouped into the classes
+of the Weyl group N(R)/R; the records are all that their readers see of
+it: no method lists subgroups or cosets as element sets.  Only the
+public methods take and return elements (matrices or permutation tuples)
+and frozensets of them.  Orders stay below a configurable cap (default
+10000); the catalog's actions have order at most 720.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, cmp_to_key
 from math import gcd
-from operator import mul, sub
+from operator import getitem, mul, sub
 
 from .exactalg import (
     ConsistencyError,
     hermite_normal_form,
     identity_matrix,
     mat_det,
-    mat_mul,
 )
 
 DEFAULT_ORDER_CAP = 10_000
@@ -59,31 +60,34 @@ class SpecialityViolation(ValueError):
 class FiniteGroup:
     """Common machinery for groups given by generators and closed here.
 
-    Subclasses provide ``_product`` on raw elements and call
-    :meth:`_close`; elements must be hashable and totally ordered (for
-    deterministic output).
+    Subclasses provide ``_product`` on closure words, may override
+    ``_decode`` and ``_bounded``, and call :meth:`_close`; elements must be
+    hashable and totally ordered (for deterministic output).
     """
 
     elements: tuple
-
-    @staticmethod
-    def _product(a, b):
-        raise NotImplementedError
 
     @staticmethod
     def _decode(word):
         """The element a closure word stands for: itself by default."""
         return word
 
+    @staticmethod
+    def _bounded(word) -> bool:
+        """False when the word's element cannot lie in a finite group."""
+        return True
+
     def _close(self, gens, ident, cap: int):
         """Close the words ``gens`` from ``ident`` under right
         multiplication by ``_product``; ``_decode`` gives the elements.
+        A new element past the cap, or out of ``_bounded``, stops the walk.
 
         Every (element, generator) product is taken once and kept: as
         ``_right[k]``, generator k's right action on the element indices,
         and as ``_tree``, one ``(j, k, g)`` per element in order of
         discovery with ``elements[j] = elements[k] * generators[g]``.
         """
+        product, bounded = self._product, self._bounded
         images = {ident: None}
         tree = []
         frontier = [ident]
@@ -92,9 +96,9 @@ class FiniteGroup:
             for a in frontier:
                 row = []
                 for k, g in enumerate(gens):
-                    p = self._product(a, g)
+                    p = product(a, g)
                     if p not in images:
-                        if len(images) >= cap:
+                        if len(images) >= cap or not bounded(p):
                             raise NotFiniteWithinCap(f"group closure exceeds cap {cap}")
                         images[p] = None
                         tree.append((p, a, k))
@@ -348,40 +352,26 @@ def _row_lattice(action, matrices):
                                 for e, row in zip(ident, h)], action.r)
 
 
-def _row_orbit(gens, r: int, cap: int):
-    """The orbit of the basis rows under the matrices ``gens``, as ``(rows,
-    actions)`` with the basis rows first and ``rows[actions[k][i]] = rows[i]
-    * gens[k]``; it holds the rows of every element, at most r * cap."""
-    rows = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    index = {row: i for i, row in enumerate(rows)}
-    columns = [tuple(zip(*g)) for g in gens]
-    actions = [[] for _ in gens]
-    for row in rows:
-        for cols, action in zip(columns, actions):
-            image = tuple(sum(map(mul, row, col)) for col in cols)
-            if image not in index:
-                if len(rows) >= r * cap:
-                    raise NotFiniteWithinCap(f"group closure exceeds cap {cap}")
-                index[image] = len(rows)
-                rows.append(image)
-            action.append(index[image])
-    return rows, actions
+class _RowImages(dict):
+    """A generator g on the orbit of the basis rows, which ``rows`` begins
+    with: ``self[i]`` is the place of ``rows[i] * g``, g's row i for a basis
+    row and otherwise imaged on its first lookup; a new image joins ``rows``
+    and ``index`` (row to place)."""
 
+    def __init__(self, g, rows: list, index: dict):
+        self.g_columns, self.rows, self.index = tuple(zip(*g)), rows, index
+        super().__init__(enumerate(map(self._place, g)))
 
-def _finite_order(g, cap: int) -> None:
-    """``NotFiniteWithinCap`` unless a power g^k, k <= ``cap``, is the
-    identity.  A matrix of finite order has roots of unity as eigenvalues,
-    so every power's trace is at most r in absolute value: the first power
-    past that bound stops the search, before the closure builds the powers'
-    ever larger entries."""
-    r, ident, power = len(g), identity_matrix(len(g)), g
-    for _ in range(cap):
-        if power == ident:
-            return
-        if abs(sum(power[i][i] for i in range(r))) > r:
-            break
-        power = mat_mul(power, g)
-    raise NotFiniteWithinCap(f"group closure exceeds cap {cap}")
+    def __missing__(self, i):
+        row = self.rows[i]
+        self[i] = j = self._place(tuple([sum(map(mul, row, col)) for col in self.g_columns]))
+        return j
+
+    def _place(self, row) -> int:
+        j = self.index.setdefault(row, len(self.rows))
+        if j == len(self.rows):
+            self.rows.append(row)
+        return j
 
 
 class IntegralAction(FiniteGroup):
@@ -395,7 +385,7 @@ class IntegralAction(FiniteGroup):
 
     def __init__(self, generators, d: int = 1, label: str = "",
                  cap: int = DEFAULT_ORDER_CAP, special: bool = False):
-        gens = tuple(tuple(tuple(int(x) for x in row) for row in g) for g in generators)
+        gens = tuple(tuple(tuple(map(int, row)) for row in g) for g in generators)
         if not gens:
             raise NonInvertible("need at least one generator")
         r, dets = len(gens[0]), []
@@ -407,13 +397,11 @@ class IntegralAction(FiniteGroup):
                 raise NonInvertible(f"generator has determinant {dets[-1]}")
         if d < 1:
             raise ValueError("d must be a positive integer")
-        for g in gens:
-            _finite_order(g, cap)
-        self.generators = gens
-        self._rows, actions = _row_orbit(gens, r, cap)
-        self._close(actions, tuple(range(r)), cap)
-        self.r = r
-        self.d = d
+        self.generators, self.r, self.d = gens, r, d
+        self._rows = list(identity_matrix(r))
+        index = {row: i for i, row in enumerate(self._rows)}
+        self._close([_RowImages(g, self._rows, index).__getitem__ for g in gens],
+                    tuple(range(r)), cap)
         self.label = label or f"group of order {self.order} in GL({r},Z)"
         self.special = all(det == 1 for det in dets)
         if special and not self.special:
@@ -423,9 +411,13 @@ class IntegralAction(FiniteGroup):
 
     @staticmethod
     def _product(a, g):
-        # a is the tuple of a matrix's rows in the row orbit, and row i of
-        # a * g is (row i of a) * g, so g acts row by row
-        return tuple(map(g.__getitem__, a))
+        # a is the tuple of a matrix's rows' places in the row orbit, and row
+        # i of a * g is (row i of a) * g: g maps a row's place to its image's
+        return tuple(map(g, a))
+
+    def _bounded(self, a) -> bool:
+        # a matrix of finite order has roots of unity as eigenvalues
+        return abs(sum(map(getitem, map(self._rows.__getitem__, a), range(self.r)))) <= self.r
 
     def _decode(self, a):
         return tuple(map(self._rows.__getitem__, a))
@@ -523,7 +515,10 @@ class ConjugacyClass:
 
     @cached_property
     def centralizer_classes(self) -> tuple[tuple[int, ...], ...]:
-        """C(g)'s classes under its own conjugation, by :func:`_element_classes`."""
+        """C(g)'s classes under its own conjugation, by :func:`_element_classes`;
+        for a central g, C(g) is the group and they are its class records'."""
+        if self.size == 1:
+            return tuple(cls.members for cls in self.group._classes)
         mask, gens = self.centralizer
         return _element_classes(self.group, _bits(mask), gens)
 

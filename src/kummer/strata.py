@@ -491,8 +491,7 @@ def _ledger_poly(obj, parameter, cap: int,
             spec = obj["molien"]
             _only_keys(spec, ("generators", "d"), "a molien spec", MalformedLedger)
             try:
-                gens = [tuple(tuple(_ledger_int(x) for x in row) for row in g)
-                        for g in spec["generators"]]
+                gens = _ledger_matrices(spec["generators"])
                 d = _ledger_int(spec["d"])
                 if d < 1:
                     raise ValueError("d must be a positive integer")
@@ -515,6 +514,14 @@ def _ledger_int(obj) -> int:
     if isinstance(obj, (bool, str)) or (isinstance(obj, float) and not obj.is_integer()):
         raise ValueError(f"{obj!r} is not an integer")
     return int(obj)
+
+
+def _ledger_matrices(obj) -> list:
+    """Integer matrices by :func:`_ledger_int`, refusing 0 x 0 ones (rank 0 is for S_1)."""
+    matrices = [tuple(tuple(_ledger_int(x) for x in row) for row in m) for m in obj]
+    if matrices and not any(matrices):
+        raise ValueError("the matrices are 0 x 0: a torus of dimension 0")
+    return matrices
 
 
 def _only_keys(obj, keys, what: str, error=ValueError) -> None:

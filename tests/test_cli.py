@@ -650,6 +650,13 @@ class TestMainEntryPoint:
         ("integral", {"matrices": [[[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 10 ** 30],
                                     [0, 0, 1, 0]]]},
          "group closure exceeds cap 10000"),
+        # S and ST have orders 4 and 6 but generate SL(2,Z): the bound
+        # fires on a product, not on a generator's power
+        ("integral", {"matrices": [[[0, -1], [1, 0]], [[0, -1], [1, 1]]]},
+         "group closure exceeds cap 10000"),
+        # this ran to exit 0 as a group of order 1 at rank 0
+        ("ledger", {"entries": [{"base": {"molien": {"generators": [[]], "d": 1}}}]},
+         "bad molien spec: the matrices are 0 x 0: a torus of dimension 0"),
     ], ids=["special_text", "special_number", "exponent_zero_denominator",
             "exponent_one", "exponent_three_halves", "duplicate_class_row", "constraint_unknown_condition", "constraint_empty_range",
             "constraint_power_of_one", "constraint_conditions_list",
@@ -657,7 +664,8 @@ class TestMainEntryPoint:
             "constraint_over_budget", "integral_list", "integral_string",
             "analytic_list", "analytic_string", "analytic_dimension_zero",
             "substitution_without_parameter", "parameter_not_a_string", "integral_rank_zero",
-            "molien_degree_over_budget", "infinite_order_trace", "infinite_order_trace_zero"])
+            "molien_degree_over_budget", "infinite_order_trace", "infinite_order_trace_zero",
+            "infinite_order_product", "molien_rank_zero"])
     def test_bad_document_exit_two(self, mode, doc, message, tmp_path):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))

@@ -56,7 +56,7 @@ class TestGenerateGroup:
             generate_group([((2, 0), (0, 1))])
 
     def test_infinite_group_hits_cap(self):
-        # the orbit of the basis rows is infinite too, and capped at r * cap
+        # every power has trace 2, within the bound, so the walk stops at the cap
         with pytest.raises(NotFiniteWithinCap, match="group closure exceeds cap 500"):
             generate_group([((1, 1), (0, 1))], cap=500)
 
