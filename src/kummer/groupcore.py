@@ -50,7 +50,7 @@ class NonInvertible(ValueError):
 
 
 class NotFiniteWithinCap(ValueError):
-    """Closure of the generators exceeded the configured order cap."""
+    """Closure passed the order cap, or reached an element of infinite order."""
 
 
 class SpecialityViolation(ValueError):
@@ -61,7 +61,7 @@ class FiniteGroup:
     """Common machinery for groups given by generators and closed here.
 
     Subclasses provide ``_product`` on closure words, may override
-    ``_decode`` and ``_bounded``, and call :meth:`_close`; elements must be
+    ``_decode`` and ``_unbounded``, and call :meth:`_close`; elements must be
     hashable and totally ordered (for deterministic output).
     """
 
@@ -73,21 +73,21 @@ class FiniteGroup:
         return word
 
     @staticmethod
-    def _bounded(word) -> bool:
-        """False when the word's element cannot lie in a finite group."""
-        return True
+    def _unbounded(word) -> str | None:
+        """Why the word's element cannot lie in a finite group, if it cannot."""
+        return None
 
     def _close(self, gens, ident, cap: int):
         """Close the words ``gens`` from ``ident`` under right
         multiplication by ``_product``; ``_decode`` gives the elements.
-        A new element past the cap, or out of ``_bounded``, stops the walk.
+        A new element past the cap, or one ``_unbounded`` names, stops the walk.
 
         Every (element, generator) product is taken once and kept: as
         ``_right[k]``, generator k's right action on the element indices,
         and as ``_tree``, one ``(j, k, g)`` per element in order of
         discovery with ``elements[j] = elements[k] * generators[g]``.
         """
-        product, bounded = self._product, self._bounded
+        product, unbounded = self._product, self._unbounded
         images = {ident: None}
         tree = []
         frontier = [ident]
@@ -98,8 +98,10 @@ class FiniteGroup:
                 for k, g in enumerate(gens):
                     p = product(a, g)
                     if p not in images:
-                        if len(images) >= cap or not bounded(p):
+                        if len(images) >= cap:
                             raise NotFiniteWithinCap(f"group closure exceeds cap {cap}")
+                        if reason := unbounded(p):
+                            raise NotFiniteWithinCap(reason)
                         images[p] = None
                         tree.append((p, a, k))
                         new.append(p)
@@ -343,13 +345,13 @@ def _permuted(mask: int, perm) -> int:
     return image
 
 
-def _row_lattice(action, matrices):
-    """Hermite basis of the lattice spanned by the rows of 1 - h, h in
-    ``matrices``: their common fixed locus depends on it only, and it has at
-    most r rows."""
+def _row_lattice(action, matrices, rows=()):
+    """Hermite basis of the lattice spanned by ``rows`` and the rows of 1 - h,
+    h in ``matrices``: their common fixed locus depends on it only, and it
+    has at most r rows."""
     ident = identity_matrix(action.r)
-    return hermite_normal_form([list(map(sub, e, row)) for h in matrices
-                                for e, row in zip(ident, h)], action.r)
+    return hermite_normal_form([*rows, *(list(map(sub, e, row)) for h in matrices
+                                         for e, row in zip(ident, h))], action.r)
 
 
 class _RowImages(dict):
@@ -415,17 +417,19 @@ class IntegralAction(FiniteGroup):
         # i of a * g is (row i of a) * g: g maps a row's place to its image's
         return tuple(map(g, a))
 
-    def _bounded(self, a) -> bool:
+    def _unbounded(self, a) -> str | None:
         # a matrix of finite order has roots of unity as eigenvalues
-        return abs(sum(map(getitem, map(self._rows.__getitem__, a), range(self.r)))) <= self.r
+        if abs(trace := sum(map(getitem, map(self._rows.__getitem__, a), range(self.r)))) > self.r:
+            return f"group is infinite: an element has trace {trace}, and |trace| > r = {self.r}"
 
     def _decode(self, a):
         return tuple(map(self._rows.__getitem__, a))
 
     def restrict(self, sub, label: str = "") -> "IntegralAction":
-        """The subgroup as an IntegralAction of its own (same r, d)."""
-        sub = sorted(sub)
-        return IntegralAction(sub, d=self.d, label=label or f"subgroup of {self.label}")
+        """The subgroup as an action (same r, d), from :func:`_span`'s generators."""
+        gens = _span(self, sorted(map(self._index_of.__getitem__, sub)), (), 1 << self._e)[1]
+        return IntegralAction([self.elements[g] for g in gens] or [self.identity], d=self.d,
+                              label=label or f"subgroup of {self.label}")
 
     def __repr__(self):
         return f"IntegralAction({self.label!r}, order={self.order}, r={self.r}, d={self.d})"
@@ -478,7 +482,7 @@ class ConjugacyClass:
     ``size`` and element ``order``.  Built on first read: the classes of
     C(g) and, for an integral action, the Hermite ``rows`` of 1 - g (their
     number is the ``rank``; the strata engine and ``--oracle`` read them for
-    <g>, and the Euler pairs with 1).  C(g)'s generators are rebuilt on
+    <g>, and the Euler pairs with every h).  C(g)'s generators are rebuilt on
     each read: their one reader takes them once."""
 
     def __init__(self, group, conjugator_of):
@@ -598,11 +602,17 @@ def subgroup_class_poset(group: FiniteGroup) -> tuple[SubgroupClass, ...]:
     return group._lattice
 
 
-def _weyl_permutations(group: FiniteGroup, mask: int, reps):
+def _weyl_permutations(group: FiniteGroup, mask: int, reps, gens=None):
     """H's element classes (H conjugating) and, per index in ``reps``, their
-    permutation by conjugation with it, as ``(classes, perms)``."""
+    permutation by conjugation with it, as ``(classes, perms)``: the orbits
+    under ``gens``, H's record's generators, or :func:`_span`'s from H's
+    members if none are given; for H = G with ``gens``, the class records."""
     members = _bits(mask)
-    classes = _element_classes(group, members, _span(group, members, (), 1 << group._e)[1])
+    if gens is not None and len(members) == group.order:
+        classes = tuple(cls.members for cls in group._classes)
+    else:
+        classes = _element_classes(group, members, _span(group, members, (), 1 << group._e)[1]
+                                   if gens is None else gens)
     class_of = {h: i for i, cls in enumerate(classes) for h in cls}
     table, inv = group._table, group._inv_of
     return classes, tuple(tuple(class_of[table[table[n][cls[0]]][inv[n]]] for cls in classes)

@@ -74,13 +74,15 @@ def fiber_poincare(subaction: IntegralAction) -> FiberPolynomial:
     return fiber
 
 
-def fiber_poincare_equivariant(group: IntegralAction, mask: int, reps) -> FiberPolynomial:
+def fiber_poincare_equivariant(group: IntegralAction, mask: int, reps,
+                               gens=None) -> FiberPolynomial:
     """Fiber polynomial of C^n / H with the Weyl permutation action.
 
     H is the index mask ``mask``, and ``reps`` holds indices of elements
     of its normalizer, such as one per Weyl class; the coefficient of
     t^(2a) in ``values[i]`` is the number of age-a classes of H that
-    ``reps[i]`` fixes.
+    ``reps[i]`` fixes.  H's classes are :func:`_weyl_permutations`'s, under
+    ``gens`` if given; the ages are read off the class records' ranks.
 
     >>> from .catalog import catalog
     >>> octa = catalog("octahedral_s4_sl3")
@@ -92,14 +94,14 @@ def fiber_poincare_equivariant(group: IntegralAction, mask: int, reps) -> FiberP
     1 + 3*t^2
     1 + t^2
     """
-    classes, perms = _weyl_permutations(group, mask, reps)
+    classes, perms = _weyl_permutations(group, mask, reps, gens)
     ages = _class_ages(group, [group._class_number[cls[0]] for cls in classes])
 
     def graded(indices):
         coeffs = [0] * (2 * max(ages) + 1)
         for i in indices:
             coeffs[2 * ages[i]] += 1
-        return IntPolynomial(coeffs)
+        return IntPolynomial._of(coeffs)
 
     return FiberPolynomial(
         graded(range(len(ages))),

@@ -198,12 +198,15 @@ def _component_map(a, source, target):
 
 def _fixed_trace(action: IntegralAction, rows, w) -> IntPolynomial:
     """f: the trace of the matrix w on the cohomology of the fixed locus
-    {x : rows x = 0 mod Z^k} of a row lattice, which w must preserve."""
+    {x : rows x = 0 mod Z^k} of a row lattice, which w must preserve; with no
+    rows, the whole torus's det(1 + t w)^{2d}, which quotient_poincare reads."""
     v, v_inv, divs = _frame(rows, action.r)
     k, power = len(divs), 2 * action.d
     if w == action.identity:  # every component, each with trace (1 + t)^{2d(r - k)}
         n, count = power * (action.r - k), prod(divs) ** power
         return IntPolynomial._of([count * comb(n, i) for i in range(n + 1)])
+    if not rows:
+        return det_one_plus_t(w, power)
     a = mat_mul(mat_mul(v_inv, w), v)
     b = _component_map(a, divs, divs)
     free = det_one_plus_t(tuple(row[k:] for row in a[k:]), power)
@@ -422,7 +425,7 @@ def stratify(action: IntegralAction,
         suffix = chr(ord("a") + label_count[order] - 1)
         label = "1" if order == 1 else f"o{order}{suffix}"
         fiber = classes.fibers[c] = fiber_poincare_equivariant(
-            action, cls.mask, [w for w, _ in cls.weyl_classes[0]])
+            action, cls.mask, [w for w, _ in cls.weyl_classes[0]], cls.gens)
         if order > 1 and not fiber.plain[2]:
             raise TerminalStratum(
                 f"stratum {label} has no junior class: its isotropy of order "

@@ -425,17 +425,17 @@ def torsion_oracle(action: IntegralAction, n: int,
 def orbifold_euler(action: IntegralAction) -> int:
     """Orbifold Euler number: average over commuting pairs of chi(common fix).
 
-    A positive-dimensional union of subtori has Euler characteristic 0;
-    a finite fixed set of a pair (g, h) contributes its cardinality
-    |Z^r / L|^(2d), L spanned by the rows of I - g and I - h, read off the
-    pivots of L's Hermite basis.  Conjugate pairs fix isomorphic sets, so
-    g runs over the class records and h over the classes of the
-    centralizer C(g) under conjugation by C(g) (k (g, h) k^-1 = (g, khk^-1)
-    for k in C(g)), which g's record holds, each weighted by both class
-    sizes.  L has rank at most rank(1 - g) + rank(1 - h), so pairs whose
-    ranks sum below r are skipped; the ranks are the records'.  When g or
-    h is 1, the other has rank r and L is its record's row lattice, so no
-    form is taken for the pair.  The total is sum over classes of
+    A positive-dimensional union of subtori has Euler characteristic 0; a
+    finite fixed set of a pair (g, h) contributes |Z^r / L|^(2d), read off
+    the pivots of the Hermite basis of L, which g's record's Hermite rows
+    and the rows of I - h span.  Conjugate pairs fix isomorphic sets, so g
+    runs over the class records and h over the classes of the centralizer
+    C(g) under conjugation by C(g) (k (g, h) k^-1 = (g, khk^-1) for k in
+    C(g)), which g's record holds, each weighted by both class sizes.  L
+    has rank at most rank(1 - g) + rank(1 - h), so pairs whose ranks sum
+    below r are skipped; the ranks are the records'.  When g or h is 1,
+    the other has rank r and L is its record's row lattice, so no form is
+    taken for the pair.  The total is sum over classes of
     |G| * e(X^g / C(g)) (Hirzebruch-Hoefer), so it must be divisible by |G|.
 
     >>> from .catalog import catalog
@@ -452,7 +452,7 @@ def orbifold_euler(action: IntegralAction) -> int:
             if cls.rank + h.rank < r:
                 continue  # positive-dimensional: chi = 0
             if cls.rank and h.rank:
-                hnf = _row_lattice(action, (elements[cls.rep], elements[hcls[0]]))
+                hnf = _row_lattice(action, (elements[hcls[0]],), cls.rows)
                 if len(hnf) < r:
                     continue  # positive-dimensional: chi = 0
             else:  # g or h is 1; the other has rank r, and its record the rows

@@ -1,9 +1,11 @@
 """Test-side readings of a group's subgroup-class records
 (``FiniteGroup._lattice``): every subgroup as a set of elements,
-subconjugacy, the class of a subgroup, and the Weyl coset representatives
-that ``fiber_poincare_equivariant`` and ``_weyl_permutations`` take."""
+subconjugacy, the class of a subgroup, the Weyl coset representatives
+that ``fiber_poincare_equivariant`` and ``_weyl_permutations`` take, and
+a report's fibers against ones walked without the records' generators."""
 
-from kummer.groupcore import _mask_key
+from kummer.groupcore import _mask_key, _weyl_permutations
+from kummer.mckay import fiber_poincare_equivariant
 
 
 def all_subgroups(group):
@@ -45,3 +47,18 @@ def weyl_reps(group, mask):
             reps.append(g)
             seen.update(table[g][h] for h in members)
     return reps
+
+
+def assert_fibers_are_the_spanned_ones(report):
+    """Each stratum's fiber, whose classes ``stratify`` walks under the
+    generators of H's subgroup record (the group's class records for
+    H = G), equals the one walked under a generating set that ``_span``
+    picks from H's members, and so do the Weyl permutations."""
+    action = report.action
+    for s in report.strata:
+        cls, fiber = s._classes.classes[s._index], s._classes.fibers[s._index]
+        reps = [w for w, _ in cls.weyl_classes[0]]
+        assert (_weyl_permutations(action, cls.mask, reps, cls.gens)
+                == _weyl_permutations(action, cls.mask, reps)), s.label
+        spanned = fiber_poincare_equivariant(action, cls.mask, reps)
+        assert (fiber.plain, fiber.values) == (spanned.plain, spanned.values), s.label

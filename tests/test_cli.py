@@ -16,11 +16,12 @@ from kummer.toruslat import DEFAULT_ENUMERATION_BUDGET
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_cli(args, flags=(), timeout=120):
-    """``python FLAGS -m kummer.cli ARGS`` in a fresh process."""
+def _run_cli(args, flags=(), timeout=120, **env_vars):
+    """``python FLAGS -m kummer.cli ARGS`` in a fresh process, with
+    ``env_vars`` added to its environment."""
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **env_vars)
     return subprocess.run([sys.executable, *flags, "-m", "kummer.cli", *args],
                           capture_output=True, text=True, env=env, timeout=timeout)
 
@@ -203,7 +204,8 @@ class TestIntegralRun:
         # lattices only, one per lattice, and --oracle adds those of the
         # records' rows that no subgroup class's representative shares; the
         # Euler number takes no Hermite form of 1 - h stacked under 1 - 1 (or
-        # over it), whose lattice is that of 1 - h alone.  Every Hermite form
+        # over it), whose lattice is that of 1 - h alone, and stacks 1 - h
+        # under the Hermite rows of g's class record.  Every Hermite form
         # of stacked rows of 1 - h is taken by one function, _row_lattice,
         # which the class records call from groupcore and the rest from
         # toruslat and strata
@@ -217,8 +219,9 @@ class TestIntegralRun:
         real, snf = groupcore._row_lattice, strata.smith_normal_form
         for module, kind in ((groupcore, "hermite"), (toruslat, "pairs"),
                              (strata, "strata")):
-            monkeypatch.setattr(module, "_row_lattice", lambda action, sub, _kind=kind:
-                                forms[_kind].append(tuple(sub)) or real(action, sub))
+            monkeypatch.setattr(module, "_row_lattice", lambda action, sub, rows=(), _kind=kind:
+                                forms[_kind].append((tuple(sub), rows))
+                                or real(action, sub, rows))
         monkeypatch.setattr(strata, "smith_normal_form",
                             lambda rows: forms["smith"].append(rows) or snf(rows))
         strata._frame.cache_clear()
@@ -230,7 +233,7 @@ class TestIntegralRun:
 
         def stacked(kind):
             return [tuple(row for h in sub for row in mat_sub(ident, h))
-                    for sub in forms[kind]]
+                    for sub, _ in forms[kind]]
 
         assert stacked("hermite") == diffs
         lattices = {real(action, c.representative) for c in action._lattice} - {()}
@@ -240,6 +243,8 @@ class TestIntegralRun:
         assert not any(not any(map(any, rows[i:i + r]))
                        for rows in stacked("pairs") + stacked("strata")
                        for i in range(0, len(rows), r))
+        assert all(rows in records for _, rows in forms["pairs"])
+        assert not any(rows for _, rows in forms["hermite"] + forms["strata"])
         assert forms["strata"] and not set(stacked("strata")) & set(diffs)
 
     def test_input_file(self, tmp_path):
@@ -375,6 +380,15 @@ class TestReportSerialization:
         a = run(JobSpec("integral", catalog_name="z6_sl2")).to_json()
         b = run(JobSpec("integral", catalog_name="z6_sl2")).to_json()
         assert a == b
+
+    @pytest.mark.parametrize("name", ["s4_standard_d2", "d8_b2"])
+    def test_bytes_do_not_depend_on_the_hash_seed(self, name):
+        # set and dict iteration of str keys changes with the hash seed; the
+        # report must not
+        args = ["--catalog", name, "--equivariant", "--oracle", "3", "--format", "json"]
+        runs = [_run_cli(args, timeout=30, PYTHONHASHSEED=seed) for seed in ("0", "12345")]
+        assert [out.returncode for out in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
 
     @pytest.mark.parametrize("payload", [
         {"empty_dict": {}, "empty_list": [], "nested": {"a": {}, "b": [[], {}], "c": [{}]}},
@@ -643,17 +657,18 @@ class TestMainEntryPoint:
             "generators": [[[-1, 0], [0, -1]]], "d": 5000}}}]},
          f"polynomial degree 2rd = 20000 exceeds budget {DEFAULT_ENUMERATION_BUDGET}: "
          "(2rd + 1)^2 = 400040001 coefficient products (set by --max-enumeration)"),
-        # infinite order, found by a power's trace beyond r: the closure of
-        # their powers' ever larger entries ended in MemoryError
+        # infinite order, found by a power's trace beyond r, with no cap
+        # reached: the closure of their powers' ever larger entries ended in
+        # MemoryError
         ("integral", {"matrices": [[[10 ** 30, -1], [1, 0]]]},
-         "group closure exceeds cap 10000"),
+         f"group is infinite: an element has trace {10 ** 30}, and |trace| > r = 2"),
         ("integral", {"matrices": [[[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 10 ** 30],
                                     [0, 0, 1, 0]]]},
-         "group closure exceeds cap 10000"),
+         f"group is infinite: an element has trace {2 * 10 ** 30}, and |trace| > r = 4"),
         # S and ST have orders 4 and 6 but generate SL(2,Z): the bound
         # fires on a product, not on a generator's power
         ("integral", {"matrices": [[[0, -1], [1, 0]], [[0, -1], [1, 1]]]},
-         "group closure exceeds cap 10000"),
+         "group is infinite: an element has trace 3, and |trace| > r = 2"),
         # this ran to exit 0 as a group of order 1 at rank 0
         ("ledger", {"entries": [{"base": {"molien": {"generators": [[]], "d": 1}}}]},
          "bad molien spec: the matrices are 0 x 0: a torus of dimension 0"),

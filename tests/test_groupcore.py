@@ -60,6 +60,13 @@ class TestGenerateGroup:
         with pytest.raises(NotFiniteWithinCap, match="group closure exceeds cap 500"):
             generate_group([((1, 1), (0, 1))], cap=500)
 
+    def test_infinite_group_beyond_the_trace_bound(self):
+        # the generator's trace 3 exceeds r = 2: no cap is reached, and the
+        # error names the trace and r
+        with pytest.raises(NotFiniteWithinCap,
+                           match=r"^group is infinite: an element has trace 3, and \|trace\| > r = 2$"):
+            generate_group([((2, 1), (1, 1))], cap=500)
+
     def test_speciality(self):
         with pytest.raises(SpecialityViolation):
             generate_group([((0, 1), (1, 0))], special=True)
@@ -69,6 +76,16 @@ class TestGenerateGroup:
         octa = catalog("octahedral_s4_sl3")
         sub = octa.subgroup_closure([((0, 0, 1), (1, 0, 0), (0, 1, 0))])
         assert octa.restrict(sub).order == 3
+
+    @pytest.mark.parametrize("action", [catalog("octahedral_s4_sl3"), standard_sn(5, d=2),
+                                        catalog("z6_sl2")], ids=lambda a: a.label)
+    def test_restrict_to_the_whole_group(self, action):
+        # closed from a generating set of the members, not from each of them
+        whole = action.restrict(frozenset(action.elements))
+        assert whole.elements == action.elements and (whole.r, whole.d) == (action.r, action.d)
+        assert len(whole.generators) < action.order
+        trivial = action.restrict(frozenset([action.identity]))
+        assert trivial.elements == (action.identity,)
 
 
 class TestConjugacyClasses:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kummer.catalog import catalog, standard_sn
-from kummer.exactalg import IntPolynomial, identity_matrix, mat_mul
+from kummer.exactalg import ConsistencyError, IntPolynomial, identity_matrix, mat_mul
 from kummer.groupcore import _weyl_permutations, generate_group
 from kummer.mckay import (
     NonIntegerAge,
@@ -25,6 +25,19 @@ class TestFiberPoincare:
     def test_standard_s4_surface(self):
         fib = fiber_poincare(catalog("s4_standard_d2"))
         assert fib.plain == IntPolynomial([1, 0, 1, 0, 2, 0, 1])
+
+    def test_class_check_does_not_read_the_class_records(self, monkeypatch):
+        # fiber_poincare walks its own classes: with one class record too
+        # many, the count no longer matches, while the whole-group fiber
+        # stratify asks for, given generators, reads the records
+        group = generate_group(catalog("octahedral_s4_sl3").generators)
+        records, _ = group._classes, group._class_number
+        monkeypatch.setattr(group, "_classes", (*records, records[-1]))
+        with pytest.raises(ConsistencyError, match="do not match the conjugacy classes"):
+            fiber_poincare(group)
+        whole = fiber_poincare_equivariant(group, (1 << group.order) - 1, (),
+                                           group._lattice[-1].gens)
+        assert whole.plain(1) == len(records) + 1
 
     def test_trivial_group(self):
         triv = generate_group([((1,),)], d=1)

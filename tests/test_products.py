@@ -18,6 +18,7 @@ from kummer.catalog import catalog
 from kummer.groupcore import generate_group
 from kummer.strata import TerminalStratum, stratify
 from kummer.toruslat import orbifold_euler
+from lattice_reference import assert_fibers_are_the_spanned_ones
 
 PAIRS = [("z2_sl2", "z3_sl2"), ("z4_sl2", "z2_sl2"), ("z6_sl2", "z3_sl2"),
          ("d4_sl3", "z2_sl2"), ("s3_standard_d2", "d8_b2")]
@@ -84,6 +85,7 @@ def test_a_product_multiplies(pair, seed, factors):
     assert report.resolution == r1.resolution * r2.resolution
     assert orbifold_euler(action) == e1 * e2
     assert len(report.strata) == len(r1.strata) * len(r2.strata)
+    assert_fibers_are_the_spanned_ones(report)
     if action.d == 1:
         n1, n2 = _nodes(r1), _nodes(r2)
         assert _nodes(report) == n1 * n2

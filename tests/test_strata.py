@@ -21,7 +21,7 @@ from kummer.groupcore import (
     subgroup_class_poset,
 )
 from action_reference import integral_catalog_actions, stratum_by
-from lattice_reference import all_subgroups, class_of
+from lattice_reference import all_subgroups, assert_fibers_are_the_spanned_ones, class_of
 from kummer.mckay import NonIntegerAge, fiber_poincare_equivariant
 from kummer.strata import (
     MalformedLedger, TerminalStratum, _Classes, _fixed_trace, assemble_from_ledger,
@@ -900,6 +900,19 @@ class TestShortcuts:
             assert _fixed_trace(action, rows, action.identity) == generic_trace(
                 action, rows, action.identity)
 
+    @pytest.mark.parametrize("action", integral_catalog_actions(),
+                             ids=lambda a: f"{a.label}_d{a.d}")
+    def test_whole_torus_trace_is_the_framed_computation(self, action):
+        # with no rows f(1, w) is det(1 + t w)^2d, read directly; the general
+        # formula takes it through identity frames and an empty component map
+        for w in action.elements:
+            assert _fixed_trace(action, (), w) == generic_trace(action, (), w), w
+
+    @pytest.mark.parametrize("action", [*INTEGRAL_AGES, standard_sn(5, 2), wreath(3, 2, 2)],
+                             ids=lambda a: f"{a.label}_d{a.d}")
+    def test_fibers_from_the_records_are_the_spanned_ones(self, action):
+        assert_fibers_are_the_spanned_ones(stratify(action))
+
     @pytest.mark.parametrize("action", [*integral_catalog_actions(), standard_sn(5, 2)],
                              ids=lambda a: f"{a.label}_d{a.d}")
     def test_pruned_euler_is_the_pair_sum(self, action):
@@ -924,8 +937,9 @@ class TestShortcuts:
         # natural_sn(4, 2): 21 pairs of a class and a class of its
         # centralizer, 13 of them with ranks summing below r = 4, which no
         # single rank reaches, so no pair with g = 1 or h = 1 is left; each
-        # of the 8 others takes a Hermite form, and the ranks are the class
-        # records', one Hermite form of 1 - g per class
+        # of the 8 others takes a Hermite form of 1 - h with the Hermite
+        # rows of g's class record, and the ranks are the records', one
+        # Hermite form of 1 - g per class
         action, forms, ranks = natural_sn(4, 2), [], []
         rows = groupcore._row_lattice
         monkeypatch.setattr(toruslat, "_row_lattice",
@@ -935,6 +949,9 @@ class TestShortcuts:
         assert orbifold_euler(action) == pair_sum_euler(action)
         assert len(forms) == 21 - 13
         assert len(ranks) == len(action.conjugacy_classes()) == 5
+        records = {cls.rows for cls in action._classes}
+        assert all(len(h) == 1 and g in records and g for _, h, g in forms)
+        assert not any(len(args) > 2 for args in ranks)
 
     @pytest.mark.parametrize("action", integral_catalog_actions(),
                              ids=lambda a: f"{a.label}_d{a.d}")
