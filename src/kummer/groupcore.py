@@ -15,8 +15,8 @@ closures, conjugates, normalizers, cosets, element and subgroup classes
 and the Weyl permutations of a subgroup's classes are table lookups on
 indices.  Each element class is one :class:`ConjugacyClass` record, which
 every class-level number reads: rank(1 - g) from one Hermite form
-(:func:`_row_lattice`, which the Euler pairs and the strata share; the
-strata and ``--oracle`` read this one for <g>), and, on first read, C(g),
+(:func:`_row_lattice`, which the Euler pairs and the strata share; they
+and ``--oracle`` read this one for g and <g>), and, on first read, C(g),
 closed from the Schreier elements of the class's walk, with its classes
 (the group's own for a central g).  The subgroup lattice is built class
 by class from joins of class representatives with single elements, as

@@ -63,8 +63,8 @@ class TestGenerateGroup:
     def test_infinite_group_beyond_the_trace_bound(self):
         # the generator's trace 3 exceeds r = 2: no cap is reached, and the
         # error names the trace and r
-        with pytest.raises(NotFiniteWithinCap,
-                           match=r"^group is infinite: an element has trace 3, and \|trace\| > r = 2$"):
+        message = r"^group is infinite: an element has trace 3, and \|trace\| > r = 2$"
+        with pytest.raises(NotFiniteWithinCap, match=message):
             generate_group([((2, 1), (1, 1))], cap=500)
 
     def test_speciality(self):
