@@ -12,7 +12,6 @@ from kummer import (
     fiber_poincare,
     isolated_count,
     orbifold_euler,
-    quotient_poincare,
     stratify,
     torsion_oracle,
 )

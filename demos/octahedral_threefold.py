@@ -7,7 +7,7 @@ classes, and assembling the fiber-weighted strata gives the Poincaré
 polynomial of a crepant resolution of the quotient.
 """
 
-from kummer import catalog, fix_locus, generic_isotropy, stratify
+from kummer import catalog, fix_locus, stratify
 
 octa = catalog("octahedral_s4_sl3")
 print(f"group: {octa.label}, order {octa.order}, acting on a rank-3 lattice")

@@ -56,36 +56,55 @@ class InputError(ValueError):
     """Bad job specification or input document."""
 
 
+# long option -> (default, how its value is read: int, a set of choices, str,
+# or None for a flag without one, metavar, help); JobSpec has a field for
+# each and checks the rest
+OPTIONS = {
+    "mode": ("integral", str, "MODE", "integral, analytic or ledger"),
+    "catalog": (None, str, "NAME", "name of a catalog action"),
+    "input": (None, str, "PATH", "path to a JSON input document"),
+    "d": (None, int, "INT", "abelian-variety dimension (integral mode)"),
+    "oracle": (None, int, "N", "cross-check fixed points against N-torsion counts"),
+    "equivariant": (False, None, "", "include per-orbit Weyl character detail"),
+    "format": ("text", {"text", "json"}, "FORMAT", "text or json"),
+    "max-group-order": (DEFAULT_ORDER_CAP, int, "INT", "cap on the group order"),
+    "max-enumeration": (DEFAULT_ENUMERATION_BUDGET, int, "INT", "brute-force budget"),
+    "list": (False, None, "", "list catalog entries and exit"),
+    "help": (False, None, "", "show this help and exit (also -h)"),
+}
+
+
 class JobSpec:
-    """What to run: mode, source, and options."""
+    """A checked command line: a field for each option of ``OPTIONS``, named
+    with "_" for "-" and defaulting to the table's; ``InputError`` unless
+    the options go together.  ``main`` reads ``--format``, ``--list`` and
+    ``--help`` itself; ``run`` reads the rest."""
 
-    __slots__ = (
-        "mode", "catalog_name", "input_path", "d", "oracle", "equivariant",
-        "max_group_order", "max_enumeration",
-    )
+    __slots__ = tuple(name.replace("-", "_") for name in OPTIONS)
 
-    def __init__(self, mode, catalog_name=None, input_path=None, d=None,
-                 oracle=None, equivariant=False, max_group_order=DEFAULT_ORDER_CAP,
-                 max_enumeration=DEFAULT_ENUMERATION_BUDGET):
+    def __init__(self, mode, **options):
+        options["mode"] = mode
+        for name, option in OPTIONS.items():
+            field = name.replace("-", "_")
+            setattr(self, field, options.pop(field, option[0]))
+        if options:
+            raise TypeError(f"JobSpec() got unexpected options {sorted(options)}")
         if mode not in ("integral", "analytic", "ledger"):
             raise InputError(f"unknown mode {mode!r}")
-        if (catalog_name is None) == (input_path is None):
+        if (self.catalog is None) == (self.input is None):
             raise InputError("exactly one of --catalog or --input is required")
-        for flag, value in {"oracle": oracle, "d": d, "max-group-order": max_group_order,
-                            "max-enumeration": max_enumeration}.items():
-            if value is not None and value < 1:
+        for flag in ("oracle", "d", "max-group-order", "max-enumeration"):
+            value = getattr(self, flag.replace("-", "_"))
+            # a bool or a float is refused, as in an input document
+            if value is not None and (type(value) is not int or value < 1):
                 raise InputError(f"--{flag} must be a positive integer")
-        for flag, value in {"d": d, "oracle": oracle, "equivariant": equivariant}.items():
-            if value and mode != "integral":
+        for flag in ("d", "oracle", "equivariant"):
+            if getattr(self, flag) and mode != "integral":
                 raise InputError(f"--{flag} applies only in integral mode")
-        self.mode = mode
-        self.catalog_name = catalog_name
-        self.input_path = input_path
-        self.d = d
-        self.oracle = oracle
-        self.equivariant = equivariant
-        self.max_group_order = max_group_order
-        self.max_enumeration = max_enumeration
+        if mode == "ledger" and self.input is None:
+            raise InputError("ledger mode requires --input")
+        if self.catalog is not None and catalog_kind(self.catalog) != mode:
+            raise InputError(f"{self.catalog} is not an {mode} entry")
 
 
 class Report:
@@ -321,40 +340,29 @@ def _constraint_from_doc(doc) -> tuple[str, CountingConstraint]:
 def run(job: JobSpec) -> Report:
     """Execute a job and return its report.
 
-    >>> job = JobSpec("integral", catalog_name="z6_sl2")
+    >>> job = JobSpec("integral", catalog="z6_sl2")
     >>> report = run(job)
     >>> report.payload["resolution"]
     [1, 0, 22, 0, 1]
     >>> report.passed
     True
     """
-    if job.mode == "integral":
-        return _run_integral(job)
-    if job.mode == "analytic":
-        return _run_analytic(job)
-    return _run_ledger(job)
+    body = {"integral": _run_integral, "analytic": _run_analytic, "ledger": _run_ledger}
+    return Report({"report_version": REPORT_VERSION, "mode": job.mode,
+                   "input": _input_echo(job), **body[job.mode](job)})
 
 
-def _resolve_integral_action(job) -> IntegralAction:
-    if job.catalog_name is not None:
-        if catalog_kind(job.catalog_name) != "integral":
-            raise InputError(f"{job.catalog_name} is not an integral entry")
-        return _within_cap(catalog_build(job.catalog_name, d=job.d),
-                           job.max_group_order)
-    return _integral_from_file(_load_json(job.input_path), job.d, job.max_group_order)
-
-
-def _run_integral(job: JobSpec) -> Report:
-    action = _resolve_integral_action(job)
+def _run_integral(job: JobSpec) -> dict:
+    if job.catalog is not None:
+        action = _within_cap(catalog_build(job.catalog, d=job.d), job.max_group_order)
+    else:
+        action = _integral_from_file(_load_json(job.input), job.d, job.max_group_order)
     report = stratify(action, budget=job.max_enumeration)
     resolution = report.resolution
     quotient = report.quotient
     euler = orbifold_euler(action)
 
     payload = {
-        "report_version": REPORT_VERSION,
-        "mode": "integral",
-        "input": _input_echo(job),
         "group": {
             "label": action.label,
             "order": action.order,
@@ -417,19 +425,17 @@ def _run_integral(job: JobSpec) -> Report:
                 mism.append([list(map(list, g)), oracle[g], predicted])
         checks.append(_check(f"torsion_oracle_n{job.oracle}", mism, []))
     payload["checks"] = checks
-    return Report(payload)
+    return payload
 
 
-def _run_analytic(job: JobSpec) -> Report:
-    if job.catalog_name is not None:
-        if catalog_kind(job.catalog_name) != "analytic":
-            raise InputError(f"{job.catalog_name} is not an analytic entry")
-        group, exps = catalog_build(job.catalog_name)
+def _run_analytic(job: JobSpec) -> dict:
+    if job.catalog is not None:
+        group, exps = catalog_build(job.catalog)
         data = AnalyticEigenData(_within_cap(group, job.max_group_order), exps)
         constraints = [("symplectic_resolution_count",
                         tetrahedral_obstruction_constraint())]
     else:
-        data, constraints = _analytic_from_file(_load_json(job.input_path),
+        data, constraints = _analytic_from_file(_load_json(job.input),
                                                 job.max_group_order)
     group = data.group
 
@@ -448,9 +454,6 @@ def _run_analytic(job: JobSpec) -> Report:
         if res.isolated and math.isqrt(res.count) ** 2 != res.count:
             square_failures.append([i, res.count])
     reflections = symplectic_reflection_generated(data)
-    # the classified list holds only data of the shape V + V*, of even dimension
-    classification = (repr(bls_classify(data))
-                      if data.is_self_dual() and data.dimension % 2 == 0 else "NoMatch")
 
     constraint_rows = []
     obstructed = None
@@ -465,16 +468,13 @@ def _run_analytic(job: JobSpec) -> Report:
         obstructed = obstructed or not res.feasible
 
     payload = {
-        "report_version": REPORT_VERSION,
-        "mode": "analytic",
-        "input": _input_echo(job),
         "group": {"label": group.label, "order": group.order,
                   "dimension": data.dimension},
         "classes": rows,
         # the identity's class comes first
         "purity_all_codim_two": all(row["codim"] == 2 for row in rows[1:]),
         "reflections": bool(reflections),
-        "classification": classification,
+        "classification": repr(bls_classify(data)),
         "constraints": constraint_rows,
         "checks": [
             _check("self_dual_shape", data.is_self_dual(), True),
@@ -483,22 +483,17 @@ def _run_analytic(job: JobSpec) -> Report:
     }
     if obstructed is not None:
         payload["symplectic_resolution_obstructed"] = obstructed
-    return Report(payload)
+    return payload
 
 
-def _run_ledger(job: JobSpec) -> Report:
-    if job.input_path is None:
-        raise InputError("ledger mode requires --input")
-    doc = _load_json(job.input_path)
+def _run_ledger(job: JobSpec) -> dict:
+    doc = _load_json(job.input)
     try:
         result = assemble_from_ledger(doc, cap=job.max_group_order,
                                       budget=job.max_enumeration)
     except MalformedLedger as exc:
         raise InputError(str(exc)) from None
     payload = {
-        "report_version": REPORT_VERSION,
-        "mode": "ledger",
-        "input": _input_echo(job),
         "resolution": _poly(result.value) if result.value is not None else None,
         "checks": [],
     }
@@ -515,19 +510,17 @@ def _run_ledger(job: JobSpec) -> Report:
                    _poly(result.value.reciprocal(result.value.degree))),
             _check("t1_coefficient_zero", result.value[1], 0),
         ]
-    return Report(payload)
+    return payload
 
 
 def _input_echo(job: JobSpec) -> dict:
+    """The mode and each option without a default that the job sets, read
+    as the command line reads it (a path as its str)."""
     echo = {"mode": job.mode}
-    if job.catalog_name is not None:
-        echo["catalog"] = job.catalog_name
-    if job.input_path is not None:
-        echo["input"] = str(job.input_path)
-    if job.d is not None:
-        echo["d"] = job.d
-    if job.oracle is not None:
-        echo["oracle"] = job.oracle
+    for name, (default, kind, *_) in OPTIONS.items():
+        value = getattr(job, name.replace("-", "_"))
+        if default is None and value is not None:
+            echo[name] = kind(value)
     return echo
 
 
@@ -539,23 +532,6 @@ def list_catalog() -> str:
 
 # ---------------------------------------------------------------------------
 # entry point
-
-
-# long option -> (default, how its value is read: int, a set of choices, str,
-# or None for a flag without one, metavar, help); JobSpec checks the rest
-OPTIONS = {
-    "mode": ("integral", str, "MODE", "integral, analytic or ledger"),
-    "catalog": (None, str, "NAME", "name of a catalog action"),
-    "input": (None, str, "PATH", "path to a JSON input document"),
-    "d": (None, int, "INT", "abelian-variety dimension (integral mode)"),
-    "oracle": (None, int, "N", "cross-check fixed points against N-torsion counts"),
-    "equivariant": (False, None, "", "include per-orbit Weyl character detail"),
-    "format": ("text", {"text", "json"}, "FORMAT", "text or json"),
-    "max-group-order": (DEFAULT_ORDER_CAP, int, "INT", "cap on the group order"),
-    "max-enumeration": (DEFAULT_ENUMERATION_BUDGET, int, "INT", "brute-force budget"),
-    "list": (False, None, "", "list catalog entries and exit"),
-    "help": (False, None, "", "show this help and exit (also -h)"),
-}
 
 
 def _help() -> str:
@@ -623,12 +599,8 @@ def main(argv=None) -> int:
         if opts["help"] or opts["list"]:
             sys.stdout.write(_help() if opts["help"] else list_catalog())
             return 0
-        report = run(JobSpec(
-            opts["mode"], catalog_name=opts["catalog"], input_path=opts["input"],
-            d=opts["d"], oracle=opts["oracle"], equivariant=opts["equivariant"],
-            max_group_order=opts["max-group-order"],
-            max_enumeration=opts["max-enumeration"],
-        ))
+        report = run(JobSpec(**{name.replace("-", "_"): value
+                                for name, value in opts.items()}))
     except (InputError, NonInvertible, NotFiniteWithinCap, SpecialityViolation,
             NonIntegerAge, UnknownCatalogEntry) as exc:
         sys.stderr.write(f"error: {exc}\n")

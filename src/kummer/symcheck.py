@@ -22,10 +22,6 @@ from .mckay import partitions
 from .toruslat import DEFAULT_ENUMERATION_BUDGET, EnumerationTooLarge
 
 
-class ShapeMismatch(ValueError):
-    """Eigenvalue data is not of the self-dual shape V + V*."""
-
-
 class UnboundedSearch(ValueError):
     """A counting search was requested without bounds on the unknowns."""
 
@@ -244,7 +240,8 @@ def bls_classify(data: AnalyticEigenData) -> BLSResult:
 
     Checks structural invariants only (order, class count, a normal
     abelian subgroup, the unique involution); ``NoMatch`` never asserts
-    impossibility.
+    impossibility.  The classified list holds only data of the shape
+    V + V*, of even dimension, so other data are ``NoMatch``.
 
     >>> from .catalog import catalog
     >>> bls_classify(AnalyticEigenData.from_integral(catalog("s4_standard_d2")))
@@ -252,10 +249,8 @@ def bls_classify(data: AnalyticEigenData) -> BLSResult:
     >>> bls_classify(AnalyticEigenData.from_integral(catalog("d8_b2")))
     TypeBC(2, 2)
     """
-    if not data.is_self_dual():
-        raise ShapeMismatch("eigenvalue data is not of shape V + V*")
-    if data.dimension % 2:
-        raise ShapeMismatch("self-dual data must have even dimension")
+    if not data.is_self_dual() or data.dimension % 2:
+        return BLSResult("NoMatch")
     group = data.group
     n = data.dimension // 2
     order = group.order

@@ -107,7 +107,7 @@ GOLDEN_REPORTS = {
 
 @pytest.fixture(scope="module")
 def z6_report():
-    return run(JobSpec("integral", catalog_name="z6_sl2", oracle=6))
+    return run(JobSpec("integral", catalog="z6_sl2", oracle=6))
 
 
 class TestJobSpec:
@@ -115,11 +115,28 @@ class TestJobSpec:
         with pytest.raises(InputError):
             JobSpec("integral")
         with pytest.raises(InputError):
-            JobSpec("integral", catalog_name="z6_sl2", input_path="x.json")
+            JobSpec("integral", catalog="z6_sl2", input="x.json")
         with pytest.raises(InputError):
-            JobSpec("nonsense", catalog_name="z6_sl2")
+            JobSpec("nonsense", catalog="z6_sl2")
         with pytest.raises(InputError):
-            JobSpec("integral", catalog_name="z6_sl2", oracle=0)
+            JobSpec("integral", catalog="z6_sl2", oracle=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("oracle", True), ("d", True), ("oracle", 2.5), ("max_enumeration", 1e9),
+        ("max_group_order", False)])
+    def test_integer_options_take_ints_only(self, field, value):
+        # oracle=True ran a check named torsion_oracle_nTrue and d=True ran at
+        # d = 1, each echoing true; a float failed deep in the run
+        flag = "--" + field.replace("_", "-")
+        with pytest.raises(InputError, match=f"^{flag} must be a positive integer$"):
+            JobSpec("integral", catalog="z6_sl2", **{field: value})
+
+    @pytest.mark.parametrize("mode, message", [
+        ("ledger", "ledger mode requires --input"),
+        ("analytic", "z6_sl2 is not an analytic entry")])
+    def test_source_rules_are_checked_before_the_run(self, mode, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            JobSpec(mode, catalog="z6_sl2")
 
     @pytest.mark.parametrize("flag", ["--max-enumeration", "--max-group-order"])
     @pytest.mark.parametrize("value", ["0", "-1"])
@@ -162,7 +179,7 @@ class TestIntegralRun:
             assert {"name", "pass", "left", "right"} <= set(check)
 
     def test_octahedral_run_with_oracle(self):
-        report = run(JobSpec("integral", catalog_name="octahedral_s4_sl3",
+        report = run(JobSpec("integral", catalog="octahedral_s4_sl3",
                              oracle=6))
         assert report.payload["resolution"] == [1, 0, 20, 14, 20, 0, 1]
         assert report.passed
@@ -187,7 +204,7 @@ class TestIntegralRun:
         monkeypatch.setattr(strata, "smith_normal_form",
                             lambda rows: forms.append(rows) or snf(rows))
         strata._frame.cache_clear()
-        report = run(JobSpec("integral", catalog_name="octahedral_s4_sl3", oracle=6))
+        report = run(JobSpec("integral", catalog="octahedral_s4_sl3", oracle=6))
         (check,) = [c for c in report.payload["checks"] if c["name"] == "torsion_oracle_n6"]
         expected = oracle(action, 6)[g]
         assert check["left"] == [[list(map(list, g)), expected + 1, expected]]
@@ -225,7 +242,7 @@ class TestIntegralRun:
         monkeypatch.setattr(strata, "smith_normal_form",
                             lambda rows: forms["smith"].append(rows) or snf(rows))
         strata._frame.cache_clear()
-        report = run(JobSpec("integral", catalog_name=name, oracle=oracle))
+        report = run(JobSpec("integral", catalog=name, oracle=oracle))
         assert report.passed
         action = catalog(name)
         ident, r = identity_matrix(action.r), action.r
@@ -252,16 +269,16 @@ class TestIntegralRun:
                "special": True}
         path = tmp_path / "z4.json"
         path.write_text(json.dumps(doc))
-        report = run(JobSpec("integral", input_path=str(path)))
+        report = run(JobSpec("integral", input=str(path)))
         assert report.payload["resolution"] == [1, 0, 22, 0, 1]
         assert report.passed
 
     def test_d_override(self):
-        report = run(JobSpec("integral", catalog_name="s3_standard", d=2))
+        report = run(JobSpec("integral", catalog="s3_standard", d=2))
         assert report.payload["group"]["d"] == 2
 
     def test_equivariant_detail(self):
-        report = run(JobSpec("integral", catalog_name="z6_sl2", equivariant=True))
+        report = run(JobSpec("integral", catalog="z6_sl2", equivariant=True))
         assert all("orbit_detail" in s for s in report.payload["strata"])
 
 
@@ -297,7 +314,7 @@ Z2_ANALYTIC = {
 
 class TestAnalyticRun:
     def test_binary_tetrahedral(self):
-        report = run(JobSpec("analytic", catalog_name="binary_tetrahedral"))
+        report = run(JobSpec("analytic", catalog="binary_tetrahedral"))
         payload = report.payload
         counts = {(row["order"], row["count"]) for row in payload["classes"]}
         assert (2, 256) in counts
@@ -310,7 +327,7 @@ class TestAnalyticRun:
     def test_analytic_input_file(self, tmp_path):
         path = tmp_path / "d6.json"
         path.write_text(json.dumps(D6_ANALYTIC))
-        report = run(JobSpec("analytic", input_path=str(path)))
+        report = run(JobSpec("analytic", input=str(path)))
         payload = report.payload
         assert payload["classification"] == "TypeA(2)"
         assert payload["constraints"][0]["feasible"]
@@ -332,9 +349,9 @@ class TestAnalyticRun:
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(InputError):
-            run(JobSpec("analytic", catalog_name="z6_sl2"))
+            run(JobSpec("analytic", catalog="z6_sl2"))
         with pytest.raises(InputError):
-            run(JobSpec("integral", catalog_name="binary_tetrahedral"))
+            run(JobSpec("integral", catalog="binary_tetrahedral"))
 
 
 class TestLedgerRun:
@@ -353,7 +370,7 @@ class TestLedgerRun:
         }
         path = tmp_path / "d8.json"
         path.write_text(json.dumps(doc))
-        report = run(JobSpec("ledger", input_path=str(path)))
+        report = run(JobSpec("ledger", input=str(path)))
         assert report.payload["resolution"] == [1, 0, 23, 0, 276, 0, 23, 0, 1]
         assert report.passed
 
@@ -361,10 +378,10 @@ class TestLedgerRun:
         from pathlib import Path
 
         root = Path(__file__).resolve().parent.parent / "demos" / "ledgers"
-        report = run(JobSpec("ledger", input_path=str(root / "dihedral8_pieces.json")))
+        report = run(JobSpec("ledger", input=str(root / "dihedral8_pieces.json")))
         assert report.payload["resolution"] == [1, 0, 23, 0, 276, 0, 23, 0, 1]
         report = run(JobSpec("ledger",
-                             input_path=str(root / "dihedral6_symbolic.json")))
+                             input=str(root / "dihedral6_symbolic.json")))
         assert report.payload["resolution"] == [1, 0, 7, 8, 108, 8, 7, 0, 1]
         assert report.payload["symbolic"]["linear"] == [0, 0, 1, 4, 6, 4, 1]
 
@@ -377,8 +394,8 @@ class TestReportSerialization:
         assert parsed.to_json() == text
 
     def test_deterministic_bytes(self):
-        a = run(JobSpec("integral", catalog_name="z6_sl2")).to_json()
-        b = run(JobSpec("integral", catalog_name="z6_sl2")).to_json()
+        a = run(JobSpec("integral", catalog="z6_sl2")).to_json()
+        b = run(JobSpec("integral", catalog="z6_sl2")).to_json()
         assert a == b
 
     @pytest.mark.parametrize("name", ["s4_standard_d2", "d8_b2"])
@@ -1023,5 +1040,86 @@ def shared_stratify():
 @pytest.mark.parametrize("args, digest", sorted(GOLDEN_REPORTS.items()))
 def test_report_bytes_are_pinned(args, digest, shared_stratify, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
+    assert main(args.split() + ["--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_report_bytes_are_pinned_under_optimize():
+    # no check of the run, and no byte of its report, rests on assert
+    args = "--catalog z6_sl2 --oracle 6"
+    out = _run_cli(args.split() + ["--format", "json"], flags=["-O"], timeout=30)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == GOLDEN_REPORTS[args]
+
+
+def _larger_documents():
+    """Integral input documents, by file name, for actions past the catalog's
+    sizes: |G| from 64 to 720."""
+    from kummer.catalog import catalog, natural_sn, standard_sn, wreath
+
+    def one(r):
+        return [[int(i == j) for j in range(r)] for i in range(r)]
+
+    def block(a, b):
+        return [[*row, *[0] * len(b)] for row in a] + [[0] * len(a) + list(row) for row in b]
+
+    first, second = catalog("d8_b2"), catalog("wreath_2_2")
+    product = ([block(g, one(second.r)) for g in first.generators]
+               + [block(one(first.r), h) for h in second.generators])
+    actions = {"standard_s5_d2": standard_sn(5, 2), "wreath_3_2_2": wreath(3, 2, 2),
+               "natural_s4_d2": natural_sn(4, 2), "standard_s6_d2": standard_sn(6, 2),
+               "wreath_4_2_2": wreath(4, 2, 2)}
+    docs = {name: {"name": name, "matrices": action.generators, "d": action.d}
+            for name, action in actions.items()}
+    docs["d8_b2_x_wreath_2_2"] = {"name": "d8_b2_x_wreath_2_2", "matrices": product, "d": 2}
+    return docs
+
+
+# SHA-256 of the stdout of `kummer ARGS --format json`, run in the directory
+# that holds the documents of _larger_documents: the sizes the group and
+# lattice refactors change.  Their --equivariant runs on the product and on
+# wreath_4_2_2, and the larger actions, cost too much for the quick suite.
+LARGER_REPORTS = {
+    "--input standard_s5_d2.json":
+        "8941acb59393c9cfdd6cdfc5cba362c734a0ae500597422f53067c22bcad41eb",
+    "--input standard_s5_d2.json --equivariant":
+        "b766a20c61a9d192d4c82c8deff84279b45f002b692e0a93b0159101e29f3d5a",
+    "--input standard_s5_d2.json --oracle 3":
+        "95627c7ebd388619cb7f63fad961bda94667bf92684494ab0e14db77b935d0b8",
+    "--input wreath_3_2_2.json":
+        "71bfdd05636604860743387d914c2f454926a8239d8d95e3dd7cb885506e60c3",
+    "--input wreath_3_2_2.json --equivariant":
+        "ba759f004f8841ea3788e58bef4dcec535f1dcc0e8e9addc93fe1393340c039b",
+    "--input wreath_3_2_2.json --oracle 3":
+        "2c6e9c01552b35b0440b4de17aa055ea17607f5ba8accbfd369a72a8f48be52a",
+    "--input natural_s4_d2.json":
+        "b6018f37460119a2bb57a98faf89d8353534bd315f7a382f0cc52ed715efe510",
+    "--input natural_s4_d2.json --equivariant":
+        "ea222d55fcd9fb26596eca3166979f589fbb59e45edc25344fae12cd290e360c",
+    "--input natural_s4_d2.json --oracle 3":
+        "45abcd8d9ada49e8781aff345bb22a47bd219808ac82651562703eb03e5ea7e8",
+    "--input d8_b2_x_wreath_2_2.json":
+        "eba89c2e4fb48f1d2bae59ecba5e9bec144a0f52d8d93a7b9be36179278390aa",
+    "--input d8_b2_x_wreath_2_2.json --oracle 3":
+        "bf3d3502934a4861981be8f601f2a77a094855bebbf42336429ff0c07fd16178",
+    "--input standard_s6_d2.json":
+        "b870596752eefbab885311d936f3941077c0ebe6e3c506418947b263e818a6c1",
+    "--input wreath_4_2_2.json":
+        "b341508838a5503cecf1eca1a3ed42732de02b6302a5e14036b0eb24fbd0b445",
+}
+
+
+@pytest.fixture(scope="module")
+def larger_documents(tmp_path_factory):
+    root = tmp_path_factory.mktemp("larger")
+    for name, doc in _larger_documents().items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    return root
+
+
+@pytest.mark.parametrize("args, digest", LARGER_REPORTS.items())
+def test_larger_report_bytes_are_pinned(args, digest, larger_documents, shared_stratify,
+                                        capsys, monkeypatch):
+    monkeypatch.chdir(larger_documents)
     assert main(args.split() + ["--format", "json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

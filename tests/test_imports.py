@@ -1,16 +1,18 @@
-"""Every name a package module imports is used in that module (no linter
-is assumed installed, so the check reads the syntax trees itself)."""
+"""Every name a package module or a demo imports is used in that module (no
+linter is assumed installed, so the check reads the syntax trees itself)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kummer"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kummer"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + DEMOS, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}
